@@ -29,11 +29,21 @@ Subpackages
     Correctness tooling: the gradlint static-analysis suite
     (``python -m repro.analysis``) and the opt-in runtime gradient
     sanitizer (``detect_anomaly``).
+
+Subpackages load on first access (``repro.nn.Tensor`` imports
+``repro.nn``), so ``import repro`` alone costs nothing and a serving
+process never pulls in the experiment or analysis layers.
 """
+
+import importlib
 
 __version__ = "1.0.0"
 
-from . import analysis, causal, core, data, eval, exp, models, nn
+__all__ = ["__version__"]
 
-__all__ = ["nn", "causal", "data", "models", "core", "eval", "exp",
-           "analysis", "__version__"]
+
+def __getattr__(name: str):
+    if name in ("analysis", "causal", "core", "data", "eval", "exp", "models",
+                "nn"):
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

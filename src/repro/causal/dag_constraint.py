@@ -21,7 +21,6 @@ from collections import OrderedDict
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..nn.tensor import Tensor
 
@@ -54,6 +53,7 @@ def _expm_of_square(weights: np.ndarray) -> np.ndarray:
         _expm_stats["hits"] += 1
         return cached
     _expm_stats["misses"] += 1
+    from scipy.linalg import expm
     exp_sq = expm(weights * weights)
     _expm_cache[key] = exp_sq
     while len(_expm_cache) > _EXPM_CACHE_SIZE:

@@ -9,10 +9,12 @@ topological order), binarization, and conversions used throughout
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def validate_adjacency(matrix: np.ndarray) -> np.ndarray:
@@ -31,12 +33,14 @@ def binarize(matrix: np.ndarray, threshold: float = 0.0) -> np.ndarray:
 
 def is_dag(matrix: np.ndarray, threshold: float = 0.0) -> bool:
     """True if the thresholded graph has no directed cycles."""
+    import networkx as nx
     graph = to_networkx(matrix, threshold)
     return nx.is_directed_acyclic_graph(graph)
 
 
 def to_networkx(matrix: np.ndarray, threshold: float = 0.0) -> nx.DiGraph:
     """Convert an adjacency matrix to a :class:`networkx.DiGraph`."""
+    import networkx as nx
     binary = binarize(matrix, threshold)
     graph = nx.DiGraph()
     graph.add_nodes_from(range(binary.shape[0]))
@@ -58,6 +62,7 @@ def topological_order(matrix: np.ndarray, threshold: float = 0.0) -> List[int]:
 
     Raises ``ValueError`` if the graph contains a cycle.
     """
+    import networkx as nx
     graph = to_networkx(matrix, threshold)
     try:
         return list(nx.topological_sort(graph))
@@ -79,11 +84,13 @@ def children(matrix: np.ndarray, node: int, threshold: float = 0.0) -> List[int]
 
 def ancestors(matrix: np.ndarray, node: int, threshold: float = 0.0) -> Set[int]:
     """All nodes with a directed path into ``node``."""
+    import networkx as nx
     return set(nx.ancestors(to_networkx(matrix, threshold), node))
 
 
 def descendants(matrix: np.ndarray, node: int, threshold: float = 0.0) -> Set[int]:
     """All nodes reachable from ``node``."""
+    import networkx as nx
     return set(nx.descendants(to_networkx(matrix, threshold), node))
 
 
@@ -163,6 +170,7 @@ def prune_to_dag(matrix: np.ndarray) -> np.ndarray:
     returns the nearest DAG by deleting the weakest edge on some cycle,
     repeatedly.
     """
+    import networkx as nx
     arr = validate_adjacency(matrix).copy()
     while not is_dag(arr):
         graph = to_networkx(arr)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.optimize as sopt
 
 from .dag_constraint import h_value_and_grad
 from .graph import prune_to_dag
@@ -80,6 +79,7 @@ def notears_linear(data: np.ndarray,
     the penalty ``beta2`` whenever ``|h|`` fails to shrink by factor
     ``kappa2 < 1``; ``beta1`` is the Lagrange multiplier.
     """
+    import scipy.optimize as sopt
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError(f"data must be 2-d, got shape {data.shape}")

@@ -24,7 +24,6 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 def fisher_z_test(corr: np.ndarray, x: int, y: int, given: Tuple[int, ...],
@@ -46,6 +45,7 @@ def fisher_z_test(corr: np.ndarray, x: int, y: int, given: Tuple[int, ...],
     if dof <= 0:
         return 1.0
     z = 0.5 * np.log((1 + partial) / (1 - partial)) * np.sqrt(dof)
+    from scipy import stats
     return float(2 * (1 - stats.norm.cdf(abs(z))))
 
 

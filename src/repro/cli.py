@@ -23,15 +23,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .causal import run_identifiability_study
-from .exp import (BenchmarkSettings, efficiency_study,
-                  figure3_sequence_lengths, figure4_cluster_sweep,
-                  figure5_epsilon_sweep, figure6_temperature_sweep,
-                  figure7_explanation, figure8_case_studies,
-                  grid_search_causer, render_table, table2_statistics,
-                  table4_overall, table5_ablation)
+if TYPE_CHECKING:
+    from .exp import BenchmarkSettings
 
 EXPERIMENTS = ("table2", "fig3", "table4", "fig4", "fig5", "fig6", "table5",
                "fig7", "fig8", "efficiency", "identifiability", "grid",
@@ -183,66 +178,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    settings = BenchmarkSettings(scale=args.scale, num_epochs=args.epochs,
-                                 data_seed=args.seed, quick=args.quick)
-    sweep_kwargs = {}
-    if args.datasets:
-        sweep_kwargs["datasets"] = tuple(args.datasets)
-    if args.cells:
-        sweep_kwargs["cells"] = tuple(args.cells)
-
     if args.detect_anomaly:
         from .analysis import detect_anomaly
         with detect_anomaly():
-            return _dispatch(args, settings, sweep_kwargs)
-    return _dispatch(args, settings, sweep_kwargs)
+            return _dispatch(args)
+    return _dispatch(args)
 
 
-def _dispatch(args: argparse.Namespace, settings: "BenchmarkSettings",
-              sweep_kwargs: dict) -> int:
-    if args.experiment == "table2":
-        print(table2_statistics(settings).render())
-    elif args.experiment == "fig3":
-        print(figure3_sequence_lengths(settings).render())
-    elif args.experiment == "table4":
-        kwargs = {}
-        if args.datasets:
-            kwargs["datasets"] = tuple(args.datasets)
-        print(table4_overall(settings, workers=args.workers,
-                             **kwargs).render())
-    elif args.experiment == "grid":
-        return _run_grid(args, settings)
-    elif args.experiment == "fig4":
-        print(figure4_cluster_sweep(settings, **sweep_kwargs).render())
-    elif args.experiment == "fig5":
-        print(figure5_epsilon_sweep(settings, **sweep_kwargs).render())
-    elif args.experiment == "fig6":
-        print(figure6_temperature_sweep(settings, **sweep_kwargs).render())
-    elif args.experiment == "table5":
-        kwargs = dict(sweep_kwargs)
-        print(table5_ablation(settings, **kwargs).render())
-    elif args.experiment == "fig7":
-        kwargs = {}
-        if args.cells:
-            kwargs["cells"] = tuple(args.cells)
-        print(figure7_explanation(settings, **kwargs).render())
-    elif args.experiment == "fig8":
-        print(figure8_case_studies(settings).render())
-    elif args.experiment == "efficiency":
-        print(efficiency_study(settings).render())
-    elif args.experiment == "train":
-        return _run_train(args, settings)
-    elif args.experiment == "eval":
-        return _run_eval(args, settings)
-    elif args.experiment == "serve":
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.experiment == "serve":
         return _run_serve(args)
-    elif args.experiment == "identifiability":
-        reports = run_identifiability_study()
+    from . import exp
+    settings = exp.BenchmarkSettings(scale=args.scale, num_epochs=args.epochs,
+                                     data_seed=args.seed, quick=args.quick)
+    handlers = {"train": _run_train, "eval": _run_eval, "grid": _run_grid}
+    if args.experiment in handlers:
+        return handlers[args.experiment](args, settings)
+    if args.experiment == "identifiability":
+        from .causal import run_identifiability_study
         rows = [(r.num_samples, r.mec_recovery_rate, r.mean_shd,
-                 r.mean_skeleton_f1) for r in reports]
-        print(render_table(("samples", "MEC recovery", "mean SHD",
-                            "skeleton F1"), rows,
-                           title="Theorem 1 — identifiability"))
+                 r.mean_skeleton_f1) for r in run_identifiability_study()]
+        print(exp.render_table(("samples", "MEC recovery", "mean SHD",
+                                "skeleton F1"), rows,
+                               title="Theorem 1 — identifiability"))
+        return 0
+    datasets = {"datasets": tuple(args.datasets)} if args.datasets else {}
+    cells = {"cells": tuple(args.cells)} if args.cells else {}
+    sweep = {**datasets, **cells}
+    study, kwargs = {
+        "table2": (exp.table2_statistics, {}),
+        "fig3": (exp.figure3_sequence_lengths, {}),
+        "table4": (exp.table4_overall, {"workers": args.workers, **datasets}),
+        "fig4": (exp.figure4_cluster_sweep, sweep),
+        "fig5": (exp.figure5_epsilon_sweep, sweep),
+        "fig6": (exp.figure6_temperature_sweep, sweep),
+        "table5": (exp.table5_ablation, sweep),
+        "fig7": (exp.figure7_explanation, cells),
+        "fig8": (exp.figure8_case_studies, {}),
+        "efficiency": (exp.efficiency_study, {}),
+    }[args.experiment]
+    print(study(settings, **kwargs).render())
     return 0
 
 
@@ -540,8 +515,9 @@ def _serve_mp(args: argparse.Namespace, retrieval) -> int:
     return 0
 
 
-def _run_grid(args: argparse.Namespace, settings: BenchmarkSettings) -> int:
+def _run_grid(args: argparse.Namespace, settings: "BenchmarkSettings") -> int:
     from .data import load_dataset
+    from .exp import grid_search_causer, render_table
     grid = parse_grid_params(args.grid_param)
     dataset_name = (args.datasets or ["baby"])[0]
     dataset = load_dataset(dataset_name, scale=settings.scale,

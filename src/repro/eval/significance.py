@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,7 @@ def paired_t_test(model_values: Sequence[float],
     if a.size < 2 or np.allclose(a, b):
         return PairedTestResult(t_statistic=0.0, p_value=1.0,
                                 mean_difference=mean_diff)
+    from scipy import stats
     t_stat, p_value = stats.ttest_rel(a, b)
     if np.isnan(p_value):
         return PairedTestResult(t_statistic=0.0, p_value=1.0,

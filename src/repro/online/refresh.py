@@ -31,6 +31,13 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
+# Algorithm 1 needs scipy's expm (h(W)) and networkx (DAG pruning), which
+# the rest of serving never touches.  Importing them here puts their cost
+# in an --online server's start-up, before /healthz reports ok, instead
+# of inside the first refresh under traffic.
+import networkx  # noqa: F401
+import scipy.linalg  # noqa: F401
+
 from ..data.interactions import EvalSample
 from .drift import DriftReport, edge_churn, score_divergence
 from .log import EventLog, EventRecord

@@ -14,14 +14,17 @@ name under every start method, including ``spawn``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from ..data.interactions import EvalSample, Split, leave_one_out_split
 from ..data.synthetic import SyntheticDataset
 from ..eval.evaluator import EvaluationResult, evaluate_rankings
-from ..exp.config import BenchmarkSettings
-from ..exp.runner import RunResult, run_model
 from .pool import process_map, resolve_workers, unwrap
+
+if TYPE_CHECKING:
+    from ..exp.config import BenchmarkSettings
+    from ..exp.runner import RunResult
 
 __all__ = [
     "evaluate_model_sharded", "generate_shards_parallel",
@@ -58,6 +61,7 @@ def generate_shards_parallel(config, name: str,
 # ----------------------------------------------------------------------
 def _run_model_task(spec: Tuple[str, SyntheticDataset, BenchmarkSettings,
                                 Split]) -> RunResult:
+    from ..exp.runner import run_model
     name, dataset, settings, split = spec
     return run_model(name, dataset, settings, split=split)
 
