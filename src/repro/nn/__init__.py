@@ -13,7 +13,7 @@ from .module import (Dropout, Embedding, LayerNorm, Linear, MLP, Module,
                      Parameter, Sequential, no_grad)
 from .fused import (fused_bce_with_logits, fused_cross_entropy,
                     fused_embedding_gather, fused_gru_sequence,
-                    fused_gru_step, fused_lstm_sequence, fused_lstm_step,
+                    fused_lstm_sequence, fused_lstm_step,
                     fused_masked_softmax)
 from .rnn import GRUCell, LSTMCell, RecurrentLayer
 from .attention import (AdditiveAttention, BilinearAttention,
@@ -31,7 +31,7 @@ __all__ = [
     "Module", "Parameter", "Linear", "Embedding", "Dropout", "LayerNorm",
     "Sequential", "MLP", "no_grad",
     "fused_bce_with_logits", "fused_cross_entropy", "fused_embedding_gather",
-    "fused_gru_sequence", "fused_gru_step", "fused_lstm_sequence",
+    "fused_gru_sequence", "fused_lstm_sequence",
     "fused_lstm_step", "fused_masked_softmax",
     "GRUCell", "LSTMCell", "RecurrentLayer",
     "BilinearAttention", "AdditiveAttention", "MultiHeadSelfAttention",

@@ -6,6 +6,11 @@ win is twofold: the forward pass issues a handful of large numpy calls
 instead of dozens of small ones, and the backward pass runs one closure per
 step instead of rebuilding gradients through every intermediate.
 
+The recurrent cells and the masked softmax are written once, as plain
+numpy forwards (:func:`gru_cell`, :func:`lstm_cell`,
+:func:`masked_softmax`): the autograd kernels wrap them with hand-derived
+backwards, and the serving layer calls them directly on frozen arrays.
+
 Numerical contract: every fused forward reproduces the exact op sequence of
 the composite implementation it replaces (same associativity, same
 :func:`repro.nn.tensor._stable_sigmoid`), so the golden-value fixtures in
@@ -24,58 +29,57 @@ from .sparse import rowsparse_from_gather
 from .tensor import Tensor, _scatter_add, _stable_sigmoid
 
 
-def fused_gru_step(x: Tensor, h: Tensor, w_ih: Tensor, w_hh: Tensor,
-                   b_ih: Tensor, b_hh: Tensor,
-                   keep: Optional[np.ndarray] = None) -> Tensor:
-    """One GRU step as a single graph node.
+def gru_cell(gates_x: np.ndarray, h: np.ndarray, w_hh: np.ndarray,
+             b_hh: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """One GRU step on arrays: ``(h', r, z, n, gates_h_n)``.
 
-    Computes ``h' = (1 - z) * n + z * h`` with the standard r/z/n gates.
-    ``keep`` is an optional constant ``(batch, 1)`` 0/1 array; where it is
-    zero the previous state is carried through unchanged (the layer's
-    step-mask skip rule), folded into the same node instead of three extra
-    elementwise ops per step.
+    ``gates_x`` is the input projection ``x W_ihᵀ + b_ih``.  Computes
+    ``h' = (1 - z) * n + z * h`` with the standard r/z/n gates and returns
+    the intermediates the fused backward saves.  The only definition of
+    the GRU gate equations: the autograd kernels and the serving session
+    store both call it.
     """
-    x_data, h_data = x.data, h.data
-    w_ih_data, w_hh_data = w_ih.data, w_hh.data
-    hidden = w_hh_data.shape[1]
-    gates_x = x_data @ w_ih_data.T + b_ih.data
-    gates_h = h_data @ w_hh_data.T + b_hh.data
+    hidden = w_hh.shape[1]
+    gates_h = h @ w_hh.T + b_hh
     r = _stable_sigmoid(gates_x[:, :hidden] + gates_h[:, :hidden])
     z = _stable_sigmoid(gates_x[:, hidden:2 * hidden]
                         + gates_h[:, hidden:2 * hidden])
     gates_h_n = gates_h[:, 2 * hidden:]
     n = np.tanh(gates_x[:, 2 * hidden:] + r * gates_h_n)
-    h_new = (1.0 - z) * n + z * h_data
-    out_data = h_new if keep is None else h_new * keep + h_data * (1.0 - keep)
+    return (1.0 - z) * n + z * h, r, z, n, gates_h_n
 
-    def backward(grad: np.ndarray) -> None:
-        g_new = grad if keep is None else grad * keep
-        dz = g_new * (h_data - n)
-        dn_pre = g_new * (1.0 - z) * (1.0 - n * n)
-        dr = dn_pre * gates_h_n
-        dgates_x = np.empty((grad.shape[0], 3 * hidden))
-        dgates_x[:, :hidden] = dr * r * (1.0 - r)
-        dgates_x[:, hidden:2 * hidden] = dz * z * (1.0 - z)
-        dgates_x[:, 2 * hidden:] = dn_pre
-        dgates_h = dgates_x.copy()
-        dgates_h[:, 2 * hidden:] *= r
-        if x.requires_grad:
-            x._accumulate(dgates_x @ w_ih_data, own=True)
-        if h.requires_grad:
-            dh = dgates_h @ w_hh_data + g_new * z
-            if keep is not None:
-                dh += grad * (1.0 - keep)
-            h._accumulate(dh, own=True)
-        if w_ih.requires_grad:
-            w_ih._accumulate(dgates_x.T @ x_data, own=True)
-        if w_hh.requires_grad:
-            w_hh._accumulate(dgates_h.T @ h_data, own=True)
-        if b_ih.requires_grad:
-            b_ih._accumulate(dgates_x.sum(axis=0), own=True)
-        if b_hh.requires_grad:
-            b_hh._accumulate(dgates_h.sum(axis=0), own=True)
 
-    return Tensor._make(out_data, (x, h, w_ih, w_hh, b_ih, b_hh), backward)
+def lstm_cell(gates_x: np.ndarray, h: np.ndarray, c: np.ndarray,
+              w_hh: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """One LSTM step on arrays: ``(h', c', i, f, g, o, tanh(c'))``.
+
+    ``gates_x`` is the input projection ``x W_ihᵀ + b``; the gates are
+    ``gates_x + h W_hhᵀ``.  Like :func:`gru_cell`, the single definition
+    of the LSTM gate equations shared by training and serving.
+    """
+    hidden = w_hh.shape[1]
+    gates = gates_x + h @ w_hh.T
+    i = _stable_sigmoid(gates[:, :hidden])
+    f = _stable_sigmoid(gates[:, hidden:2 * hidden])
+    g = np.tanh(gates[:, 2 * hidden:3 * hidden])
+    o = _stable_sigmoid(gates[:, 3 * hidden:])
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    return o * tanh_c, c_new, i, f, g, o, tanh_c
+
+
+def masked_softmax(x: np.ndarray, mask: np.ndarray,
+                   axis: int = -1) -> np.ndarray:
+    """Masked softmax on arrays: ``exp * m / (sum + 1e-12)``.
+
+    Masked entries get exactly zero weight; an all-masked row returns
+    zeros instead of NaN thanks to the epsilon in the denominator.
+    """
+    mask_b = np.asarray(mask, dtype=bool)
+    shifted = x + np.where(mask_b, 0.0, -1e30)
+    shifted = shifted - shifted.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted) * mask_b.astype(np.float64)
+    return exp / (exp.sum(axis=axis, keepdims=True) + 1e-12)
 
 
 def fused_lstm_step(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor,
@@ -86,20 +90,15 @@ def fused_lstm_step(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor,
 
     The two outputs share the forward intermediates; each backward
     accumulates its own contribution into the six parents, and because
-    gradients are additive the split is exact.  ``keep`` behaves as in
-    :func:`fused_gru_step`, freezing both states on masked steps.
+    gradients are additive the split is exact.  ``keep`` is an optional
+    constant ``(batch, 1)`` 0/1 array; where it is zero both states are
+    carried through unchanged (the layer's step-mask skip rule).
     """
     x_data, h_data, c_data = x.data, h.data, c.data
     w_ih_data, w_hh_data = w_ih.data, w_hh.data
     hidden = w_hh_data.shape[1]
-    gates = x_data @ w_ih_data.T + h_data @ w_hh_data.T + bias.data
-    i = _stable_sigmoid(gates[:, :hidden])
-    f = _stable_sigmoid(gates[:, hidden:2 * hidden])
-    g = np.tanh(gates[:, 2 * hidden:3 * hidden])
-    o = _stable_sigmoid(gates[:, 3 * hidden:])
-    c_new = f * c_data + i * g
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
+    h_new, c_new, i, f, g, o, tanh_c = lstm_cell(
+        x_data @ w_ih_data.T + bias.data, h_data, c_data, w_hh_data)
     if keep is None:
         h_out_data, c_out_data = h_new, c_new
     else:
@@ -158,19 +157,13 @@ def fused_lstm_step(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor,
 
 def fused_masked_softmax(x: Tensor, mask: np.ndarray,
                          axis: int = -1) -> Tensor:
-    """Masked softmax as one node: ``y = exp * m / (sum + 1e-12)``.
+    """:func:`masked_softmax` as one node.
 
     Backward is the analytic ``y * (g - sum(g * y))`` — exact for this
     forward including the epsilon in the denominator, because the epsilon
     is a constant added to a sum whose derivative it does not change.
     """
-    mask_b = np.asarray(mask, dtype=bool)
-    x_data = x.data
-    shifted = x_data + np.where(mask_b, 0.0, -1e30)
-    shifted = shifted - shifted.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted) * mask_b.astype(np.float64)
-    denom = exp.sum(axis=axis, keepdims=True) + 1e-12
-    out_data = exp / denom
+    out_data = masked_softmax(x.data, mask, axis=axis)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -250,8 +243,8 @@ def fused_gru_sequence(inputs: Tensor, h0: Tensor, w_ih: Tensor,
     ``(B*T, I) @ (I, 3H)`` gemm, and the backward pass is a tight BPTT loop
     whose weight gradients are likewise batched into one gemm each.  Only
     the recurrent ``h @ W_hh^T`` product remains per-step, because it must.
-    ``step_mask`` rows that are False freeze the state exactly like the
-    per-step ``keep`` argument of :func:`fused_gru_step`.
+    ``step_mask`` entries that are False carry the previous state through
+    unchanged (the layer's step-mask skip rule).
     """
     inputs_data, h0_data = inputs.data, h0.data
     w_ih_data, w_hh_data = w_ih.data, w_hh.data
@@ -275,14 +268,8 @@ def fused_gru_sequence(inputs: Tensor, h0: Tensor, w_ih: Tensor,
     b_hh_data = b_hh.data
     for t in range(time):
         prev_seq[:, t] = h
-        gates_h = h @ w_hh_data.T + b_hh_data
-        gx = gates_x[:, t]
-        r = _stable_sigmoid(gx[:, :hidden] + gates_h[:, :hidden])
-        z = _stable_sigmoid(gx[:, hidden:2 * hidden]
-                            + gates_h[:, hidden:2 * hidden])
-        ghn = gates_h[:, 2 * hidden:]
-        n = np.tanh(gx[:, 2 * hidden:] + r * ghn)
-        h_new = (1.0 - z) * n + z * h
+        h_new, r, z, n, ghn = gru_cell(gates_x[:, t], h, w_hh_data,
+                                       b_hh_data)
         if keep is not None:
             k = keep[:, t:t + 1]
             h_new = h_new * k + h * (1.0 - k)
@@ -370,14 +357,8 @@ def fused_lstm_sequence(inputs: Tensor, h0: Tensor, c0: Tensor,
     h, c = h0_data, c0_data
     for t in range(time):
         h_prev_seq[:, t], c_prev_seq[:, t] = h, c
-        gates = gates_x[:, t] + h @ w_hh_data.T
-        i = _stable_sigmoid(gates[:, :hidden])
-        f = _stable_sigmoid(gates[:, hidden:2 * hidden])
-        g = np.tanh(gates[:, 2 * hidden:3 * hidden])
-        o = _stable_sigmoid(gates[:, 3 * hidden:])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
+        h_new, c_new, i, f, g, o, tanh_c = lstm_cell(gates_x[:, t], h, c,
+                                                     w_hh_data)
         if keep is not None:
             k = keep[:, t:t + 1]
             inv_k = 1.0 - k

@@ -13,8 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import init
-from .fused import (fused_gru_sequence, fused_gru_step, fused_lstm_sequence,
-                    fused_lstm_step)
+from .fused import fused_gru_sequence, fused_lstm_sequence, fused_lstm_step
 from .module import Module, Parameter
 from .tensor import Tensor
 
@@ -42,8 +41,13 @@ class GRUCell(Module):
 
     def forward(self, x: Tensor, h: Tensor,
                 keep: Optional[np.ndarray] = None) -> Tensor:
-        return fused_gru_step(x, h, self.w_ih, self.w_hh,
-                              self.b_ih, self.b_hh, keep=keep)
+        """One step: a length-1 unroll; ``keep`` 0 rows freeze ``h``."""
+        batch = x.shape[0]
+        states = fused_gru_sequence(
+            x.reshape(batch, 1, self.input_size), h, self.w_ih, self.w_hh,
+            self.b_ih, self.b_hh,
+            step_mask=None if keep is None else keep > 0)
+        return states.reshape(batch, self.hidden_size)
 
     def initial_state(self, batch_size: int) -> Tensor:
         return Tensor(np.zeros((batch_size, self.hidden_size)))

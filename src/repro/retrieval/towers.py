@@ -238,18 +238,18 @@ def user_vector(artifacts, view) -> Optional[np.ndarray]:
     # Late imports: repro.serve imports this package at module level.
     from ..serve.registry import (CausalServingArtifacts,
                                   GRUServingArtifacts)
+    from ..serve.scoring import attention_weights, gru_projection
     if view is None or view.steps == 0:
         return None
     if isinstance(artifacts, CausalServingArtifacts):
         if view.states is None:
             return None
-        from ..serve.scoring import _alpha
-        alpha = _alpha(view.states, view.last, artifacts.attention_proj)
+        alpha = attention_weights(view.states, view.last,
+                                  artifacts.attention_proj)
         context = alpha @ view.states                  # (H,)
         return context @ artifacts.adapt_weight.T      # (d_e,)
     if isinstance(artifacts, GRUServingArtifacts):
         if view.last is None:
             return None
-        rep = view.last[0] @ artifacts.project_weight.T
-        return rep + artifacts.project_bias
+        return gru_projection(artifacts, view.last)
     return None

@@ -8,8 +8,8 @@ Layers, bottom-up:
   incrementally per event (O(1) inside the model's history window), with
   a bit-identical full-replay fallback and LRU eviction,
 * :mod:`repro.serve.registry` — checkpoint loading via :mod:`repro.io`,
-  frozen artifact precompute (item-level causal matrix, ε-gate, cluster
-  assignments, embedding tables) and lock-guarded hot swap,
+  frozen artifact precompute (ε-gated item-level causal matrix, embedding
+  tables) and lock-guarded hot swap,
 * :mod:`repro.serve.scoring` — incremental and replay scorers whose
   rankings match offline :func:`repro.eval.evaluate_model` output,
 * :mod:`repro.serve.batcher` — micro-batching scheduler
@@ -34,7 +34,7 @@ from .registry import (CausalServingArtifacts, CheckpointRegistry,
                        ServingArtifacts, build_artifacts, build_retrieval)
 from .scoring import score_view_candidates, score_views, top_causal_edges
 from .sessions import (RecurrentServingParams, ScoreView, SessionState,
-                       SessionStore, gru_step, lstm_step)
+                       SessionStore)
 from .shm import (SEGMENT_PREFIX, AttachedArtifacts, MetricsSlab,
                   ShmCheckpoint, cleanup_segments, frozen_table_bytes,
                   list_segments, publish_artifacts, quantize_artifacts)
@@ -47,8 +47,7 @@ __all__ = [
     "ServeCluster", "ServeError", "ServeServer", "ServingArtifacts",
     "SessionState", "SessionStore", "ShmCheckpoint", "WorkerSpec",
     "build_artifacts", "build_retrieval", "cleanup_segments",
-    "frozen_table_bytes", "gru_step", "list_segments", "lstm_step",
-    "partition", "publish_artifacts", "quantize_artifacts",
+    "frozen_table_bytes", "list_segments", "partition", "publish_artifacts", "quantize_artifacts",
     "score_view_candidates", "score_views", "top_causal_edges",
     "worker_main",
 ]

@@ -4,10 +4,9 @@ artifacts, hot-swap behind a lock.
 A checkpoint (written by :func:`repro.io.save_model`) is turned into a
 frozen :class:`ServingArtifacts` bundle once, at install time:
 
-* the **item-level causal matrix** Ŵ (eq. 9, via the fingerprint-cached
-  :meth:`Causer.item_causal_matrix`) and its **ε-gated** counterpart
-  ``W ⊙ 1(W > ε)`` — the per-request scorer then never re-projects K×K→N×N,
-* **hard cluster assignments** per item,
+* the **ε-gated item-level causal matrix** ``Ŵ ⊙ 1(Ŵ > ε)`` (eq. 9, from
+  the fingerprint-cached :meth:`Causer.item_causal_matrix`) — the
+  per-request scorer then never re-projects K×K→N×N,
 * the **input embedding table** feeding incremental RNN updates
   (:class:`repro.serve.sessions.RecurrentServingParams`),
 * the output item-embedding table + bias the final dot-product reads.
@@ -114,15 +113,12 @@ class ServingArtifacts:
 class CausalServingArtifacts(ServingArtifacts):
     """Causer-specific precompute: frozen eq. 10 ingredients."""
 
-    item_matrix: Optional[np.ndarray] = None      # Ŵ, (V+1, V+1), read-only
     gated_matrix: Optional[np.ndarray] = None     # Ŵ ⊙ 1(Ŵ > ε)
-    hard_clusters: Optional[np.ndarray] = None    # (V+1,) argmax assignment
     attention_proj: Optional[np.ndarray] = None   # A, None in (-att) mode
     adapt_weight: Optional[np.ndarray] = None     # V, (d_e, h)
     output_table: Optional[np.ndarray] = None     # (V+1, d_e)
     output_bias: Optional[np.ndarray] = None      # (V+1,)
     use_causal: bool = True
-    epsilon: float = 0.0
 
 
 @dataclass
@@ -227,14 +223,13 @@ def build_artifacts(model, generation: int, path: Optional[str] = None,
         gated.setflags(write=False)
         artifacts: ServingArtifacts = CausalServingArtifacts(
             mode="incremental", recurrent=_causer_recurrent(model),
-            item_matrix=item_matrix, gated_matrix=gated,
-            hard_clusters=model.clusters.hard_assignments(),
+            gated_matrix=gated,
             attention_proj=(model.attention.proj.data
                             if cfg.use_attention else None),
             adapt_weight=model.adapt.weight.data,
             output_table=model.output_embedding.weight.data,
             output_bias=model.output_bias.data,
-            use_causal=cfg.use_causal, epsilon=cfg.epsilon, **common)
+            use_causal=cfg.use_causal, **common)
     elif type(model) is GRU4Rec:
         artifacts = GRUServingArtifacts(
             mode="incremental", recurrent=_gru4rec_recurrent(model),

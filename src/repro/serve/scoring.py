@@ -7,8 +7,8 @@ Two paths, chosen by the registry at artifact-build time:
   cheap head (attention + ε-gated causal aggregation + output dot product
   for Causer, projection + dot product for GRU4Rec) runs per request.  The
   head replicates ``Causer._logits_shared`` / ``GRU4Rec.score_samples``
-  operation-for-operation, including the masked-softmax epsilon of
-  :func:`repro.nn.fused.fused_masked_softmax`.
+  operation-for-operation; the attention softmax is the training kernel's
+  own :func:`repro.nn.fused.masked_softmax`.
 * **replay** — every other model scores through its own
   ``score_samples`` batch path, which *is* the offline scorer, so online
   and offline agree trivially.
@@ -24,28 +24,40 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..data.interactions import EvalSample
+from ..nn.fused import masked_softmax
 from ..retrieval.towers import as_dense, take_rows
 from .registry import (CausalServingArtifacts, GRUServingArtifacts,
                        ServingArtifacts)
 from .sessions import ScoreView
 
 
-def _alpha(states: np.ndarray, last: np.ndarray,
-           proj: np.ndarray) -> np.ndarray:
-    """Per-step attention over an all-valid history, shape ``(T,)``.
+def attention_weights(states: np.ndarray, last: np.ndarray,
+                      proj: Optional[np.ndarray]) -> np.ndarray:
+    """Per-step attention α over an all-valid history, shape ``(T,)``.
 
-    Same numerics as ``BilinearAttention.raw_scores`` followed by
-    ``fused_masked_softmax`` with an all-true mask (every session event is
-    a real step — padding never reaches the serving path).
+    ``BilinearAttention.raw_scores`` followed by the training kernel's own
+    :func:`repro.nn.fused.masked_softmax` with an all-true mask (every
+    session event is a real step — padding never reaches the serving
+    path).  ``proj=None`` is the (-att) ablation: uniform weights.
     """
     if proj is None:
         scores = np.zeros(states.shape[0])
     else:
         projected = last @ proj.T                 # (1, H)
         scores = states @ projected[0]            # (T,)
-    shifted = scores - scores.max()
-    exp = np.exp(shifted)
-    return exp / (exp.sum() + 1e-12)
+    return masked_softmax(scores, np.ones(scores.shape, dtype=bool))
+
+
+def gru_projection(artifacts: GRUServingArtifacts,
+                   last: Optional[np.ndarray]) -> np.ndarray:
+    """GRU4Rec's user representation ``last @ Pᵀ + b``, shape ``(d,)``.
+
+    ``last=None`` (no event folded in yet) projects the zero state.  Both
+    the scorer and the retrieval user tower read this one helper.
+    """
+    if last is None:
+        last = np.zeros((1, artifacts.recurrent.hidden_size))
+    return (last @ artifacts.project_weight.T + artifacts.project_bias)[0]
 
 
 def _score_causer(artifacts: CausalServingArtifacts, view: ScoreView,
@@ -77,7 +89,7 @@ def _score_causer(artifacts: CausalServingArtifacts, view: ScoreView,
         # Empty history: zero context, so only the popularity prior scores.
         return out_bias.copy()
     states = view.states                          # (T, H)
-    alpha = _alpha(states, view.last, artifacts.attention_proj)
+    alpha = attention_weights(states, view.last, artifacts.attention_proj)
     if artifacts.use_causal:
         effects = np.zeros((view.steps, catalog))
         for t, basket in enumerate(view.events):
@@ -96,25 +108,22 @@ def _score_causer(artifacts: CausalServingArtifacts, view: ScoreView,
     return scores
 
 
-def _score_gru_batch(artifacts: GRUServingArtifacts,
-                     views: Sequence[ScoreView]) -> np.ndarray:
-    """GRU4Rec head over a micro-batch of views.
+def _score_gru(artifacts: GRUServingArtifacts, view: ScoreView,
+               candidates: Optional[np.ndarray] = None) -> np.ndarray:
+    """GRU4Rec head from one session snapshot.
 
-    The projection runs per view — ``(1, H)`` matmuls, never a stacked
-    GEMM — and the output stage is an elementwise multiply + per-row sum:
-    both choices keep every view's scores bit-identical no matter how the
-    batcher grouped it, which is what lets the retrieval re-rank
-    (:func:`score_view_candidates`) reproduce the full pass exactly.
+    The projection is a ``(1, H)`` matmul per view, never a stacked GEMM,
+    and the output stage is an elementwise multiply + per-row sum: both
+    keep every view's scores bit-identical no matter how the batcher
+    grouped it, and the ``candidates`` restriction bit-identical to the
+    full pass gathered at the same columns (as in :func:`_score_causer`).
     """
-    hidden = artifacts.recurrent.hidden_size
-    out_table = as_dense(artifacts.output_table)
-    out = np.empty((len(views), out_table.shape[0]))
-    for row, view in enumerate(views):
-        last = (np.zeros((1, hidden)) if view.last is None else view.last)
-        rep = last @ artifacts.project_weight.T + artifacts.project_bias
-        out[row] = ((out_table * rep[0]).sum(axis=1)
-                    + artifacts.output_bias)
-    return out
+    out_table = (as_dense(artifacts.output_table) if candidates is None
+                 else take_rows(artifacts.output_table, candidates))
+    out_bias = (artifacts.output_bias if candidates is None
+                else artifacts.output_bias[candidates])
+    rep = gru_projection(artifacts, view.last)
+    return (out_table * rep).sum(axis=1) + out_bias
 
 
 def _score_replay(artifacts: ServingArtifacts,
@@ -141,7 +150,7 @@ def score_views(artifacts: ServingArtifacts,
     if isinstance(artifacts, CausalServingArtifacts):
         return np.stack([_score_causer(artifacts, view) for view in views])
     if isinstance(artifacts, GRUServingArtifacts):
-        return _score_gru_batch(artifacts, views)
+        return np.stack([_score_gru(artifacts, view) for view in views])
     return _score_replay(artifacts, views)
 
 
@@ -163,13 +172,7 @@ def score_view_candidates(artifacts: ServingArtifacts, view: ScoreView,
     if isinstance(artifacts, CausalServingArtifacts):
         return _score_causer(artifacts, view, candidates)
     if isinstance(artifacts, GRUServingArtifacts):
-        hidden = artifacts.recurrent.hidden_size
-        last = (np.zeros((1, hidden)) if view.last is None
-                else view.last)
-        rep = last @ artifacts.project_weight.T + artifacts.project_bias
-        return ((take_rows(artifacts.output_table, candidates)
-                 * rep[0]).sum(axis=1)
-                + artifacts.output_bias[candidates])
+        return _score_gru(artifacts, view, candidates)
     return _score_replay(artifacts, [view])[0][candidates]
 
 

@@ -4,17 +4,11 @@ The online counterpart of :func:`repro.data.batching.pad_samples` +
 a full RNN unroll: a :class:`SessionState` holds a user's event history
 *and* the recurrent state that history induces, so feeding one new event
 advances the GRU/LSTM hidden state in O(1) instead of re-running the whole
-sequence.  The step math below mirrors the fused kernels in
-:mod:`repro.nn.fused` operation-for-operation (same associativity, same
-:func:`repro.nn.tensor._stable_sigmoid`), and the full-replay fallback
-(:meth:`SessionState.replay`) walks the same step functions — so
-incremental and replayed states are **bit-identical by construction**, a
-contract the tests assert with exact equality.
-
-The ε keep-rule of eq. 10 ("skip steps whose causally-filtered basket is
-empty, carrying the state through") is the ``keep`` argument of the step
-functions: ``keep=False`` returns the previous state object unchanged,
-exactly like the fused kernels' 0/1 ``keep`` mask.
+sequence.  Each step calls the training kernels' own cell forward
+(:func:`repro.nn.fused.gru_cell` / :func:`~repro.nn.fused.lstm_cell`), and
+the full-replay fallback (:meth:`SessionState.replay`) walks the same
+step — so incremental and replayed states are **bit-identical by
+construction**, a contract the tests assert with exact equality.
 
 Windowing: models score at most ``max_history`` trailing steps (matching
 offline ``pad_samples`` truncation).  Once a session exceeds the window,
@@ -31,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.tensor import _stable_sigmoid
+from ..nn.fused import gru_cell, lstm_cell
 from ..retrieval.towers import take_rows
 
 #: Event cap for sessions accumulated while no checkpoint is loaded
@@ -40,45 +34,6 @@ from ..retrieval.towers import take_rows
 DEGRADED_MAX_EVENTS = 256
 
 Basket = Tuple[int, ...]
-
-
-def gru_step(x: np.ndarray, h: np.ndarray, w_ih: np.ndarray,
-             w_hh: np.ndarray, b_ih: np.ndarray, b_hh: np.ndarray,
-             keep: bool = True) -> np.ndarray:
-    """One inference-only GRU step, ``(1, I) x (1, H) -> (1, H)``.
-
-    Identical operation sequence to :func:`repro.nn.fused.fused_gru_step`'s
-    forward; ``keep=False`` freezes the state (the ε skip rule).
-    """
-    if not keep:
-        return h
-    hidden = w_hh.shape[1]
-    gates_x = x @ w_ih.T + b_ih
-    gates_h = h @ w_hh.T + b_hh
-    r = _stable_sigmoid(gates_x[:, :hidden] + gates_h[:, :hidden])
-    z = _stable_sigmoid(gates_x[:, hidden:2 * hidden]
-                        + gates_h[:, hidden:2 * hidden])
-    n = np.tanh(gates_x[:, 2 * hidden:] + r * gates_h[:, 2 * hidden:])
-    return (1.0 - z) * n + z * h
-
-
-def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray,
-              w_ih: np.ndarray, w_hh: np.ndarray, bias: np.ndarray,
-              keep: bool = True) -> Tuple[np.ndarray, np.ndarray]:
-    """One inference-only LSTM step returning ``(h', c')``.
-
-    Mirrors :func:`repro.nn.fused.fused_lstm_step`'s forward exactly.
-    """
-    if not keep:
-        return h, c
-    hidden = w_hh.shape[1]
-    gates = x @ w_ih.T + h @ w_hh.T + bias
-    i = _stable_sigmoid(gates[:, :hidden])
-    f = _stable_sigmoid(gates[:, hidden:2 * hidden])
-    g = np.tanh(gates[:, 2 * hidden:3 * hidden])
-    o = _stable_sigmoid(gates[:, 3 * hidden:])
-    c_new = f * c + i * g
-    return o * np.tanh(c_new), c_new
 
 
 @dataclass
@@ -122,14 +77,15 @@ class RecurrentServingParams:
                          list(basket)).sum(axis=0)[None, :]
 
     def step(self, basket: Sequence[int], h: np.ndarray,
-             c: Optional[np.ndarray], keep: bool = True
+             c: Optional[np.ndarray]
              ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Advance ``(h, c)`` by one event through the training cell."""
         x = self.embed_basket(basket)
         if self.cell_type == "lstm":
-            return lstm_step(x, h, c, self.w_ih, self.w_hh, self.bias,
-                             keep=keep)
-        return gru_step(x, h, self.w_ih, self.w_hh, self.b_ih, self.b_hh,
-                        keep=keep), None
+            return lstm_cell(x @ self.w_ih.T + self.bias, h, c,
+                             self.w_hh)[:2]
+        return gru_cell(x @ self.w_ih.T + self.b_ih, h, self.w_hh,
+                        self.b_hh)[0], None
 
 
 @dataclass

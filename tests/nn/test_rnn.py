@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (GRUCell, LSTMCell, RecurrentLayer, Tensor,
-                      fused_gru_step, fused_lstm_step, gradient_check)
+                      fused_lstm_step, gradient_check)
 
 
 @pytest.fixture
@@ -181,8 +181,8 @@ class TestLSTMGradients:
 class TestFusedGRUGradients:
     """Finite-difference checks aimed at the fused GRU kernels.
 
-    The hand-derived backward of ``fused_gru_step``/``fused_gru_sequence``
-    replaces a dozen autograd nodes; every input of the fused node gets its
+    The hand-derived backward of ``fused_gru_sequence`` (which also runs
+    ``GRUCell`` steps as length-1 unrolls) replaces a dozen autograd nodes; every input of the fused node gets its
     own check so a wrong analytic term cannot hide behind the others.
     """
 
@@ -242,10 +242,8 @@ class TestFusedStepKeepRule:
         x = Tensor(rng.normal(size=(2, 3)))
         h = Tensor(rng.normal(size=(2, 4)))
         keep = np.array([[1.0], [0.0]])
-        out = fused_gru_step(x, h, cell.w_ih, cell.w_hh,
-                             cell.b_ih, cell.b_hh, keep=keep)
-        active = fused_gru_step(x, h, cell.w_ih, cell.w_hh,
-                                cell.b_ih, cell.b_hh)
+        out = cell(x, h, keep=keep)
+        active = cell(x, h)
         np.testing.assert_allclose(out.data[0], active.data[0])
         np.testing.assert_array_equal(out.data[1], h.data[1])
 
@@ -267,16 +265,14 @@ class TestFusedStepKeepRule:
         h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
 
         def run(a, b):
-            out = fused_gru_step(a, b, cell.w_ih, cell.w_hh,
-                                 cell.b_ih, cell.b_hh, keep=keep)
+            out = cell(a, b, keep=keep)
             return (out * out).sum()
 
         assert gradient_check(run, [x, h]) < 1e-5
         x.grad = None
         h.grad = None
         # A skipped row contributes no gradient to its input...
-        out = fused_gru_step(x, h, cell.w_ih, cell.w_hh,
-                             cell.b_ih, cell.b_hh, keep=keep)
+        out = cell(x, h, keep=keep)
         (out * out).sum().backward()
         np.testing.assert_array_equal(x.grad[1], np.zeros(3))
         # ...while its previous-state gradient is exactly the upstream grad.

@@ -5,11 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.nn import Tensor
-from repro.nn.fused import fused_gru_step, fused_lstm_step
+from repro.data.batching import pad_samples
+from repro.data.interactions import EvalSample
+from repro.nn import RecurrentLayer, Tensor
 from repro.serve.sessions import (DEGRADED_MAX_EVENTS, RecurrentServingParams,
-                                  SessionState, SessionStore, gru_step,
-                                  lstm_step)
+                                  SessionState, SessionStore)
 
 
 def _params(cell_type="gru", num_items=12, dim=4, hidden=5, max_history=6,
@@ -38,47 +38,38 @@ def _artifacts(params, generation=1):
     return SimpleNamespace(generation=generation, recurrent=params)
 
 
-class TestStepKernelParity:
-    """Serving steps must be bitwise-equal to the training fused kernels."""
-
-    def test_gru_step_matches_fused(self):
-        params = _params("gru")
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(1, 4))
-        h = rng.normal(size=(1, 5))
-        served = gru_step(x, h, params.w_ih, params.w_hh,
-                          params.b_ih, params.b_hh)
-        fused = fused_gru_step(Tensor(x), Tensor(h), Tensor(params.w_ih),
-                               Tensor(params.w_hh), Tensor(params.b_ih),
-                               Tensor(params.b_hh))
-        np.testing.assert_array_equal(served, fused.data)
-
-    def test_lstm_step_matches_fused(self):
-        params = _params("lstm")
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(1, 4))
-        h = rng.normal(size=(1, 5))
-        c = rng.normal(size=(1, 5))
-        served_h, served_c = lstm_step(x, h, c, params.w_ih, params.w_hh,
-                                       params.bias)
-        fused_h, fused_c = fused_lstm_step(Tensor(x), Tensor(h), Tensor(c),
-                                           Tensor(params.w_ih),
-                                           Tensor(params.w_hh),
-                                           Tensor(params.bias))
-        np.testing.assert_array_equal(served_h, fused_h.data)
-        np.testing.assert_array_equal(served_c, fused_c.data)
-
-    def test_keep_false_freezes_state(self):
-        """The ε skip rule: keep=False carries the state through untouched."""
-        params = _params("gru")
-        h = np.random.default_rng(5).normal(size=(1, 5))
-        assert gru_step(np.ones((1, 4)), h, params.w_ih, params.w_hh,
-                        params.b_ih, params.b_hh, keep=False) is h
-        lstm = _params("lstm")
-        c = h.copy()
-        out_h, out_c = lstm_step(np.ones((1, 4)), h, c, lstm.w_ih,
-                                 lstm.w_hh, lstm.bias, keep=False)
-        assert out_h is h and out_c is c
+@pytest.mark.parametrize("cell_type", ["gru", "lstm"])
+def test_session_states_match_training_unroll(cell_type):
+    """Served per-step states == ``RecurrentLayer.forward`` on the padded
+    history: the serve-versus-training contract at the state level."""
+    hidden, dim = 5, 4
+    rng = np.random.default_rng(11)
+    layer = RecurrentLayer(cell_type, dim, hidden, rng)
+    for param in layer.parameters():       # biases start at constants
+        param.data[...] += rng.normal(size=param.data.shape) * 0.1
+    cell = layer.cell
+    table = rng.normal(size=(13, dim)) * 0.3
+    params = RecurrentServingParams(
+        cell_type=cell_type, input_table=table,
+        w_ih=cell.w_ih.data, w_hh=cell.w_hh.data,
+        b_ih=cell.b_ih.data if cell_type == "gru" else None,
+        b_hh=cell.b_hh.data if cell_type == "gru" else None,
+        bias=cell.bias.data if cell_type == "lstm" else None,
+        init_h=lambda user: np.zeros((1, hidden)),
+        max_history=8, track_states=True)
+    histories = [((1, 3), (2,), (7, 8, 9), (4,), (12,)), ((5,), (6, 11))]
+    batch = pad_samples([EvalSample(user_id=user, history=history,
+                                    target=(1,))
+                         for user, history in enumerate(histories)])
+    inputs = (table[batch.items] * batch.basket_mask[..., None]).sum(axis=2)
+    states, _ = layer(Tensor(inputs), step_mask=batch.step_mask)
+    for user, history in enumerate(histories):
+        session = SessionState(user_id=user)
+        for basket in history:
+            session.append(basket, params)
+        np.testing.assert_allclose(np.asarray(session.states),
+                                   states.data[user, :len(history)],
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("cell_type", ["gru", "lstm"])
