@@ -30,7 +30,6 @@ Three filtering modes are provided (DESIGN.md §5, ``CauserConfig.filtering_mode
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -82,9 +81,6 @@ class Causer(NeuralSequentialRecommender):
         # Subclasses (e.g. DynamicCauser) may swap in a different module to
         # carry the L1/acyclicity penalties.
         self._graph_module_for_penalties = self.graph
-        # (fingerprint, matrix) cache for item_causal_matrix(): the K×K→N×N
-        # projection is rebuilt only when its inputs actually changed.
-        self._item_matrix_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Forward pieces
@@ -516,37 +512,16 @@ class Causer(NeuralSequentialRecommender):
         with no_grad(self):
             return self.candidate_logits(batch, None).data
 
-    def _item_matrix_fingerprint(self) -> bytes:
-        """Digest of everything eq. 9's projection depends on.
-
-        Hashing the K×K graph and the (V+1)×K assignment logits is far
-        cheaper than the (V+1)² projection itself, and it catches *every*
-        update path — optimizer steps, ``load_state_dict``, and the direct
-        seed writes of ``_seed_graph`` — without manual invalidation hooks.
-        """
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(self.graph.weights.data.tobytes())
-        digest.update(self.clusters.assignment_logits.data.tobytes())
-        return digest.digest()
-
     def item_causal_matrix(self) -> np.ndarray:
-        """Learned item-level ``W`` (eq. 9) as a read-only numpy array.
+        """Learned item-level ``W`` (eq. 9): ``Ā Wᶜ Āᵀ``, shape (V+1, V+1).
 
-        Cached on the instance and invalidated whenever the cluster graph
-        or the assignment logits change, so serving-artifact precompute and
-        repeated explain calls don't rebuild the K×K→N×N projection each
-        time.  The returned array is marked read-only because callers share
-        the cached buffer; copy before mutating.
+        Built fresh on every call and owned by the caller, so a model
+        carries no (V+1)² buffer through deep copies, pickles or
+        shared-memory publishes; serving gates it in place once per
+        generation (:func:`repro.serve.registry.build_artifacts`).
         """
-        key = self._item_matrix_fingerprint()
-        if self._item_matrix_cache is not None \
-                and self._item_matrix_cache[0] == key:
-            return self._item_matrix_cache[1]
         assignments = self.clusters.assignments().data
-        matrix = assignments @ self.graph.numpy_matrix() @ assignments.T
-        matrix.setflags(write=False)
-        self._item_matrix_cache = (key, matrix)
-        return matrix
+        return assignments @ self.graph.numpy_matrix() @ assignments.T
 
     def learned_cluster_graph(self, threshold: float = 0.1) -> np.ndarray:
         """Thresholded, cycle-pruned cluster-level DAG."""

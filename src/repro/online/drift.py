@@ -30,6 +30,11 @@ from ..models.base import rank_top_z
 __all__ = ["edge_churn", "score_divergence", "DriftReport"]
 
 
+# Rows per edge_churn block: its boolean/sign temporaries stay at
+# 256×(V+1) instead of (V+1)² — a refresh already holds two full matrices.
+_CHURN_BLOCK_ROWS = 256
+
+
 def edge_churn(previous: np.ndarray, current: np.ndarray,
                epsilon: float) -> Dict[str, int]:
     """Edge-set churn between two causal matrices under the ε-gate.
@@ -37,7 +42,8 @@ def edge_churn(previous: np.ndarray, current: np.ndarray,
     An edge "exists" when ``|W_ij| > epsilon`` (the serving gate of
     eq. 10).  Returns counts of ``added``, ``dropped``, and ``flipped``
     (present on both sides with opposite sign) edges; ``kept`` counts
-    surviving same-sign edges for rate computations.
+    surviving same-sign edges for rate computations.  Counted over
+    fixed row blocks; the integer totals do not depend on the blocking.
     """
     previous = np.asarray(previous)
     current = np.asarray(current)
@@ -45,16 +51,19 @@ def edge_churn(previous: np.ndarray, current: np.ndarray,
         raise ValueError(
             f"causal matrices disagree on shape: {previous.shape} vs "
             f"{current.shape}")
-    before = np.abs(previous) > epsilon
-    after = np.abs(current) > epsilon
-    both = before & after
-    flipped = both & (np.sign(previous) != np.sign(current))
-    return {
-        "added": int(np.count_nonzero(after & ~before)),
-        "dropped": int(np.count_nonzero(before & ~after)),
-        "flipped": int(np.count_nonzero(flipped)),
-        "kept": int(np.count_nonzero(both & ~flipped)),
-    }
+    counts = {"added": 0, "dropped": 0, "flipped": 0, "kept": 0}
+    for start in range(0, len(previous), _CHURN_BLOCK_ROWS):
+        prev = previous[start:start + _CHURN_BLOCK_ROWS]
+        cur = current[start:start + _CHURN_BLOCK_ROWS]
+        before = np.abs(prev) > epsilon
+        after = np.abs(cur) > epsilon
+        both = before & after
+        flipped = both & (np.sign(prev) != np.sign(cur))
+        counts["added"] += int(np.count_nonzero(after & ~before))
+        counts["dropped"] += int(np.count_nonzero(before & ~after))
+        counts["flipped"] += int(np.count_nonzero(flipped))
+        counts["kept"] += int(np.count_nonzero(both & ~flipped))
+    return counts
 
 
 def score_divergence(baseline, candidate,

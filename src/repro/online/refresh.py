@@ -31,11 +31,11 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-# Algorithm 1 needs scipy's expm (h(W)) and networkx (DAG pruning), which
-# the rest of serving never touches.  Importing them here puts their cost
-# in an --online server's start-up, before /healthz reports ok, instead
-# of inside the first refresh under traffic.
-import networkx  # noqa: F401
+# Algorithm 1's acyclicity term h(W) needs scipy's expm, which the rest of
+# serving never touches.  Importing it here puts its cost in an --online
+# server's start-up, before /healthz reports ok, instead of inside the
+# first refresh under traffic.  A refresh builds no DiGraph, so networkx
+# stays unloaded.
 import scipy.linalg  # noqa: F401
 
 from ..data.interactions import EvalSample
@@ -118,9 +118,8 @@ class RefreshController:
             return False
         snapshot = self.trainer.snapshot_model()
         causal = hasattr(snapshot, "item_causal_matrix")
-        previous_matrix = None
-        if causal:
-            previous_matrix = snapshot.item_causal_matrix().copy()
+        # A fresh, private array: the refit below cannot alias it.
+        previous_matrix = snapshot.item_causal_matrix() if causal else None
         began = time.perf_counter()
         if causal:
             snapshot.fit_samples(samples, warm_start=True,
@@ -130,11 +129,22 @@ class RefreshController:
             # (short, config-driven) re-fit on the window.
             snapshot.fit_samples(samples)
         elapsed = time.perf_counter() - began
+        churn = None
+        if previous_matrix is not None:
+            churn = edge_churn(previous_matrix, snapshot.item_causal_matrix(),
+                               epsilon=float(snapshot.config.epsilon))
+        # Release it before probe scoring and the publish allocate theirs:
+        # a refresh holds at most the previous and current matrices.
+        del previous_matrix
         # With no explicit probe set, probe on a slice of the very window
         # we refreshed from — keeps the divergence gauges live in CLI
         # deployments that have no held-out data at serve time.
         probes = self.probes or samples[:self.probe_limit]
-        report = self._measure_drift(snapshot, previous_matrix, probes)
+        divergence = None
+        if self.baseline is not None and probes:
+            divergence = score_divergence(self.baseline, snapshot,
+                                          list(probes), z=self.probe_z)
+        report = DriftReport.build(churn=churn, divergence=divergence)
         self.publish(snapshot)
         # The published model's arrays are now aliased by live serving
         # artifacts — the trainer continues on its own private copy.
@@ -147,19 +157,6 @@ class RefreshController:
             for name, value in report.items():
                 self.metrics.set_gauge(name, value)
         return True
-
-    def _measure_drift(self, snapshot, previous_matrix,
-                       probes: Sequence[EvalSample]) -> DriftReport:
-        churn = None
-        if previous_matrix is not None:
-            churn = edge_churn(previous_matrix,
-                               snapshot.item_causal_matrix(),
-                               epsilon=float(snapshot.config.epsilon))
-        divergence = None
-        if self.baseline is not None and probes:
-            divergence = score_divergence(self.baseline, snapshot,
-                                          list(probes), z=self.probe_z)
-        return DriftReport.build(churn=churn, divergence=divergence)
 
     # -- background thread -------------------------------------------------
     def start(self) -> None:

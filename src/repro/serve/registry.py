@@ -4,9 +4,10 @@ artifacts, hot-swap behind a lock.
 A checkpoint (written by :func:`repro.io.save_model`) is turned into a
 frozen :class:`ServingArtifacts` bundle once, at install time:
 
-* the **ε-gated item-level causal matrix** ``Ŵ ⊙ 1(Ŵ > ε)`` (eq. 9, from
-  the fingerprint-cached :meth:`Causer.item_causal_matrix`) — the
-  per-request scorer then never re-projects K×K→N×N,
+* the **ε-gated item-level causal matrix** ``Ŵ ⊙ 1(Ŵ > ε)`` (eq. 9,
+  :meth:`Causer.item_causal_matrix` gated in place) — the one (V+1)²
+  array a generation holds; the per-request scorer then never
+  re-projects K×K→N×N,
 * the **input embedding table** feeding incremental RNN updates
   (:class:`repro.serve.sessions.RecurrentServingParams`),
 * the output item-embedding table + bias the final dot-product reads.
@@ -218,8 +219,11 @@ def build_artifacts(model, generation: int, path: Optional[str] = None,
                   max_history=model.config.max_history)
     if type(model) is Causer and model.config.filtering_mode == "shared":
         cfg = model.config
-        item_matrix = model.item_causal_matrix()
-        gated = np.where(item_matrix > cfg.epsilon, item_matrix, 0.0)
+        # The fresh eq.-9 array is ours: gate it in place (bitwise equal to
+        # ``np.where(W > ε, W, 0.0)``, NaN included) rather than allocate
+        # a second (V+1)² buffer.
+        gated = model.item_causal_matrix()
+        gated[~(gated > cfg.epsilon)] = 0.0
         gated.setflags(write=False)
         artifacts: ServingArtifacts = CausalServingArtifacts(
             mode="incremental", recurrent=_causer_recurrent(model),

@@ -27,6 +27,30 @@ def test_edge_churn_counts_added_dropped_flipped():
     assert reverse["dropped"] == 1 and reverse["added"] == 0
 
 
+def test_edge_churn_blocks_match_single_pass():
+    """Row-blocked counts equal the whole-matrix formula, ±ε ties included."""
+    epsilon = 0.25
+    rng = np.random.default_rng(11)
+    shape = (601, 37)  # 601 rows: not a multiple of the 256-row block
+    values = np.array([-0.5, -epsilon, -0.1, 0.0, 0.1, epsilon, 0.5])
+    previous = rng.choice(values, size=shape)
+    current = rng.choice(values, size=shape)
+    previous[-1, :] = epsilon   # exactly on the gate: never an edge
+    current[-1, :] = -epsilon
+    before = np.abs(previous) > epsilon
+    after = np.abs(current) > epsilon
+    both = before & after
+    flipped = both & (np.sign(previous) != np.sign(current))
+    expected = {
+        "added": int(np.count_nonzero(after & ~before)),
+        "dropped": int(np.count_nonzero(before & ~after)),
+        "flipped": int(np.count_nonzero(flipped)),
+        "kept": int(np.count_nonzero(both & ~flipped)),
+    }
+    assert min(expected.values()) > 0
+    assert edge_churn(previous, current, epsilon=epsilon) == expected
+
+
 def test_edge_churn_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         edge_churn(np.zeros((2, 2)), np.zeros((3, 3)), epsilon=0.1)

@@ -50,7 +50,30 @@ def test_multiprocess_worker_imports_are_numpy_only():
 
 def test_online_refresh_preloads_its_dependencies():
     loaded = _loaded_after("import repro.online.refresh")
-    assert {"scipy.linalg", "networkx"} <= loaded
+    assert "scipy.linalg" in loaded
+    assert "networkx" not in loaded
+
+
+def test_online_refresh_cycle_never_loads_networkx():
+    """A whole refresh runs without networkx, so traffic never pays for it."""
+    loaded = _loaded_after(
+        "from repro.core import Causer, CauserConfig\n"
+        "from repro.data import SimulatorConfig, generate_dataset\n"
+        "from repro.online import EventLog, OnlineTrainer, RefreshController\n"
+        "data = generate_dataset(SimulatorConfig(num_users=30, num_items=20,"
+        " num_clusters=4, seed=1))\n"
+        "model = Causer(data.corpus.num_users, data.num_items, data.features,"
+        " CauserConfig(num_clusters=4, embedding_dim=6, hidden_dim=6,"
+        " num_epochs=1, pretrain_graph=False, seed=0))\n"
+        "log = EventLog(None)\n"
+        "for k in range(64):\n"
+        "    log.append(k % 8, (1 + k % 20,))\n"
+        "trainer = OnlineTrainer(model, log, lr=0.05, batch_events=16)\n"
+        "trainer.pump()\n"
+        "assert RefreshController(trainer, log, lambda m: None,"
+        " window=64).refresh_once()\n")
+    assert "scipy.linalg" in loaded
+    assert "networkx" not in loaded
 
 
 @pytest.mark.parametrize("name", ["analysis", "causal", "core", "data",
