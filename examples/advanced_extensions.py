@@ -1,71 +1,22 @@
-"""Advanced extensions beyond the paper's main experiments.
+"""Model persistence: save a trained Causer and reload it for inference.
 
-1. **Dynamic causal graph** (§VI future work): a recency-segmented W^c —
-   recent and old history steps use different causal snapshots.
-2. **PC vs NOTEARS**: the two causal-discovery families the paper
-   contrasts in §IV, compared on the same synthetic SEM.
-3. **Model persistence**: save a trained Causer and reload for inference.
+Trains a small Causer, writes it to a ``.npz`` checkpoint with
+:func:`repro.io.save_model`, restores it with :func:`repro.io.load_model`
+and checks that both produce the same top-5 recommendations.  The same
+checkpoint format is what ``python -m repro serve --checkpoint`` loads.
 
 Run:  python examples/advanced_extensions.py
 """
 
 import tempfile
 
-import numpy as np
-
-from repro.causal import (cpdag, evaluate_structure, notears_linear,
-                          pc_algorithm, random_dag, simulate_linear_sem,
-                          standardize, weighted_dag)
-from repro.core import Causer, CauserConfig, DynamicCauser
+from repro.core import Causer, CauserConfig
 from repro.data import SimulatorConfig, generate_dataset, leave_one_out_split
-from repro.eval import evaluate_model
 from repro.io import load_model, save_model
 
 
-def dynamic_graph_demo() -> None:
-    print("=== 1. Dynamic (recency-segmented) causal graph ===")
-    dataset = generate_dataset(SimulatorConfig(num_users=300, num_items=90,
-                                               num_clusters=5, seed=13),
-                               name="dynamic-demo")
-    split = leave_one_out_split(dataset.corpus)
-    config = CauserConfig(embedding_dim=16, hidden_dim=16, num_epochs=8,
-                          num_clusters=5, epsilon=0.2, eta=0.5, seed=0)
-
-    static = Causer(dataset.corpus.num_users, dataset.num_items,
-                    dataset.features, config)
-    static.fit(split.train)
-    static_result = evaluate_model(static, split.test, z=5)
-
-    dynamic = DynamicCauser(dataset.corpus.num_users, dataset.num_items,
-                            dataset.features, config, num_segments=2,
-                            recent_window=3)
-    dynamic.fit(split.train)
-    dynamic_result = evaluate_model(dynamic, split.test, z=5)
-
-    print(f"static  Causer NDCG@5 = {100 * static_result.mean('ndcg'):.2f}%")
-    print(f"dynamic Causer NDCG@5 = {100 * dynamic_result.mean('ndcg'):.2f}%")
-    print(f"graph drift between segments: {dynamic.graph_drift():.4f}")
-
-
-def pc_vs_notears_demo() -> None:
-    print("\n=== 2. PC (constraint-based) vs NOTEARS (score-based) ===")
-    rng = np.random.default_rng(21)
-    truth = random_dag(7, 0.3, rng)
-    data = standardize(simulate_linear_sem(weighted_dag(truth, rng),
-                                           2000, rng))
-    pc_pattern = pc_algorithm(data, alpha=0.05).cpdag
-    notears = notears_linear(data, lambda1=0.05)
-    true_pattern = cpdag(truth)
-
-    pc_agree = (pc_pattern == true_pattern).mean()
-    nt_metrics = evaluate_structure(truth, notears.adjacency)
-    print(f"PC      CPDAG agreement with truth: {100 * pc_agree:.1f}%")
-    print(f"NOTEARS SHD={nt_metrics.shd}, "
-          f"Markov equivalent={nt_metrics.markov_equivalent}")
-
-
 def persistence_demo() -> None:
-    print("\n=== 3. Save / load a trained model ===")
+    print("=== Save / load a trained model ===")
     dataset = generate_dataset(SimulatorConfig(num_users=120, num_items=40,
                                                num_clusters=4, seed=5),
                                name="persist-demo")
@@ -86,6 +37,4 @@ def persistence_demo() -> None:
 
 
 if __name__ == "__main__":
-    dynamic_graph_demo()
-    pc_vs_notears_demo()
     persistence_demo()

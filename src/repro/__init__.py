@@ -8,7 +8,7 @@ Subpackages
     optimizers) replacing the paper's PyTorch dependency.
 ``repro.causal``
     NOTEARS causal discovery: acyclicity constraint, linear solver,
-    d-separation, Markov-equivalence and structure metrics.
+    Markov-equivalence and structure metrics.
 ``repro.data``
     Sequential-interaction corpora, the causal behaviour simulator that
     substitutes for the paper's five public datasets, batching and the

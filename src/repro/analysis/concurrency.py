@@ -325,8 +325,8 @@ class ThreadSanitizer:
         orig_sync = sessions._sync
         san = self
 
-        def _sync(session: Any, artifacts: Any) -> None:
-            orig_sync(session, artifacts)
+        def _sync(session: Any, artifacts: Any) -> int:
+            dropped = orig_sync(session, artifacts)
             if artifacts is not None:
                 # Runs under the store lock, so the pair (user session,
                 # adopted generation) is consistent by construction here;
@@ -334,6 +334,7 @@ class ThreadSanitizer:
                 san.observe_generation(
                     f"SessionStore.user[{session.user_id}]",
                     session.generation)
+            return dropped
 
         self._patch(sessions, "_sync", _sync)
 

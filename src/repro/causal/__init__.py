@@ -2,47 +2,34 @@
 
 Implements the NOTEARS machinery the paper builds on (§II-B): the
 differentiable acyclicity constraint, a standalone linear NOTEARS solver
-with augmented-Lagrangian optimization, d-separation, Markov-equivalence
-(Definition 1), structure-recovery metrics, and the synthetic SEM machinery
-used to verify Theorem 1 empirically.
+with augmented-Lagrangian optimization, Markov-equivalence (Definition 1),
+structure-recovery metrics, and the synthetic SEM machinery used to verify
+Theorem 1 empirically.
 """
 
 from .dag_constraint import (clear_expm_cache, expm_cache_info, h_tensor,
                              h_value, h_value_and_grad, polynomial_h_value)
-from .dsep import d_connected, d_separated, non_descendant_set
-from .graph import (ancestors, binarize, children, cpdag, descendants,
-                    edge_list, from_networkx, is_dag, markov_equivalent,
-                    num_edges, parents, prune_to_dag, skeleton,
-                    to_networkx, topological_order, v_structures,
-                    validate_adjacency)
+from .graph import (binarize, children, is_dag, markov_equivalent, parents,
+                    prune_to_dag, skeleton, to_networkx, topological_order,
+                    v_structures, validate_adjacency)
 from .identifiability import (IdentifiabilityReport, IdentifiabilityTrial,
                               run_identifiability_study,
                               run_identifiability_trial)
-from .metrics import (StructureMetrics, cpdag_agreement, evaluate_structure,
-                      skeleton_scores, structural_hamming_distance,
-                      v_structure_scores)
+from .metrics import (StructureMetrics, evaluate_structure, skeleton_scores,
+                      structural_hamming_distance, v_structure_scores)
 from .notears import NotearsResult, notears_linear
-from .notears_mlp import NotearsMLPResult, notears_mlp
-from .ges import GESResult, ges_search
-from .pc import PCResult, fisher_z_test, pc_algorithm
-from .sem import (random_dag, random_dag_scale_free, simulate_linear_sem,
-                  standardize, weighted_dag)
+from .sem import random_dag, simulate_linear_sem, standardize, weighted_dag
 
 __all__ = [
     "h_value", "h_value_and_grad", "h_tensor", "polynomial_h_value",
     "clear_expm_cache", "expm_cache_info",
-    "d_separated", "d_connected", "non_descendant_set",
     "validate_adjacency", "binarize", "is_dag", "to_networkx",
-    "from_networkx", "topological_order", "parents", "children",
-    "ancestors", "descendants", "skeleton", "v_structures", "cpdag",
-    "markov_equivalent", "edge_list", "num_edges", "prune_to_dag",
+    "topological_order", "parents", "children", "skeleton", "v_structures",
+    "markov_equivalent", "prune_to_dag",
     "StructureMetrics", "structural_hamming_distance", "skeleton_scores",
-    "v_structure_scores", "evaluate_structure", "cpdag_agreement",
+    "v_structure_scores", "evaluate_structure",
     "NotearsResult", "notears_linear",
-    "NotearsMLPResult", "notears_mlp",
-    "PCResult", "pc_algorithm", "fisher_z_test",
-    "GESResult", "ges_search",
-    "random_dag", "random_dag_scale_free", "weighted_dag",
+    "random_dag", "weighted_dag",
     "simulate_linear_sem", "standardize",
     "IdentifiabilityTrial", "IdentifiabilityReport",
     "run_identifiability_trial", "run_identifiability_study",

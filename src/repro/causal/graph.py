@@ -9,7 +9,7 @@ topological order), binarization, and conversions used throughout
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Set, Tuple
 
 import numpy as np
 
@@ -48,15 +48,6 @@ def to_networkx(matrix: np.ndarray, threshold: float = 0.0) -> nx.DiGraph:
     return graph
 
 
-def from_networkx(graph: nx.DiGraph, num_nodes: Optional[int] = None) -> np.ndarray:
-    """Convert a DiGraph back to a 0/1 adjacency matrix."""
-    n = num_nodes if num_nodes is not None else graph.number_of_nodes()
-    matrix = np.zeros((n, n), dtype=np.int64)
-    for u, v in graph.edges():
-        matrix[u, v] = 1
-    return matrix
-
-
 def topological_order(matrix: np.ndarray, threshold: float = 0.0) -> List[int]:
     """A topological ordering of the (thresholded) DAG.
 
@@ -80,18 +71,6 @@ def children(matrix: np.ndarray, node: int, threshold: float = 0.0) -> List[int]
     """Direct effects of ``node``."""
     arr = validate_adjacency(matrix)
     return list(np.nonzero(np.abs(arr[node, :]) > threshold)[0])
-
-
-def ancestors(matrix: np.ndarray, node: int, threshold: float = 0.0) -> Set[int]:
-    """All nodes with a directed path into ``node``."""
-    import networkx as nx
-    return set(nx.ancestors(to_networkx(matrix, threshold), node))
-
-
-def descendants(matrix: np.ndarray, node: int, threshold: float = 0.0) -> Set[int]:
-    """All nodes reachable from ``node``."""
-    import networkx as nx
-    return set(nx.descendants(to_networkx(matrix, threshold), node))
 
 
 def skeleton(matrix: np.ndarray, threshold: float = 0.0) -> np.ndarray:
@@ -121,27 +100,6 @@ def v_structures(matrix: np.ndarray, threshold: float = 0.0
     return found
 
 
-def cpdag(matrix: np.ndarray, threshold: float = 0.0) -> np.ndarray:
-    """Completed partially directed acyclic graph of the DAG's MEC.
-
-    We return the *pattern* representation (skeleton + oriented v-structure
-    edges), which is sufficient for deciding Markov equivalence per the
-    paper's Definition 1: two DAGs are Markov equivalent iff they share
-    skeleton and v-structures, hence iff their patterns coincide.
-
-    Encoding: ``out[i, j] = 1`` and ``out[j, i] = 0`` for a directed edge
-    ``i -> j``; ``out[i, j] = out[j, i] = 1`` for an undirected edge.
-    """
-    binary = binarize(matrix, threshold)
-    skel = skeleton(binary)
-    out = skel.copy()
-    for i, k, j in v_structures(binary):
-        # orient i -> k and j -> k
-        out[k, i] = 0
-        out[k, j] = 0
-    return out
-
-
 def markov_equivalent(matrix_a: np.ndarray, matrix_b: np.ndarray,
                       threshold: float = 0.0) -> bool:
     """Definition 1 of the paper: same skeleton and same v-structures."""
@@ -150,16 +108,6 @@ def markov_equivalent(matrix_a: np.ndarray, matrix_b: np.ndarray,
     if not skel_equal:
         return False
     return v_structures(matrix_a, threshold) == v_structures(matrix_b, threshold)
-
-
-def edge_list(matrix: np.ndarray, threshold: float = 0.0) -> List[Tuple[int, int]]:
-    """All directed edges ``(cause, effect)`` in the thresholded graph."""
-    binary = binarize(matrix, threshold)
-    return [(int(i), int(j)) for i, j in zip(*np.nonzero(binary))]
-
-
-def num_edges(matrix: np.ndarray, threshold: float = 0.0) -> int:
-    return int(binarize(matrix, threshold).sum())
 
 
 def prune_to_dag(matrix: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Dict
 
 import numpy as np
 
-from .graph import binarize, cpdag, markov_equivalent, skeleton, v_structures
+from .graph import binarize, markov_equivalent, skeleton, v_structures
 
 
 @dataclass
@@ -112,11 +112,3 @@ def evaluate_structure(true_graph: np.ndarray, learned_graph: np.ndarray,
         true_edges=int(binarize(true_graph, threshold).sum()),
         learned_edges=int(binarize(learned_graph, threshold).sum()),
     )
-
-
-def cpdag_agreement(true_graph: np.ndarray, learned_graph: np.ndarray,
-                    threshold: float = 0.0) -> float:
-    """Fraction of entries on which the two CPDAG patterns agree."""
-    pattern_true = cpdag(true_graph, threshold)
-    pattern_learned = cpdag(learned_graph, threshold)
-    return float((pattern_true == pattern_learned).mean())

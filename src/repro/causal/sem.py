@@ -6,7 +6,7 @@ ground truth for the user-behaviour simulator's cluster-level causal graph.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -25,28 +25,6 @@ def random_dag(num_nodes: int, edge_prob: float,
     perm = rng.permutation(num_nodes)
     adjacency = lower[np.ix_(perm, perm)].astype(np.int64)
     return adjacency.T  # orient edges from earlier to later in the order
-
-
-def random_dag_scale_free(num_nodes: int, attach_edges: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Scale-free DAG via preferential attachment (Barabási–Albert flavour).
-
-    Node ``t`` attaches ``min(t, attach_edges)`` incoming edges from earlier
-    nodes with probability proportional to 1 + out-degree, producing the
-    hub-dominated structures common in recommendation taxonomies.
-    """
-    adjacency = np.zeros((num_nodes, num_nodes), dtype=np.int64)
-    out_degree = np.zeros(num_nodes)
-    for node in range(1, num_nodes):
-        k = min(node, attach_edges)
-        weights = 1.0 + out_degree[:node]
-        probs = weights / weights.sum()
-        sources = rng.choice(node, size=k, replace=False, p=probs)
-        for src in sources:
-            adjacency[src, node] = 1
-            out_degree[src] += 1
-    perm = rng.permutation(num_nodes)
-    return adjacency[np.ix_(perm, perm)]
 
 
 def weighted_dag(adjacency: np.ndarray, rng: np.random.Generator,

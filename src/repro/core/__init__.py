@@ -8,24 +8,14 @@ trainer (Algorithm 1) and the explanation machinery (§V-E).
 
 from .causal_graph import ClusterCausalGraph
 from .causer import Causer
-from .dynamic import DynamicCauser, DynamicClusterCausalGraph
 from .clustering import ItemClusterModule
 from .config import CauserConfig, ablation_config
-from .interventions import (counterfactual_scores, counterfactual_shift,
-                            intervention_report,
-                            most_influential_history_item,
-                            total_cluster_effect, total_effect_matrix)
-from .explain import (ExplanationBreakdown, attention_explainer,
-                      explanation_breakdown, format_case_study,
-                      make_explainer)
+from .explain import (ExplanationBreakdown, explanation_breakdown,
+                      format_case_study, make_explainer)
 
 __all__ = [
     "Causer", "CauserConfig", "ablation_config",
-    "DynamicCauser", "DynamicClusterCausalGraph",
     "ItemClusterModule", "ClusterCausalGraph",
     "ExplanationBreakdown", "explanation_breakdown", "make_explainer",
-    "attention_explainer", "format_case_study",
-    "total_cluster_effect", "total_effect_matrix",
-    "counterfactual_scores", "counterfactual_shift",
-    "most_influential_history_item", "intervention_report",
+    "format_case_study",
 ]

@@ -30,12 +30,12 @@ Three filtering modes are provided (DESIGN.md §5, ``CauserConfig.filtering_mode
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..data.batching import PaddedBatch, iterate_batches, pad_samples, sample_negatives
-from ..data.interactions import EvalSample, SequenceCorpus, training_prefixes
+from ..data.interactions import EvalSample
 from ..models.base import FitResult, NeuralSequentialRecommender
 from ..nn import BilinearAttention, Linear, RecurrentLayer, Tensor, losses, make_optimizer
 from ..nn import functional as F
@@ -78,9 +78,6 @@ class Causer(NeuralSequentialRecommender):
         self.beta2 = cfg.beta2_init
         self._h_previous = float("inf")
         self._penalty_scale = 1.0  # set per epoch from the batch count
-        # Subclasses (e.g. DynamicCauser) may swap in a different module to
-        # carry the L1/acyclicity penalties.
-        self._graph_module_for_penalties = self.graph
 
     # ------------------------------------------------------------------
     # Forward pieces
@@ -346,8 +343,7 @@ class Causer(NeuralSequentialRecommender):
         # L1 + the DAG penalty erode W^c below the ε gate within a few
         # epochs (a gradient blackout the gate cannot recover from).
         scale = self._penalty_scale
-        graph_module = self._graph_module_for_penalties
-        penalty = cfg.lambda_l1 * graph_module.l1()
+        penalty = cfg.lambda_l1 * self.graph.l1()
         embeddings = self.clusters.encode()
         if cfg.use_clustering_loss:
             penalty = penalty + (cfg.cluster_weight
@@ -355,7 +351,7 @@ class Causer(NeuralSequentialRecommender):
         if cfg.use_reconstruction_loss:
             penalty = penalty + (cfg.reconstruction_weight
                                  * self.clusters.reconstruction_loss(embeddings))
-        h = graph_module.acyclicity()
+        h = self.graph.acyclicity()
         penalty = penalty + self.beta1 * h + (0.5 * self.beta2) * h * h
         return loss + scale * penalty
 
@@ -442,8 +438,6 @@ class Causer(NeuralSequentialRecommender):
             self._seed_graph(samples)
         causal_params = list(self.clusters.parameters()) + list(
             self.graph.parameters())
-        if self._graph_module_for_penalties is not self.graph:
-            causal_params += list(self._graph_module_for_penalties.parameters())
         causal_ids = {id(p) for p in causal_params}
         rec_params = [p for p in self.parameters() if id(p) not in causal_ids]
         opt_rec = make_optimizer(cfg.optimizer, rec_params,
@@ -479,7 +473,7 @@ class Causer(NeuralSequentialRecommender):
                 total += loss_value
                 count += 1
             # Algorithm 1 lines 14–15: multiplier and penalty updates.
-            h_new = self._graph_module_for_penalties.acyclicity_value()
+            h_new = self.graph.acyclicity_value()
             self._check_finite_h(h_new, epoch)
             self.beta1 += self.beta2 * h_new
             stalled = (np.isfinite(self._h_previous)

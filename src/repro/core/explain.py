@@ -89,21 +89,6 @@ def make_explainer(model: Causer, mode: str = "full"
     return explainer
 
 
-def attention_explainer(attention_weights_fn
-                        ) -> Callable[[ExplanationSample], np.ndarray]:
-    """Wrap a baseline's attention extractor (e.g. NARM) as an explainer."""
-
-    def explainer(sample: ExplanationSample) -> np.ndarray:
-        eval_sample = EvalSample(user_id=sample.user_id,
-                                 history=sample.history,
-                                 target=(sample.target_item,))
-        batch = pad_samples([eval_sample])
-        weights = attention_weights_fn(batch)[0]
-        return np.asarray(weights[:len(sample.history)], dtype=np.float64)
-
-    return explainer
-
-
 def format_case_study(model: Causer, sample: ExplanationSample,
                       item_names: Sequence[str] = None) -> str:
     """Human-readable Fig. 8-style case: history, target, per-model picks."""

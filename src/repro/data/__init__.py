@@ -8,7 +8,7 @@ padding/negative-sampling/batching, the derived explanation-label dataset
 
 from .batching import PaddedBatch, iterate_batches, pad_samples, sample_negatives
 from .datasets import (DATASET_NAMES, DEFAULT_SCALE, PAPER_STATISTICS,
-                       dataset_config, load_all_datasets, load_dataset)
+                       dataset_config, load_dataset)
 from .eventlog import (EVENTLOG_FORMAT, EVENTLOG_VERSION, EvalSampleView,
                        EventLogCorpus, EventLogDataset, EventLogStore,
                        EventLogWriter, PrefixSampleView, generate_eventlog,
@@ -23,8 +23,6 @@ from .interactions import (PAD_ITEM, EvalSample, SequenceCorpus, Split,
 from .stats import (DatasetStatistics, basket_size_distribution,
                     compare_to_paper, compute_statistics,
                     sequence_length_histogram)
-from .temporal import (RegimeShiftDataset, generate_regime_shift_dataset,
-                       graph_change_magnitude)
 from .synthetic import (BehaviorSimulator, SimulatorConfig, SyntheticDataset,
                         generate_dataset)
 
@@ -33,10 +31,8 @@ __all__ = [
     "leave_one_out_split", "training_prefixes",
     "SimulatorConfig", "SyntheticDataset", "BehaviorSimulator",
     "generate_dataset",
-    "RegimeShiftDataset", "generate_regime_shift_dataset",
-    "graph_change_magnitude",
     "DATASET_NAMES", "DEFAULT_SCALE", "PAPER_STATISTICS",
-    "dataset_config", "load_dataset", "load_all_datasets",
+    "dataset_config", "load_dataset",
     "text_like_features", "gps_like_features", "feature_similarity",
     "cluster_feature_coherence",
     "PaddedBatch", "pad_samples", "sample_negatives", "iterate_batches",

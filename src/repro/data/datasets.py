@@ -21,8 +21,7 @@ Video      19,939   9,275        142,658    7.15    99.92%
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .synthetic import BehaviorSimulator, SimulatorConfig, SyntheticDataset
 
@@ -106,10 +105,3 @@ def load_dataset(name: str, scale: float = DEFAULT_SCALE,
     """Generate the named dataset profile."""
     config = dataset_config(name, scale=scale, seed=seed)
     return BehaviorSimulator(config, name=name.lower()).generate()
-
-
-def load_all_datasets(scale: float = DEFAULT_SCALE,
-                      seed: int = 0) -> Dict[str, SyntheticDataset]:
-    """All five Table IV datasets, keyed by name."""
-    return {name: load_dataset(name, scale=scale, seed=seed)
-            for name in DATASET_NAMES}

@@ -685,11 +685,6 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return where(a_t.data >= b_t.data, a_t, b_t)
 
 
-def no_grad_tensor(data: ArrayLike) -> Tensor:
-    """Shorthand for a constant tensor."""
-    return Tensor(data, requires_grad=False)
-
-
 def gradient_check(func: Callable[..., Tensor], inputs: Iterable[Tensor],
                    eps: float = 1e-6) -> float:
     """Return the max relative error between analytic and numeric gradients.

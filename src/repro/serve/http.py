@@ -48,6 +48,10 @@ TEXT_TYPE = "text/plain; version=0.0.4"
 
 Response = Tuple[int, Any, str]
 
+#: Largest accepted item id: ids travel through int64 arrays (session
+#: replay, the popularity ranking), so anything wider is a client error.
+MAX_ITEM_ID = int(np.iinfo(np.int64).max)
+
 
 class ServeError(Exception):
     """Client-visible failure with an HTTP status."""
@@ -72,6 +76,8 @@ def _parse_basket(value: Any, num_items: Optional[int]) -> Tuple[int, ...]:
         if isinstance(item, bool) or not isinstance(item, int) or item < 1:
             raise ServeError(400, f"invalid item id {item!r}: item ids are "
                                   f"integers >= 1")
+        if item > MAX_ITEM_ID:
+            raise ServeError(400, f"item id {item} exceeds the int64 range")
         if num_items is not None and item > num_items:
             raise ServeError(400, f"item id {item} exceeds the loaded "
                                   f"catalog (num_items={num_items})")
@@ -118,10 +124,10 @@ class ServeApp:
                                     max_wait_ms=max_wait_ms,
                                     metrics=self.metrics)
         self._pop_lock = threading.Lock()
-        # Lazily allocated; every touch goes through _pop_counts_locked,
-        # the single guarded compute-once path (the `_locked` suffix is
-        # the racelint caller-holds-the-lock convention).
-        self._pop_counts: Optional[np.ndarray] = None
+        #: item id -> accepted events naming it.  Keyed by the ids clients
+        #: actually sent, so memory follows the observed vocabulary, not
+        #: the largest id.
+        self._pop_counts: Dict[int, int] = {}
 
     # -- checkpoint management -------------------------------------------
     def load_checkpoint(self, path) -> ServingArtifacts:
@@ -135,39 +141,38 @@ class ServeApp:
         self.batcher.close()
 
     # -- popularity fallback ---------------------------------------------
-    def _pop_counts_locked(self, min_size: int = 1) -> np.ndarray:
-        """Compute-once/grow accessor for the popularity count vector.
-
-        The caller holds ``_pop_lock``.  Allocation and growth both live
-        here so there is exactly one guarded path that writes
-        ``self._pop_counts``; callers only index into the returned array.
-        """
-        counts = self._pop_counts
-        if counts is None:
-            counts = self._pop_counts = np.zeros(max(min_size, 1),
-                                                 dtype=np.int64)
-        elif counts.shape[0] < min_size:
-            grown = np.zeros(min_size, dtype=np.int64)
-            grown[:counts.shape[0]] = counts
-            counts = self._pop_counts = grown
-        return counts
-
     def _count_event(self, basket: Sequence[int]) -> None:
         with self._pop_lock:
-            counts = self._pop_counts_locked(max(basket) + 1)
             for item in basket:
-                counts[item] += 1
+                self._pop_counts[item] = self._pop_counts.get(item, 0) + 1
 
-    def _popularity_row(self, artifacts: Optional[ServingArtifacts]
-                        ) -> np.ndarray:
+    def _popularity_items(self, artifacts: Optional[ServingArtifacts],
+                          z: int) -> List[int]:
+        """Top-``z`` item ids by observed event frequency.
+
+        With a checkpoint loaded every catalog item is a candidate
+        (unobserved ones score zero); without one only ids that some
+        client sent are.  Ranking goes through :func:`rank_top_z` either
+        way, so ties break exactly as model scores do.
+        """
         with self._pop_lock:
-            counts = self._pop_counts_locked().astype(np.float64)
-        width = (artifacts.num_items + 1 if artifacts is not None
-                 else max(counts.shape[0], 2))
-        row = np.zeros(width)
-        span = min(width, counts.shape[0])
-        row[:span] = counts[:span]
-        return row
+            size = len(self._pop_counts)
+            items = np.fromiter(self._pop_counts.keys(), np.int64, size)
+            counts = np.fromiter(self._pop_counts.values(), np.float64, size)
+        if artifacts is not None:
+            row = np.zeros(artifacts.num_items + 1)
+            in_catalog = items <= artifacts.num_items
+            row[items[in_catalog]] = counts[in_catalog]
+            ids = np.arange(row.shape[0])
+        else:
+            # Column 0 stays the padding slot rank_top_z masks.
+            order = np.argsort(items)
+            ids = np.concatenate([[0], items[order]])
+            row = np.concatenate([[0.0], counts[order]])
+        ranked = rank_top_z(row[None, :], z)[0]
+        # Padding (item 0) leaks into the top-z when z exceeds the
+        # candidates; drop it rather than recommend a non-item.
+        return [int(ids[i]) for i in ranked if i != 0]
 
     # -- scoring ----------------------------------------------------------
     def _score_many(self, payloads: Sequence[Tuple[ServingArtifacts, Any]]
@@ -204,10 +209,7 @@ class ServeApp:
 
         if artifacts is None or view is None or view.steps == 0:
             self.metrics.inc("serve_fallback_total")
-            scores = self._popularity_row(artifacts)[None, :]
-            # Padding (item 0) leaks into the top-z when z exceeds the
-            # catalog; drop it rather than recommend a non-item.
-            items = [i for i in rank_top_z(scores, z)[0] if i != 0]
+            items = self._popularity_items(artifacts, z)
             return {"user_id": user_id, "items": items,
                     "source": "popularity", "model": None,
                     "generation": (None if artifacts is None
@@ -402,14 +404,23 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("GET", None)
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        raw = self.rfile.read(length) if length else b""
+        # A body that cannot be framed or parsed dispatches as "no body", so
+        # the app answers it (400 on the /v1 routes) and counts it like any
+        # other rejected request.
+        payload = None
         try:
-            payload = json.loads(raw.decode("utf-8")) if raw else None
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self._write(400, {"error": "request body is not valid JSON"},
-                        JSON_TYPE)
-            return
+            length = int(self.headers.get("Content-Length", 0) or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Unframeable request: the body's end is unknown, so answer and
+            # drop the connection instead of reading into the next request.
+            self.close_connection = True
+        elif length:
+            try:
+                payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                pass
         self._dispatch("POST", payload)
 
     def _dispatch(self, method: str, payload: Optional[Dict[str, Any]]

@@ -204,9 +204,9 @@ def build_artifacts(model, generation: int, path: Optional[str] = None,
                     ) -> ServingArtifacts:
     """Precompute the frozen serving bundle for one loaded model.
 
-    ``type() is`` dispatch on purpose: subclasses (e.g. ``DynamicCauser``'s
-    segment-dependent causal matrix) do not satisfy the frozen-artifact
-    assumptions and fall back to the replay scorer.
+    ``type() is`` dispatch on purpose: a subclass may override the forward
+    pass the frozen artifacts replicate, so it falls back to the replay
+    scorer.
 
     With a ``retrieval`` config in ``ivf`` mode the bundle also carries a
     freshly-built :class:`RetrievalArtifact` (rebuilt on every install, so

@@ -176,11 +176,6 @@ def score_view_candidates(artifacts: ServingArtifacts, view: ScoreView,
     return _score_replay(artifacts, [view])[0][candidates]
 
 
-def popularity_scores(counts: np.ndarray, num_rows: int = 1) -> np.ndarray:
-    """Degraded-mode scores: observed event frequency per item."""
-    return np.tile(counts.astype(np.float64), (num_rows, 1))
-
-
 def top_causal_edges(artifacts: CausalServingArtifacts,
                      events: Sequence[Sequence[int]], target_item: int,
                      top: int = 5) -> List[dict]:

@@ -189,14 +189,24 @@ class SessionStore:
         with self._lock:
             return user_id in self._sessions
 
-    def _sync(self, session: SessionState, artifacts) -> None:
+    def _sync(self, session: SessionState, artifacts) -> int:
         """Adopt a newly-swapped checkpoint: re-window + replay lazily.
 
         Sessions survive hot swaps; the first touch after a swap rebuilds
         the recurrent state from the stored events under the new weights.
+        Items outside the new catalog (sent in degraded mode, or valid
+        only under a larger previous model) are dropped first, and baskets
+        left empty with them; returns how many items were dropped.
         """
         if artifacts is None or session.generation == artifacts.generation:
-            return
+            return 0
+        num_items = artifacts.num_items
+        kept = [tuple(item for item in basket if item <= num_items)
+                for basket in session.events]
+        dropped = sum(len(old) - len(new)
+                      for old, new in zip(session.events, kept))
+        if dropped:
+            session.events = [basket for basket in kept if basket]
         params = artifacts.recurrent
         if params is not None:
             if len(session.events) > params.max_history:
@@ -206,11 +216,17 @@ class SessionStore:
             session.h = session.c = None
             session.states = []
         session.generation = artifacts.generation
+        return dropped
+
+    def _count_dropped(self, dropped: int) -> None:
+        if dropped and self.metrics is not None:
+            self.metrics.inc("serve_session_items_dropped_total", by=dropped)
 
     def append_event(self, user_id: int, basket: Sequence[int],
                      artifacts=None) -> SessionState:
         """Record one event for ``user_id``, advancing recurrent state."""
         evicted = False
+        dropped = 0
         with self._lock:
             session = self._sessions.get(user_id)
             if session is None:
@@ -223,7 +239,7 @@ class SessionStore:
                     self.evictions += 1
                     evicted = True
             else:
-                self._sync(session, artifacts)
+                dropped = self._sync(session, artifacts)
             self._sessions.move_to_end(user_id)
             session.append(
                 basket,
@@ -232,6 +248,7 @@ class SessionStore:
         # lock and every serving lock stays a leaf in the global order.
         if evicted and self.metrics is not None:
             self.metrics.inc("serve_sessions_evicted_total")
+        self._count_dropped(dropped)
         return session
 
     def view(self, user_id: int, artifacts=None) -> Optional[ScoreView]:
@@ -240,9 +257,11 @@ class SessionStore:
             session = self._sessions.get(user_id)
             if session is None:
                 return None
-            self._sync(session, artifacts)
+            dropped = self._sync(session, artifacts)
             self._sessions.move_to_end(user_id)
-            return session.view()
+            view = session.view()
+        self._count_dropped(dropped)
+        return view
 
     def ephemeral_view(self, user_id: int,
                        history: Sequence[Sequence[int]],

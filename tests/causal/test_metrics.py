@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.causal import (cpdag_agreement, evaluate_structure,
-                          skeleton_scores, structural_hamming_distance,
-                          v_structure_scores)
+from repro.causal import (evaluate_structure, skeleton_scores,
+                          structural_hamming_distance, v_structure_scores)
 
 
 def chain():
@@ -95,15 +94,3 @@ class TestEvaluateStructure:
         report = evaluate_structure(chain(), chain().T)
         assert report.markov_equivalent
         assert report.shd == 2  # two reversals
-
-
-class TestCPDAGAgreement:
-    def test_perfect(self):
-        assert cpdag_agreement(chain(), chain()) == 1.0
-
-    def test_chain_reversal_agrees(self):
-        # Same MEC -> same pattern.
-        assert cpdag_agreement(chain(), chain().T) == 1.0
-
-    def test_partial(self):
-        assert cpdag_agreement(chain(), np.zeros((3, 3))) < 1.0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.causal import (is_dag, random_dag, random_dag_scale_free,
-                          simulate_linear_sem, standardize, weighted_dag)
+from repro.causal import (is_dag, random_dag, simulate_linear_sem,
+                          standardize, weighted_dag)
 
 
 class TestRandomDag:
@@ -25,20 +25,6 @@ class TestRandomDag:
     def test_invalid_edge_prob(self):
         with pytest.raises(ValueError):
             random_dag(4, 1.5, np.random.default_rng(0))
-
-
-class TestScaleFreeDag:
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 1000), n=st.integers(3, 12))
-    def test_acyclic(self, seed, n):
-        dag = random_dag_scale_free(n, 2, np.random.default_rng(seed))
-        assert is_dag(dag)
-
-    def test_hub_structure(self):
-        dag = random_dag_scale_free(30, 2, np.random.default_rng(1))
-        out_degrees = dag.sum(axis=1)
-        # Preferential attachment produces at least one hub.
-        assert out_degrees.max() >= 4
 
 
 class TestWeightedDag:

@@ -1,6 +1,8 @@
 """HTTP layer: routes, validation, fallback, explain, real sockets."""
 
 import json
+import socket
+import tracemalloc
 import urllib.request
 
 import pytest
@@ -33,6 +35,52 @@ class TestDegradedMode:
         status, body = client.post("/v1/recommend", {"user_id": 5})
         assert status == 200
         assert body["source"] == "popularity"
+
+    def test_popularity_counts_only_observed_ids(self, make_app):
+        app, client = make_app()
+        tracemalloc.start()
+        try:
+            for item in (5_000_000, 10**18, 5_000_000):
+                status, _ = client.post("/v1/events",
+                                        {"user_id": 1, "basket": [item]})
+                assert status == 200
+            status, body = client.post("/v1/recommend",
+                                       {"user_id": 99, "z": 5})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 200
+        # Most frequent first; ids nobody sent are never recommended.
+        assert body["items"] == [5_000_000, 10**18]
+        # Memory follows the two observed ids, not the largest one.
+        assert peak < 1 << 20
+        status, body = client.post("/v1/events",
+                                   {"user_id": 1, "basket": [2**63]})
+        assert status == 400
+        assert "int64" in body["error"]
+
+    def test_degraded_events_outside_the_catalog_are_dropped(
+            self, served_causer, make_app):
+        app, client = make_app()
+        too_big = served_causer.num_items + 1
+        for basket in ([too_big], [3, too_big]):
+            status, _ = client.post("/v1/events",
+                                    {"user_id": 1, "basket": basket})
+            assert status == 200
+        app.install_model(served_causer)
+        status, body = client.post("/v1/recommend", {"user_id": 1})
+        assert status == 200 and body["source"] == "model"
+        status, body = client.post("/v1/events",
+                                   {"user_id": 1, "basket": [4]})
+        assert status == 200
+        # The emptied basket went with its item; [3] survived.
+        assert body["session_length"] == 2
+        status, body = client.post("/v1/explain",
+                                   {"user_id": 1, "target_item": 5})
+        assert status == 200
+        assert {edge["item"] for edge in body["edges"]} == {3, 4}
+        assert app.metrics.counter_value(
+            "serve_session_items_dropped_total") == 2
 
 
 class TestValidation:
@@ -191,3 +239,24 @@ class TestRealHTTP:
             assert excinfo.value.code == 400
         finally:
             server.shutdown()
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length(self, make_app, length):
+        app, _ = make_app()
+        server = ServeServer(app, host="127.0.0.1", port=0).start()
+        try:
+            with socket.create_connection(server.address, timeout=5) as conn:
+                conn.sendall(f"POST /v1/events HTTP/1.1\r\n"
+                             f"Host: localhost\r\n"
+                             f"Content-Length: {length}\r\n\r\n".encode())
+                reply = b""
+                while b"\r\n" not in reply:
+                    chunk = conn.recv(4096)
+                    assert chunk, "connection closed without a response"
+                    reply += chunk
+        finally:
+            server.shutdown()
+        assert reply.split(b"\r\n")[0].split()[1] == b"400"
+        assert app.metrics.counter_value(
+            "serve_requests_total",
+            {"endpoint": "/v1/events", "status": "400"}) == 1

@@ -35,7 +35,9 @@ def _params(cell_type="gru", num_items=12, dim=4, hidden=5, max_history=6,
 
 
 def _artifacts(params, generation=1):
-    return SimpleNamespace(generation=generation, recurrent=params)
+    num_items = params.input_table.shape[0] - 1
+    return SimpleNamespace(generation=generation, recurrent=params,
+                           num_items=num_items)
 
 
 @pytest.mark.parametrize("cell_type", ["gru", "lstm"])

@@ -1,8 +1,8 @@
 """Import budget: each entrypoint loads only what it runs.
 
 A serving process scores eq. 10 on frozen artifacts and needs numpy
-alone; scipy (NOTEARS' expm, PC/GES statistics), networkx (DAG
-utilities) and the experiment/analysis layers belong to training, the
+alone; scipy (NOTEARS' expm and optimizer, the paired t-test), networkx
+(DAG utilities) and the experiment/analysis layers belong to training, the
 studies and the tooling.  Every check runs in a fresh interpreter, since
 the test process itself has long since imported everything.
 """
