@@ -30,6 +30,7 @@ Three filtering modes are provided (DESIGN.md §5, ``CauserConfig.filtering_mode
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ from ..data.interactions import EvalSample
 from ..models.base import FitResult, NeuralSequentialRecommender
 from ..nn import BilinearAttention, Linear, RecurrentLayer, Tensor, losses, make_optimizer
 from ..nn import functional as F
+from ..nn.fused import causal_head, fused_causal_head
 from .causal_graph import ClusterCausalGraph
 from .clustering import ItemClusterModule
 from .config import CauserConfig
@@ -146,38 +148,29 @@ class Causer(NeuralSequentialRecommender):
         gate = keep * basket_mask[..., None]
         return (pairwise * Tensor(gate)).sum(axis=2)
 
-    def _candidate_clusters(self, assignments_data: np.ndarray,
-                            candidates: Optional[np.ndarray],
-                            batch_size: int) -> np.ndarray:
-        """Hard cluster of each candidate, shape ``(B, C)`` (or ``(1, V+1)``)."""
-        hard = np.argmax(assignments_data, axis=-1)
-        if candidates is None:
-            return hard[None, :]
-        return hard[candidates]
-
     def candidate_logits(self, batch: PaddedBatch,
                          candidates: Optional[np.ndarray]) -> Tensor:
         """Eq. 10 logits for explicit candidates (or the full catalog).
 
         Dispatches on ``config.filtering_mode``; the (-causal) ablation and
-        ``"shared"`` mode use a single unfiltered RNN pass, the default
+        the default ``"shared"`` mode use a single unfiltered RNN pass,
         ``"cluster"`` mode runs one filtered pass per candidate cluster.
         """
         if self.config.use_causal and self.config.filtering_mode == "cluster":
             return self._logits_cluster_filtered(batch, candidates)
         return self._logits_shared(batch, candidates)
 
-    def _candidate_embeddings(self, candidates: Optional[np.ndarray]) -> Tensor:
+    def _head(self, weights: Tensor, states: Tensor,
+              candidates: Optional[np.ndarray]) -> Tensor:
+        """Eq. 10's head (:func:`repro.nn.fused.causal_head`) on step
+        weights; ``candidates=None`` scores the full catalog."""
         if candidates is None:
-            return self.output_embedding.weight.reshape(
-                1, self.num_items + 1, -1)
-        return self.output_embedding(candidates)
-
-    def _candidate_bias(self, candidates: Optional[np.ndarray]) -> Tensor:
-        """Per-item output bias — the popularity prior of the scorer."""
-        if candidates is None:
-            return self.output_bias.reshape(1, self.num_items + 1)
-        return self.output_bias[candidates]
+            table, bias = self.output_embedding.weight, self.output_bias
+        else:
+            table = self.output_embedding(candidates)
+            bias = self.output_bias[candidates]
+        return fused_causal_head(weights, states, self.adapt.weight, table,
+                                 bias)
 
     def _logits_shared(self, batch: PaddedBatch,
                        candidates: Optional[np.ndarray]) -> Tensor:
@@ -195,23 +188,14 @@ class Causer(NeuralSequentialRecommender):
         assignments = self.clusters.assignments()
         states, last = self._history_states(batch, item_embeddings)
         alpha = self._attention_weights(states, last, batch.step_mask)
-        batch_size, time = alpha.shape
-
+        # (-causal) ablation: α alone (zero on padding) for every candidate.
+        weights = alpha.reshape(*alpha.shape, 1)
         if cfg.use_causal:
             pairwise = self._pairwise_effects(batch, assignments, candidates)
             keep = (pairwise.data > cfg.epsilon).astype(np.float64)
-            effects = self._gated_effects(pairwise, keep, batch.basket_mask)
-        else:
-            c = (self.num_items + 1 if candidates is None
-                 else candidates.shape[1])
-            ones = batch.step_mask.astype(np.float64)[:, :, None]
-            effects = Tensor(np.broadcast_to(ones, (batch_size, time, c)).copy())
-
-        weights = effects * alpha.reshape(batch_size, time, 1)  # (B, T, C)
-        context = weights.transpose(0, 2, 1) @ states            # (B, C, h)
-        adapted = self.adapt(context)                            # (B, C, d_e)
-        cand_emb = self._candidate_embeddings(candidates)
-        return (adapted * cand_emb).sum(axis=-1) + self._candidate_bias(candidates)
+            weights = self._gated_effects(pairwise, keep,
+                                          batch.basket_mask) * weights
+        return self._head(weights, states, candidates)
 
     def _logits_cluster_filtered(self, batch: PaddedBatch,
                                  candidates: Optional[np.ndarray]) -> Tensor:
@@ -230,18 +214,18 @@ class Causer(NeuralSequentialRecommender):
         gathered = self._input_embeddings(item_embeddings)[batch.items]  # (B, T, S, d)
 
         pairwise = self._pairwise_effects(batch, assignments, candidates)
-        cand_clusters = self._candidate_clusters(assignments.data, candidates,
-                                                 batch.batch_size)
+        keep_slots = (pairwise.data > cfg.epsilon).astype(np.float64)
+        # Hard cluster of each candidate: (B, C), or (1, V+1) for the catalog.
+        hard = np.argmax(assignments.data, axis=-1)
+        cand_clusters = hard[None, :] if candidates is None else hard[candidates]
         # Per-(item, cluster) causal strength drives the shared masks.
         w_cols = (assignments @ self.graph.matrix()).data      # (V+1, K)
-        cand_emb = self._candidate_embeddings(candidates)
 
-        logits: Optional[Tensor] = None
-        present_clusters = np.unique(cand_clusters)
+        contributions = []
         # One user-state lookup shared by every per-cluster RNN pass; its
         # gradient accumulates once per consumer, identical to rebuilding it.
         initial_state = self._user_initial_state(batch)
-        for k in present_clusters:
+        for k in np.unique(cand_clusters):
             keep_k = ((w_cols[batch.items, k] > cfg.epsilon)
                       & (batch.basket_mask > 0))               # (B, T, S)
             step_mask_k = keep_k.any(axis=2)
@@ -252,23 +236,17 @@ class Causer(NeuralSequentialRecommender):
                 initial_state=initial_state)
             scores_k = self._attention_scores(states_k, last_k)
 
-            keep_slots = (pairwise.data > cfg.epsilon).astype(np.float64)
-            keep_slots = keep_slots * keep_k[..., None]
-            effects_k = self._gated_effects(pairwise, keep_slots,
-                                            batch.basket_mask)  # (B, T, C)
+            effects_k = self._gated_effects(
+                pairwise, keep_slots * keep_k[..., None],
+                batch.basket_mask)                              # (B, T, C)
             surviving = (effects_k.data > 0) & step_mask_k[:, :, None]
             alpha_k = F.masked_softmax(
                 scores_k.reshape(scores_k.shape[0], -1, 1), surviving, axis=1)
-            weights_k = effects_k * alpha_k
-            context_k = weights_k.transpose(0, 2, 1) @ states_k
-            logits_k = ((self.adapt(context_k) * cand_emb).sum(axis=-1)
-                        + self._candidate_bias(candidates))
+            logits_k = self._head(effects_k * alpha_k, states_k, candidates)
 
-            select = (cand_clusters == k).astype(np.float64)   # (B, C) or (1, C)
-            contribution = logits_k * Tensor(select)
-            logits = contribution if logits is None else logits + contribution
-        assert logits is not None, "candidate set produced no clusters"
-        return logits
+            # Each candidate keeps the logits of its own cluster's pass.
+            contributions.append(logits_k * Tensor(cand_clusters == k))
+        return sum(contributions[1:], contributions[0])
 
     # ------------------------------------------------------------------
     # Strict (literal eq. 10) filtering
@@ -291,22 +269,19 @@ class Causer(NeuralSequentialRecommender):
             # Mask basket slots that are not causes of this candidate.
             w_cols = w_full[batch.items, cand[:, None, None]]   # (B, T, S)
             keep = (w_cols > cfg.epsilon).astype(np.float64)
-            masked = PaddedBatch(
-                users=batch.users, items=batch.items,
-                basket_mask=batch.basket_mask * keep,
-                step_mask=(batch.basket_mask * keep).sum(axis=2) > 0,
-                positives=batch.positives, positive_mask=batch.positive_mask)
+            masked = replace(
+                batch, basket_mask=batch.basket_mask * keep,
+                step_mask=(batch.basket_mask * keep).sum(axis=2) > 0)
             states, last = self._history_states(masked, item_embeddings)
             alpha = self._attention_weights(states, last, masked.step_mask)
             effect = (w_cols * keep * batch.basket_mask).sum(axis=2)  # (B, T)
             if not cfg.use_causal:
                 effect = masked.step_mask.astype(np.float64)
-            weights = (alpha.data * effect)[:, :, None]
-            context = (weights * states.data).sum(axis=1)
-            adapted = context @ self.adapt.weight.data.T
-            cand_emb = self.output_embedding.weight.data[cand]
-            logits[:, col] = ((adapted * cand_emb).sum(axis=-1)
-                              + self.output_bias.data[cand])
+            logits[:, col] = causal_head(
+                (alpha.data * effect)[:, :, None], states.data,
+                self.adapt.weight.data,
+                self.output_embedding.weight.data[cand][:, None],
+                self.output_bias.data[cand][:, None])[:, 0]
         return logits
 
     # ------------------------------------------------------------------

@@ -42,12 +42,12 @@ class CauserConfig(TrainConfig):
     beta2_max: float = 1e8
     update_every: int = 1
     #: How eq. 10's per-candidate history filtering is realised:
-    #: * ``"cluster"`` (default) — one filtered RNN pass per candidate
-    #:   *cluster*: every candidate hard-assigned to cluster k shares the
-    #:   mask ``1(W_.k > ε)``, so K passes reproduce strict filtering
-    #:   exactly in the hard-assignment limit at 1/|V| of the cost.
-    #: * ``"shared"`` — a single unfiltered RNN pass; causality enters only
-    #:   through the aggregation weights ``Ŵ α`` (fast approximation).
+    #: * ``"shared"`` (default) — a single unfiltered RNN pass; causality
+    #:   enters only through the aggregation weights ``Ŵ α``.
+    #: * ``"cluster"`` — one filtered RNN pass per candidate *cluster*:
+    #:   every candidate hard-assigned to cluster k shares the mask
+    #:   ``1(W_.k > ε)``, so K passes reproduce strict filtering exactly
+    #:   in the hard-assignment limit at 1/|V| of the cost.
     #: * ``"strict"`` — the literal per-candidate re-run (evaluation only).
     filtering_mode: str = "shared"
     #: Seed ``W^c`` from decay-weighted cluster-transition lift estimated on

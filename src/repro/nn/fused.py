@@ -6,17 +6,19 @@ win is twofold: the forward pass issues a handful of large numpy calls
 instead of dozens of small ones, and the backward pass runs one closure per
 step instead of rebuilding gradients through every intermediate.
 
-The recurrent cells and the masked softmax are written once, as plain
-numpy forwards (:func:`gru_cell`, :func:`lstm_cell`,
-:func:`masked_softmax`): the autograd kernels wrap them with hand-derived
-backwards, and the serving layer calls them directly on frozen arrays.
+The recurrent cells, the masked softmax and eq. 10's scoring head are
+written once, as plain numpy forwards (:func:`gru_cell`,
+:func:`lstm_cell`, :func:`masked_softmax`, :func:`causal_head`): the
+autograd kernels wrap them with hand-derived backwards, and the serving
+layer calls them directly on frozen arrays.
 
 Numerical contract: every fused forward reproduces the exact op sequence of
 the composite implementation it replaces (same associativity, same
 :func:`repro.nn.tensor._stable_sigmoid`), so the golden-value fixtures in
 ``tests/golden`` recorded against the composite code still match to 1e-10.
-Backwards are analytic and agree with the composite gradients up to
-floating-point rounding; finite-difference checks cover them directly.
+The one exception is eq. 10's head, which reassociates into factorized
+order and matches its composite form to 1e-12.  Backwards are analytic and
+agree with the composite gradients up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .sparse import rowsparse_from_gather
-from .tensor import Tensor, _scatter_add, _stable_sigmoid
+from .tensor import Tensor, _scatter_add, _stable_sigmoid, _unbroadcast
 
 
 def gru_cell(gates_x: np.ndarray, h: np.ndarray, w_hh: np.ndarray,
@@ -80,6 +82,83 @@ def masked_softmax(x: np.ndarray, mask: np.ndarray,
     shifted = shifted - shifted.max(axis=axis, keepdims=True)
     exp = np.exp(shifted) * mask_b.astype(np.float64)
     return exp / (exp.sum(axis=axis, keepdims=True) + 1e-12)
+
+
+#: Candidate rows per BLAS call in :func:`candidate_dots`.  Every call
+#: multiplies the same block shape, so a row's bits never depend on which
+#: rows share the call.
+CANDIDATE_BLOCK = 16
+
+
+def candidate_dots(proj: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``table @ projᵀ`` for ``(…, T, d)`` steps, in row blocks: (…, C, T).
+
+    ``table`` is one ``(C, d)`` table or per-row ``(…, C, d)`` candidates
+    (float64, or fp16 codes: the block copy upcasts them exactly).  The
+    zero-padded blocks go through one stacked ``matmul``, so scoring a
+    subset of rows is bitwise equal to scoring all and gathering.
+    """
+    rows, dim = table.shape[-2:]
+    blocks = -(-rows // CANDIDATE_BLOCK)
+    padded = np.zeros(table.shape[:-2] + (blocks, CANDIDATE_BLOCK, dim))
+    padded.reshape(table.shape[:-2] + (-1, dim))[..., :rows, :] = table
+    out = padded @ np.swapaxes(proj, -1, -2)[..., None, :, :]
+    return out.reshape(out.shape[:-3] + (-1, proj.shape[-2]))[..., :rows, :]
+
+
+def project_steps(states: np.ndarray, adapt: np.ndarray) -> np.ndarray:
+    """The head's first stage, ``P = states @ Vᵀ``: each step's ``V h_t``."""
+    return states @ adapt.T
+
+
+def _causal_head(weights, states, adapt, table, bias):
+    proj = project_steps(states, adapt)                       # (…, T, d_e)
+    dots = candidate_dots(proj, table)                        # (…, C, T)
+    terms = np.multiply(np.swapaxes(weights, -1, -2), dots, order="C")
+    return proj, dots, terms.sum(axis=-1) + bias
+
+
+def causal_head(weights: np.ndarray, states: np.ndarray, adapt: np.ndarray,
+                table: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Eq. 10's head ``e_bᵀ V Σ_t w_tb h_t + bias_b``, in factorized order.
+
+    ``weights`` ``(…, T, C)`` are the gated effects times attention,
+    ``states`` ``(…, T, h)``, ``adapt`` is ``V`` ``(d_e, h)``.  The step
+    sum runs along the contiguous axis of the candidate-major dots, so its
+    bits depend on ``T`` alone, never on ``C``.
+    """
+    return _causal_head(weights, states, adapt, table, bias)[2]
+
+
+def fused_causal_head(weights: Tensor, states: Tensor, adapt: Tensor,
+                      table: Tensor, bias: Tensor) -> Tensor:
+    """:func:`causal_head` as one node with the analytic backward."""
+    proj, dots, out_data = _causal_head(weights.data, states.data,
+                                        adapt.data, table.data, bias.data)
+
+    def backward(grad: np.ndarray) -> None:
+        if weights.requires_grad:
+            dweights = np.multiply(np.swapaxes(dots, -1, -2),
+                                   grad[..., None, :], order="C")
+            weights._accumulate(_unbroadcast(dweights, weights.shape),
+                                own=True)
+        ddots = grad[..., None] * np.swapaxes(weights.data, -1, -2)
+        if table.requires_grad:
+            table._accumulate(_unbroadcast(ddots @ proj, table.shape),
+                              own=True)
+        dproj = np.swapaxes(ddots, -1, -2) @ table.data       # (…, T, d_e)
+        if states.requires_grad:
+            states._accumulate(_unbroadcast(dproj @ adapt.data, states.shape),
+                               own=True)
+        if adapt.requires_grad:
+            dadapt = np.swapaxes(dproj, -1, -2) @ states.data
+            adapt._accumulate(_unbroadcast(dadapt, adapt.shape), own=True)
+        if bias.requires_grad:
+            dbias = _unbroadcast(grad, bias.shape)
+            bias._accumulate(dbias, own=dbias is not grad)
+
+    return Tensor._make(out_data, (weights, states, adapt, table, bias),
+                        backward)
 
 
 def fused_lstm_step(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor,

@@ -51,11 +51,6 @@ def top_ids_by_score(scores: np.ndarray, ids: np.ndarray,
     return ids[order[:min(k, ids.shape[0])]]
 
 
-def _score_chunked(query: np.ndarray, vectors: np.ndarray, bias: np.ndarray,
-                   scorer) -> np.ndarray:
-    return scorer(query, vectors, bias)
-
-
 class ExactIndex:
     """Brute-force scorer over the full item tower (the oracle)."""
 
@@ -224,21 +219,23 @@ class IVFIndex:
                nprobe: int = 8) -> np.ndarray:
         """Top-``k`` ids among the probed cells' members, best first.
 
-        Candidate scores are computed per inverted list (row-independent
-        arithmetic, so the bits match a brute-force scan of the same
-        rows); the final cut uses the shared tie-break rule, which makes
-        ``nprobe == n_clusters`` literally the :class:`ExactIndex` result.
+        The probed lists' rows are scored in one call, and each row's
+        score is independent of the rows it is scored with, so the bits
+        match a brute-force scan; the final cut uses the shared tie-break
+        rule, which makes ``nprobe == n_clusters`` literally the
+        :class:`ExactIndex` result.
         """
         query = np.asarray(query, dtype=np.float64)
-        probes = self.probe_order(query, nprobe)
-        ids = [self.list_ids[j] for j in probes if self.list_ids[j].size]
-        if not ids:
+        probes = [j for j in self.probe_order(query, nprobe)
+                  if self.list_ids[j].size]
+        if not probes:
             return np.empty(0, dtype=np.int64)
         # ``as_dense`` makes quantized inverted lists scoreable: fp16
-        # lists upcast inside the matmul, int8 lists dequantize per
+        # lists upcast inside the scorer, int8 lists dequantize per
         # probed cell (cost comparable to the scoring matmul itself).
-        scores = [self._scorer(query, as_dense(self.list_vectors[j]),
-                               self.list_bias[j])
-                  for j in probes if self.list_ids[j].size]
-        return top_ids_by_score(np.concatenate(scores), np.concatenate(ids),
-                                k)
+        vectors = np.concatenate([as_dense(self.list_vectors[j])
+                                  for j in probes])
+        scores = self._scorer(query, vectors, np.concatenate(
+            [self.list_bias[j] for j in probes]))
+        return top_ids_by_score(
+            scores, np.concatenate([self.list_ids[j] for j in probes]), k)

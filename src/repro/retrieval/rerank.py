@@ -19,19 +19,13 @@ import numpy as np
 from .index import top_ids_by_score
 
 
-def rerank_candidates(artifacts, view, candidates: np.ndarray
-                      ) -> np.ndarray:
-    """Exact-head scores for ``candidates``, aligned with the input order."""
-    # Late import: repro.serve imports this package at module level.
-    from ..serve.scoring import score_view_candidates
-    return score_view_candidates(artifacts, view, candidates)
-
-
 def rerank_top_z(artifacts, view, candidates: np.ndarray,
                  z: int) -> List[int]:
     """Top-``z`` ids of the shortlist under exact scores (ties by id)."""
     candidates = np.asarray(candidates, dtype=np.int64)
     if candidates.size == 0:
         return []
-    scores = rerank_candidates(artifacts, view, candidates)
+    # Late import: repro.serve imports this package at module level.
+    from ..serve.scoring import score_view_candidates
+    scores = score_view_candidates(artifacts, view, candidates)
     return [int(i) for i in top_ids_by_score(scores, candidates, z)]

@@ -10,9 +10,9 @@ shortlist without touching the model.  The frozen bundles built by
 * **user tower** — the session's recurrent state pushed through the
   model's head *without* the per-item causal effects: for GRU4Rec the
   projected last hidden state (the head *is* a two-tower dot product, so
-  retrieval is exact), for Causer the attention-weighted state mixture
-  through the adapter (eq. 10 with the causal effects held at 1 — an
-  approximation the exact re-rank stage corrects over the shortlist).
+  retrieval is exact), for Causer ``α @ P`` over the head's projected
+  steps (eq. 10 with the causal effects held at 1 — an approximation
+  the exact re-rank stage corrects over the shortlist).
 
 Scoring is pluggable: ``dot`` is the model's native inner-product head,
 ``l2`` ranks by negative squared euclidean distance (plus bias), the
@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
+
+from ..nn.fused import candidate_dots, project_steps
 
 #: Accepted ``--quantize`` modes for frozen serving tables.
 QUANTIZE_MODES = ("none", "fp16", "int8")
@@ -168,7 +170,7 @@ def table_nbytes(table: Optional[TableLike]) -> int:
 def dot_scores(query: np.ndarray, vectors: np.ndarray,
                bias: np.ndarray) -> np.ndarray:
     """Inner-product scores, the native head of every servable model."""
-    return vectors @ query + bias
+    return candidate_dots(query[None], vectors)[:, 0] + bias
 
 
 def l2_scores(query: np.ndarray, vectors: np.ndarray,
@@ -246,8 +248,7 @@ def user_vector(artifacts, view) -> Optional[np.ndarray]:
             return None
         alpha = attention_weights(view.states, view.last,
                                   artifacts.attention_proj)
-        context = alpha @ view.states                  # (H,)
-        return context @ artifacts.adapt_weight.T      # (d_e,)
+        return alpha @ project_steps(view.states, artifacts.adapt_weight)
     if isinstance(artifacts, GRUServingArtifacts):
         if view.last is None:
             return None

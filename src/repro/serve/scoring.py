@@ -4,11 +4,10 @@ Two paths, chosen by the registry at artifact-build time:
 
 * **incremental** — Causer (``filtering_mode="shared"``) and GRU4Rec reuse
   the recurrent states the session store advanced event-by-event; only the
-  cheap head (attention + ε-gated causal aggregation + output dot product
-  for Causer, projection + dot product for GRU4Rec) runs per request.  The
-  head replicates ``Causer._logits_shared`` / ``GRU4Rec.score_samples``
-  operation-for-operation; the attention softmax is the training kernel's
-  own :func:`repro.nn.fused.masked_softmax`.
+  head runs per request, through the training kernels of
+  :mod:`repro.nn.fused` (``causal_head`` for eq. 10, its
+  ``candidate_dots`` stage for GRU4Rec's output dot product,
+  ``masked_softmax`` for attention).
 * **replay** — every other model scores through its own
   ``score_samples`` batch path, which *is* the offline scorer, so online
   and offline agree trivially.
@@ -19,13 +18,14 @@ tie-breaking match offline evaluation exactly.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..data.interactions import EvalSample
-from ..nn.fused import masked_softmax
-from ..retrieval.towers import as_dense, take_rows
+from ..nn.fused import causal_head, masked_softmax
+from ..retrieval.towers import as_dense, dot_scores, take_rows
 from .registry import (CausalServingArtifacts, GRUServingArtifacts,
                        ServingArtifacts)
 from .sessions import ScoreView
@@ -60,70 +60,55 @@ def gru_projection(artifacts: GRUServingArtifacts,
     return (last @ artifacts.project_weight.T + artifacts.project_bias)[0]
 
 
+def _output_head(artifacts, candidates: Optional[np.ndarray]):
+    """Output table and bias (dequantized row by row), or their rows."""
+    if candidates is None:
+        return as_dense(artifacts.output_table), artifacts.output_bias
+    return (take_rows(artifacts.output_table, candidates),
+            artifacts.output_bias[candidates])
+
+
 def _score_causer(artifacts: CausalServingArtifacts, view: ScoreView,
                   candidates: Optional[np.ndarray] = None) -> np.ndarray:
     """Eq. 10 logits from one session snapshot.
 
-    With ``candidates`` (an id array) the head runs restricted to those
-    columns, **bit-identical** to the full-catalog pass gathered at the
-    same columns — the contract the retrieval re-rank stage relies on.
-    BLAS matmuls pick different kernels (and accumulation orders) per
-    output shape, so nothing candidate-shaped may go through one: the
-    candidate axis only ever sees elementwise arithmetic and per-row
-    pairwise sums (whose bits depend on the reduced length alone), and
-    the time contraction is an explicit loop over the ≤ ``max_history``
-    steps.  The only matmul, ``states @ Vᵀ``, is candidate-independent.
-
-    Quantized output tables dequantize on the fly (``as_dense`` /
-    ``take_rows``): dequantization is row-independent, so the candidate
-    restriction stays bit-identical to the gathered full pass, and the
-    ``--quantize none`` path is byte-for-byte today's arithmetic.
+    With ``candidates`` (an id array) the result is **bit-identical** to
+    the full-catalog pass gathered at those columns (the re-rank
+    contract): a step's effect on a candidate is a ``reduceat`` over its
+    column, whose bits depend on the basket length alone, and
+    :func:`repro.nn.fused.causal_head` is row-independent.
     """
-    catalog = (artifacts.num_items + 1 if candidates is None
-               else candidates.shape[0])
-    out_table = (as_dense(artifacts.output_table) if candidates is None
-                 else take_rows(artifacts.output_table, candidates))
-    out_bias = (artifacts.output_bias if candidates is None
-                else artifacts.output_bias[candidates])
+    out_table, out_bias = _output_head(artifacts, candidates)
     if view.steps == 0 or view.states is None:
         # Empty history: zero context, so only the popularity prior scores.
         return out_bias.copy()
-    states = view.states                          # (T, H)
-    alpha = attention_weights(states, view.last, artifacts.attention_proj)
+    alpha = attention_weights(view.states, view.last,
+                              artifacts.attention_proj)
+    weights = alpha[:, None]         # (-causal): α alone, for every candidate
     if artifacts.use_causal:
-        effects = np.zeros((view.steps, catalog))
-        for t, basket in enumerate(view.events):
-            rows = artifacts.gated_matrix[list(basket)]
-            if candidates is not None:
-                rows = rows[:, candidates]
-            effects[t] = rows.sum(axis=0)
-    else:
-        effects = np.ones((view.steps, catalog))
-    weights = effects * alpha[:, None]            # (T, C)
-    proj = states @ artifacts.adapt_weight.T      # (T, d_e)
-    scores = out_bias.copy()
-    for t in range(view.steps):
-        dots = (out_table * proj[t]).sum(axis=1)  # (C,)
-        scores = scores + weights[t] * dots
-    return scores
+        sizes = np.fromiter(map(len, view.events), dtype=np.int64)
+        items = np.fromiter(chain.from_iterable(view.events), dtype=np.int64)
+        rows = (artifacts.gated_matrix[items] if candidates is None
+                else artifacts.gated_matrix[np.ix_(items, candidates)])
+        effects = np.zeros((view.steps, out_bias.shape[0]))
+        filled = sizes > 0
+        effects[filled] = np.add.reduceat(
+            rows, (np.cumsum(sizes) - sizes)[filled], axis=0)
+        weights = effects * weights
+    return causal_head(weights, view.states, artifacts.adapt_weight,
+                       out_table, out_bias)
 
 
 def _score_gru(artifacts: GRUServingArtifacts, view: ScoreView,
                candidates: Optional[np.ndarray] = None) -> np.ndarray:
-    """GRU4Rec head from one session snapshot.
+    """GRU4Rec head from one session snapshot: the two-tower dot product.
 
-    The projection is a ``(1, H)`` matmul per view, never a stacked GEMM,
-    and the output stage is an elementwise multiply + per-row sum: both
-    keep every view's scores bit-identical no matter how the batcher
-    grouped it, and the ``candidates`` restriction bit-identical to the
-    full pass gathered at the same columns (as in :func:`_score_causer`).
+    :func:`repro.retrieval.towers.dot_scores` runs on the head's own
+    candidate stage, so the ``candidates`` restriction is bit-identical to
+    the gathered full pass.
     """
-    out_table = (as_dense(artifacts.output_table) if candidates is None
-                 else take_rows(artifacts.output_table, candidates))
-    out_bias = (artifacts.output_bias if candidates is None
-                else artifacts.output_bias[candidates])
-    rep = gru_projection(artifacts, view.last)
-    return (out_table * rep).sum(axis=1) + out_bias
+    return dot_scores(gru_projection(artifacts, view.last),
+                      *_output_head(artifacts, candidates))
 
 
 def _score_replay(artifacts: ServingArtifacts,
@@ -158,13 +143,9 @@ def score_view_candidates(artifacts: ServingArtifacts, view: ScoreView,
                           candidates: np.ndarray) -> np.ndarray:
     """Exact-head scores restricted to ``candidates`` for one session.
 
-    The retrieval re-rank entry point: same arithmetic as
-    :func:`score_views`, run only over the candidate columns.  For the
-    incremental heads (Causer eq. 10, GRU4Rec projection) every
-    per-candidate value is computed by row/column-independent operations,
-    so the result is bit-identical to the full-catalog scores gathered at
-    ``candidates``; replay models score the full catalog through their
-    own batch path and gather (identical by construction).
+    The retrieval re-rank entry point, bit-identical to the full-catalog
+    scores of :func:`score_views` gathered at ``candidates`` (replay
+    models score the full catalog and gather).
     """
     candidates = np.asarray(candidates, dtype=np.int64)
     if candidates.size == 0:

@@ -16,17 +16,20 @@ The load-bearing claims:
 import numpy as np
 import pytest
 
+from repro.nn.fused import CANDIDATE_BLOCK
 from repro.retrieval import (SCORERS, build_item_tower, dot_scores,
                              rerank_top_z, top_ids_by_score, user_vector)
 from repro.serve import (ScoreView, SessionStore, build_artifacts,
-                         score_view_candidates, score_views)
+                         quantize_artifacts, score_view_candidates,
+                         score_views)
 from tests.serve.conftest import random_histories
 
 
-def _served_view(model, artifacts, seed=21, steps=5):
+def _served_view(model, artifacts, seed=21, steps=5, max_basket=2):
     store = SessionStore()
     histories = random_histories(seed=seed, num_users=1, num_steps=steps,
-                                 num_items=model.num_items)
+                                 num_items=model.num_items,
+                                 max_basket=max_basket)
     for basket in histories[0]:
         store.append_event(0, basket, artifacts)
     return store.view(0, artifacts)
@@ -87,22 +90,39 @@ def test_causer_user_vector_shape(causer_model, causer_artifacts):
     assert query is not None and query.shape == (tower.dim,)
 
 
-@pytest.mark.parametrize("fixture,model_fixture",
-                         [("causer_artifacts", "causer_model"),
-                          ("gru_artifacts", "gru_model")])
+# The unquantized cases keep their ids from before the quantize axis.
+@pytest.mark.parametrize(
+    "fixture,model_fixture,quantize",
+    [pytest.param(fixture, model_fixture, quantize,
+                  id="-".join((fixture, model_fixture)
+                              + ((quantize,) if quantize != "none" else ())))
+     for quantize in ("none", "fp16", "int8")
+     for fixture, model_fixture in (("causer_artifacts", "causer_model"),
+                                    ("gru_artifacts", "gru_model"))])
 def test_rerank_scores_bitwise_equal_full_restriction(fixture, model_fixture,
-                                                      request):
-    """score_view_candidates(cands) == full_scores[cands], bit for bit."""
-    artifacts = request.getfixturevalue(fixture)
+                                                      quantize, request):
+    """score_view_candidates(cands) == full_scores[cands], bit for bit.
+
+    Shortlist sizes straddle the candidate block width, and the catalog
+    (padding row included) is not a multiple of it, so the zero-padded
+    last block is exercised on both sides.  The second session has
+    baskets of up to 12 items: numpy sums more than 8 terms pairwise when
+    they lie along one axis, as they do for a single candidate.
+    """
+    artifacts = quantize_artifacts(request.getfixturevalue(fixture),
+                                   quantize)
     model = request.getfixturevalue(model_fixture)
-    view = _served_view(model, artifacts)
-    full = np.asarray(score_views(artifacts, [view]))[0]
+    assert (model.num_items + 1) % CANDIDATE_BLOCK
     rng = np.random.default_rng(31)
-    for size in (1, 7, model.num_items):
-        cands = rng.choice(np.arange(1, model.num_items + 1), size=size,
-                           replace=False).astype(np.int64)
-        restricted = score_view_candidates(artifacts, view, cands)
-        assert np.array_equal(restricted, full[cands])
+    for view in (_served_view(model, artifacts),
+                 _served_view(model, artifacts, max_basket=12)):
+        full = np.asarray(score_views(artifacts, [view]))[0]
+        for size in (1, 7, CANDIDATE_BLOCK - 1, CANDIDATE_BLOCK,
+                     CANDIDATE_BLOCK + 1, model.num_items):
+            cands = rng.choice(np.arange(1, model.num_items + 1), size=size,
+                               replace=False).astype(np.int64)
+            restricted = score_view_candidates(artifacts, view, cands)
+            assert np.array_equal(restricted, full[cands])
 
 
 @pytest.mark.parametrize("fixture,model_fixture",

@@ -15,8 +15,10 @@ import pytest
 
 from repro.cli import build_parser
 from repro.exp import BenchmarkSettings, build_model
+from repro.nn.fused import CANDIDATE_BLOCK
 from repro.retrieval import RetrievalConfig, user_vector
-from repro.serve import score_view_candidates, score_views
+from repro.serve import (quantize_artifacts, score_view_candidates,
+                         score_views)
 from tests.serve.conftest import random_histories
 from tests.serve.test_equivalence import SERVABLE_NAMES, _feed
 
@@ -77,6 +79,8 @@ class TestIVFServe:
 
     def test_rerank_bitwise_matches_full_restriction(self, fixture, request,
                                                      make_app):
+        """Also over fp16/int8 tables and shortlists straddling the
+        candidate block width (probing every cell so they fill up)."""
         model = request.getfixturevalue(fixture)
         app, client = make_app(model, retrieval=RetrievalConfig(**IVF_CONFIG))
         histories = random_histories(seed=47, num_users=3, num_steps=5,
@@ -84,14 +88,22 @@ class TestIVFServe:
         _feed(client, histories)
         artifacts = app.registry.current()
         config = artifacts.retrieval.config
+        cases = [(config.shortlist, config.nprobe)] + [
+            (size, config.n_clusters) for size in (
+                CANDIDATE_BLOCK - 1, CANDIDATE_BLOCK, CANDIDATE_BLOCK + 1)]
         for user in histories:
             view = app.sessions.view(user, artifacts)
             query = user_vector(artifacts, view)
-            shortlist = artifacts.retrieval.index.search(
-                query, config.shortlist, nprobe=config.nprobe)
-            restricted = score_view_candidates(artifacts, view, shortlist)
-            full = np.asarray(score_views(artifacts, [view]))[0]
-            assert np.array_equal(restricted, full[shortlist])
+            for mode in ("none", "fp16", "int8"):
+                bundle = quantize_artifacts(artifacts, mode)
+                full = np.asarray(score_views(bundle, [view]))[0]
+                for size, nprobe in cases:
+                    shortlist = bundle.retrieval.index.search(
+                        query, size, nprobe=nprobe)
+                    assert shortlist.size == size
+                    restricted = score_view_candidates(bundle, view,
+                                                       shortlist)
+                    assert np.array_equal(restricted, full[shortlist])
 
 
 def test_replay_model_falls_back_to_exact(tiny_dataset, make_app):
