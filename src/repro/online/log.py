@@ -28,12 +28,13 @@ returning a gap.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from collections import deque
 from itertools import islice
 from pathlib import Path
-from typing import Deque, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Deque, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 __all__ = ["EventLog", "EventRecord"]
 
@@ -57,13 +58,41 @@ def _segment_start(path: Path) -> int:
     return int(path.name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)])
 
 
-def _parse_line(line: str) -> Optional[EventRecord]:
+def _parse_line(line: Union[str, bytes]) -> Optional[EventRecord]:
     line = line.strip()
     if not line:
         return None
     obj = json.loads(line)
     return EventRecord(offset=int(obj["o"]), user_id=int(obj["u"]),
                        basket=tuple(int(item) for item in obj["b"]))
+
+
+def _recover_segment(segment: Path, last: bool) -> List[EventRecord]:
+    """Every record of one segment, checked line by line on reopen.
+
+    An unterminated final line of the ``last`` segment is an append torn
+    by a dying writer: it is cut back to the previous newline, so the next
+    append starts on a line of its own.  Any other line that does not
+    parse raises ``ValueError`` naming the file and line.
+    """
+    records: List[EventRecord] = []
+    complete = 0                 # bytes up to the last newline kept
+    with segment.open("rb") as handle:
+        for number, line in enumerate(handle, start=1):
+            if last and not line.endswith(b"\n"):
+                break
+            try:
+                record = _parse_line(line)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"event log segment {segment}, line "
+                                 f"{number}: not an event record "
+                                 f"({exc})") from exc
+            complete += len(line)
+            if record is not None:
+                records.append(record)
+    if complete < segment.stat().st_size:
+        os.truncate(segment, complete)
+    return records
 
 
 class EventLog:
@@ -110,11 +139,7 @@ class EventLog:
             return
         tail: Deque[EventRecord] = deque(maxlen=self._mirror.maxlen)
         for segment in segments:
-            with segment.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    record = _parse_line(line)
-                    if record is not None:
-                        tail.append(record)
+            tail.extend(_recover_segment(segment, segment == segments[-1]))
         if tail:
             self._next_offset = tail[-1].offset + 1
             self._mirror.extend(tail)

@@ -48,6 +48,12 @@ TEXT_TYPE = "text/plain; version=0.0.4"
 
 Response = Tuple[int, Any, str]
 
+#: Every served path and the one method it answers.  Metrics label any
+#: other path ``"other"``: a client must not be able to grow the registry,
+#: or break its text format, by choosing paths.
+ROUTES = {"/healthz": "GET", "/metrics": "GET", "/v1/recommend": "POST",
+          "/v1/events": "POST", "/v1/explain": "POST"}
+
 #: Largest accepted item id: ids travel through int64 arrays (session
 #: replay, the popularity ranking), so anything wider is a client error.
 MAX_ITEM_ID = int(np.iinfo(np.int64).max)
@@ -59,6 +65,20 @@ class ServeError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+def endpoint_label(path: str) -> str:
+    """The ``endpoint`` metrics label: the route, or ``"other"``."""
+    return path if path in ROUTES else "other"
+
+
+def check_route(method: str, path: str) -> None:
+    """404 for a path no route serves, 405 for the wrong method."""
+    expected = ROUTES.get(path)
+    if expected is None:
+        raise ServeError(404, f"unknown path {path!r}")
+    if method != expected:
+        raise ServeError(405, f"use {expected} for {path}")
 
 
 def _require_int(payload: Dict[str, Any], key: str) -> int:
@@ -331,7 +351,7 @@ class ServeApp:
     def handle(self, method: str, path: str,
                payload: Optional[Dict[str, Any]] = None) -> Response:
         """Serve one request; never raises (errors become status codes)."""
-        endpoint = path
+        endpoint = endpoint_label(path)
         started = time.perf_counter()
         try:
             status, body, ctype = self._route(method, path, payload)
@@ -351,25 +371,17 @@ class ServeApp:
 
     def _route(self, method: str, path: str,
                payload: Optional[Dict[str, Any]]) -> Response:
+        check_route(method, path)
         if path == "/healthz":
-            if method != "GET":
-                raise ServeError(405, "use GET for /healthz")
             return 200, self._healthz(), JSON_TYPE
         if path == "/metrics":
-            if method != "GET":
-                raise ServeError(405, "use GET for /metrics")
             return 200, self.metrics.render(), TEXT_TYPE
+        if payload is None or not isinstance(payload, dict):
+            raise ServeError(400, "request body must be a JSON object")
         handlers = {"/v1/recommend": self._recommend,
                     "/v1/events": self._events,
                     "/v1/explain": self._explain}
-        handler = handlers.get(path)
-        if handler is None:
-            raise ServeError(404, f"unknown path {path!r}")
-        if method != "POST":
-            raise ServeError(405, f"use POST for {path}")
-        if payload is None or not isinstance(payload, dict):
-            raise ServeError(400, "request body must be a JSON object")
-        return 200, handler(payload), JSON_TYPE
+        return 200, handlers[path](payload), JSON_TYPE
 
 
 class InProcessClient:

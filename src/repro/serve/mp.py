@@ -53,7 +53,7 @@ from ..parallel.pool import _pin_blas_environ, _pinned_parent_env
 from ..retrieval import RetrievalConfig
 from ..retrieval.towers import QUANTIZE_MODES
 from .http import JSON_TYPE, TEXT_TYPE, Response, ServeApp, ServeError
-from .http import ServeServer, _require_int
+from .http import ServeServer, _require_int, check_route, endpoint_label
 from .metrics import MetricsRegistry
 from .registry import CheckpointRegistry, ServingArtifacts
 from .shm import AttachedArtifacts, MetricsSlab, ShmCheckpoint
@@ -540,18 +540,11 @@ class ServeCluster:
                payload: Optional[Dict[str, Any]] = None) -> Response:
         """Route one request; same contract as ``ServeApp.handle``."""
         try:
+            check_route(method, path)
             if path == "/healthz":
-                if method != "GET":
-                    raise ServeError(405, "use GET for /healthz")
                 return 200, self._healthz(), JSON_TYPE
             if path == "/metrics":
-                if method != "GET":
-                    raise ServeError(405, "use GET for /metrics")
                 return 200, self._render_metrics(), TEXT_TYPE
-            if path not in ("/v1/recommend", "/v1/events", "/v1/explain"):
-                raise ServeError(404, f"unknown path {path!r}")
-            if method != "POST":
-                raise ServeError(405, f"use POST for {path}")
             if payload is None or not isinstance(payload, dict):
                 raise ServeError(400, "request body must be a JSON object")
             worker_id = partition(_require_int(payload, "user_id"),
@@ -570,7 +563,7 @@ class ServeCluster:
             return status, parsed, ctype
         except ServeError as exc:
             self.metrics.inc("serve_router_errors_total",
-                             {"endpoint": path})
+                             {"endpoint": endpoint_label(path)})
             return exc.status, {"error": str(exc)}, JSON_TYPE
 
     def _forward(self, worker_id: int, method: str, path: str,

@@ -53,6 +53,38 @@ def test_reopen_recovers_offset_and_appends_continue(tmp_path):
     assert [json.loads(line)["o"] for line in lines] == [4, 5, 6]
 
 
+def test_torn_tail_is_cut_and_appends_continue(tmp_path):
+    log = EventLog(tmp_path / "log", segment_records=4)
+    events = fill_log(log, 5)
+    log.close()
+    # The writer died mid-append: the last segment ends in a partial line.
+    with (tmp_path / "log" / "events-000000000004.jsonl").open("a") as tail:
+        tail.write('{"o": 5, "u": 5, "b": [1')
+
+    reopened = EventLog(tmp_path / "log", segment_records=4)
+    assert reopened.next_offset == 5
+    assert reopened.append(99, (1, 2)) == 5
+    reopened.close()
+    again = EventLog(tmp_path / "log", segment_records=4)
+    assert [(r.user_id, r.basket) for r in again.read(0, 6)] == (
+        events + [(99, (1, 2))])
+    again.close()
+
+
+@pytest.mark.parametrize("segment, line", [("events-000000000000.jsonl", 2),
+                                           ("events-000000000004.jsonl", 1)])
+def test_corrupt_line_names_the_segment(tmp_path, segment, line):
+    log = EventLog(tmp_path / "log", segment_records=4)
+    fill_log(log, 6)
+    log.close()
+    path = tmp_path / "log" / segment
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line - 1] = '{"o": 1, "u"\n'
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=rf"{segment}, line {line}"):
+        EventLog(tmp_path / "log", segment_records=4)
+
+
 def test_old_ranges_fall_back_to_disk(tmp_path):
     log = EventLog(tmp_path / "log", segment_records=4, mirror_capacity=3)
     events = fill_log(log, 12)

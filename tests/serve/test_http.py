@@ -1,6 +1,7 @@
 """HTTP layer: routes, validation, fallback, explain, real sockets."""
 
 import json
+import re
 import socket
 import tracemalloc
 import urllib.request
@@ -106,10 +107,31 @@ class TestValidation:
         assert "catalog" in body["error"]
 
     def test_unknown_path_and_wrong_method(self, make_app):
-        _, client = make_app()
+        app, client = make_app()
         assert client.get("/v1/nope")[0] == 404
         assert client.get("/v1/recommend")[0] == 405
         assert client.request("POST", "/healthz")[0] == 405
+
+        def series():
+            return {line.rsplit(" ", 1)[0]
+                    for line in app.metrics.render().splitlines()
+                    if not line.startswith("#")}
+
+        before = series()
+        for index in range(100):
+            assert client.get(f"/junk/{index}")[0] == 404
+        assert series() == before
+
+        assert client.get('/x"} 1\nforged_total 9\n{')[0] == 404
+        status, text = client.get("/metrics")
+        assert status == 200
+        well_formed = re.compile(
+            r'(# TYPE [a-z_][a-z0-9_]* (counter|gauge|summary)'
+            r'|[a-z_][a-z0-9_]*(\{[a-z_]+="[^"\\\n]*"(,[a-z_]+="[^"\\\n]*")*\})?'
+            r' \S+)')
+        lines = text.splitlines()
+        assert lines and all(well_formed.fullmatch(line) for line in lines)
+        assert not any(line.startswith("forged_total") for line in lines)
 
     def test_bad_z(self, make_app):
         _, client = make_app()
