@@ -14,8 +14,8 @@ Subpackages
     substitutes for the paper's five public datasets, batching and the
     derived explanation-label dataset.
 ``repro.models``
-    The Table IV baselines (BPR, NCF, FPMC, GRU4Rec, NARM, STAMP, SASRec,
-    VTRNN, MMSARec) on a unified interface.
+    The Table IV baselines (BPR, NCF, GRU4Rec, NARM, STAMP, SASRec, VTRNN,
+    MMSARec) and a popularity floor on a unified interface.
 ``repro.core``
     The Causer model itself: differentiable item clustering, the
     cluster-level causal graph, eq. 10's causally-filtered scorer and the

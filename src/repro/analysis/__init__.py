@@ -14,10 +14,10 @@ static lock-order inversions, undeclared thread lifecycle).  Run it as
 ``# gradlint: disable=RULE — justification``.
 
 **gradient sanitizer** — an opt-in runtime anomaly mode à la
-``torch.autograd.set_detect_anomaly`` that attributes NaN/Inf forward
+``torch.autograd.detect_anomaly`` that attributes NaN/Inf forward
 values and gradients to the op that created the offending node and
 enforces the gradient shape contract.  Enable with
-:func:`detect_anomaly` / :func:`set_detect_anomaly`, or pass
+:func:`detect_anomaly`, or pass
 ``--detect-anomaly`` to the training CLI.
 
 **thread sanitizer** — an opt-in runtime lock instrumentation layer that
@@ -33,13 +33,12 @@ from .engine import LintEngine, discover_files, lint_paths
 from .report import Finding, Report, rule_family
 from .rules import all_rules
 from .sanitizer import (GradientAnomalyError, GradientSanitizer,
-                        anomaly_mode_enabled, detect_anomaly,
-                        set_detect_anomaly)
+                        anomaly_mode_enabled, detect_anomaly)
 
 __all__ = [
     "LintEngine", "lint_paths", "discover_files",
     "Finding", "Report", "rule_family", "all_rules",
     "GradientSanitizer", "GradientAnomalyError",
-    "detect_anomaly", "set_detect_anomaly", "anomaly_mode_enabled",
+    "detect_anomaly", "anomaly_mode_enabled",
     "ThreadSanitizer", "ConcurrencyFinding", "LockProxy", "threadsan",
 ]

@@ -1,6 +1,6 @@
 """Runtime gradient sanitizer — an opt-in anomaly mode for the autograd engine.
 
-Analogous to ``torch.autograd.set_detect_anomaly``: when enabled, every
+Analogous to ``torch.autograd.detect_anomaly``: when enabled, every
 graph node records the op that created it plus a short creation traceback,
 and the engine's hook points (see :mod:`repro.nn.tensor`) let the sanitizer
 
@@ -19,13 +19,11 @@ with anomaly mode off the engine pays a single ``is None`` check per hook.
 
 Usage::
 
-    from repro.analysis import detect_anomaly, set_detect_anomaly
+    from repro.analysis import detect_anomaly
 
-    with detect_anomaly():          # scoped
+    with detect_anomaly():
         loss = model.training_loss(batch)
         loss.backward()
-
-    set_detect_anomaly(True)        # process-wide, e.g. from --detect-anomaly
 """
 
 from __future__ import annotations
@@ -175,13 +173,6 @@ class GradientSanitizer:
 # ----------------------------------------------------------------------
 # Mode management
 # ----------------------------------------------------------------------
-def set_detect_anomaly(enabled: bool = True,
-                       stack_depth: int = 6) -> Optional[object]:
-    """Enable/disable anomaly mode process-wide; returns the prior observer."""
-    observer = GradientSanitizer(stack_depth=stack_depth) if enabled else None
-    return tensor_mod.set_graph_observer(observer)
-
-
 def anomaly_mode_enabled() -> bool:
     return isinstance(tensor_mod.graph_observer(), GradientSanitizer)
 

@@ -9,7 +9,7 @@ Theorem 1 empirically.
 
 from .dag_constraint import (clear_expm_cache, expm_cache_info, h_tensor,
                              h_value, h_value_and_grad, polynomial_h_value)
-from .graph import (binarize, children, is_dag, markov_equivalent, parents,
+from .graph import (binarize, is_dag, markov_equivalent, parents,
                     prune_to_dag, skeleton, to_networkx, topological_order,
                     v_structures, validate_adjacency)
 from .identifiability import (IdentifiabilityReport, IdentifiabilityTrial,
@@ -24,7 +24,7 @@ __all__ = [
     "h_value", "h_value_and_grad", "h_tensor", "polynomial_h_value",
     "clear_expm_cache", "expm_cache_info",
     "validate_adjacency", "binarize", "is_dag", "to_networkx",
-    "topological_order", "parents", "children", "skeleton", "v_structures",
+    "topological_order", "parents", "skeleton", "v_structures",
     "markov_equivalent", "prune_to_dag",
     "StructureMetrics", "structural_hamming_distance", "skeleton_scores",
     "v_structure_scores", "evaluate_structure",

@@ -67,12 +67,6 @@ def parents(matrix: np.ndarray, node: int, threshold: float = 0.0) -> List[int]:
     return list(np.nonzero(np.abs(arr[:, node]) > threshold)[0])
 
 
-def children(matrix: np.ndarray, node: int, threshold: float = 0.0) -> List[int]:
-    """Direct effects of ``node``."""
-    arr = validate_adjacency(matrix)
-    return list(np.nonzero(np.abs(arr[node, :]) > threshold)[0])
-
-
 def skeleton(matrix: np.ndarray, threshold: float = 0.0) -> np.ndarray:
     """Undirected skeleton: symmetric 0/1 matrix of adjacent pairs."""
     binary = binarize(matrix, threshold)

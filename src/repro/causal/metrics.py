@@ -29,19 +29,6 @@ class StructureMetrics:
     true_edges: int
     learned_edges: int
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "shd": self.shd,
-            "skeleton_precision": self.skeleton_precision,
-            "skeleton_recall": self.skeleton_recall,
-            "skeleton_f1": self.skeleton_f1,
-            "v_structure_precision": self.v_structure_precision,
-            "v_structure_recall": self.v_structure_recall,
-            "markov_equivalent": float(self.markov_equivalent),
-            "true_edges": self.true_edges,
-            "learned_edges": self.learned_edges,
-        }
-
 
 def structural_hamming_distance(true_graph: np.ndarray,
                                 learned_graph: np.ndarray,

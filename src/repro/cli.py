@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="(grid) one hyper-parameter and its candidate "
                              "values, repeatable; e.g. "
                              "--grid-param epsilon=0.2,0.3")
-    parser.add_argument("--grid-metric", default="ndcg",
-                        help="(grid) validation metric to maximise")
     parser.add_argument("--model", default="Causer (GRU)",
                         help="(train) Table IV model name to train")
     parser.add_argument("--save-model", metavar="PATH", default=None,
@@ -140,9 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "shadow trainer's sparse embedding updates; "
                              "0 disables updates entirely (serving stays "
                              "bit-identical to the frozen checkpoint)")
-    parser.add_argument("--online-optimizer", default="adagrad",
-                        choices=["sgd", "adagrad", "adam", "sparseadam"],
-                        help="(serve --online) optimizer for shadow updates")
     parser.add_argument("--online-batch-events", type=int, default=32,
                         help="(serve --online) events per training "
                              "micro-batch; batches are applied exactly "
@@ -155,9 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window", type=int, default=2048,
                         help="(serve --online) sliding-window size (events) "
                              "each refresh re-derives from")
-    parser.add_argument("--refresh-epochs", type=int, default=1,
-                        help="(serve --online) warm-started Algorithm-1 "
-                             "epochs per refresh")
     parser.add_argument("--event-log", metavar="DIR", default=None,
                         help="(serve --online) directory for the durable "
                              "replayable event log; omit for a memory-only "
@@ -336,19 +328,18 @@ def _build_online_stack(args: argparse.Namespace, publish, metrics):
     log = EventLog(args.event_log)
     shadow = load_model(args.checkpoint, mmap=False)
     trainer = OnlineTrainer(
-        shadow, log, lr=args.online_lr, optimizer=args.online_optimizer,
+        shadow, log, lr=args.online_lr,
         batch_events=args.online_batch_events, metrics=metrics)
     trainer.start()
     refresh = None
     if args.refresh_every > 0:
         baseline = load_model(args.checkpoint, mmap=False)
         refresh = RefreshController(
-            trainer, log, publish, window=args.window,
-            refresh_epochs=args.refresh_epochs, baseline=baseline,
+            trainer, log, publish, window=args.window, baseline=baseline,
             interval=args.refresh_every, metrics=metrics)
         refresh.start()
     print(f"online learning enabled: lr={args.online_lr} "
-          f"optimizer={args.online_optimizer} "
+          f"optimizer={trainer.optimizer_name} "
           f"batch={args.online_batch_events} events  "
           f"log={'memory-only' if args.event_log is None else args.event_log}"
           f"  refresh="
@@ -522,12 +513,11 @@ def _run_grid(args: argparse.Namespace, settings: "BenchmarkSettings") -> int:
     dataset_name = (args.datasets or ["baby"])[0]
     dataset = load_dataset(dataset_name, scale=settings.scale,
                            seed=settings.data_seed)
-    result = grid_search_causer(dataset, grid, settings,
-                                metric=args.grid_metric,
+    result = grid_search_causer(dataset, grid, settings, metric="ndcg",
                                 workers=args.workers)
     rows = [(", ".join(f"{k}={v}" for k, v in overrides.items()), score)
             for overrides, score in result.top(10)]
-    print(render_table(("configuration", f"{args.grid_metric}@{settings.z} (%)"),
+    print(render_table(("configuration", f"ndcg@{settings.z} (%)"),
                        rows,
                        title=f"Table III grid search — {dataset_name}"))
     best_overrides, best_score = result.best

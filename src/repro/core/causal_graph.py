@@ -1,19 +1,17 @@
-"""Cluster-level causal graph module (eqs. 9 and the DAG constraint).
+"""Cluster-level causal graph module (``W^c`` and the DAG constraint).
 
-Holds the learnable ``W^c ∈ R^{K×K}`` with a structurally-zero diagonal,
-expands it to item-level relations ``W_ab = ā^T W^c b̄`` (eq. 9), and
+Holds the learnable ``W^c ∈ R^{K×K}`` with a structurally-zero diagonal and
 exposes the NOTEARS acyclicity value ``h(W^c)`` and L1 penalty used in the
-augmented-Lagrangian objective (eq. 11).
+augmented-Lagrangian objective (eq. 11).  Eq. 9's item-level expansion
+``W_ab = ā^T W^c b̄`` is :meth:`repro.core.Causer.item_causal_matrix`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..causal.dag_constraint import h_tensor, h_value
-from ..causal.graph import binarize, is_dag, prune_to_dag
+from ..causal.graph import binarize, prune_to_dag
 from ..nn import Module, Parameter, Tensor
 
 
@@ -38,15 +36,6 @@ class ClusterCausalGraph(Module):
     def matrix(self) -> Tensor:
         """``W^c`` with the diagonal masked to zero (autograd-visible)."""
         return self.weights * Tensor(self._off_diagonal)
-
-    def item_level(self, assignments: Tensor) -> Tensor:
-        """Eq. 9: item-level causal matrix ``Ā W^c Ā^T``.
-
-        ``assignments`` is the ``(num_items + 1, K)`` soft-assignment matrix;
-        the result is ``(num_items + 1, num_items + 1)`` with ``out[a, b]``
-        the causal strength of item ``a`` on item ``b``.
-        """
-        return assignments @ self.matrix() @ assignments.T
 
     def acyclicity(self) -> Tensor:
         """``h(W^c) = trace(e^{W^c ∘ W^c}) - K`` as an autograd scalar."""
@@ -73,6 +62,3 @@ class ClusterCausalGraph(Module):
         matrix = self.numpy_matrix().copy()
         matrix[np.abs(matrix) <= threshold] = 0.0
         return prune_to_dag(matrix)
-
-    def is_acyclic(self, threshold: float = 0.1) -> bool:
-        return is_dag(self.numpy_matrix(), threshold)

@@ -14,14 +14,12 @@ from .eventlog import (EVENTLOG_FORMAT, EVENTLOG_VERSION, EvalSampleView,
                        EventLogWriter, PrefixSampleView, generate_eventlog,
                        load_eventlog_dataset, open_eventlog)
 from .explanation import (ExplanationSample, average_causes_per_sample,
-                          build_explanation_dataset, to_eval_samples)
-from .features import (cluster_feature_coherence, feature_similarity,
-                       gps_like_features, text_like_features)
+                          build_explanation_dataset)
+from .features import gps_like_features, text_like_features
 from .interactions import (PAD_ITEM, EvalSample, SequenceCorpus, Split,
                            UserSequence, leave_one_out_split,
                            training_prefixes)
-from .stats import (DatasetStatistics, basket_size_distribution,
-                    compare_to_paper, compute_statistics,
+from .stats import (DatasetStatistics, compute_statistics,
                     sequence_length_histogram)
 from .synthetic import (BehaviorSimulator, SimulatorConfig, SyntheticDataset,
                         generate_dataset)
@@ -33,14 +31,12 @@ __all__ = [
     "generate_dataset",
     "DATASET_NAMES", "DEFAULT_SCALE", "PAPER_STATISTICS",
     "dataset_config", "load_dataset",
-    "text_like_features", "gps_like_features", "feature_similarity",
-    "cluster_feature_coherence",
+    "text_like_features", "gps_like_features",
     "PaddedBatch", "pad_samples", "sample_negatives", "iterate_batches",
     "EVENTLOG_FORMAT", "EVENTLOG_VERSION", "EventLogWriter", "EventLogStore",
     "EventLogCorpus", "EventLogDataset", "EvalSampleView", "PrefixSampleView",
     "generate_eventlog", "load_eventlog_dataset", "open_eventlog",
     "ExplanationSample", "build_explanation_dataset",
-    "average_causes_per_sample", "to_eval_samples",
+    "average_causes_per_sample",
     "DatasetStatistics", "compute_statistics", "sequence_length_histogram",
-    "basket_size_distribution", "compare_to_paper",
 ]

@@ -65,19 +65,6 @@ class PaddedBatch:
     def max_time(self) -> int:
         return self.items.shape[1]
 
-    def history_multihot(self, num_items: int) -> np.ndarray:
-        """Per-step multi-hot tensors, shape ``(B, T, num_items + 1)``.
-
-        Used by models that consume multi-hot inputs directly; column 0
-        (padding) is always zero.
-        """
-        batch, time, slots = self.items.shape
-        out = np.zeros((batch, time, num_items + 1), dtype=np.float64)
-        b_idx, t_idx, s_idx = np.nonzero(self.basket_mask)
-        out[b_idx, t_idx, self.items[b_idx, t_idx, s_idx]] = 1.0
-        out[:, :, 0] = 0.0
-        return out
-
     def flat_history_sets(self) -> List[set]:
         """Set of all items in each row's history (for sampling exclusions)."""
         result = []

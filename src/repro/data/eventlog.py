@@ -466,27 +466,6 @@ class EventLogCorpus:
                                       minlength=self.num_items + 1)
         return counts
 
-    def basket_size_counts(self) -> np.ndarray:
-        """``out[s]`` = number of (kept) baskets with ``s`` items."""
-        counts = np.zeros(1, dtype=np.int64)
-        cum = self.store._user_cum
-        lengths = self.lengths()
-        for k in range(self.store.num_shards):
-            bo = self.store.column(k, "boffsets")
-            ubo = self.store.column(k, "uboffsets")
-            widths = np.diff(bo)
-            per_user_baskets = np.diff(ubo)
-            t = _segmented_arange(per_user_baskets)
-            local = lengths[cum[k]:cum[k + 1]]
-            keep = t < np.repeat(local, per_user_baskets)
-            shard_counts = np.bincount(widths[keep])
-            if shard_counts.size > counts.size:
-                shard_counts[:counts.size] += counts
-                counts = shard_counts
-            else:
-                counts[:shard_counts.size] += shard_counts
-        return counts
-
     # -- iteration (compatibility path; O(1) memory per user) -----------
     def __len__(self) -> int:
         return self.num_users

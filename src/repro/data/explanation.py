@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .interactions import EvalSample
 from .synthetic import SyntheticDataset
 
 
@@ -90,9 +89,3 @@ def average_causes_per_sample(samples: Sequence[ExplanationSample]) -> float:
     if not samples:
         return 0.0
     return float(np.mean([len(s.cause_items) for s in samples]))
-
-
-def to_eval_samples(samples: Sequence[ExplanationSample]) -> List[EvalSample]:
-    """View explanation samples as ordinary eval samples (singleton target)."""
-    return [EvalSample(user_id=s.user_id, history=s.history,
-                       target=(s.target_item,)) for s in samples]

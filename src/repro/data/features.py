@@ -11,8 +11,6 @@ neighbourhoods") plus small positional jitter.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 
@@ -45,30 +43,3 @@ def gps_like_features(cluster_of_item: np.ndarray, rng: np.random.Generator,
         0.0, neighbourhood_scale, size=(len(cluster_of_item), 2))
     features[0] = 0.0
     return features
-
-
-def feature_similarity(features: np.ndarray) -> np.ndarray:
-    """Cosine-similarity matrix between item feature vectors."""
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = features / safe
-    return unit @ unit.T
-
-
-def cluster_feature_coherence(features: np.ndarray,
-                              cluster_of_item: np.ndarray) -> Tuple[float, float]:
-    """(mean within-cluster, mean between-cluster) cosine similarity.
-
-    Used by tests to assert the generated features actually carry cluster
-    signal — the property the paper's encoder stage depends on.
-    """
-    cluster_of_item = np.asarray(cluster_of_item, dtype=np.int64)
-    sims = feature_similarity(features[1:])
-    clusters = cluster_of_item[1:]
-    same = clusters[:, None] == clusters[None, :]
-    off_diag = ~np.eye(len(clusters), dtype=bool)
-    within = sims[same & off_diag]
-    between = sims[~same]
-    within_mean = float(within.mean()) if within.size else 0.0
-    between_mean = float(between.mean()) if between.size else 0.0
-    return within_mean, between_mean

@@ -8,9 +8,7 @@ Fig. 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Sequence, Tuple
 
 from .interactions import SequenceCorpus
 
@@ -67,37 +65,3 @@ def sequence_length_histogram(corpus: SequenceCorpus,
             count = int(((lengths >= lo) & (lengths < hi)).sum())
         histogram[label] = count
     return histogram
-
-
-def basket_size_distribution(corpus: SequenceCorpus) -> Dict[int, int]:
-    """Counts of baskets per basket size (diagnostic for next-basket data).
-
-    One ``bincount`` over the basket widths; out-of-core corpora
-    (``repro.data.eventlog``) count widths shard-by-shard instead of
-    iterating Python baskets.
-    """
-    if hasattr(corpus, "basket_size_counts"):
-        counts = corpus.basket_size_counts()
-    else:
-        widths = np.fromiter(
-            (len(basket) for seq in corpus.sequences
-             for basket in seq.baskets), dtype=np.int64)
-        counts = np.bincount(widths) if widths.size else widths
-    return {size: int(count) for size, count in enumerate(counts)
-            if size > 0 and count > 0}
-
-
-def compare_to_paper(stats: DatasetStatistics,
-                     paper_row: Dict[str, float]) -> Dict[str, float]:
-    """Ratio of measured to paper statistics (1.0 = exact match).
-
-    Used in EXPERIMENTS.md to document how faithfully the scaled synthetic
-    profile tracks the real dataset's shape.
-    """
-    return {
-        "users_ratio": stats.num_users / paper_row["users"],
-        "items_ratio": stats.num_items / paper_row["items"],
-        "interactions_ratio": stats.num_interactions / paper_row["interactions"],
-        "seqlen_ratio": stats.average_sequence_length / paper_row["seqlen"],
-        "sparsity_gap": stats.sparsity - paper_row["sparsity"],
-    }

@@ -9,7 +9,7 @@ returns a ranked item list per sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -83,23 +83,10 @@ def evaluate_rankings(rankings: Sequence[Sequence[int]],
 
 
 def evaluate_model(model, samples: Sequence[EvalSample], z: int = 5,
-                   batch_size: int = 128,
-                   workers: Optional[int] = 1) -> EvaluationResult:
-    """Evaluate a model implementing ``recommend`` over ``samples``.
-
-    ``workers`` > 1 splits the samples into contiguous, batch-aligned
-    shards ranked in separate processes (``None`` → CPU-aware default,
-    ``0``/``1`` → serial); rankings are reassembled in sample order before
-    the single metric pass, so per-user metric arrays are bit-identical
-    to the serial path.
-    """
+                   batch_size: int = 128) -> EvaluationResult:
+    """Evaluate a model implementing ``recommend`` over ``samples``."""
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
-    from ..parallel import evaluate_model_sharded, resolve_workers
-    effective = resolve_workers(workers, -(-len(samples) // batch_size))
-    if effective > 1:
-        return evaluate_model_sharded(model, samples, z, batch_size,
-                                      effective)
     rankings: List[List[int]] = []
     for start in range(0, len(samples), batch_size):
         chunk = list(samples[start:start + batch_size])

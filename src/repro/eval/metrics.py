@@ -8,8 +8,6 @@ the ground-truth set ``B_u``:
 * ``F1@Z = 2 P R / (P + R)`` averaged over users
 * ``DCG@Z = Σ_i R(i) / log2(i + 1)`` with binary relevance, normalized by
   the ideal DCG (``NDCG@Z``).
-
-Hit rate and MRR are included as commonly-reported extras.
 """
 
 from __future__ import annotations
@@ -67,19 +65,6 @@ def ndcg_at_z(recommended: Sequence[int], relevant: Set[int]) -> float:
     if ideal == 0.0:
         return 0.0
     return dcg_at_z(recommended, relevant) / ideal
-
-
-def hit_rate_at_z(recommended: Sequence[int], relevant: Set[int]) -> float:
-    """1 if any relevant item appears in the list."""
-    return 1.0 if any(item in relevant for item in recommended) else 0.0
-
-
-def mrr_at_z(recommended: Sequence[int], relevant: Set[int]) -> float:
-    """Reciprocal rank of the first relevant item (0 if none)."""
-    for i, item in enumerate(recommended, start=1):
-        if item in relevant:
-            return 1.0 / i
-    return 0.0
 
 
 def mean_metric(per_user_values: Iterable[float]) -> float:

@@ -1,16 +1,9 @@
-"""Statistical significance: the paper's paired t-test (p < 0.05 marker).
-
-Multi-seed runs (:func:`multi_seed_evaluation`) re-train one model under
-several seeds — in parallel through :mod:`repro.parallel` when asked — and
-:func:`pooled_paired_t_test` compares two such run sets on the pooled
-per-user metric vectors, which is the sturdier version of the paper's
-single-run significance star.
-"""
+"""Statistical significance: the paper's paired t-test (p < 0.05 marker)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -54,55 +47,3 @@ def paired_t_test(model_values: Sequence[float],
                                 mean_difference=mean_diff)
     return PairedTestResult(t_statistic=float(t_stat), p_value=float(p_value),
                             mean_difference=mean_diff)
-
-
-def _seeded_model_run(seed: int, model_name: str, dataset, settings):
-    """Train/evaluate ``model_name`` with ``model_seed=seed`` (picklable)."""
-    from ..exp.runner import run_model
-    return run_model(model_name, dataset, replace(settings, model_seed=seed))
-
-
-def multi_seed_evaluation(model_name: str, dataset, settings,
-                          seeds: Sequence[int],
-                          workers: Optional[int] = 1,
-                          timeout: Optional[float] = None) -> List:
-    """One :class:`~repro.exp.runner.RunResult` per seed, in seed order.
-
-    Each seed is an independent task, so ``workers`` > 1 fans the runs out
-    one process per seed through :func:`repro.parallel.map_seeds`;
-    ``workers=1`` runs them serially with identical results.
-    """
-    from ..parallel import map_seeds
-    return map_seeds(_seeded_model_run, seeds, model_name, dataset, settings,
-                     workers=workers, timeout=timeout)
-
-
-def pooled_paired_t_test(runs_a: Sequence, runs_b: Sequence,
-                         metric: str = "ndcg") -> PairedTestResult:
-    """Paired t-test on per-user metrics pooled across matching seeds.
-
-    ``runs_a[i]`` and ``runs_b[i]`` must come from the same seed and sample
-    set (as :func:`multi_seed_evaluation` produces), so user ``u`` under
-    seed ``s`` pairs with itself across the two models.
-    """
-    if len(runs_a) != len(runs_b):
-        raise ValueError(f"need matching run lists, got {len(runs_a)} vs "
-                         f"{len(runs_b)}")
-    values_a = [v for run in runs_a for v in run.result.per_user[metric]]
-    values_b = [v for run in runs_b for v in run.result.per_user[metric]]
-    return paired_t_test(values_a, values_b)
-
-
-def bootstrap_confidence_interval(values: Sequence[float],
-                                  num_resamples: int = 1000,
-                                  alpha: float = 0.05,
-                                  seed: int = 0) -> tuple:
-    """Percentile bootstrap CI for a metric mean (diagnostic extra)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return (0.0, 0.0)
-    rng = np.random.default_rng(seed)
-    resamples = rng.choice(arr, size=(num_resamples, arr.size), replace=True)
-    means = resamples.mean(axis=1)
-    lo, hi = np.quantile(means, [alpha / 2, 1 - alpha / 2])
-    return (float(lo), float(hi))

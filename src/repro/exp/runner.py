@@ -3,23 +3,37 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core import Causer
 from ..data.interactions import Split, leave_one_out_split
 from ..data.synthetic import SyntheticDataset
 from ..eval import EvaluationResult, evaluate_model
-from ..models import (BERT4Rec, BPR, FPMC, GRU4Rec, HRNN, MMSARec, NARM,
-                      NCF, PopularityRecommender, SASRec, STAMP, VTRNN)
+from ..models import (BPR, GRU4Rec, MMSARec, NARM, NCF,
+                      PopularityRecommender, SASRec, STAMP, VTRNN)
 from .config import BenchmarkSettings
 
-#: Table IV model lineup (plus Pop, FPMC and BERT4Rec as extras).
-BASELINE_NAMES = ("Pop", "BPR", "NCF", "FPMC", "GRU4Rec", "NARM", "STAMP",
-                  "SASRec", "BERT4Rec", "HRNN", "VTRNN", "MMSARec")
+#: Baseline factories in lineup order, each called as
+#: ``factory(num_users, num_items, features, train_config)``.
+_BASELINES: Dict[str, Callable] = {
+    "Pop": lambda users, items, features, cfg: PopularityRecommender(items),
+    "BPR": lambda users, items, features, cfg: BPR(users, items, cfg),
+    "NCF": lambda users, items, features, cfg: NCF(users, items, cfg),
+    "GRU4Rec": lambda users, items, features, cfg: GRU4Rec(users, items, cfg),
+    "NARM": lambda users, items, features, cfg: NARM(users, items, cfg),
+    "STAMP": lambda users, items, features, cfg: STAMP(users, items, cfg),
+    "SASRec": lambda users, items, features, cfg: SASRec(users, items, cfg),
+    "VTRNN": lambda users, items, features, cfg: VTRNN(users, items, features,
+                                                       cfg),
+    "MMSARec": lambda users, items, features, cfg: MMSARec(users, items,
+                                                           features, cfg),
+}
+#: Table IV baselines plus Pop as a sanity floor.
+BASELINE_NAMES = tuple(_BASELINES)
 CAUSER_NAMES = ("Causer (LSTM)", "Causer (GRU)")
 ALL_MODEL_NAMES = BASELINE_NAMES + CAUSER_NAMES
-#: The subset the paper's Table IV reports (FPMC and Pop are our extras).
+#: The subset the paper's Table IV reports (Pop is our extra).
 TABLE4_MODEL_NAMES = ("BPR", "NCF", "GRU4Rec", "STAMP", "SASRec", "NARM",
                       "VTRNN", "MMSARec") + CAUSER_NAMES
 
@@ -27,25 +41,11 @@ TABLE4_MODEL_NAMES = ("BPR", "NCF", "GRU4Rec", "STAMP", "SASRec", "NARM",
 def build_model(name: str, dataset: SyntheticDataset,
                 settings: BenchmarkSettings):
     """Instantiate a model by its Table IV name."""
+    if name in _BASELINES:
+        return _BASELINES[name](dataset.corpus.num_users, dataset.num_items,
+                                dataset.features, settings.train_config())
     num_users = dataset.corpus.num_users
     num_items = dataset.num_items
-    cfg = settings.train_config()
-    simple: Dict[str, Callable] = {
-        "Pop": lambda: PopularityRecommender(num_items),
-        "BPR": lambda: BPR(num_users, num_items, cfg),
-        "NCF": lambda: NCF(num_users, num_items, cfg),
-        "FPMC": lambda: FPMC(num_users, num_items, cfg),
-        "GRU4Rec": lambda: GRU4Rec(num_users, num_items, cfg),
-        "NARM": lambda: NARM(num_users, num_items, cfg),
-        "STAMP": lambda: STAMP(num_users, num_items, cfg),
-        "SASRec": lambda: SASRec(num_users, num_items, cfg),
-        "BERT4Rec": lambda: BERT4Rec(num_users, num_items, cfg),
-        "HRNN": lambda: HRNN(num_users, num_items, cfg),
-        "VTRNN": lambda: VTRNN(num_users, num_items, dataset.features, cfg),
-        "MMSARec": lambda: MMSARec(num_users, num_items, dataset.features, cfg),
-    }
-    if name in simple:
-        return simple[name]()
     if name == "Causer (LSTM)":
         return Causer(num_users, num_items, dataset.features,
                       settings.causer_config(dataset.name, cell_type="lstm"))

@@ -30,8 +30,8 @@ from typing import Callable, Dict, Iterator, Mapping, Union
 import numpy as np
 
 from .core import Causer, CauserConfig
-from .models import (BERT4Rec, BPR, FPMC, GRU4Rec, HRNN, MMSARec, NARM, NCF,
-                     SASRec, STAMP, TrainConfig, VTRNN)
+from .models import (BPR, GRU4Rec, MMSARec, NARM, NCF, SASRec, STAMP,
+                     TrainConfig, VTRNN)
 
 PathLike = Union[str, pathlib.Path]
 
@@ -41,11 +41,8 @@ FORMAT_VERSION = 1
 
 _MODEL_CLASSES = {
     "Causer": Causer,
-    "BERT4Rec": BERT4Rec,
     "BPR": BPR,
-    "FPMC": FPMC,
     "GRU4Rec": GRU4Rec,
-    "HRNN": HRNN,
     "MMSARec": MMSARec,
     "NARM": NARM,
     "NCF": NCF,
@@ -58,13 +55,10 @@ _NEEDS_FEATURES = {"Causer", "VTRNN", "MMSARec"}
 #: Constructor arguments beyond (num_users, num_items[, features], config)
 #: that shape the parameter tree and therefore must round-trip.
 _EXTRA_KWARGS: Dict[str, Callable[[object], Dict[str, object]]] = {
-    "BERT4Rec": lambda m: {"num_blocks": len(m.blocks),
-                           "num_heads": m.blocks[0].attn.num_heads},
     "SASRec": lambda m: {"num_blocks": len(m.blocks),
                          "num_heads": m.blocks[0].attn.num_heads},
     "MMSARec": lambda m: {"num_blocks": len(m.blocks),
                           "num_heads": m.blocks[0].attn.num_heads},
-    "HRNN": lambda m: {"session_length": m.session_length},
 }
 
 

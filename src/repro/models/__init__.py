@@ -1,7 +1,7 @@
 """`repro.models` — the paper's Table IV baselines.
 
-Non-sequential: Pop (sanity floor), BPR, NCF.  Sequential: FPMC, GRU4Rec,
-NARM, STAMP, SASRec.  Side-information-aware: VTRNN, MMSARec.  All share
+Non-sequential: Pop (sanity floor), BPR, NCF.  Sequential: GRU4Rec, NARM,
+STAMP, SASRec.  Side-information-aware: VTRNN, MMSARec.  All share
 the :class:`~repro.models.base.Recommender` interface and (for the neural
 sequence models) the training loop in
 :class:`~repro.models.base.NeuralSequentialRecommender`.
@@ -9,11 +9,8 @@ sequence models) the training loop in
 
 from .base import (FitResult, NeuralSequentialRecommender,
                    PopularityRecommender, Recommender, TrainConfig)
-from .bert4rec import BERT4Rec
 from .bpr import BPR
-from .fpmc import FPMC
 from .gru4rec import GRU4Rec
-from .hrnn import HRNN
 from .mmsarec import MMSARec
 from .narm import NARM
 from .ncf import NCF
@@ -24,6 +21,5 @@ from .vtrnn import VTRNN
 __all__ = [
     "Recommender", "NeuralSequentialRecommender", "PopularityRecommender",
     "TrainConfig", "FitResult",
-    "BPR", "NCF", "FPMC", "GRU4Rec", "NARM", "STAMP", "SASRec", "BERT4Rec",
-    "HRNN", "VTRNN", "MMSARec",
+    "BPR", "NCF", "GRU4Rec", "NARM", "STAMP", "SASRec", "VTRNN", "MMSARec",
 ]

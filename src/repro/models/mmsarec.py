@@ -59,7 +59,7 @@ class MMSARec(NeuralSequentialRecommender):
         positions = np.minimum(positions, self.config.max_history)
         x = inputs + self.position_embedding(positions)
         for block in self.blocks:
-            x = block(x, pad_mask=batch.step_mask, causal=True)
+            x = block(x, pad_mask=batch.step_mask)
         step_mask = batch.step_mask.astype(np.int64)
         last_idx = np.maximum(step_mask.sum(axis=1) - 1, 0)
         last = x[np.arange(batch_size), last_idx, :]

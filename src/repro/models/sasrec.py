@@ -41,7 +41,7 @@ class SASRec(NeuralSequentialRecommender):
         positions = np.minimum(positions, self.config.max_history)
         x = inputs + self.position_embedding(positions)
         for block in self.blocks:
-            x = block(x, pad_mask=batch.step_mask, causal=True)
+            x = block(x, pad_mask=batch.step_mask)
         return x
 
     def user_representation(self, batch: PaddedBatch) -> Tensor:

@@ -76,7 +76,8 @@ class AdditiveAttention(Module):
 
 
 class MultiHeadSelfAttention(Module):
-    """Multi-head self-attention with an optional causal mask (SASRec)."""
+    """Multi-head causal self-attention (SASRec): step ``t`` attends to
+    steps ``<= t`` only."""
 
     def __init__(self, dim: int, num_heads: int, rng: np.random.Generator) -> None:
         super().__init__()
@@ -90,8 +91,8 @@ class MultiHeadSelfAttention(Module):
         self.w_v = Linear(dim, dim, rng, bias=False)
         self.w_o = Linear(dim, dim, rng, bias=False)
 
-    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None,
-                causal: bool = True) -> Tensor:
+    def forward(self, x: Tensor,
+                pad_mask: Optional[np.ndarray] = None) -> Tensor:
         batch, time, _ = x.shape
         q = self._split_heads(self.w_q(x))
         k = self._split_heads(self.w_k(x))
@@ -100,9 +101,7 @@ class MultiHeadSelfAttention(Module):
         scale = 1.0 / np.sqrt(self.head_dim)
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale   # (batch, heads, time, time)
 
-        attend = np.ones((batch, 1, time, time), dtype=bool)
-        if causal:
-            attend = attend & np.tril(np.ones((time, time), dtype=bool))[None, None]
+        attend = np.tril(np.ones((time, time), dtype=bool))[None, None]
         if pad_mask is not None:
             pad = np.asarray(pad_mask, dtype=bool)
             attend = attend & pad[:, None, None, :]
@@ -130,9 +129,9 @@ class TransformerBlock(Module):
         self.ffn1 = Linear(dim, dim * ffn_multiplier, rng)
         self.ffn2 = Linear(dim * ffn_multiplier, dim, rng)
 
-    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None,
-                causal: bool = True) -> Tensor:
-        attended = self.attn(self.norm1(x), pad_mask=pad_mask, causal=causal)
+    def forward(self, x: Tensor,
+                pad_mask: Optional[np.ndarray] = None) -> Tensor:
+        attended = self.attn(self.norm1(x), pad_mask=pad_mask)
         x = x + attended
         x = x + self.ffn2(self.ffn1(self.norm2(x)).relu())
         return x

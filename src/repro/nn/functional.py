@@ -1,8 +1,8 @@
 """Functional neural-network operations built on :class:`repro.nn.tensor.Tensor`.
 
 These are composite, numerically-careful operations used by layers and
-models: stable softmax / log-softmax, masked variants for padded sequences,
-embedding lookup, dropout and one-hot encoding.
+models: stable softmax, its masked variant for padded sequences, embedding
+lookup and the affine map.
 """
 
 from __future__ import annotations
@@ -22,13 +22,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    # gradlint: disable-next=GL002 — detached max shift; cancels in the gradient.
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
@@ -65,36 +58,6 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     dense ``(V, d)`` scatter (see :mod:`repro.nn.sparse`).
     """
     return fused_embedding_gather(weight, indices)
-
-
-def multihot_lookup(weight: Tensor, multihot: np.ndarray) -> Tensor:
-    """Project multi-hot rows through an embedding matrix.
-
-    ``multihot`` has shape ``(..., vocab)``; the result is
-    ``multihot @ weight`` of shape ``(..., dim)``, i.e. the sum of member
-    item embeddings — the paper's treatment of basket steps.
-    """
-    return Tensor(np.asarray(multihot, dtype=np.float64)) @ weight
-
-
-def dropout(x: Tensor, rate: float, training: bool,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: identity at eval time, rescaled mask when training."""
-    if not training or rate <= 0.0:
-        return x
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    rng = rng or np.random.default_rng()
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(mask)
-
-
-def one_hot(indices: np.ndarray, depth: int) -> np.ndarray:
-    """Constant one-hot encoding (no gradient flows through indices)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(indices.shape + (depth,), dtype=np.float64)
-    np.put_along_axis(out, indices[..., None], 1.0, axis=-1)
-    return out
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

@@ -252,33 +252,6 @@ def fused_masked_softmax(x: Tensor, mask: np.ndarray,
     return Tensor._make(out_data, (x,), backward)
 
 
-def fused_cross_entropy(logits: Tensor, target_indices: np.ndarray) -> Tensor:
-    """Softmax cross-entropy with integer targets as a single node.
-
-    Backward is the classic ``(softmax - onehot) / batch`` — one subtraction
-    on the already-computed softmax instead of re-deriving through
-    log-softmax, gather and mean nodes.
-    """
-    targets = np.asarray(target_indices, dtype=np.int64)
-    x_data = logits.data
-    shifted = x_data - x_data.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    sum_exp = exp.sum(axis=-1, keepdims=True)
-    rows = np.arange(x_data.shape[0])
-    picked = (shifted - np.log(sum_exp))[rows, targets]
-    batch = x_data.shape[0]
-    out_data = -(picked.sum() * (1.0 / batch))
-
-    def backward(grad: np.ndarray) -> None:
-        if logits.requires_grad:
-            scale = float(grad) * (1.0 / batch)
-            dlogits = (exp / sum_exp) * scale
-            dlogits[rows, targets] -= scale
-            logits._accumulate(dlogits, own=True)
-
-    return Tensor._make(np.asarray(out_data), (logits,), backward)
-
-
 def fused_bce_with_logits(logits: Tensor, targets: np.ndarray,
                           mask: Optional[np.ndarray] = None) -> Tensor:
     """Stable BCE-on-logits (``max(x,0) - x*y + log(1 + e^{-|x|})``) fused.

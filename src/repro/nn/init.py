@@ -19,14 +19,6 @@ def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator,
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator,
-                  gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def normal(shape: Tuple[int, ...], rng: np.random.Generator,
            std: float = 0.01) -> np.ndarray:
     """Zero-mean Gaussian initialization, the usual choice for embeddings."""

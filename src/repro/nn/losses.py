@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fused import fused_bce_with_logits, fused_cross_entropy
+from .fused import fused_bce_with_logits
 from .tensor import Tensor
 
 
@@ -29,22 +29,6 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray,
     return fused_bce_with_logits(logits, targets, mask=mask)
 
 
-def bce_on_probabilities(probs: Tensor, targets: np.ndarray,
-                         mask: Optional[np.ndarray] = None,
-                         eps: float = 1e-9) -> Tensor:
-    """Binary cross-entropy for models that output probabilities directly."""
-    targets = np.asarray(targets, dtype=np.float64)
-    clipped = probs.clip(eps, 1.0 - eps)
-    per_entry = -(Tensor(targets) * clipped.log()
-                  + Tensor(1.0 - targets) * (1.0 - clipped).log())
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        total = per_entry * Tensor(mask)
-        denom = max(float(mask.sum()), 1.0)
-        return total.sum() * (1.0 / denom)
-    return per_entry.mean()
-
-
 def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
     """Bayesian personalized ranking loss: ``-mean log sigmoid(pos - neg)``."""
     diff = pos_scores - neg_scores
@@ -53,29 +37,3 @@ def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
     # softplus has a dead subgradient exactly at d = 0, where training starts).
     probability = diff.sigmoid().clip(1e-15, 1.0)
     return -probability.log().mean()
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = pred - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()
-
-
-def cross_entropy(logits: Tensor, target_indices: np.ndarray) -> Tensor:
-    """Softmax cross-entropy with integer class targets.
-
-    Fused: one node computing the loss and the classic
-    ``(softmax - onehot) / batch`` gradient
-    (:func:`repro.nn.fused.fused_cross_entropy`).
-    """
-    return fused_cross_entropy(logits, target_indices)
-
-
-def l1_penalty(tensor: Tensor) -> Tensor:
-    """Sum of absolute values — the sparsity regularizer on ``W^c``."""
-    return tensor.abs().sum()
-
-
-def l2_penalty(tensor: Tensor) -> Tensor:
-    """Sum of squares (no 1/2 factor)."""
-    return (tensor * tensor).sum()

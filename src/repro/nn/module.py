@@ -2,12 +2,12 @@
 
 The API intentionally mirrors a small subset of ``torch.nn``: modules own
 parameters and sub-modules, ``parameters()`` walks the tree, and
-``train()``/``eval()`` toggle behaviours such as dropout.
+``train()``/``eval()`` set the ``training`` flag across the tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -216,18 +216,6 @@ class Embedding(Module):
             self.weight.data[self.padding_idx] = 0.0
 
 
-class Dropout(Module):
-    """Inverted dropout driven by an explicit generator for reproducibility."""
-
-    def __init__(self, rate: float, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        self.rate = rate
-        self.rng = rng or np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, self.training, self.rng)
-
-
 class LayerNorm(Module):
     """Layer normalization over the last dimension."""
 
@@ -243,51 +231,3 @@ class LayerNorm(Module):
         var = (centered * centered).mean(axis=-1, keepdims=True)
         normed = centered / (var + self.eps).sqrt()
         return normed * self.gamma + self.beta
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self.layers: List[Module] = list(layers)
-        for i, layer in enumerate(self.layers):
-            self.register_module(f"layer{i}", layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-
-class MLP(Module):
-    """Multi-layer perceptron with a configurable activation."""
-
-    def __init__(self, dims: Sequence[int], rng: np.random.Generator,
-                 activation: str = "relu", final_activation: bool = False) -> None:
-        super().__init__()
-        if len(dims) < 2:
-            raise ValueError("MLP needs at least input and output dims")
-        self.activation = activation
-        self.final_activation = final_activation
-        self.linears: List[Linear] = []
-        for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            layer = Linear(d_in, d_out, rng)
-            self.register_module(f"fc{i}", layer)
-            self.linears.append(layer)
-
-    def _activate(self, x: Tensor) -> Tensor:
-        if self.activation == "relu":
-            return x.relu()
-        if self.activation == "tanh":
-            return x.tanh()
-        if self.activation == "sigmoid":
-            return x.sigmoid()
-        raise ValueError(f"unknown activation: {self.activation}")
-
-    def forward(self, x: Tensor) -> Tensor:
-        for i, layer in enumerate(self.linears):
-            x = layer(x)
-            if i < len(self.linears) - 1 or self.final_activation:
-                x = self._activate(x)
-        return x

@@ -35,7 +35,7 @@ re-allocation of table-sized buffers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -279,27 +279,6 @@ class Adagrad(Optimizer):
             else:
                 accum += np.square(grad)
                 param.data -= self.lr * grad / (np.sqrt(accum) + self.eps)
-
-
-class StepLR:
-    """Multiply the optimizer learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5) -> None:
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-
-    @property
-    def lr(self) -> float:
-        return self.optimizer.lr
 
 
 def make_optimizer(name: str, params: Iterable[Parameter], lr: float,

@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--out", default=None,
                         help="save the replayed shadow model here (.npz)")
     replay.add_argument("--online-lr", type=float, default=0.01)
-    replay.add_argument("--online-optimizer", default="adagrad")
     replay.add_argument("--online-batch-events", type=int, default=32)
     replay.add_argument("--online-negatives", type=int, default=4)
     replay.add_argument("--online-seed", type=int, default=0)
@@ -55,7 +54,7 @@ def _run_replay(args: argparse.Namespace) -> int:
     model = load_model(args.checkpoint, mmap=False)
     log = EventLog(args.event_log)
     trainer = OnlineTrainer(
-        model, log, lr=args.online_lr, optimizer=args.online_optimizer,
+        model, log, lr=args.online_lr,
         batch_events=args.online_batch_events,
         num_negatives=args.online_negatives, seed=args.online_seed,
         start_offset=args.start_offset)

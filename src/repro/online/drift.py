@@ -8,10 +8,13 @@ Two complementary views of "how far has the online model moved":
   score delta plus top-``z`` recommendation overlap.  Catches drift
   that matters for ranking even when individual weights barely moved.
 * **Causal-graph edge churn** — compare two item-level causal matrices
-  under the serving ε-gate: edges *added* (crossed ε upward), *dropped*
-  (fell below ε), and *sign-flipped* (survived the gate on both sides
+  on magnitude edges ``|W_ij| > ε``: edges *added* (crossed ε upward),
+  *dropped* (fell below ε), and *sign-flipped* (above ε on both sides
   but reversed direction).  Catches structural drift in the discovered
-  behavior graph that scores alone can hide.
+  behavior graph that scores alone can hide.  Magnitude edges are a
+  superset of the edges serving uses (the signed gate ``W_ij > ε`` of
+  eq. 10), which is why ``flipped`` can be non-zero: under the signed
+  gate a sign flip could never survive.
 
 Both are exported to ``/metrics`` as gauges by the refresh controller,
 so dashboards see drift per refresh generation in single- and
@@ -37,11 +40,12 @@ _CHURN_BLOCK_ROWS = 256
 
 def edge_churn(previous: np.ndarray, current: np.ndarray,
                epsilon: float) -> Dict[str, int]:
-    """Edge-set churn between two causal matrices under the ε-gate.
+    """Edge-set churn between two causal matrices on magnitude edges.
 
-    An edge "exists" when ``|W_ij| > epsilon`` (the serving gate of
-    eq. 10).  Returns counts of ``added``, ``dropped``, and ``flipped``
-    (present on both sides with opposite sign) edges; ``kept`` counts
+    An edge "exists" when ``|W_ij| > epsilon``: a superset of the signed
+    ``W_ij > epsilon`` edges eq. 10 serves, so a sign flip is countable.
+    Returns counts of ``added``, ``dropped``, and ``flipped`` (present on
+    both sides with opposite sign) edges; ``kept`` counts
     surviving same-sign edges for rate computations.  Counted over
     fixed row blocks; the integer totals do not depend on the blocking.
     """

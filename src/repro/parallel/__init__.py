@@ -4,13 +4,12 @@ A dependency-free (stdlib ``multiprocessing`` + numpy) process pool with
 per-task deterministic seeding, BLAS thread pinning, bounded timeouts with
 retry, structured failure capture and an automatic serial fallback —
 plus adapters that wire the repo's embarrassingly-parallel outer loops
-(Table IV lineup, Table III grid search, sharded evaluation, multi-seed
-significance runs) through it.  See ``docs/PARALLEL.md``.
+(event-log generation, Table IV lineup, Table III grid search) through
+it.  See ``docs/PARALLEL.md``.
 """
 
-from .adapters import (evaluate_model_sharded, grid_scores_parallel,
-                       map_seeds, run_models_parallel, run_table_cells,
-                       shard_batch_ranges)
+from .adapters import (grid_scores_parallel, run_models_parallel,
+                       run_table_cells)
 from .pool import (BLAS_ENV_VARS, DEFAULT_WORKER_CAP, ProcessMap, TaskResult,
                    WorkerError, available_cpus, default_context,
                    default_workers, process_map, resolve_workers,
@@ -19,7 +18,6 @@ from .pool import (BLAS_ENV_VARS, DEFAULT_WORKER_CAP, ProcessMap, TaskResult,
 __all__ = [
     "BLAS_ENV_VARS", "DEFAULT_WORKER_CAP", "ProcessMap", "TaskResult",
     "WorkerError", "available_cpus", "default_context", "default_workers",
-    "evaluate_model_sharded", "grid_scores_parallel", "map_seeds",
-    "process_map", "resolve_workers", "run_models_parallel",
-    "run_table_cells", "shard_batch_ranges", "task_seed_sequence", "unwrap",
+    "grid_scores_parallel", "process_map", "resolve_workers",
+    "run_models_parallel", "run_table_cells", "task_seed_sequence", "unwrap",
 ]

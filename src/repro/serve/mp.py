@@ -678,13 +678,6 @@ class ServeCluster:
                     f'{float(np.percentile(merged, q)):.6f}')
         return "\n".join(lines) + "\n" + self.metrics.render()
 
-    def recommend_percentile(self, q: float) -> float:
-        """Merged recommend-latency percentile across all worker rings."""
-        rings = [self.slab.latencies(worker_id)
-                 for worker_id in range(self.num_workers)]
-        merged = np.concatenate(rings) if rings else np.zeros(0)
-        return float(np.percentile(merged, q)) if merged.size else 0.0
-
     # -- shutdown ------------------------------------------------------
     def close(self, timeout: float = 15.0) -> Dict[int, Optional[int]]:
         """Graceful drain: shutdown message, SIGTERM, then escalate.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import (GradientAnomalyError, anomaly_mode_enabled,
-                            detect_anomaly, set_detect_anomaly)
+                            detect_anomaly)
 from repro.core import Causer, CauserConfig
 from repro.nn import Tensor
 
@@ -84,14 +84,6 @@ class TestModeManagement:
             with detect_anomaly():
                 assert anomaly_mode_enabled()
             assert anomaly_mode_enabled()
-        assert not anomaly_mode_enabled()
-
-    def test_global_toggle(self):
-        set_detect_anomaly(True)
-        try:
-            assert anomaly_mode_enabled()
-        finally:
-            set_detect_anomaly(False)
         assert not anomaly_mode_enabled()
 
     def test_disabled_mode_propagates_nan_silently(self):

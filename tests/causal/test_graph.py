@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.causal import (binarize, children, is_dag, markov_equivalent,
-                          parents, prune_to_dag, skeleton, topological_order,
+from repro.causal import (binarize, is_dag, markov_equivalent, parents,
+                          prune_to_dag, skeleton, topological_order,
                           v_structures, validate_adjacency)
 
 
@@ -66,7 +66,6 @@ class TestStructureQueries:
     def test_parents_children(self):
         m = collider()
         assert parents(m, 2) == [0, 1]
-        assert children(m, 0) == [2]
         assert parents(m, 0) == []
 
 

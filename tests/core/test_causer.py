@@ -147,6 +147,19 @@ class TestCausalStructures:
         assert matrix.shape == (tiny_dataset.num_items + 1,
                                 tiny_dataset.num_items + 1)
 
+    def test_item_causal_matrix_matches_manual(self, fitted, tiny_split):
+        """Eq. 9, ``W_ab = ā^T W^c b̄``, in serving and training form."""
+        model, _ = fitted
+        assignments = model.clusters.assignments()
+        manual = np.einsum("ak,kl,bl->ab", assignments.data,
+                           model.graph.numpy_matrix(), assignments.data)
+        np.testing.assert_allclose(model.item_causal_matrix(), manual,
+                                   rtol=1e-10, atol=1e-14)
+        batch = pad_samples(tiny_split.test[:3], max_history=8)
+        pairwise = model._pairwise_effects(batch, assignments, None).data
+        np.testing.assert_allclose(pairwise, manual[batch.items],
+                                   rtol=1e-10, atol=1e-14)
+
     def test_learned_graph_is_dag(self, fitted):
         model, _ = fitted
         from repro.causal import is_dag

@@ -43,14 +43,6 @@ class TestPadSamples:
         assert batch.max_time == 2
         assert batch.items[0, :, 0].tolist() == [3, 4]
 
-    def test_history_multihot(self):
-        batch = pad_samples([sample(0, [[1], [2, 3]], [4])])
-        mh = batch.history_multihot(num_items=5)
-        assert mh.shape == (1, 2, 6)
-        assert mh[0, 0, 1] == 1.0
-        assert mh[0, 1, 2] == 1.0 and mh[0, 1, 3] == 1.0
-        assert mh[0, :, 0].sum() == 0.0
-
     def test_flat_history_sets(self):
         batch = pad_samples([sample(0, [[1], [2, 3]], [4]),
                              sample(1, [[5]], [6])])

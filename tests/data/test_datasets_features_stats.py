@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.data import (DATASET_NAMES, PAPER_STATISTICS,
-                        cluster_feature_coherence, compare_to_paper,
-                        compute_statistics, dataset_config,
-                        gps_like_features, load_dataset,
+from repro.data import (DATASET_NAMES, PAPER_STATISTICS, compute_statistics,
+                        dataset_config, gps_like_features, load_dataset,
                         sequence_length_histogram, text_like_features)
-from repro.data.stats import basket_size_distribution
 
 
 class TestDatasetProfiles:
@@ -55,7 +52,12 @@ class TestFeatures:
         clusters = np.array([-1] + [i % 4 for i in range(40)])
         clusters_safe = clusters * (clusters >= 0)
         feats = text_like_features(clusters_safe, 8, rng)
-        within, between = cluster_feature_coherence(feats, clusters)
+        unit = feats[1:] / np.linalg.norm(feats[1:], axis=1, keepdims=True)
+        sims = unit @ unit.T
+        same = clusters[1:, None] == clusters[None, 1:]
+        off_diag = ~np.eye(len(sims), dtype=bool)
+        within = sims[same & off_diag].mean()
+        between = sims[~same].mean()
         assert within > between + 0.3
 
     def test_gps_shape(self):
@@ -89,15 +91,9 @@ class TestStatistics:
         assert sum(hist.values()) == tiny_dataset.corpus.num_users
         assert set(hist) == {"1-2", "3-4", "5+"}
 
-    def test_basket_size_distribution(self, tiny_dataset):
-        dist = basket_size_distribution(tiny_dataset.corpus)
-        total = sum(dist.values())
-        assert total == sum(s.length for s in tiny_dataset.corpus)
-        assert 1 in dist
-
     def test_compare_to_paper(self):
         ds = load_dataset("baby", scale=0.05, seed=1)
         stats = compute_statistics("baby", ds.corpus)
-        ratios = compare_to_paper(stats, PAPER_STATISTICS["baby"])
-        assert 0.0 < ratios["users_ratio"] < 0.2
-        assert 0.5 < ratios["seqlen_ratio"] < 3.0
+        paper = PAPER_STATISTICS["baby"]
+        assert 0.0 < stats.num_users / paper["users"] < 0.2
+        assert 0.5 < stats.average_sequence_length / paper["seqlen"] < 3.0

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import (average_causes_per_sample, build_explanation_dataset,
-                        to_eval_samples)
+from repro.data import average_causes_per_sample, build_explanation_dataset
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +46,6 @@ class TestBuildExplanationDataset:
 
     def test_average_causes_empty(self):
         assert average_causes_per_sample([]) == 0.0
-
-    def test_to_eval_samples(self, labeled):
-        eval_samples = to_eval_samples(labeled)
-        assert len(eval_samples) == len(labeled)
-        for orig, conv in zip(labeled, eval_samples):
-            assert conv.target == (orig.target_item,)
-            assert conv.history == orig.history
 
     def test_allow_baskets_when_not_singleton_only(self, tiny_dataset):
         everything = build_explanation_dataset(tiny_dataset, max_samples=500,

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data import EvalSample, ExplanationSample
-from repro.eval import (bootstrap_confidence_interval, evaluate_explanations,
-                        evaluate_rankings, paired_t_test,
-                        top_k_history_items)
+from repro.eval import (evaluate_explanations, evaluate_rankings,
+                        paired_t_test, top_k_history_items)
 
 
 def sample(target):
@@ -71,15 +70,6 @@ class TestPairedTTest:
     def test_short_input(self):
         test = paired_t_test([1.0], [0.0])
         assert test.p_value == 1.0
-
-    def test_bootstrap_interval_contains_mean(self):
-        rng = np.random.default_rng(2)
-        values = rng.normal(0.5, 0.1, 200)
-        lo, hi = bootstrap_confidence_interval(values)
-        assert lo < values.mean() < hi
-
-    def test_bootstrap_empty(self):
-        assert bootstrap_confidence_interval([]) == (0.0, 0.0)
 
 
 class TestExplanationEvaluation:

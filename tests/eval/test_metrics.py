@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.eval import (dcg_at_z, f1_at_z, hit_rate_at_z, ideal_dcg,
-                        mean_metric, mrr_at_z, ndcg_at_z, precision_at_z,
-                        recall_at_z)
+from repro.data import EvalSample
+from repro.eval import (dcg_at_z, evaluate_rankings, f1_at_z, ideal_dcg,
+                        mean_metric, ndcg_at_z, precision_at_z, recall_at_z)
+
+
+def per_user(metric, rankings, targets):
+    samples = [EvalSample(user_id=0, history=((1,),), target=(target,))
+               for target in targets]
+    return evaluate_rankings(rankings, samples, z=5).per_user[metric]
 
 
 class TestPrecisionRecallF1:
@@ -61,13 +67,14 @@ class TestNDCG:
 
 
 class TestHitAndMRR:
+    """The per-user ``hit`` and ``mrr`` traces of :func:`evaluate_rankings`."""
+
     def test_hit(self):
-        assert hit_rate_at_z([3, 4], {4}) == 1.0
-        assert hit_rate_at_z([3, 4], {5}) == 0.0
+        assert per_user("hit", [[3, 4], [3, 4]], [4, 5]) == [1.0, 0.0]
 
     def test_mrr(self):
-        assert mrr_at_z([9, 9, 1], {1}) == pytest.approx(1 / 3)
-        assert mrr_at_z([9], {1}) == 0.0
+        assert per_user("mrr", [[9, 8, 1], [9]], [1, 1]) == pytest.approx(
+            [1 / 3, 0.0])
 
 
 class TestMeanMetric:
@@ -86,8 +93,7 @@ def test_metric_bounds_property(seed, z):
     relevant = set(rng.choice(np.arange(1, 50),
                               size=int(rng.integers(1, 6)),
                               replace=False).tolist())
-    for metric in (precision_at_z, recall_at_z, f1_at_z, ndcg_at_z,
-                   hit_rate_at_z, mrr_at_z):
+    for metric in (precision_at_z, recall_at_z, f1_at_z, ndcg_at_z):
         value = metric(recommended, relevant)
         assert 0.0 <= value <= 1.0
 

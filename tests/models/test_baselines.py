@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.eval import evaluate_model
-from repro.models import (BPR, FPMC, GRU4Rec, MMSARec, NARM, NCF,
+from repro.exp import BASELINE_NAMES
+from repro.models import (BPR, GRU4Rec, MMSARec, NARM, NCF,
                           PopularityRecommender, SASRec, STAMP, TrainConfig,
                           VTRNN)
 
@@ -19,7 +20,6 @@ def build(name, dataset):
         "Pop": lambda: PopularityRecommender(num_items),
         "BPR": lambda: BPR(num_users, num_items, QUICK),
         "NCF": lambda: NCF(num_users, num_items, QUICK),
-        "FPMC": lambda: FPMC(num_users, num_items, QUICK),
         "GRU4Rec": lambda: GRU4Rec(num_users, num_items, QUICK),
         "NARM": lambda: NARM(num_users, num_items, QUICK),
         "STAMP": lambda: STAMP(num_users, num_items, QUICK),
@@ -31,8 +31,8 @@ def build(name, dataset):
     return builders[name]()
 
 
-ALL = ["Pop", "BPR", "NCF", "FPMC", "GRU4Rec", "NARM", "STAMP", "SASRec",
-       "VTRNN", "MMSARec"]
+#: The experiment runner's baseline lineup.
+ALL = list(BASELINE_NAMES)
 
 
 @pytest.fixture(scope="module")
@@ -118,18 +118,6 @@ class TestModelSpecifics:
         model, _ = fitted_models["BPR"]
         scores = model.score_samples(tiny_split.test[:2])
         assert not np.allclose(scores[0], scores[1])
-
-    def test_fpmc_uses_last_basket(self, fitted_models, tiny_split):
-        model, _ = fitted_models["FPMC"]
-        a = tiny_split.test[0]
-        from repro.data import EvalSample
-        b = EvalSample(user_id=a.user_id, history=a.history[:-1],
-                       target=a.target)
-        if not b.history:
-            pytest.skip("history too short for this sample")
-        scores_a = model.score_samples([a])
-        scores_b = model.score_samples([b])
-        assert not np.allclose(scores_a, scores_b)
 
     def test_vtrnn_feature_validation(self, tiny_dataset):
         with pytest.raises(ValueError):

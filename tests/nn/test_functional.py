@@ -1,4 +1,4 @@
-"""Tests for functional ops: softmax family, dropout, lookups."""
+"""Tests for functional ops: softmax family, lookups."""
 
 import numpy as np
 import pytest
@@ -29,8 +29,11 @@ class TestSoftmax:
 
     def test_matches_log_softmax(self):
         x = Tensor(np.random.default_rng(3).normal(size=(3, 5)))
-        np.testing.assert_allclose(np.log(F.softmax(x).data),
-                                   F.log_softmax(x).data, atol=1e-10)
+        shifted = x.data - x.data.max(axis=-1, keepdims=True)
+        log_softmax = shifted - np.log(np.exp(shifted).sum(axis=-1,
+                                                           keepdims=True))
+        np.testing.assert_allclose(np.log(F.softmax(x).data), log_softmax,
+                                   atol=1e-10)
 
 
 class TestMaskedSoftmax:
@@ -65,27 +68,6 @@ class TestMaskedSoftmax:
         np.testing.assert_allclose(sums[valid_cols], 1.0, rtol=1e-6)
 
 
-class TestDropout:
-    def test_identity_at_eval(self):
-        x = Tensor(np.ones((10, 10)))
-        out = F.dropout(x, 0.5, training=False)
-        assert out is x
-
-    def test_zero_rate_identity(self):
-        x = Tensor(np.ones((4,)))
-        assert F.dropout(x, 0.0, training=True) is x
-
-    def test_scaling_preserves_mean(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((200, 200)))
-        out = F.dropout(x, 0.5, training=True, rng=rng)
-        assert out.data.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(3)), 1.5, training=True)
-
-
 class TestLookups:
     def test_embedding_lookup_gradient_scatter(self):
         weight = Tensor(np.random.default_rng(0).normal(size=(5, 3)),
@@ -95,16 +77,6 @@ class TestLookups:
         assert weight.grad[1, 0] == pytest.approx(2.0)
         assert weight.grad[4, 0] == pytest.approx(1.0)
         assert weight.grad[0, 0] == pytest.approx(0.0)
-
-    def test_multihot_lookup(self):
-        weight = Tensor(np.eye(3))
-        multihot = np.array([[1.0, 0.0, 1.0]])
-        out = F.multihot_lookup(weight, multihot)
-        np.testing.assert_allclose(out.data, [[1.0, 0.0, 1.0]])
-
-    def test_one_hot(self):
-        out = F.one_hot(np.array([0, 2]), depth=3)
-        np.testing.assert_allclose(out, [[1, 0, 0], [0, 0, 1]])
 
     def test_linear_matches_manual(self):
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3)))

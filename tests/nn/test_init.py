@@ -17,11 +17,6 @@ class TestXavier:
         bound = np.sqrt(6.0 / 150)
         assert np.abs(w).max() <= bound
 
-    def test_normal_std(self, rng):
-        w = init.xavier_normal((200, 300), rng)
-        expected = np.sqrt(2.0 / 500)
-        assert w.std() == pytest.approx(expected, rel=0.1)
-
     def test_gain_scales(self, rng):
         small = init.xavier_uniform((50, 50), np.random.default_rng(1))
         large = init.xavier_uniform((50, 50), np.random.default_rng(1),

@@ -45,21 +45,6 @@ class TestBCEWithLogits:
         assert err < 1e-6
 
 
-class TestBCEOnProbabilities:
-    def test_agrees_with_logit_version(self):
-        logits = np.array([0.3, -0.7, 1.2])
-        probs = Tensor(1 / (1 + np.exp(-logits)))
-        targets = np.array([1.0, 0.0, 1.0])
-        a = losses.bce_on_probabilities(probs, targets).item()
-        b = losses.bce_with_logits(Tensor(logits), targets).item()
-        assert a == pytest.approx(b, rel=1e-6)
-
-    def test_clipping_avoids_infinity(self):
-        probs = Tensor(np.array([0.0, 1.0]))
-        out = losses.bce_on_probabilities(probs, np.array([1.0, 0.0])).item()
-        assert np.isfinite(out)
-
-
 class TestBPRLoss:
     def test_zero_when_pos_much_larger(self):
         pos = Tensor(np.array([100.0]))
@@ -77,78 +62,6 @@ class TestBPRLoss:
         losses.bpr_loss(pos, neg).backward()
         assert pos.grad[0] < 0  # increasing pos decreases loss
         assert neg.grad[0] > 0
-
-
-class TestOthers:
-    def test_mse(self):
-        pred = Tensor(np.array([1.0, 2.0]))
-        out = losses.mse_loss(pred, np.array([0.0, 0.0])).item()
-        assert out == pytest.approx(2.5)
-
-    def test_cross_entropy_perfect_prediction(self):
-        logits = Tensor(np.array([[100.0, 0.0], [0.0, 100.0]]))
-        out = losses.cross_entropy(logits, np.array([0, 1])).item()
-        assert out == pytest.approx(0.0, abs=1e-8)
-
-    def test_cross_entropy_uniform(self):
-        logits = Tensor(np.zeros((1, 4)))
-        out = losses.cross_entropy(logits, np.array([2])).item()
-        assert out == pytest.approx(np.log(4.0))
-
-    def test_l1_penalty(self):
-        t = Tensor(np.array([[-1.0, 2.0], [0.0, -3.0]]))
-        assert losses.l1_penalty(t).item() == pytest.approx(6.0)
-
-    def test_l2_penalty(self):
-        t = Tensor(np.array([1.0, -2.0]))
-        assert losses.l2_penalty(t).item() == pytest.approx(5.0)
-
-
-class TestFusedCrossEntropy:
-    """Gradient and value checks for the fused softmax-cross-entropy kernel.
-
-    ``losses.cross_entropy`` now lowers to a single node whose backward is
-    the textbook ``(softmax - onehot) / batch``; these tests pin it against
-    finite differences and the composite log-softmax formula it replaced.
-    """
-
-    def test_batched_gradient(self):
-        rng = np.random.default_rng(11)
-        logits = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
-        targets = rng.integers(0, 7, size=5)
-        err = gradient_check(
-            lambda x: losses.cross_entropy(x, targets), [logits])
-        assert err < 1e-6
-
-    def test_gradient_is_softmax_minus_onehot(self):
-        rng = np.random.default_rng(12)
-        data = rng.normal(size=(4, 6))
-        targets = np.array([2, 0, 5, 3])
-        logits = Tensor(data, requires_grad=True)
-        losses.cross_entropy(logits, targets).backward()
-        shifted = np.exp(data - data.max(axis=1, keepdims=True))
-        softmax = shifted / shifted.sum(axis=1, keepdims=True)
-        expected = softmax.copy()
-        expected[np.arange(4), targets] -= 1.0
-        np.testing.assert_allclose(logits.grad, expected / 4.0, atol=1e-12)
-
-    def test_matches_composite_log_softmax(self):
-        rng = np.random.default_rng(13)
-        data = rng.normal(size=(3, 5)) * 4.0
-        targets = np.array([1, 4, 0])
-        fused = losses.cross_entropy(Tensor(data), targets).item()
-        log_probs = data - data.max(axis=1, keepdims=True)
-        log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
-        composite = -log_probs[np.arange(3), targets].mean()
-        assert fused == pytest.approx(composite, rel=1e-12)
-
-    def test_stable_for_large_logits(self):
-        logits = Tensor(np.array([[1000.0, -1000.0, 500.0]]),
-                        requires_grad=True)
-        out = losses.cross_entropy(logits, np.array([0]))
-        assert np.isfinite(out.item())
-        out.backward()
-        assert np.all(np.isfinite(logits.grad))
 
 
 class TestFusedBCEGradients:

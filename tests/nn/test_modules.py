@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import (Dropout, Embedding, LayerNorm, Linear, MLP, Module,
-                      Parameter, Sequential, Tensor, gradient_check)
+from repro.nn import (Embedding, LayerNorm, Linear, Module, Parameter, Tensor,
+                      TransformerBlock, gradient_check)
 
 
 @pytest.fixture
@@ -34,11 +34,11 @@ class TestModulePlumbing:
         assert "layer.bias" in names
 
     def test_train_eval_propagates(self, rng):
-        seq = Sequential(Linear(2, 2, rng), Dropout(0.5))
-        seq.eval()
-        assert all(not m.training for m in seq.modules())
-        seq.train()
-        assert all(m.training for m in seq.modules())
+        block = TransformerBlock(4, 2, rng)
+        block.eval()
+        assert all(not m.training for m in block.modules())
+        block.train()
+        assert all(m.training for m in block.modules())
 
     def test_zero_grad(self, rng):
         layer = Linear(2, 2, rng)
@@ -119,24 +119,3 @@ class TestLayerNorm:
         x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         err = gradient_check(lambda a: (ln(a) ** 2).sum(), [x])
         assert err < 1e-5
-
-
-class TestMLP:
-    def test_needs_two_dims(self, rng):
-        with pytest.raises(ValueError):
-            MLP([4], rng)
-
-    def test_forward_shape(self, rng):
-        mlp = MLP([4, 8, 2], rng)
-        assert mlp(Tensor(np.ones((3, 4)))).shape == (3, 2)
-
-    def test_unknown_activation(self, rng):
-        mlp = MLP([2, 2], rng, activation="bogus", final_activation=True)
-        with pytest.raises(ValueError):
-            mlp(Tensor(np.ones((1, 2))))
-
-    @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
-    def test_activations_run(self, rng, act):
-        mlp = MLP([3, 3, 3], rng, activation=act)
-        out = mlp(Tensor(rng.normal(size=(2, 3))))
-        assert np.isfinite(out.data).all()

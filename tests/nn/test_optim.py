@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (Adagrad, Adam, Parameter, SGD, StepLR, Tensor,
-                      make_optimizer)
+from repro.nn import Adagrad, Adam, Parameter, SGD, Tensor, make_optimizer
 
 
 def quadratic_loss(param):
@@ -82,21 +81,6 @@ class TestMechanics:
         p.grad = np.ones(2)
         opt.zero_grad()
         assert p.grad is None
-
-
-class TestStepLR:
-    def test_decays_on_schedule(self):
-        opt = SGD([Parameter(np.ones(1))], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        sched.step()
-        assert sched.lr == 1.0
-        sched.step()
-        assert sched.lr == 0.5
-
-    def test_invalid_step_size(self):
-        opt = SGD([Parameter(np.ones(1))], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
 
 
 class TestFactory:

@@ -12,15 +12,10 @@ import pytest
 
 from repro.data import load_dataset
 from repro.data.interactions import leave_one_out_split
-from repro.eval import (evaluate_model, multi_seed_evaluation,
-                        pooled_paired_t_test)
 from repro.exp import BenchmarkSettings, grid_search_causer, run_models
 from repro.exp.runner import build_model
 from repro.nn import Tensor
-from repro.parallel import (WorkerError, map_seeds, run_models_parallel,
-                            shard_batch_ranges)
-
-from .tasks import square
+from repro.parallel import WorkerError, run_models_parallel
 
 
 @pytest.fixture(scope="module")
@@ -60,55 +55,6 @@ class TestGridEquivalence:
         fanned = grid_search_causer(dataset, grid, settings, workers=4)
         assert serial.scores == fanned.scores  # same overrides, same floats
         assert serial.best == fanned.best
-
-
-class TestShardedEvaluation:
-    def test_workers_1_vs_4_identical_per_user(self, dataset, settings):
-        split = leave_one_out_split(dataset.corpus)
-        model = build_model("GRU4Rec", dataset, settings)
-        model.fit(split.train)
-        serial = evaluate_model(model, split.test, z=5, batch_size=16,
-                                workers=1)
-        fanned = evaluate_model(model, split.test, z=5, batch_size=16,
-                                workers=4)
-        assert serial.per_user == fanned.per_user
-
-    def test_shards_align_to_batches(self):
-        ranges = shard_batch_ranges(num_samples=330, batch_size=16,
-                                    num_shards=4)
-        assert ranges[0][0] == 0
-        assert ranges[-1][1] == 330
-        for (_, stop), (start, _) in zip(ranges, ranges[1:]):
-            assert stop == start
-            assert stop % 16 == 0  # interior boundaries on batch edges
-
-    def test_shards_clamped_to_batch_count(self):
-        ranges = shard_batch_ranges(num_samples=10, batch_size=16,
-                                    num_shards=8)
-        assert ranges == [(0, 10)]
-
-
-class TestSeedFanout:
-    def test_map_seeds_orders_results(self):
-        assert map_seeds(square, (3, 1, 2), workers=2) == [9, 1, 4]
-
-    def test_multi_seed_evaluation_equivalence(self, dataset, settings):
-        serial = multi_seed_evaluation("BPR", dataset, settings,
-                                       seeds=(0, 1), workers=1)
-        fanned = multi_seed_evaluation("BPR", dataset, settings,
-                                       seeds=(0, 1), workers=2)
-        assert_runs_identical(serial, fanned)
-        assert serial[0].final_loss != serial[1].final_loss  # seeds matter
-
-    def test_pooled_t_test(self, dataset, settings):
-        bpr = multi_seed_evaluation("BPR", dataset, settings,
-                                    seeds=(0, 1), workers=2)
-        pop = multi_seed_evaluation("Pop", dataset, settings,
-                                    seeds=(0, 1), workers=2)
-        test = pooled_paired_t_test(bpr, pop, metric="ndcg")
-        assert 0.0 <= test.p_value <= 1.0
-        with pytest.raises(ValueError, match="matching run lists"):
-            pooled_paired_t_test(bpr, pop[:1])
 
 
 class TestTensorPickling:

@@ -109,8 +109,8 @@ class TestCheckpointHeaders:
 
     def test_registry_covers_every_class(self):
         assert set(registered_model_classes()) == {
-            "Causer", "BERT4Rec", "BPR", "FPMC", "GRU4Rec", "HRNN",
-            "MMSARec", "NARM", "NCF", "SASRec", "STAMP", "VTRNN"}
+            "Causer", "BPR", "GRU4Rec", "MMSARec", "NARM", "NCF", "SASRec",
+            "STAMP", "VTRNN"}
 
 
 class TestCLI:

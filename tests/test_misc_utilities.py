@@ -25,12 +25,11 @@ class TestNoGrad:
         assert layer.weight.requires_grad
 
     def test_nested_modules_covered(self):
-        from repro.nn import Sequential
-        seq = Sequential(Linear(2, 2, np.random.default_rng(0)),
-                         Linear(2, 2, np.random.default_rng(1)))
-        with no_grad(seq):
-            assert all(not p.requires_grad for p in seq.parameters())
-        assert all(p.requires_grad for p in seq.parameters())
+        from repro.nn import TransformerBlock
+        block = TransformerBlock(4, 2, np.random.default_rng(0))
+        with no_grad(block):
+            assert all(not p.requires_grad for p in block.parameters())
+        assert all(p.requires_grad for p in block.parameters())
 
 
 class TestRenderSeries:
