@@ -31,7 +31,7 @@ Three filtering modes are provided (DESIGN.md §5, ``CauserConfig.filtering_mode
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -262,12 +262,14 @@ class Causer(NeuralSequentialRecommender):
         self.eval()
         cfg = self.config
         item_embeddings = self.clusters.encode()
-        w_full = self.item_causal_matrix()
+        cause_rows, assignments = self.causal_factors()
+        history_rows = cause_rows[batch.items]                  # (B, T, S, K)
         logits = np.zeros(candidates.shape)
         for col in range(candidates.shape[1]):
             cand = candidates[:, col]
             # Mask basket slots that are not causes of this candidate.
-            w_cols = w_full[batch.items, cand[:, None, None]]   # (B, T, S)
+            w_cols = np.einsum("btsk,bk->bts", history_rows,
+                               assignments[cand])               # (B, T, S)
             keep = (w_cols > cfg.epsilon).astype(np.float64)
             masked = replace(
                 batch, basket_mask=batch.basket_mask * keep,
@@ -481,16 +483,25 @@ class Causer(NeuralSequentialRecommender):
         with no_grad(self):
             return self.candidate_logits(batch, None).data
 
+    def causal_factors(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Eq. 9's rank-K factors ``(Ā Wᶜ, Ā)``, each ``(V+1, K)``.
+
+        ``W = Ā Wᶜ Āᵀ`` is the first times the second transposed.
+        Serving, refresh drift and strict filtering read ``W``'s entries
+        from these, so none of them holds a (V+1)² array.  Fresh arrays
+        on every call, owned by the caller.
+        """
+        assignments = self.clusters.assignments().data
+        return assignments @ self.graph.numpy_matrix(), assignments
+
     def item_causal_matrix(self) -> np.ndarray:
         """Learned item-level ``W`` (eq. 9): ``Ā Wᶜ Āᵀ``, shape (V+1, V+1).
 
-        Built fresh on every call and owned by the caller, so a model
-        carries no (V+1)² buffer through deep copies, pickles or
-        shared-memory publishes; serving gates it in place once per
-        generation (:func:`repro.serve.registry.build_artifacts`).
+        The inspection view of :meth:`causal_factors`, built fresh on
+        every call; nothing on the serving path calls it.
         """
-        assignments = self.clusters.assignments().data
-        return assignments @ self.graph.numpy_matrix() @ assignments.T
+        cause_rows, assignments = self.causal_factors()
+        return cause_rows @ assignments.T
 
     def learned_cluster_graph(self, threshold: float = 0.1) -> np.ndarray:
         """Thresholded, cycle-pruned cluster-level DAG."""

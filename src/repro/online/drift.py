@@ -7,14 +7,15 @@ Two complementary views of "how far has the online model moved":
   checkpoint) and a candidate (the refreshed shadow): mean absolute
   score delta plus top-``z`` recommendation overlap.  Catches drift
   that matters for ranking even when individual weights barely moved.
-* **Causal-graph edge churn** — compare two item-level causal matrices
-  on magnitude edges ``|W_ij| > ε``: edges *added* (crossed ε upward),
-  *dropped* (fell below ε), and *sign-flipped* (above ε on both sides
-  but reversed direction).  Catches structural drift in the discovered
-  behavior graph that scores alone can hide.  Magnitude edges are a
-  superset of the edges serving uses (the signed gate ``W_ij > ε`` of
-  eq. 10), which is why ``flipped`` can be non-zero: under the signed
-  gate a sign flip could never survive.
+* **Causal-graph edge churn** — compare two item-level causal matrices,
+  each given by its eq.-9 factors, on magnitude edges ``|W_ij| > ε``:
+  edges *added* (crossed ε upward), *dropped* (fell below ε), and
+  *sign-flipped* (above ε on both sides but reversed direction).
+  Catches structural drift in the discovered behavior graph that scores
+  alone can hide.  Magnitude edges are a superset of the edges serving
+  uses (the signed gate ``W_ij > ε`` of eq. 10), which is why
+  ``flipped`` can be non-zero: under the signed gate a sign flip could
+  never survive.
 
 Both are exported to ``/metrics`` as gauges by the refresh controller,
 so dashboards see drift per refresh generation in single- and
@@ -23,7 +24,7 @@ multi-process serving alike.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,32 +34,38 @@ from ..models.base import rank_top_z
 __all__ = ["edge_churn", "score_divergence", "DriftReport"]
 
 
-# Rows per edge_churn block: its boolean/sign temporaries stay at
-# 256×(V+1) instead of (V+1)² — a refresh already holds two full matrices.
+# Rows per edge_churn block: each block of W and its boolean/sign
+# temporaries stay at 256×(V+1); no (V+1)² array is ever built.
 _CHURN_BLOCK_ROWS = 256
 
+#: A causal matrix as its eq.-9 factors ``(rows, cols)``: ``W = rows @ colsᵀ``
+#: (``Causer.causal_factors()`` returns ``(Ā Wᶜ, Ā)``).
+Factors = Tuple[np.ndarray, np.ndarray]
 
-def edge_churn(previous: np.ndarray, current: np.ndarray,
+
+def edge_churn(previous: Factors, current: Factors,
                epsilon: float) -> Dict[str, int]:
-    """Edge-set churn between two causal matrices on magnitude edges.
+    """Edge-set churn between two factored causal matrices.
 
     An edge "exists" when ``|W_ij| > epsilon``: a superset of the signed
     ``W_ij > epsilon`` edges eq. 10 serves, so a sign flip is countable.
     Returns counts of ``added``, ``dropped``, and ``flipped`` (present on
     both sides with opposite sign) edges; ``kept`` counts
-    surviving same-sign edges for rate computations.  Counted over
-    fixed row blocks; the integer totals do not depend on the blocking.
+    surviving same-sign edges for rate computations.  Each side is built
+    one fixed row block at a time (``rows[block] @ colsᵀ``); the integer
+    totals do not depend on the blocking.
     """
-    previous = np.asarray(previous)
-    current = np.asarray(current)
-    if previous.shape != current.shape:
-        raise ValueError(
-            f"causal matrices disagree on shape: {previous.shape} vs "
-            f"{current.shape}")
+    (prev_rows, prev_cols), (cur_rows, cur_cols) = previous, current
+    before_shape = (len(prev_rows), len(prev_cols))
+    after_shape = (len(cur_rows), len(cur_cols))
+    if before_shape != after_shape:
+        raise ValueError(f"causal matrices disagree on shape: "
+                         f"{before_shape} vs {after_shape}")
     counts = {"added": 0, "dropped": 0, "flipped": 0, "kept": 0}
-    for start in range(0, len(previous), _CHURN_BLOCK_ROWS):
-        prev = previous[start:start + _CHURN_BLOCK_ROWS]
-        cur = current[start:start + _CHURN_BLOCK_ROWS]
+    for start in range(0, len(prev_rows), _CHURN_BLOCK_ROWS):
+        block = slice(start, start + _CHURN_BLOCK_ROWS)
+        prev = prev_rows[block] @ prev_cols.T
+        cur = cur_rows[block] @ cur_cols.T
         before = np.abs(prev) > epsilon
         after = np.abs(cur) > epsilon
         both = before & after

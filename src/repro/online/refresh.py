@@ -9,8 +9,9 @@ here on a sliding window of the event log, then atomically published:
 2. warm-start Algorithm 1 on samples expanded from ``log.window(W)``
    (``fit_samples(..., warm_start=True, num_epochs=refresh_epochs)`` —
    multipliers, the seeded graph, and the h-stall tracker carry over),
-3. measure drift (edge churn vs the previous gated graph, score
-   divergence vs the frozen offline baseline on a probe set),
+3. measure drift (edge churn vs the previous causal graph, kept as its
+   (V+1, K) eq.-9 factors, never a (V+1)² matrix; score divergence vs
+   the frozen offline baseline on a probe set),
 4. publish through the injected ``publish`` callable — the registry's
    generation-bumping ``install`` in one process, ``ServeCluster
    .install`` (which shared-memory-broadcasts via ``publish_artifacts``)
@@ -117,9 +118,9 @@ class RefreshController:
         if len(samples) < self.min_samples:
             return False
         snapshot = self.trainer.snapshot_model()
-        causal = hasattr(snapshot, "item_causal_matrix")
-        # A fresh, private array: the refit below cannot alias it.
-        previous_matrix = snapshot.item_causal_matrix() if causal else None
+        causal = hasattr(snapshot, "causal_factors")
+        # Fresh, private arrays: the refit below cannot alias them.
+        previous = snapshot.causal_factors() if causal else None
         began = time.perf_counter()
         if causal:
             snapshot.fit_samples(samples, warm_start=True,
@@ -130,12 +131,9 @@ class RefreshController:
             snapshot.fit_samples(samples)
         elapsed = time.perf_counter() - began
         churn = None
-        if previous_matrix is not None:
-            churn = edge_churn(previous_matrix, snapshot.item_causal_matrix(),
+        if previous is not None:
+            churn = edge_churn(previous, snapshot.causal_factors(),
                                epsilon=float(snapshot.config.epsilon))
-        # Release it before probe scoring and the publish allocate theirs:
-        # a refresh holds at most the previous and current matrices.
-        del previous_matrix
         # With no explicit probe set, probe on a slice of the very window
         # we refreshed from — keeps the divergence gauges live in CLI
         # deployments that have no held-out data at serve time.

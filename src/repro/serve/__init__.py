@@ -8,8 +8,8 @@ Layers, bottom-up:
   incrementally per event (O(1) inside the model's history window), with
   a bit-identical full-replay fallback and LRU eviction,
 * :mod:`repro.serve.registry` — checkpoint loading via :mod:`repro.io`,
-  frozen artifact precompute (ε-gated item-level causal matrix, embedding
-  tables) and lock-guarded hot swap,
+  frozen artifact precompute (eq. 9's rank-K causal factors, embedding
+  tables; no (V+1)² array) and lock-guarded hot swap,
 * :mod:`repro.serve.scoring` — incremental and replay scorers whose
   rankings match offline :func:`repro.eval.evaluate_model` output,
 * :mod:`repro.serve.batcher` — micro-batching scheduler

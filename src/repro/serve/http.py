@@ -56,6 +56,7 @@ ROUTES = {"/healthz": "GET", "/metrics": "GET", "/v1/recommend": "POST",
 
 #: Largest accepted item id: ids travel through int64 arrays (session
 #: replay, the popularity ranking), so anything wider is a client error.
+#: Integer fields such as ``user_id`` get the same signed int64 bounds.
 MAX_ITEM_ID = int(np.iinfo(np.int64).max)
 
 
@@ -85,6 +86,9 @@ def _require_int(payload: Dict[str, Any], key: str) -> int:
     value = payload.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ServeError(400, f"field {key!r} must be an integer")
+    if not -MAX_ITEM_ID - 1 <= value <= MAX_ITEM_ID:
+        raise ServeError(400, f"field {key!r} = {value} exceeds the int64 "
+                              f"range")
     return value
 
 

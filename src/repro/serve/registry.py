@@ -4,10 +4,10 @@ artifacts, hot-swap behind a lock.
 A checkpoint (written by :func:`repro.io.save_model`) is turned into a
 frozen :class:`ServingArtifacts` bundle once, at install time:
 
-* the **ε-gated item-level causal matrix** ``Ŵ ⊙ 1(Ŵ > ε)`` (eq. 9,
-  :meth:`Causer.item_causal_matrix` gated in place) — the one (V+1)²
-  array a generation holds; the per-request scorer then never
-  re-projects K×K→N×N,
+* eq. 9's **rank-K causal factors** ``(Ā Wᶜ, Ā)`` and the gate ``ε``
+  (:meth:`Causer.causal_factors`) — two (V+1, K) arrays; the scorer
+  builds only the ``W`` entries a request reads, so a generation holds
+  no (V+1)² array,
 * the **input embedding table** feeding incremental RNN updates
   (:class:`repro.serve.sessions.RecurrentServingParams`),
 * the output item-embedding table + bias the final dot-product reads.
@@ -114,7 +114,9 @@ class ServingArtifacts:
 class CausalServingArtifacts(ServingArtifacts):
     """Causer-specific precompute: frozen eq. 10 ingredients."""
 
-    gated_matrix: Optional[np.ndarray] = None     # Ŵ ⊙ 1(Ŵ > ε)
+    cause_rows: Optional[np.ndarray] = None       # Ā Wᶜ, (V+1, K)
+    assignments: Optional[np.ndarray] = None      # Ā, (V+1, K)
+    epsilon: float = 0.0                          # the eq.-10 gate
     attention_proj: Optional[np.ndarray] = None   # A, None in (-att) mode
     adapt_weight: Optional[np.ndarray] = None     # V, (d_e, h)
     output_table: Optional[np.ndarray] = None     # (V+1, d_e)
@@ -219,15 +221,13 @@ def build_artifacts(model, generation: int, path: Optional[str] = None,
                   max_history=model.config.max_history)
     if type(model) is Causer and model.config.filtering_mode == "shared":
         cfg = model.config
-        # The fresh eq.-9 array is ours: gate it in place (bitwise equal to
-        # ``np.where(W > ε, W, 0.0)``, NaN included) rather than allocate
-        # a second (V+1)² buffer.
-        gated = model.item_causal_matrix()
-        gated[~(gated > cfg.epsilon)] = 0.0
-        gated.setflags(write=False)
+        cause_rows, assignments = model.causal_factors()
+        cause_rows.setflags(write=False)
+        assignments.setflags(write=False)
         artifacts: ServingArtifacts = CausalServingArtifacts(
             mode="incremental", recurrent=_causer_recurrent(model),
-            gated_matrix=gated,
+            cause_rows=cause_rows, assignments=assignments,
+            epsilon=float(cfg.epsilon),
             attention_proj=(model.attention.proj.data
                             if cfg.use_attention else None),
             adapt_weight=model.adapt.weight.data,

@@ -11,12 +11,12 @@ layout is::
 
 The manifest is produced by a :class:`pickle.Pickler` whose
 ``persistent_id`` externalizes every ndarray it meets (model parameters,
-composed embedding tables, the ε-gated Ŵ, IVF inverted lists)
-into the pool, deduplicated by object identity — the pickle stream holds
-only (dtype, shape, offset) stubs.  Attaching reverses the trick:
-``persistent_load`` returns zero-copy ``np.ndarray`` views over the
-segment buffer, marked read-only, so a worker's resident cost for the
-artifacts is page tables, not pages.
+composed embedding tables, eq. 9's two (V+1, K) causal factors, IVF
+inverted lists; no (V+1)² array) into the pool, deduplicated by object
+identity — the pickle stream holds only (dtype, shape, offset) stubs.
+Attaching reverses the trick: ``persistent_load`` returns zero-copy
+``np.ndarray`` views over the segment buffer, marked read-only, so a
+worker's resident cost for the artifacts is page tables, not pages.
 
 Quantization happens at publish time (:func:`quantize_artifacts`): the
 designated frozen tables (output/input embedding tables, item tower,
@@ -201,7 +201,7 @@ def quantize_artifacts(artifacts: ServingArtifacts,
 
     Quantizes the embedding tables every score reads — the composed
     input table, the output table, the item tower, and the IVF inverted
-    lists.  Biases, the gated causal matrix ``Ŵ ⊙ 1(Ŵ > ε)``, attention
+    lists.  Biases, eq. 9's causal factors ``(Ā Wᶜ, Ā)``, attention
     and adapter weights, and the model itself stay float64: they are
     either small, or (the causal head's case) part of the bit-for-bit
     eq.-10 contract that quantization tolerances are defined against.

@@ -1,10 +1,10 @@
-"""Memory contract: one gated (V+1)² causal matrix per served generation.
+"""Memory contract: serving holds eq. 9 as its rank-K factors only.
 
-Eq. 9's item-level matrix ``Ā Wᶜ Āᵀ`` is the only N×N array in serving.
-It lives in the live generation's ``gated_matrix`` and nowhere else: not
-on the served model, not on the trainer's shadow, not on a snapshot.
-A refresh may hold the previous and current matrices while it measures
-churn, but must leave the process no larger than it found it.
+Eq. 9's item-level matrix ``Ā Wᶜ Āᵀ`` is never materialized as a
+(V+1)² array outside inspection calls: not on a generation's artifacts,
+not on the served model, not on the trainer's shadow, not on a snapshot.
+A refresh measures edge churn from the previous and current factors and
+must leave the process no larger than it found it.
 """
 
 import copy
@@ -68,7 +68,7 @@ def live_bytes() -> int:
     return tracemalloc.get_traced_memory()[0]
 
 
-def test_refresh_keeps_one_causal_matrix_per_generation(wide_causer):
+def test_serving_and_refresh_hold_no_square_causal_matrix(wide_causer):
     matrix_bytes = SIDE * SIDE * 8
     tracemalloc.start()
     try:
@@ -81,8 +81,9 @@ def test_refresh_keeps_one_causal_matrix_per_generation(wide_causer):
         registry = CheckpointRegistry()
         registry.install(served)
         first = registry.current()
-        assert square_arrays(first, "artifacts") == [
-            "artifacts.gated_matrix"]
+        assert square_arrays(first, "artifacts") == []
+        assert first.cause_rows.shape == first.assignments.shape == (
+            SIDE, wide_causer.config.num_clusters)
         assert square_arrays(served, "served") == []
         refresh = RefreshController(trainer, log, registry.install,
                                     window=128, refresh_epochs=1,
@@ -95,7 +96,7 @@ def test_refresh_keeps_one_causal_matrix_per_generation(wide_causer):
         tracemalloc.stop()
     current = registry.current()
     assert current.generation == 2
-    assert square_arrays(current, "artifacts") == ["artifacts.gated_matrix"]
+    assert square_arrays(current, "artifacts") == []
     for name, model in (("served", current.model),
                         ("trainer", trainer.model),
                         ("snapshot", trainer.snapshot_model())):

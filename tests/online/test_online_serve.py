@@ -41,6 +41,31 @@ def test_sink_errors_are_counted_never_surfaced(online_causer, make_app):
     assert app.metrics.counter_value("serve_event_sink_errors_total") == 1
 
 
+def test_out_of_int64_user_ids_never_reach_the_trainer(online_causer,
+                                                       make_app, shadow_of):
+    """A user id past int64 is a counted 400, not a dead trainer thread:
+    it used to reach the log and overflow ``pad_samples`` in ``pump``."""
+    app, client = make_app(online_causer)
+    log = EventLog(None)
+    app.event_sink = log.append
+    trainer = OnlineTrainer(shadow_of(online_causer), log, lr=0.05,
+                            batch_events=2, metrics=app.metrics)
+    accepted = [3, 2**63 - 1, -2**63, 7]      # the int64 extremes pass
+    for user in (2**70, -2**63 - 1):
+        status, body = client.post("/v1/events",
+                                   {"user_id": user, "basket": [2]})
+        assert status == 400 and "int64" in body["error"]
+    for user in accepted:
+        assert client.post("/v1/events",
+                           {"user_id": user, "basket": [5]})[0] == 200
+    assert app.metrics.counter_value(
+        "serve_errors_total", {"endpoint": "/v1/events"}) == 2
+    assert [r.user_id for r in log.read(0, log.next_offset)] == accepted
+    assert trainer.pump() == 2
+    assert trainer.consumed_offset == len(accepted)
+    log.close()
+
+
 def test_session_evictions_are_visible_on_metrics(online_causer, make_app):
     app, client = make_app(online_causer, session_capacity=2)
     for user in range(4):

@@ -12,19 +12,34 @@ from .conftest import fill_log
 
 
 # -- drift primitives ------------------------------------------------------
+def factored(matrix):
+    """``matrix`` as exact eq.-9 factors: ``matrix @ Iᵀ`` is ``matrix``."""
+    return matrix, np.eye(matrix.shape[1])
+
+
 def test_edge_churn_counts_added_dropped_flipped():
-    previous = np.array([[0.0, 0.5, 0.0],
-                         [-0.4, 0.0, 0.1],
-                         [0.0, 0.0, 0.0]])
-    current = np.array([[0.0, 0.5, 0.4],
-                        [0.4, 0.0, 0.1],
-                        [0.0, 0.0, 0.0]])
+    previous = factored(np.array([[0.0, 0.5, 0.0],
+                                  [-0.4, 0.0, 0.1],
+                                  [0.0, 0.0, 0.0]]))
+    current = factored(np.array([[0.0, 0.5, 0.4],
+                                 [0.4, 0.0, 0.1],
+                                 [0.0, 0.0, 0.0]]))
     churn = edge_churn(previous, current, epsilon=0.3)
     # (0,2) crossed up; (1,0) survived but reversed; (0,1) kept;
     # (1,2) is below the gate on both sides — invisible.
     assert churn == {"added": 1, "dropped": 0, "flipped": 1, "kept": 1}
     reverse = edge_churn(current, previous, epsilon=0.3)
     assert reverse["dropped"] == 1 and reverse["added"] == 0
+
+
+def test_edge_churn_reads_rank_k_factors():
+    """Rank-K factors count the same edges as their (V+1)² product."""
+    rng = np.random.default_rng(3)
+    rows, cols = rng.normal(size=(2, 300, 4))
+    matrix = rows @ cols.T
+    moved = factored(matrix + rng.normal(scale=0.5, size=matrix.shape))
+    assert (edge_churn((rows, cols), moved, epsilon=0.8)
+            == edge_churn(factored(matrix), moved, epsilon=0.8))
 
 
 def test_edge_churn_blocks_match_single_pass():
@@ -48,12 +63,14 @@ def test_edge_churn_blocks_match_single_pass():
         "kept": int(np.count_nonzero(both & ~flipped)),
     }
     assert min(expected.values()) > 0
-    assert edge_churn(previous, current, epsilon=epsilon) == expected
+    assert edge_churn(factored(previous), factored(current),
+                      epsilon=epsilon) == expected
 
 
 def test_edge_churn_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        edge_churn(np.zeros((2, 2)), np.zeros((3, 3)), epsilon=0.1)
+        edge_churn((np.zeros((2, 1)), np.zeros((2, 1))),
+                   (np.zeros((3, 1)), np.zeros((3, 1))), epsilon=0.1)
 
 
 def test_score_divergence_is_zero_for_identical_models(online_causer,

@@ -7,6 +7,19 @@ from repro.io import save_model
 from repro.models import NARM, TrainConfig
 from repro.serve import (CausalServingArtifacts, CheckpointRegistry,
                          GRUServingArtifacts, build_artifacts)
+from repro.serve.scoring import basket_effects
+
+
+def assert_factors_match(art, model):
+    """Artifacts carry ``causal_factors()`` bitwise, frozen read-only."""
+    for served, expected in zip((art.cause_rows, art.assignments),
+                                model.causal_factors()):
+        assert served.shape == expected.shape
+        assert served.shape[1] == model.config.num_clusters
+        assert served.dtype == expected.dtype
+        assert served.tobytes() == expected.tobytes()  # bitwise
+        assert not served.flags.writeable
+    assert art.epsilon == model.config.epsilon
 
 
 class TestBuildArtifacts:
@@ -14,10 +27,17 @@ class TestBuildArtifacts:
         art = build_artifacts(served_causer, generation=1)
         assert isinstance(art, CausalServingArtifacts)
         assert art.mode == "incremental"
+        assert_factors_match(art, served_causer)
         matrix = served_causer.item_causal_matrix()
         expected_gate = np.where(matrix > served_causer.config.epsilon,
                                  matrix, 0.0)
-        np.testing.assert_array_equal(art.gated_matrix, expected_gate)
+        # One singleton basket per item: step t's effects are row t of
+        # the gated W.
+        effects = basket_effects(art.cause_rows, art.assignments,
+                                 art.epsilon,
+                                 [(item,) for item in range(len(matrix))])
+        np.testing.assert_allclose(effects.T, expected_gate, rtol=0,
+                                   atol=1e-12)
         assert art.recurrent.cell_type == "gru"
         assert art.recurrent.track_states
         assert art.recurrent.max_history == served_causer.config.max_history
@@ -73,14 +93,7 @@ class TestCheckpointRegistry:
         art = registry.load(path)
         assert art.path == str(path)
         assert art.model_class == "Causer"
-        matrix = served_causer.item_causal_matrix()
-        expected = np.where(matrix > served_causer.config.epsilon,
-                            matrix, 0.0)
-        gated = art.gated_matrix
-        assert gated.shape == expected.shape
-        assert gated.dtype == expected.dtype
-        assert gated.tobytes() == expected.tobytes()  # bitwise
-        assert not gated.flags.writeable
+        assert_factors_match(art, served_causer)
 
 
 class TestItemCausalMatrix:
