@@ -3,7 +3,7 @@
 Holds the learnable ``W^c ∈ R^{K×K}`` with a structurally-zero diagonal and
 exposes the NOTEARS acyclicity value ``h(W^c)`` and L1 penalty used in the
 augmented-Lagrangian objective (eq. 11).  Eq. 9's item-level expansion
-``W_ab = ā^T W^c b̄`` is :meth:`repro.core.Causer.item_causal_matrix`.
+``W_ab = ā^T W^c b̄`` has the factors :meth:`repro.core.Causer.causal_factors`.
 """
 
 from __future__ import annotations

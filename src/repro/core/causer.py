@@ -40,7 +40,8 @@ from ..data.interactions import EvalSample
 from ..models.base import FitResult, NeuralSequentialRecommender
 from ..nn import BilinearAttention, Linear, RecurrentLayer, Tensor, losses, make_optimizer
 from ..nn import functional as F
-from ..nn.fused import causal_head, fused_causal_head
+from ..nn.fused import (basket_effects, causal_head, fused_basket_effects,
+                        fused_causal_head)
 from .causal_graph import ClusterCausalGraph
 from .clustering import ItemClusterModule
 from .config import CauserConfig
@@ -124,29 +125,16 @@ class Causer(NeuralSequentialRecommender):
         scores = self._attention_scores(states, last)
         return F.masked_softmax(scores, step_mask, axis=-1)
 
-    def _pairwise_effects(self, batch: PaddedBatch, assignments: Tensor,
-                          candidates: Optional[np.ndarray]) -> Tensor:
-        """Soft item-level causal strengths ``W[item, candidate]`` (eq. 9).
-
-        Shape ``(B, T, S, C)``; ``candidates=None`` means the full catalog.
-        """
-        b, t, s = batch.items.shape
-        hist_assign = assignments[batch.items]               # (B, T, S, K)
-        k = hist_assign.shape[-1]
-        projected = hist_assign.reshape(b, t * s, k) @ self.graph.matrix()
-        if candidates is None:
-            # (B, T*S, K) @ (K, V+1) — shared candidate assignments.
-            pairwise = projected @ assignments.T
-        else:
-            cand_assign = assignments[candidates]            # (B, C, K)
-            pairwise = projected @ cand_assign.transpose(0, 2, 1)
-        return pairwise.reshape(b, t, s, -1)
-
-    def _gated_effects(self, pairwise: Tensor, keep: np.ndarray,
-                       basket_mask: np.ndarray) -> Tensor:
-        """``Ŵ_{v_t b} = Σ_slots W ⊙ 1(W > ε)``: shape ``(B, T, C)``."""
-        gate = keep * basket_mask[..., None]
-        return (pairwise * Tensor(gate)).sum(axis=2)
+    def _effects(self, batch: PaddedBatch, cause_rows: Tensor,
+                 assignments: Tensor, candidates: Optional[np.ndarray],
+                 slot_mask: np.ndarray) -> Tensor:
+        """Eq. 9's ``Ŵ_{v_t b}`` over ``slot_mask``, ``(B, T, C)``, from
+        ``cause_rows = Ā Wᶜ``; ``candidates=None`` is the full catalog."""
+        effect_cols = (assignments if candidates is None
+                       else assignments[candidates])
+        return fused_basket_effects(cause_rows, effect_cols,
+                                    self.config.epsilon, batch.items,
+                                    slot_mask).transpose(0, 2, 1)
 
     def candidate_logits(self, batch: PaddedBatch,
                          candidates: Optional[np.ndarray]) -> Tensor:
@@ -183,18 +171,17 @@ class Causer(NeuralSequentialRecommender):
         the history.  Candidates with no surviving cause anywhere receive a
         zero context (uniform prediction — the paper's Remark 2).
         """
-        cfg = self.config
         item_embeddings = self.clusters.encode()
-        assignments = self.clusters.assignments()
         states, last = self._history_states(batch, item_embeddings)
         alpha = self._attention_weights(states, last, batch.step_mask)
         # (-causal) ablation: α alone (zero on padding) for every candidate.
         weights = alpha.reshape(*alpha.shape, 1)
-        if cfg.use_causal:
-            pairwise = self._pairwise_effects(batch, assignments, candidates)
-            keep = (pairwise.data > cfg.epsilon).astype(np.float64)
-            weights = self._gated_effects(pairwise, keep,
-                                          batch.basket_mask) * weights
+        if self.config.use_causal:
+            assignments = self.clusters.assignments()
+            cause_rows = assignments @ self.graph.matrix()
+            weights = self._effects(batch, cause_rows, assignments,
+                                    candidates,
+                                    batch.basket_mask > 0) * weights
         return self._head(weights, states, candidates)
 
     def _logits_cluster_filtered(self, batch: PaddedBatch,
@@ -211,22 +198,20 @@ class Causer(NeuralSequentialRecommender):
         cfg = self.config
         item_embeddings = self.clusters.encode()
         assignments = self.clusters.assignments()
+        cause_rows = assignments @ self.graph.matrix()         # (V+1, K)
         gathered = self._input_embeddings(item_embeddings)[batch.items]  # (B, T, S, d)
 
-        pairwise = self._pairwise_effects(batch, assignments, candidates)
-        keep_slots = (pairwise.data > cfg.epsilon).astype(np.float64)
         # Hard cluster of each candidate: (B, C), or (1, V+1) for the catalog.
         hard = np.argmax(assignments.data, axis=-1)
         cand_clusters = hard[None, :] if candidates is None else hard[candidates]
-        # Per-(item, cluster) causal strength drives the shared masks.
-        w_cols = (assignments @ self.graph.matrix()).data      # (V+1, K)
 
         contributions = []
         # One user-state lookup shared by every per-cluster RNN pass; its
         # gradient accumulates once per consumer, identical to rebuilding it.
         initial_state = self._user_initial_state(batch)
         for k in np.unique(cand_clusters):
-            keep_k = ((w_cols[batch.items, k] > cfg.epsilon)
+            # Per-(item, cluster) causal strength drives the shared masks.
+            keep_k = ((cause_rows.data[batch.items, k] > cfg.epsilon)
                       & (batch.basket_mask > 0))               # (B, T, S)
             step_mask_k = keep_k.any(axis=2)
             slot_mask = Tensor(keep_k.astype(np.float64)[..., None])
@@ -236,9 +221,8 @@ class Causer(NeuralSequentialRecommender):
                 initial_state=initial_state)
             scores_k = self._attention_scores(states_k, last_k)
 
-            effects_k = self._gated_effects(
-                pairwise, keep_slots * keep_k[..., None],
-                batch.basket_mask)                              # (B, T, C)
+            effects_k = self._effects(batch, cause_rows, assignments,
+                                      candidates, keep_k)       # (B, T, C)
             surviving = (effects_k.data > 0) & step_mask_k[:, :, None]
             alpha_k = F.masked_softmax(
                 scores_k.reshape(scores_k.shape[0], -1, 1), surviving, axis=1)
@@ -263,22 +247,20 @@ class Causer(NeuralSequentialRecommender):
         cfg = self.config
         item_embeddings = self.clusters.encode()
         cause_rows, assignments = self.causal_factors()
-        history_rows = cause_rows[batch.items]                  # (B, T, S, K)
+        slots = batch.basket_mask > 0
         logits = np.zeros(candidates.shape)
         for col in range(candidates.shape[1]):
             cand = candidates[:, col]
             # Mask basket slots that are not causes of this candidate.
-            w_cols = np.einsum("btsk,bk->bts", history_rows,
-                               assignments[cand])               # (B, T, S)
-            keep = (w_cols > cfg.epsilon).astype(np.float64)
-            masked = replace(
-                batch, basket_mask=batch.basket_mask * keep,
-                step_mask=(batch.basket_mask * keep).sum(axis=2) > 0)
+            effect, keep = basket_effects(cause_rows, assignments[cand, None],
+                                          cfg.epsilon, batch.items, slots)
+            keep = keep[:, 0]                                   # (B, T, S)
+            masked = replace(batch, basket_mask=keep.astype(np.float64),
+                             step_mask=keep.any(axis=2))
             states, last = self._history_states(masked, item_embeddings)
             alpha = self._attention_weights(states, last, masked.step_mask)
-            effect = (w_cols * keep * batch.basket_mask).sum(axis=2)  # (B, T)
-            if not cfg.use_causal:
-                effect = masked.step_mask.astype(np.float64)
+            effect = (effect[:, 0] if cfg.use_causal         # (B, T)
+                      else masked.step_mask.astype(np.float64))
             logits[:, col] = causal_head(
                 (alpha.data * effect)[:, :, None], states.data,
                 self.adapt.weight.data,
@@ -486,22 +468,13 @@ class Causer(NeuralSequentialRecommender):
     def causal_factors(self) -> Tuple[np.ndarray, np.ndarray]:
         """Eq. 9's rank-K factors ``(Ā Wᶜ, Ā)``, each ``(V+1, K)``.
 
-        ``W = Ā Wᶜ Āᵀ`` is the first times the second transposed.
-        Serving, refresh drift and strict filtering read ``W``'s entries
-        from these, so none of them holds a (V+1)² array.  Fresh arrays
-        on every call, owned by the caller.
+        ``W = Ā Wᶜ Āᵀ`` is ``rows @ cols.T``.  Scoring never builds that
+        (V+1)² array: :func:`repro.nn.fused.basket_effects` reads the
+        entries a history needs from the factors.  Fresh arrays on every
+        call, owned by the caller.
         """
         assignments = self.clusters.assignments().data
         return assignments @ self.graph.numpy_matrix(), assignments
-
-    def item_causal_matrix(self) -> np.ndarray:
-        """Learned item-level ``W`` (eq. 9): ``Ā Wᶜ Āᵀ``, shape (V+1, V+1).
-
-        The inspection view of :meth:`causal_factors`, built fresh on
-        every call; nothing on the serving path calls it.
-        """
-        cause_rows, assignments = self.causal_factors()
-        return cause_rows @ assignments.T
 
     def learned_cluster_graph(self, threshold: float = 0.1) -> np.ndarray:
         """Thresholded, cycle-pruned cluster-level DAG."""

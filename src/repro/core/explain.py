@@ -21,6 +21,7 @@ import numpy as np
 from ..data.batching import pad_samples
 from ..data.explanation import ExplanationSample
 from ..data.interactions import EvalSample
+from ..nn.fused import basket_effects
 from .causer import Causer
 
 
@@ -48,24 +49,19 @@ def explanation_breakdown(model: Causer,
                              target=(sample.target_item,))
     batch = pad_samples([eval_sample])
     item_embeddings = model.clusters.encode()
-    assignments = model.clusters.assignments()
     states, last = model._history_states(batch, item_embeddings)
     alpha = model._attention_weights(states, last, batch.step_mask).data[0]
-    candidates = np.array([[sample.target_item]])
-    pairwise = model._pairwise_effects(batch, assignments, candidates)
+    cause_rows, assignments = model.causal_factors()
     # Explanations rank history items by the *continuous* causal strength
-    # W_{v_t b} (eq. 9).  The ε gate is a recommendation-time filter; using
-    # it here would zero every score whenever the tuned ε is aggressive and
-    # make the ranking degenerate.
-    keep = np.ones_like(pairwise.data)
-    effects = model._gated_effects(pairwise, keep,
-                                   batch.basket_mask).data[0, :, 0]
-    steps = len(sample.history)
+    # W_{v_t b} (eq. 9), ungated at ε = -inf.  The ε gate is a
+    # recommendation-time filter; here it would zero every score whenever
+    # the tuned ε is aggressive and make the ranking degenerate.
+    effects = basket_effects(cause_rows, assignments[[sample.target_item]],
+                             -np.inf, batch.items,
+                             batch.basket_mask > 0)[0][0, 0]
     return ExplanationBreakdown(
         history_items=[basket[0] for basket in sample.history],
-        causal_effect=effects[:steps].copy(),
-        attention=alpha[:steps].copy(),
-        combined=(effects[:steps] * alpha[:steps]).copy())
+        causal_effect=effects, attention=alpha, combined=effects * alpha)
 
 
 def make_explainer(model: Causer, mode: str = "full"

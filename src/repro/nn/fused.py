@@ -6,19 +6,20 @@ win is twofold: the forward pass issues a handful of large numpy calls
 instead of dozens of small ones, and the backward pass runs one closure per
 step instead of rebuilding gradients through every intermediate.
 
-The recurrent cells, the masked softmax and eq. 10's scoring head are
-written once, as plain numpy forwards (:func:`gru_cell`,
-:func:`lstm_cell`, :func:`masked_softmax`, :func:`causal_head`): the
-autograd kernels wrap them with hand-derived backwards, and the serving
-layer calls them directly on frozen arrays.
+The recurrent cells, the masked softmax, eq. 9's gated effects and eq. 10's
+head are written once, as plain numpy forwards (:func:`gru_cell`,
+:func:`lstm_cell`, :func:`masked_softmax`, :func:`basket_effects`,
+:func:`causal_head`): the autograd kernels wrap them with hand-derived
+backwards, and evaluation and serving call them on frozen arrays.
 
 Numerical contract: every fused forward reproduces the exact op sequence of
 the composite implementation it replaces (same associativity, same
 :func:`repro.nn.tensor._stable_sigmoid`), so the golden-value fixtures in
 ``tests/golden`` recorded against the composite code still match to 1e-10.
-The one exception is eq. 10's head, which reassociates into factorized
-order and matches its composite form to 1e-12.  Backwards are analytic and
-agree with the composite gradients up to floating-point rounding.
+The exceptions are eq. 9's effects and eq. 10's head, which reassociate
+into factorized order and match their composite forms to 1e-12.  Backwards
+are analytic and agree with the composite gradients up to floating-point
+rounding.
 """
 
 from __future__ import annotations
@@ -159,6 +160,52 @@ def fused_causal_head(weights: Tensor, states: Tensor, adapt: Tensor,
 
     return Tensor._make(out_data, (weights, states, adapt, table, bias),
                         backward)
+
+
+def basket_effects(cause_rows: np.ndarray, effect_cols: np.ndarray,
+                   epsilon: float, items: np.ndarray, slot_mask: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. 9's gated effects ``Σ_{a ∈ basket_t} W_ab 1(W_ab > ε)``: (…, C, T).
+
+    ``W``'s entries come from its rank-K factors: ``cause_rows`` is ``Ā Wᶜ``
+    ``(V+1, K)``, ``effect_cols`` the candidates' rows of ``Ā``, one
+    ``(C, K)`` table or per-row ``(…, C, K)``.  ``items`` ``(…, T, S)`` are
+    the baskets, the boolean ``slot_mask`` their real slots.  The pairs are
+    gated in place (NaN gates to 0; ``ε = -inf`` keeps every finite pair)
+    and each basket sums along the contiguous axis, so a candidate's bits
+    never depend on which other candidates share the call.  Returns the
+    effects and the gate ``(…, C, T, S)``.
+    """
+    flat = items.reshape(items.shape[:-2] + (-1,))            # (…, T·S)
+    pairs = candidate_dots(cause_rows[flat], effect_cols)     # (…, C, T·S)
+    pairs = pairs.reshape(pairs.shape[:-1] + items.shape[-2:])
+    gate = (pairs > epsilon) & slot_mask[..., None, :, :]
+    pairs[~gate] = 0.0
+    return pairs.sum(axis=-1), gate
+
+
+def fused_basket_effects(cause_rows: Tensor, effect_cols: Tensor,
+                         epsilon: float, items: np.ndarray,
+                         slot_mask: np.ndarray) -> Tensor:
+    """:func:`basket_effects` as one node; its backward keeps only the gate."""
+    out_data, gate = basket_effects(cause_rows.data, effect_cols.data,
+                                    epsilon, items, slot_mask)
+    flat = items.reshape(items.shape[:-2] + (-1,))
+
+    def backward(grad: np.ndarray) -> None:
+        dpairs = gate * grad[..., None]                       # (…, C, T, S)
+        dpairs = dpairs.reshape(dpairs.shape[:-2] + (-1,))    # (…, C, T·S)
+        if effect_cols.requires_grad:
+            deffect = dpairs @ cause_rows.data[flat]
+            effect_cols._accumulate(_unbroadcast(deffect, effect_cols.shape),
+                                    own=True)
+        if cause_rows.requires_grad:
+            full = np.zeros(cause_rows.shape)
+            _scatter_add(full, flat,
+                         np.swapaxes(dpairs, -1, -2) @ effect_cols.data)
+            cause_rows._accumulate(full, own=True)
+
+    return Tensor._make(out_data, (cause_rows, effect_cols), backward)
 
 
 def fused_lstm_step(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor,

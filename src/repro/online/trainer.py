@@ -117,7 +117,7 @@ class OnlineTrainer:
     def _adopt_locked(self, model) -> None:
         self.model = model
         self.max_history = int(model.config.max_history)
-        self._causal = hasattr(model, "item_causal_matrix")
+        self._causal = hasattr(model, "causal_factors")
         model.set_sparse_grads(True)
         params = select_online_params(model)
         if self.lr > 0.0:

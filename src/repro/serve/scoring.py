@@ -5,9 +5,9 @@ Two paths, chosen by the registry at artifact-build time:
 * **incremental** — Causer (``filtering_mode="shared"``) and GRU4Rec reuse
   the recurrent states the session store advanced event-by-event; only the
   head runs per request, through the training kernels of
-  :mod:`repro.nn.fused` (``causal_head`` for eq. 10, its
-  ``candidate_dots`` stage for GRU4Rec's output dot product,
-  ``masked_softmax`` for attention).
+  :mod:`repro.nn.fused` (``basket_effects`` for eq. 9, ``causal_head``
+  for eq. 10, its ``candidate_dots`` stage for GRU4Rec's output dot
+  product, ``masked_softmax`` for attention).
 * **replay** — every other model scores through its own
   ``score_samples`` batch path, which *is* the offline scorer, so online
   and offline agree trivially.
@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..data.interactions import EvalSample
-from ..nn.fused import candidate_dots, causal_head, masked_softmax
+from ..nn.fused import basket_effects, causal_head, masked_softmax
 from ..retrieval.towers import as_dense, dot_scores, take_rows
 from .registry import (CausalServingArtifacts, GRUServingArtifacts,
                        ServingArtifacts)
@@ -68,36 +68,13 @@ def _output_head(artifacts, candidates: Optional[np.ndarray]):
             artifacts.output_bias[candidates])
 
 
-def basket_effects(cause_rows: np.ndarray, effect_cols: np.ndarray,
-                   epsilon: float,
-                   events: Sequence[Sequence[int]]) -> np.ndarray:
-    """Gated eq.-9 effects ``Σ_{a ∈ basket_t} W_ab 1(W_ab > ε)``: (C, T).
-
-    ``W``'s entries come from its rank-K factors: ``cause_rows`` is
-    ``Ā Wᶜ``, ``effect_cols`` the candidates' rows of ``Ā``.
-    :func:`repro.nn.fused.candidate_dots` makes them candidate-major, and
-    each basket is a ``reduceat`` along the contiguous axis, so a
-    candidate's bits never depend on which other candidates share the
-    call.
-    """
-    sizes = np.fromiter(map(len, events), dtype=np.int64)
-    items = np.fromiter(chain.from_iterable(events), dtype=np.int64)
-    pairs = candidate_dots(cause_rows[items], effect_cols)     # (C, n)
-    pairs[~(pairs > epsilon)] = 0.0        # NaN gates to 0, like np.where
-    effects = np.zeros((effect_cols.shape[0], sizes.shape[0]))
-    filled = sizes > 0
-    effects[:, filled] = np.add.reduceat(
-        pairs, (np.cumsum(sizes) - sizes)[filled], axis=1)
-    return effects
-
-
 def _score_causer(artifacts: CausalServingArtifacts, view: ScoreView,
                   candidates: Optional[np.ndarray] = None) -> np.ndarray:
     """Eq. 10 logits from one session snapshot.
 
     With ``candidates`` (an id array) the result is **bit-identical** to
     the full-catalog pass gathered at those columns (the re-rank
-    contract): :func:`basket_effects` and
+    contract): :func:`repro.nn.fused.basket_effects` and
     :func:`repro.nn.fused.causal_head` are both row-independent.
     """
     out_table, out_bias = _output_head(artifacts, candidates)
@@ -110,8 +87,12 @@ def _score_causer(artifacts: CausalServingArtifacts, view: ScoreView,
     if artifacts.use_causal:
         effect_cols = (artifacts.assignments if candidates is None
                        else artifacts.assignments[candidates])
-        effects = basket_effects(artifacts.cause_rows, effect_cols,
-                                 artifacts.epsilon, view.events)
+        sizes = np.fromiter(map(len, view.events), dtype=np.int64)
+        slots = np.arange(sizes.max()) < sizes[:, None]          # (T, S)
+        items = np.zeros(slots.shape, dtype=np.int64)
+        items[slots] = np.fromiter(chain.from_iterable(view.events), np.int64)
+        effects, _ = basket_effects(artifacts.cause_rows, effect_cols,
+                                    artifacts.epsilon, items, slots)
         weights = (effects * alpha).T
     return causal_head(weights, view.states, artifacts.adapt_weight,
                        out_table, out_bias)

@@ -6,6 +6,7 @@ import pytest
 from repro.core import Causer, CauserConfig, ablation_config
 from repro.data import pad_samples, sample_negatives
 from repro.eval import evaluate_model
+from repro.nn.fused import basket_effects
 
 
 def quick_config(**overrides):
@@ -143,22 +144,37 @@ class TestScoring:
 class TestCausalStructures:
     def test_item_causal_matrix_shape(self, fitted, tiny_dataset):
         model, _ = fitted
-        matrix = model.item_causal_matrix()
+        rows, cols = model.causal_factors()
+        matrix = rows @ cols.T
         assert matrix.shape == (tiny_dataset.num_items + 1,
                                 tiny_dataset.num_items + 1)
 
     def test_item_causal_matrix_matches_manual(self, fitted, tiny_split):
-        """Eq. 9, ``W_ab = ā^T W^c b̄``, in serving and training form."""
+        """Eq. 9, ``W_ab = ā^T W^c b̄``: the factors and the effect kernel."""
         model, _ = fitted
-        assignments = model.clusters.assignments()
-        manual = np.einsum("ak,kl,bl->ab", assignments.data,
-                           model.graph.numpy_matrix(), assignments.data)
-        np.testing.assert_allclose(model.item_causal_matrix(), manual,
+        assignments = model.clusters.assignments().data
+        manual = np.einsum("ak,kl,bl->ab", assignments,
+                           model.graph.numpy_matrix(), assignments)
+        rows, cols = model.causal_factors()
+        np.testing.assert_allclose(rows @ cols.T, manual,
                                    rtol=1e-10, atol=1e-14)
         batch = pad_samples(tiny_split.test[:3], max_history=8)
-        pairwise = model._pairwise_effects(batch, assignments, None).data
-        np.testing.assert_allclose(pairwise, manual[batch.items],
+        slots = batch.basket_mask > 0
+        pairwise = manual[batch.items] * slots[..., None]     # (B, T, S, C)
+        # Ungated (ε = -inf): each step sums its basket's rows of W.
+        effects, _ = basket_effects(rows, cols, -np.inf, batch.items, slots)
+        np.testing.assert_allclose(effects,
+                                   pairwise.sum(axis=2).transpose(0, 2, 1),
                                    rtol=1e-10, atol=1e-14)
+        # Gated at the model's ε.
+        epsilon = model.config.epsilon
+        effects, gate = basket_effects(rows, cols, epsilon, batch.items,
+                                       slots)
+        keep = (pairwise > epsilon) & slots[..., None]
+        np.testing.assert_array_equal(gate, keep.transpose(0, 3, 1, 2))
+        np.testing.assert_allclose(
+            effects, (pairwise * keep).sum(axis=2).transpose(0, 2, 1),
+            rtol=1e-10, atol=1e-14)
 
     def test_learned_graph_is_dag(self, fitted):
         model, _ = fitted

@@ -1,19 +1,20 @@
 """Eq.-9 effects from the rank-K factors: subset-stable and gated.
 
 Serving computes a request's gated causal effects from ``(Ā Wᶜ, Ā)``
-with :func:`repro.serve.scoring.basket_effects`, never from a (V+1)²
-matrix.  The IVF re-rank needs the effects on a candidate subset to be
-bitwise equal to the full-catalog pass gathered at those candidates.
+with :func:`repro.nn.fused.basket_effects`, the kernel training and
+evaluation share, never from a (V+1)² matrix.  The IVF re-rank needs the
+effects on a candidate subset to be bitwise equal to the full-catalog
+pass gathered at those candidates.
 CI also runs this file with one BLAS thread.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn.fused import CANDIDATE_BLOCK
+from repro.data import EvalSample, pad_samples
+from repro.nn.fused import CANDIDATE_BLOCK, basket_effects
 from repro.serve import (SessionStore, build_artifacts, score_view_candidates,
                          score_views)
-from repro.serve.scoring import basket_effects
 
 NUM_ROWS = 101        # V + 1: not a multiple of the candidate block
 RANK = 5
@@ -36,6 +37,13 @@ def factors():
     return assignments @ graph, assignments
 
 
+def events_effects(cause_rows, effect_cols, events):
+    """The kernel on one session's baskets, padded as serving pads them."""
+    history = pad_samples([EvalSample(0, tuple(events), ())])
+    return basket_effects(cause_rows, effect_cols, EPSILON, history.items[0],
+                          history.basket_mask[0] > 0)[0]
+
+
 def random_events(rng, sizes):
     return [tuple(int(i) for i in rng.integers(1, NUM_ROWS, size=size))
             for size in sizes]
@@ -47,10 +55,9 @@ def test_subset_is_bitwise_the_gathered_full_pass(factors, sizes, count):
     cause_rows, assignments = factors
     rng = np.random.default_rng(count)
     events = random_events(rng, sizes)
-    full = basket_effects(cause_rows, assignments, EPSILON, events)
+    full = events_effects(cause_rows, assignments, events)
     candidates = rng.choice(NUM_ROWS, size=count, replace=False)
-    subset = basket_effects(cause_rows, assignments[candidates], EPSILON,
-                            events)
+    subset = events_effects(cause_rows, assignments[candidates], events)
     assert subset.shape == (count, len(sizes))
     assert subset.tobytes() == full[candidates].tobytes()
 
@@ -61,7 +68,7 @@ def test_matches_the_gated_matrix(factors):
     matrix = cause_rows @ assignments.T
     gated = np.where(matrix > EPSILON, matrix, 0.0)
     events = random_events(np.random.default_rng(2), (3, 0, 12))
-    effects = basket_effects(cause_rows, assignments, EPSILON, events)
+    effects = events_effects(cause_rows, assignments, events)
     expected = np.stack([gated[list(basket)].sum(axis=0)
                          for basket in events], axis=1)
     assert (effects[:, 1] == 0).all()
@@ -75,9 +82,9 @@ def test_nan_effects_gate_to_zero(factors):
     poisoned[4] = np.nan
     zeroed[4] = 0.0
     events = [(4,), (4, 5)]
-    effects = basket_effects(poisoned, assignments, EPSILON, events)
+    effects = events_effects(poisoned, assignments, events)
     assert (effects[:, 0] == 0).all()
-    assert effects.tobytes() == basket_effects(zeroed, assignments, EPSILON,
+    assert effects.tobytes() == events_effects(zeroed, assignments,
                                                events).tobytes()
 
 

@@ -5,9 +5,9 @@ import numpy as np
 from repro.core import Causer, CauserConfig
 from repro.io import save_model
 from repro.models import NARM, TrainConfig
+from repro.nn.fused import basket_effects
 from repro.serve import (CausalServingArtifacts, CheckpointRegistry,
                          GRUServingArtifacts, build_artifacts)
-from repro.serve.scoring import basket_effects
 
 
 def assert_factors_match(art, model):
@@ -28,14 +28,16 @@ class TestBuildArtifacts:
         assert isinstance(art, CausalServingArtifacts)
         assert art.mode == "incremental"
         assert_factors_match(art, served_causer)
-        matrix = served_causer.item_causal_matrix()
+        rows, cols = served_causer.causal_factors()
+        matrix = rows @ cols.T
         expected_gate = np.where(matrix > served_causer.config.epsilon,
                                  matrix, 0.0)
         # One singleton basket per item: step t's effects are row t of
         # the gated W.
-        effects = basket_effects(art.cause_rows, art.assignments,
-                                 art.epsilon,
-                                 [(item,) for item in range(len(matrix))])
+        items = np.arange(len(matrix))[:, None]
+        effects, _ = basket_effects(art.cause_rows, art.assignments,
+                                    art.epsilon, items,
+                                    np.ones(items.shape, dtype=bool))
         np.testing.assert_allclose(effects.T, expected_gate, rtol=0,
                                    atol=1e-12)
         assert art.recurrent.cell_type == "gru"
@@ -98,12 +100,16 @@ class TestCheckpointRegistry:
 
 class TestItemCausalMatrix:
     def test_reflects_parameter_updates(self, served_causer):
-        before = served_causer.item_causal_matrix()
+        def item_causal_matrix():
+            rows, cols = served_causer.causal_factors()
+            return rows @ cols.T
+
+        before = item_causal_matrix()
         weights = served_causer.graph.weights.data
         original = weights.copy()
         try:
             weights[0, 1] += 0.25
-            after = served_causer.item_causal_matrix()
+            after = item_causal_matrix()
             assert after is not before
             assert not np.array_equal(after, before)
         finally:

@@ -64,7 +64,8 @@ class TestEndToEnd:
         """The learned item-level W should separate true causal pairs."""
         dataset, _, causer, _, _ = pipeline
         truth = dataset.item_causal_matrix()[1:, 1:]
-        learned = causer.item_causal_matrix()[1:, 1:]
+        rows, cols = causer.causal_factors()
+        learned = (rows @ cols.T)[1:, 1:]
         causal_pairs = learned[truth == 1]
         non_causal = learned[truth == 0]
         if causal_pairs.size and non_causal.size:
