@@ -5,7 +5,6 @@ state (everything flows through :class:`~repro.analysis.rules.base.LintContext`)
 """
 
 from .autograd import (GRAPH_LAYER_SUFFIXES, SANCTIONED_MUTATION_SUFFIXES,
-                       SPARSE_AWARE_SUFFIXES, DenseGradAssumptionRule,
                        GraphBypassRule, InPlaceMutationRule,
                        MissingUnbroadcastRule)
 from .base import LintContext, Rule, attribute_chain, contains_data_attribute
@@ -27,7 +26,6 @@ def all_rules():
         LegacyNumpyRandomRule(),
         SwallowedExceptionRule(),
         AllDriftRule(),
-        DenseGradAssumptionRule(),
         MemmapInflationRule(),
         UnguardedSharedMutationRule(),
         BareAcquireRule(),
@@ -40,14 +38,13 @@ def all_rules():
 __all__ = [
     "Rule", "LintContext", "attribute_chain", "contains_data_attribute",
     "MissingUnbroadcastRule", "GraphBypassRule", "InPlaceMutationRule",
-    "DenseGradAssumptionRule",
     "LegacyNumpyRandomRule", "SwallowedExceptionRule", "AllDriftRule",
     "MemmapInflationRule",
     "UnguardedSharedMutationRule", "BareAcquireRule",
     "BlockingCallUnderLockRule", "LockOrderInversionRule",
     "ThreadOwnershipRule",
     "GRAPH_LAYER_SUFFIXES", "SANCTIONED_MUTATION_SUFFIXES",
-    "SPARSE_AWARE_SUFFIXES", "SANCTIONED_NP_RANDOM_CALLS",
+    "SANCTIONED_NP_RANDOM_CALLS",
     "MEMMAP_MATERIALIZERS",
     "LOCK_FACTORY_NAMES", "LOCK_PROXY_SUFFIXES", "MUTATING_METHODS",
     "all_rules",

@@ -1,4 +1,4 @@
-"""Autograd-specific lint rules (GL001–GL003, GL007).
+"""Autograd-specific lint rules (GL001–GL003).
 
 These target the failure modes of the hand-rolled reverse-mode engine in
 :mod:`repro.nn.tensor`:
@@ -9,10 +9,7 @@ These target the failure modes of the hand-rolled reverse-mode engine in
 * numpy math on ``Tensor.data`` inside the differentiable layers detaches
   the value from the graph, so its gradient is silently dropped;
 * in-place writes to ``.data``/``.grad`` outside the sanctioned engine
-  sites invalidate values already captured by backward closures;
-* code that assumes ``param.grad`` is a dense ``ndarray`` breaks on the
-  row-sparse gradients embedding gathers now produce
-  (:mod:`repro.nn.sparse`).
+  sites invalidate values already captured by backward closures.
 """
 
 from __future__ import annotations
@@ -31,13 +28,6 @@ GRAPH_LAYER_SUFFIXES = ("nn/functional.py", "nn/rnn.py", "nn/attention.py")
 #: the optimizers (parameter updates are the whole point) and the module
 #: plumbing (``load_state_dict``, padding-row re-zeroing) — GL003 scope.
 SANCTIONED_MUTATION_SUFFIXES = ("nn/tensor.py", "nn/optim.py", "nn/module.py")
-
-#: Files allowed to touch the concrete gradient representation directly:
-#: the engine, the sparse-gradient module, the Parameter/Module layer, the
-#: optimizers (which dispatch on the representation) and the runtime
-#: sanitizer — GL007 scope.
-SPARSE_AWARE_SUFFIXES = ("nn/tensor.py", "nn/sparse.py", "nn/module.py",
-                         "nn/optim.py", "analysis/sanitizer.py")
 
 
 def _accumulate_target(call: ast.Call) -> Optional[str]:
@@ -203,100 +193,3 @@ class InPlaceMutationRule(Rule):
             return target.attr
         return None
 
-
-def _is_grad_attribute(node: ast.AST) -> bool:
-    """True for a bare ``X.grad`` attribute access."""
-    return isinstance(node, ast.Attribute) and node.attr == "grad"
-
-
-def _contains_grad_attribute(node: ast.AST) -> bool:
-    """True when any sub-expression reads a ``.grad`` attribute."""
-    return any(_is_grad_attribute(sub) for sub in ast.walk(node))
-
-
-class DenseGradAssumptionRule(Rule):
-    """GL007 — code that assumes ``param.grad`` is a dense ``ndarray``.
-
-    Embedding gathers produce :class:`repro.nn.sparse.RowSparseGrad`
-    gradients, so ``param.grad`` outside the engine is *either* a dense
-    array or a row-sparse object.  Arithmetic on it (``param.grad ** 2``),
-    in-place scaling (``param.grad *= s``), attribute access assuming array
-    semantics (``param.grad.shape``), indexing, or passing it to numpy all
-    silently break (or crash) on the sparse representation.  Use the
-    representation-agnostic helpers in :mod:`repro.nn.sparse` —
-    ``grad_sq_sum`` / ``grad_scale_`` / ``grad_all_finite`` /
-    ``densify_grad`` — or carry a justifying suppression.
-    """
-
-    id = "GL007"
-    name = "dense-grad-assumption"
-    severity = "error"
-    description = ("treats param.grad as a dense ndarray; gradients may be "
-                   "row-sparse — use the repro.nn.sparse helpers")
-    node_types = (ast.Attribute, ast.AugAssign, ast.BinOp, ast.Call,
-                  ast.Subscript)
-
-    #: Representation-agnostic helper names whose arguments may be `.grad`.
-    HELPER_NAMES = frozenset({
-        "grad_sq_sum", "grad_scale_", "grad_all_finite", "densify_grad",
-        "isinstance", "type", "id",
-    })
-
-    def applies_to(self, ctx: LintContext) -> bool:
-        return not ctx.path_endswith(*SPARSE_AWARE_SUFFIXES)
-
-    def check_node(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
-        if isinstance(node, ast.Attribute):
-            # `x.grad.<attr>` — ndarray attribute/method access.
-            if _is_grad_attribute(node.value):
-                yield self.finding(
-                    ctx, node,
-                    f"`.grad.{node.attr}` assumes a dense ndarray gradient; "
-                    f"use the repro.nn.sparse helpers (grad_sq_sum, "
-                    f"grad_scale_, grad_all_finite, densify_grad)")
-            return
-        if isinstance(node, ast.AugAssign):
-            # `x.grad *= s` / `x.grad[...] += v` — in-place dense update.
-            target = node.target
-            subscript = (isinstance(target, ast.Subscript)
-                         and _is_grad_attribute(target.value))
-            if _is_grad_attribute(target) or subscript:
-                yield self.finding(
-                    ctx, node,
-                    "in-place arithmetic on `.grad` assumes a dense ndarray "
-                    "gradient; use grad_scale_/densify_grad from "
-                    "repro.nn.sparse")
-            return
-        if isinstance(node, ast.BinOp):
-            # `x.grad ** 2`, `lr * x.grad` — dense arithmetic.
-            if _is_grad_attribute(node.left) or _is_grad_attribute(node.right):
-                yield self.finding(
-                    ctx, node,
-                    "arithmetic on `.grad` assumes a dense ndarray "
-                    "gradient; use grad_sq_sum/densify_grad from "
-                    "repro.nn.sparse")
-            return
-        if isinstance(node, ast.Subscript):
-            # `x.grad[rows]` — dense indexing (also an AugAssign target;
-            # only flag bare loads here to avoid double reports).
-            if _is_grad_attribute(node.value) \
-                    and isinstance(node.ctx, ast.Load):
-                yield self.finding(
-                    ctx, node,
-                    "indexing `.grad` assumes a dense ndarray gradient; "
-                    "use densify_grad from repro.nn.sparse")
-            return
-        assert isinstance(node, ast.Call)
-        chain = attribute_chain(node.func)
-        if isinstance(node.func, ast.Name) \
-                and node.func.id in self.HELPER_NAMES:
-            return
-        if not chain.startswith(("np.", "numpy.")):
-            return
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if _contains_grad_attribute(arg):
-                yield self.finding(
-                    ctx, node,
-                    f"`{chain}` applied to `.grad` assumes a dense ndarray "
-                    f"gradient; use the repro.nn.sparse helpers")
-                break

@@ -36,7 +36,6 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import tensor as tensor_mod
-from ..nn.sparse import RowSparseGrad
 from ..nn.tensor import Tensor
 
 
@@ -125,9 +124,6 @@ class GradientSanitizer:
     def on_accumulate(self, target: Tensor, grad: np.ndarray) -> None:
         """Shape contract + finiteness of every accumulated gradient."""
         op, where = self._node_meta(self._current)
-        if isinstance(grad, RowSparseGrad):
-            self._check_row_sparse(target, grad, op, where)
-            return
         grad = np.asarray(grad)
         if grad.shape != target.data.shape:
             raise GradientAnomalyError(
@@ -139,35 +135,6 @@ class GradientSanitizer:
             raise GradientAnomalyError(
                 f"backward of op `{op}` produced a non-finite gradient "
                 f"({_describe(grad)})", kind="gradient", op=op, where=where)
-
-    def _check_row_sparse(self, target: Tensor, grad: RowSparseGrad,
-                          op: Optional[str], where: Optional[str]) -> None:
-        """Contract checks for a row-sparse gradient, attributing offending
-        rows (not just "somewhere in a (V, d) table") to the creating op."""
-        if grad.shape != target.data.shape:
-            raise GradientAnomalyError(
-                f"gradient shape contract violated: backward of op `{op}` "
-                f"accumulated a row-sparse gradient representing shape "
-                f"{grad.shape} into a tensor of shape {target.data.shape}",
-                kind="shape", op=op, where=where)
-        rows = target.data.shape[0] if target.data.ndim else 0
-        if grad.indices.size and (int(grad.indices.min()) < 0
-                                  or int(grad.indices.max()) >= rows):
-            raise GradientAnomalyError(
-                f"row-sparse gradient from op `{op}` carries out-of-range "
-                f"row indices (min {int(grad.indices.min())}, max "
-                f"{int(grad.indices.max())}) for a table of {rows} rows",
-                kind="shape", op=op, where=where)
-        finite = np.isfinite(grad.values)
-        if not finite.all():
-            row_ok = finite.reshape(finite.shape[0], -1).all(axis=1)
-            bad = grad.indices[~row_ok]
-            shown = ", ".join(str(int(r)) for r in bad[:8])
-            suffix = ", ..." if bad.size > 8 else ""
-            raise GradientAnomalyError(
-                f"backward of op `{op}` produced a non-finite row-sparse "
-                f"gradient ({_describe(grad.values)}) in row(s) "
-                f"[{shown}{suffix}]", kind="gradient", op=op, where=where)
 
 
 # ----------------------------------------------------------------------

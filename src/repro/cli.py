@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(see docs/ONLINE.md); requires --checkpoint")
     parser.add_argument("--online-lr", type=float, default=0.01,
                         help="(serve --online) learning rate for the "
-                             "shadow trainer's sparse embedding updates; "
+                             "shadow trainer's embedding updates; "
                              "0 disables updates entirely (serving stays "
                              "bit-identical to the frozen checkpoint)")
     parser.add_argument("--online-batch-events", type=int, default=32,

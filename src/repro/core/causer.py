@@ -392,7 +392,6 @@ class Causer(NeuralSequentialRecommender):
             raise ValueError(f"{self.name}: no training samples")
         cfg = self.config
         epochs = cfg.num_epochs if num_epochs is None else num_epochs
-        self.set_sparse_grads(cfg.sparse_grads)
         if cfg.pretrain_graph and cfg.use_causal and not warm_start:
             self._seed_graph(samples)
         causal_params = list(self.clusters.parameters()) + list(

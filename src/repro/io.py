@@ -246,22 +246,20 @@ def read_json_header(path: PathLike, format_name: str,
 OPTIMIZER_STATE_VERSION = 1
 
 #: Per-optimizer state tables (``Dict[int, ndarray]`` keyed by the stable
-#: parameter index) that must survive a restart.  ``_row_steps`` carries
-#: Adam's per-row last-touch steps — without it a warm restart would
-#: re-apply moment-decay catch-up from step 0 and diverge from the
-#: uninterrupted trajectory.
-_OPTIMIZER_STATE_SLOTS = ("_velocity", "_m", "_v", "_row_steps", "_accum")
+#: parameter index, each entry shaped like its parameter) that must
+#: survive a restart.
+_OPTIMIZER_STATE_SLOTS = ("_velocity", "_m", "_v", "_accum")
 
 
 def save_optimizer_state(optimizer, path: PathLike) -> None:
-    """Serialize an optimizer's state tables (moments, accumulators,
-    per-row last-touch steps, global step) to a ``.npz`` archive.
+    """Serialize an optimizer's state tables (velocity, moments,
+    accumulators) and global step to a ``.npz`` archive.
 
     Together with :func:`save_model` this lets a training loop — the
     online shadow trainer in particular — restart *warm*: reloading both
-    archives and continuing produces the same update a never-interrupted
-    run would have applied (bit-identical for the lazy sparse paths,
-    whose state is exactly these tables plus the step counter).
+    archives and continuing produces bit-for-bit the update a
+    never-interrupted run would have applied, because an optimizer's
+    state is exactly these tables plus the step counter.
     """
     header = {
         "format_version": OPTIMIZER_STATE_VERSION,
@@ -288,7 +286,9 @@ def load_optimizer_state(optimizer, path: PathLike):
     The optimizer must already be constructed over the *same parameter
     list* (same order, same shapes) it was saved with — state is keyed by
     the stable parameter index.  Raises :class:`ValueError` (naming the
-    file) on version, class, or parameter-count mismatch.
+    file) on version, class, or parameter-count mismatch, and (naming the
+    file and the key) on a state slot the optimizer does not hold or an
+    entry whose shape differs from its parameter's.
     """
     with np.load(str(path)) as archive:
         header = json.loads(bytes(archive["header"]).decode("utf-8"))
@@ -308,27 +308,37 @@ def load_optimizer_state(optimizer, path: PathLike):
                 f"{path}: optimizer state covers "
                 f"{header.get('num_params')} parameters, the target "
                 f"optimizer holds {len(optimizer.params)}")
-        if hasattr(optimizer, "_t"):
-            optimizer._t = int(header.get("step", 0))
-        for slot in _OPTIMIZER_STATE_SLOTS:
-            table = getattr(optimizer, slot, None)
-            if table is not None:
-                table.clear()
+        entries = []
         for key in archive.files:
             if not key.startswith("state::"):
                 continue
             _, slot, index = key.split("::")
-            table = getattr(optimizer, slot, None)
+            table = (getattr(optimizer, slot, None)
+                     if slot in _OPTIMIZER_STATE_SLOTS else None)
             if table is None:
                 raise ValueError(
                     f"{path}: state slot {slot!r} does not exist on "
                     f"{type(optimizer).__name__}")
             value = archive[key]
             row = int(index)
-            if row >= len(optimizer.params):
+            if not 0 <= row < len(optimizer.params):
                 raise ValueError(f"{path}: state entry {key!r} indexes "
-                                 f"past the parameter list")
-            table[row] = value
+                                 f"outside the parameter list")
+            expected = optimizer.params[row].data.shape
+            if value.shape != expected:
+                raise ValueError(
+                    f"{path}: state entry {key!r} has shape {value.shape}, "
+                    f"its parameter has shape {expected}")
+            entries.append((table, row, value))
+    # Only a fully validated archive touches the optimizer.
+    if hasattr(optimizer, "_t"):
+        optimizer._t = int(header.get("step", 0))
+    for slot in _OPTIMIZER_STATE_SLOTS:
+        table = getattr(optimizer, slot, None)
+        if table is not None:
+            table.clear()
+    for table, row, value in entries:
+        table[row] = value
     return optimizer
 
 

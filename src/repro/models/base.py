@@ -47,9 +47,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     grad_clip: float = 5.0
     optimizer: str = "adam"
-    #: Row-sparse embedding gradients + lazy optimizer rows (perf only;
-    #: small tables densify automatically, see repro.nn.sparse).
-    sparse_grads: bool = True
     seed: int = 0
     verbose: bool = False
 
@@ -132,12 +129,6 @@ class NeuralSequentialRecommender(Recommender, Module):
     def user_representation(self, batch: PaddedBatch) -> Tensor:
         raise NotImplementedError
 
-    def set_sparse_grads(self, enabled: bool = True) -> Module:
-        """Extend the module-tree toggle to the gathered output bias."""
-        Module.set_sparse_grads(self, enabled)
-        self.output_bias.sparse_grad = bool(enabled)
-        return self
-
     # -- shared machinery -------------------------------------------------
     def basket_input_embeddings(self, batch: PaddedBatch) -> Tensor:
         """Sum of member-item embeddings per step: ``(B, T, dim)``.
@@ -181,7 +172,6 @@ class NeuralSequentialRecommender(Recommender, Module):
         if not samples:
             raise ValueError(f"{self.name}: no training samples")
         cfg = self.config
-        self.set_sparse_grads(cfg.sparse_grads)
         optimizer = make_optimizer(cfg.optimizer, self.parameters(),
                                    lr=cfg.learning_rate,
                                    weight_decay=cfg.weight_decay)

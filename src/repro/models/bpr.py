@@ -44,7 +44,6 @@ class BPR(Recommender, Module):
         pairs = self._triples(corpus)
         if len(pairs) == 0:
             raise ValueError("BPR: empty training corpus")
-        self.set_sparse_grads(cfg.sparse_grads)
         optimizer = make_optimizer(cfg.optimizer, self.parameters(),
                                    lr=cfg.learning_rate,
                                    weight_decay=cfg.weight_decay)

@@ -53,7 +53,6 @@ class NCF(Recommender, Module):
                             for item in seq.items()], dtype=np.int64)
         if len(pairs) == 0:
             raise ValueError("NCF: empty training corpus")
-        self.set_sparse_grads(cfg.sparse_grads)
         optimizer = make_optimizer(cfg.optimizer, self.parameters(),
                                    lr=cfg.learning_rate,
                                    weight_decay=cfg.weight_decay)

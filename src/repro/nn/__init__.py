@@ -7,31 +7,25 @@ fully self-contained.
 """
 
 from .tensor import Tensor, concat, gradient_check, maximum, stack, where
-from .sparse import (RowSparseGrad, densify_grad, grad_all_finite,
-                     grad_scale_, grad_sq_sum, rowsparse_from_gather)
 from .module import Embedding, LayerNorm, Linear, Module, Parameter, no_grad
-from .fused import (fused_bce_with_logits, fused_embedding_gather,
-                    fused_gru_sequence, fused_lstm_sequence, fused_lstm_step,
-                    fused_masked_softmax)
+from .fused import (fused_bce_with_logits, fused_gru_sequence,
+                    fused_lstm_sequence, fused_lstm_step, fused_masked_softmax)
 from .rnn import GRUCell, LSTMCell, RecurrentLayer
 from .attention import (AdditiveAttention, BilinearAttention,
                         MultiHeadSelfAttention, TransformerBlock)
-from .optim import SGD, Adagrad, Adam, Optimizer, SparseAdam, make_optimizer
+from .optim import SGD, Adagrad, Adam, Optimizer, make_optimizer
 from . import functional
 from . import init
 from . import losses
 
 __all__ = [
     "Tensor", "concat", "stack", "where", "maximum", "gradient_check",
-    "RowSparseGrad", "rowsparse_from_gather", "densify_grad",
-    "grad_all_finite", "grad_scale_", "grad_sq_sum",
     "Module", "Parameter", "Linear", "Embedding", "LayerNorm", "no_grad",
-    "fused_bce_with_logits", "fused_embedding_gather",
-    "fused_gru_sequence", "fused_lstm_sequence",
+    "fused_bce_with_logits", "fused_gru_sequence", "fused_lstm_sequence",
     "fused_lstm_step", "fused_masked_softmax",
     "GRUCell", "LSTMCell", "RecurrentLayer",
     "BilinearAttention", "AdditiveAttention", "MultiHeadSelfAttention",
     "TransformerBlock",
-    "Optimizer", "SGD", "Adam", "SparseAdam", "Adagrad", "make_optimizer",
+    "Optimizer", "SGD", "Adam", "Adagrad", "make_optimizer",
     "functional", "init", "losses",
 ]

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fused import fused_embedding_gather, fused_masked_softmax
+from .fused import fused_masked_softmax
 from .tensor import Tensor
 
 
@@ -53,11 +53,9 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows of ``weight`` by an integer index array.
 
     Gradients are scatter-added back into the embedding matrix, matching
-    ``torch.nn.functional.embedding``.  When ``weight.sparse_grad`` is set
-    the backward produces a coalesced row-sparse gradient instead of the
-    dense ``(V, d)`` scatter (see :mod:`repro.nn.sparse`).
+    ``torch.nn.functional.embedding``.
     """
-    return fused_embedding_gather(weight, indices)
+    return weight[np.asarray(indices, dtype=np.int64)]
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

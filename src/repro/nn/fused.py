@@ -28,7 +28,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .sparse import rowsparse_from_gather
 from .tensor import Tensor, _scatter_add, _stable_sigmoid, _unbroadcast
 
 
@@ -288,13 +287,17 @@ def fused_masked_softmax(x: Tensor, mask: np.ndarray,
     Backward is the analytic ``y * (g - sum(g * y))`` — exact for this
     forward including the epsilon in the denominator, because the epsilon
     is a constant added to a sum whose derivative it does not change.
+    ``x`` may broadcast against ``mask`` (cluster filtering passes
+    ``(B, T, 1)`` scores with a ``(B, T, C)`` mask); the gradient is summed
+    back to ``x``'s shape.
     """
     out_data = masked_softmax(x.data, mask, axis=axis)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             inner = (grad * out_data).sum(axis=axis, keepdims=True)
-            x._accumulate(out_data * (grad - inner), own=True)
+            x._accumulate(_unbroadcast(out_data * (grad - inner), x.shape),
+                          own=True)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -520,32 +523,3 @@ def fused_lstm_sequence(inputs: Tensor, h0: Tensor, c0: Tensor,
     return Tensor._make(states_data, (inputs, h0, c0, w_ih, w_hh, bias),
                         backward)
 
-
-def fused_embedding_gather(weight: Tensor, indices: np.ndarray,
-                           sparse: Optional[bool] = None) -> Tensor:
-    """Row gather ``weight[indices]`` with a representation-aware backward.
-
-    The dense backward materializes a full ``(V, d)`` zero table and
-    scatter-adds into it — ``O(V*d)`` per step.  With ``sparse`` true (or
-    left to follow ``weight.sparse_grad``), the backward instead coalesces
-    the touched rows into a :class:`repro.nn.sparse.RowSparseGrad`, whose
-    row values are bit-identical to the dense scatter's rows (see the
-    numerical contract in :mod:`repro.nn.sparse`); gathers covering most of
-    the table fall back to the dense array automatically.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    out_data = weight.data[idx]
-    use_sparse = weight.sparse_grad if sparse is None else bool(sparse)
-
-    def backward(grad: np.ndarray) -> None:
-        if not weight.requires_grad:
-            return
-        if use_sparse:
-            weight._accumulate(
-                rowsparse_from_gather(weight.data.shape, idx, grad), own=True)
-        else:
-            full = np.zeros(weight.data.shape)
-            _scatter_add(full, idx, grad)
-            weight._accumulate(full, own=True)
-
-    return Tensor._make(out_data, (weight,), backward)

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from .sparse import grad_all_finite
 from .tensor import Tensor
 
 
@@ -101,17 +100,6 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
-    def set_sparse_grads(self, enabled: bool = True) -> "Module":
-        """Toggle row-sparse gradients on every :class:`Embedding` table.
-
-        Dense parameters (RNN/attention weights, biases) are untouched;
-        only gather-fed lookup tables benefit from the sparse path.
-        """
-        for module in self.modules():
-            if isinstance(module, Embedding):
-                module.weight.sparse_grad = bool(enabled)
-        return self
-
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
@@ -126,7 +114,7 @@ class Module:
         for name, param in self.named_parameters():
             if not np.all(np.isfinite(param.data)):
                 bad.append((name, "data"))
-            if param.grad is not None and not grad_all_finite(param.grad):
+            if param.grad is not None and not np.all(np.isfinite(param.grad)):
                 bad.append((name, "grad"))
         return bad
 

@@ -24,8 +24,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .sparse import RowSparseGrad, densify_grad, rowsparse_from_gather
-
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 # ----------------------------------------------------------------------
@@ -156,17 +154,14 @@ class Tensor:
         Whether gradients should be accumulated into this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "sparse_grad", "_backward",
-                 "_parents", "name", "_op_meta")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+                 "name", "_op_meta")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False,
                  name: Optional[str] = None) -> None:
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        # Opt-in: integer-array gathers from this tensor accumulate a
-        # RowSparseGrad instead of a dense scatter (embedding tables).
-        self.sparse_grad = False
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
@@ -224,16 +219,10 @@ class Tensor:
         exactly what `repro.parallel` needs when shipping trained models
         to evaluation workers.
         """
-        return (self.data, self.grad, self.requires_grad, self.name,
-                self.sparse_grad)
+        return (self.data, self.grad, self.requires_grad, self.name)
 
     def __setstate__(self, state) -> None:
-        if len(state) == 4:  # pre-sparse pickles
-            self.data, self.grad, self.requires_grad, self.name = state
-            self.sparse_grad = False
-        else:
-            (self.data, self.grad, self.requires_grad, self.name,
-             self.sparse_grad) = state
+        self.data, self.grad, self.requires_grad, self.name = state
         self._backward = None
         self._parents = ()
         self._op_meta = None
@@ -265,23 +254,8 @@ class Tensor:
         """
         if _OBSERVER is not None:
             _OBSERVER.on_accumulate(self, grad)
-        if isinstance(grad, RowSparseGrad):
-            # Row-sparse incoming gradient (embedding-gather backward).
-            # Each branch reproduces the dense accumulation order exactly:
-            # adopt, merge (existing + incoming) or scatter into dense.
-            if self.grad is None:
-                self.grad = grad if own else grad.copy()
-            elif isinstance(self.grad, RowSparseGrad):
-                self.grad = self.grad.merge(grad)
-            else:
-                grad.add_into_dense(self.grad)
-            return
         if self.grad is None:
             self.grad = grad if own else grad.copy()
-        elif isinstance(self.grad, RowSparseGrad):
-            dense = self.grad.densify()
-            dense += grad
-            self.grad = dense
         else:
             self.grad += grad
 
@@ -482,16 +456,6 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
-        if (self.sparse_grad and isinstance(index, np.ndarray)
-                and index.dtype.kind in "iu" and self.data.ndim >= 1):
-
-            def backward_sparse(grad: np.ndarray) -> None:
-                if self.requires_grad:
-                    self._accumulate(
-                        rowsparse_from_gather(self.data.shape, index, grad),
-                        own=True)
-
-            return Tensor._make(out_data, (self,), backward_sparse)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -699,7 +663,7 @@ def gradient_check(func: Callable[..., Tensor], inputs: Iterable[Tensor],
     out.backward()
     worst = 0.0
     for tensor in inputs:
-        analytic = (densify_grad(tensor.grad) if tensor.grad is not None
+        analytic = (tensor.grad if tensor.grad is not None
                     else np.zeros_like(tensor.data))
         numeric = np.zeros_like(tensor.data)
         flat = tensor.data.ravel()

@@ -3,10 +3,10 @@
 The online half of §III-C's slow-update story: serving keeps handing out
 scores from the *frozen* published checkpoint while this trainer folds
 the live event stream into a private **shadow copy** of the model —
-lazy row-sparse steps touching only the embedding-family parameters
-(item/output/user embedding rows plus the output bias).  The recurrent
-weights and the causal graph stay fixed between refreshes; re-deriving
-them (Algorithm 1 warm-started on a sliding window) is the
+optimizer steps on the embedding-family parameters only (item/output/user
+embeddings plus the output bias).  The recurrent weights and the causal
+graph stay fixed between refreshes; re-deriving them (Algorithm 1
+warm-started on a sliding window) is the
 :class:`repro.online.refresh.RefreshController`'s job, which then hot
 swaps the refreshed shadow into the registry.
 
@@ -65,7 +65,7 @@ def select_online_params(model) -> List:
 
 
 class OnlineTrainer:
-    """Consume an :class:`EventLog` into sparse updates on a shadow model.
+    """Consume an :class:`EventLog` into updates on a shadow model.
 
     ``model`` must be a *private trainable copy* (``load_model(...,
     mmap=False)`` or a deepcopy) — published serving artifacts alias the
@@ -118,7 +118,6 @@ class OnlineTrainer:
         self.model = model
         self.max_history = int(model.config.max_history)
         self._causal = hasattr(model, "causal_factors")
-        model.set_sparse_grads(True)
         params = select_online_params(model)
         if self.lr > 0.0:
             self._optimizer = make_optimizer(self.optimizer_name, params,
@@ -280,8 +279,8 @@ class OnlineTrainer:
         """Persist shadow model + optimizer state + consumption cursor.
 
         Restoring (:meth:`restore_state`) and continuing is equivalent to
-        never having stopped: moments, per-row steps, tails, the seen-user
-        set, and the consumed offset all round-trip.
+        never having stopped: moments, accumulators, the step counter,
+        tails, the seen-user set, and the consumed offset all round-trip.
         """
         from ..io import save_model, save_optimizer_state
         state_dir = Path(path)

@@ -11,8 +11,8 @@ import pytest
 
 from repro.analysis.cli import main
 
-RULE_IDS = ("GL001", "GL002", "GL003", "GL004", "GL005", "GL006", "GL007",
-            "GL008", "CL001", "CL002", "CL003", "CL004", "CL005")
+RULE_IDS = ("GL001", "GL002", "GL003", "GL004", "GL005", "GL006", "GL008",
+            "CL001", "CL002", "CL003", "CL004", "CL005")
 
 
 @pytest.fixture
@@ -36,14 +36,13 @@ def violating_tree(tmp_path):
     # GL006: phantom export.
     (pkg / "__init__.py").write_text(
         'from .trainer import fit\n\n__all__ = ["fit", "predict"]\n')
-    # GL003 + GL004 + GL005 + GL007 in one training module.
+    # GL003 + GL004 + GL005 in one training module.
     (pkg / "trainer.py").write_text(textwrap.dedent("""
         import numpy as np
 
         def fit(model):
             noise = np.random.randn(4)
             model.weight.data[...] = noise
-            norm = (model.weight.grad ** 2).sum()
             try:
                 model.step()
             except:

@@ -207,64 +207,6 @@ class TestAllDrift:
         assert findings == []
 
 
-class TestDenseGradAssumption:
-    def test_grad_attribute_access_flagged(self):
-        findings, _ = run("norm = param.grad.sum()", select=["GL007"])
-        assert rule_ids(findings) == ["GL007"]
-        assert "repro.nn.sparse" in findings[0].message
-
-    def test_grad_arithmetic_flagged(self):
-        findings, _ = run("total += (param.grad ** 2).sum()",
-                          select=["GL007"])
-        assert "GL007" in rule_ids(findings)
-
-    def test_grad_inplace_scale_flagged(self):
-        findings, _ = run("param.grad *= scale", select=["GL007"])
-        assert rule_ids(findings) == ["GL007"]
-
-    def test_grad_indexing_flagged(self):
-        findings, _ = run("rows = param.grad[indices]", select=["GL007"])
-        assert rule_ids(findings) == ["GL007"]
-
-    def test_np_call_on_grad_flagged(self):
-        findings, _ = run("ok = np.isfinite(param.grad).all()",
-                          select=["GL007"])
-        assert "GL007" in rule_ids(findings)
-
-    def test_sparse_helpers_clean(self):
-        findings, _ = run("""
-        total = grad_sq_sum(param.grad)
-        grad_scale_(param.grad, scale)
-        ok = grad_all_finite(param.grad)
-        dense = densify_grad(param.grad)
-        sparse = isinstance(param.grad, RowSparseGrad)
-        """, select=["GL007"])
-        assert findings == []
-
-    def test_bare_grad_reference_clean(self):
-        # Passing `.grad` around or checking for None assumes nothing.
-        findings, _ = run("""
-        if param.grad is not None:
-            stash.append(param.grad)
-        """, select=["GL007"])
-        assert findings == []
-
-    def test_sparse_aware_files_exempt(self):
-        for path in ("src/repro/nn/optim.py", "src/repro/nn/sparse.py",
-                     "src/repro/nn/tensor.py",
-                     "src/repro/analysis/sanitizer.py"):
-            findings, _ = run("param.grad *= scale", path=path,
-                              select=["GL007"])
-            assert findings == []
-
-    def test_suppression_applies(self):
-        findings, suppressed = run(
-            "h = param.grad.shape  # gradlint: disable=GL007 — dense-only "
-            "debug helper", select=["GL007"])
-        assert findings == []
-        assert suppressed == 1
-
-
 class TestMemmapInflation:
     DATA_PATH = "src/repro/data/eventlog.py"
 

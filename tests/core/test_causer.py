@@ -59,6 +59,23 @@ class TestTraining:
         fit = model.fit(tiny_split.train)
         assert np.isfinite(fit.final_loss)
 
+    @pytest.mark.parametrize("mode", ["shared", "cluster"])
+    def test_one_epoch_fit_per_filtering_mode(self, tiny_dataset, tiny_split,
+                                              mode):
+        """Both trainable filtering modes fit: cluster mode broadcasts its
+        (B, T, 1) attention scores against a (B, T, C) survival mask."""
+        model = Causer(tiny_dataset.corpus.num_users, tiny_dataset.num_items,
+                       tiny_dataset.features,
+                       quick_config(filtering_mode=mode, num_epochs=1))
+        before = model.item_embedding.weight.data.copy()
+        fit = model.fit(tiny_split.train)
+        assert len(fit.epoch_losses) == 1
+        assert np.isfinite(fit.final_loss)
+        assert not model.non_finite_parameters()
+        assert not np.array_equal(before, model.item_embedding.weight.data)
+        scores = model.score_samples(tiny_split.test[:3])
+        assert np.isfinite(scores).all()
+
     def test_empty_samples_rejected(self, tiny_dataset):
         model = Causer(5, tiny_dataset.num_items, tiny_dataset.features,
                        quick_config())

@@ -67,6 +67,38 @@ class TestMaskedSoftmax:
         valid_cols = mask.any(axis=1)
         np.testing.assert_allclose(sums[valid_cols], 1.0, rtol=1e-6)
 
+    def test_broadcast_input_gradient_matches_composite(self):
+        """(B, T, 1) scores against a (B, T, C) mask, as cluster filtering
+        calls it: the fused gradient is summed back to the input's shape
+        and equals the gradient of the same forward built from graph ops."""
+        rng = np.random.default_rng(4)
+        mask = rng.random((2, 5, 3)) > 0.4
+        mask[1, :, 2] = False                      # one all-masked column
+        upstream = Tensor(rng.normal(size=(2, 5, 3)))
+
+        def composite(x):
+            shifted = x + Tensor(np.where(mask, 0.0, -1e30))
+            # Detached max shift, exactly as the fused forward does.
+            shifted = shifted - Tensor(shifted.data.max(axis=1, keepdims=True))
+            exp = shifted.exp() * Tensor(mask.astype(np.float64))
+            return exp / (exp.sum(axis=1, keepdims=True) + 1e-12)
+
+        fused_x = Tensor(rng.normal(size=(2, 5, 1)), requires_grad=True)
+        composite_x = Tensor(fused_x.data.copy(), requires_grad=True)
+        fused_out = F.masked_softmax(fused_x, mask, axis=1)
+        composite_out = composite(composite_x)
+        np.testing.assert_allclose(fused_out.data, composite_out.data,
+                                   rtol=0, atol=1e-12)
+        (fused_out * upstream).sum().backward()
+        (composite_out * upstream).sum().backward()
+        assert fused_x.grad.shape == (2, 5, 1)
+        np.testing.assert_allclose(fused_x.grad, composite_x.grad,
+                                   rtol=0, atol=1e-12)
+        err = gradient_check(
+            lambda x: (F.masked_softmax(x, mask, axis=1) * upstream).sum(),
+            [fused_x])
+        assert err < 1e-6
+
 
 class TestLookups:
     def test_embedding_lookup_gradient_scatter(self):

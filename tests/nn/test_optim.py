@@ -94,3 +94,63 @@ class TestFactory:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_optimizer("lion", [Parameter(np.ones(1))], lr=0.1)
+
+
+class TestClipAndState:
+    def test_clip_grad_norm_matches_numpy_reference(self):
+        """Integer-valued grads make every sum exact: the joint norm and
+        the clipped gradients equal the numpy reference bit for bit."""
+        rng = np.random.default_rng(17)
+        grads = [rng.integers(-5, 6, size=(40, 4)).astype(float),
+                 rng.integers(-5, 6, size=7).astype(float)]
+        params = [Parameter(np.zeros_like(g)) for g in grads]
+        for param, grad in zip(params, grads):
+            param.grad = grad.copy()
+        norm = SGD(params, lr=0.1).clip_grad_norm(2.0)
+        expected = float(np.sqrt(sum(float((g ** 2).sum()) for g in grads)))
+        assert norm == expected
+        for param, grad in zip(params, grads):
+            assert np.array_equal(param.grad, grad * (2.0 / expected))
+
+    def test_state_keyed_by_index_not_id(self):
+        """Two same-shaped params must never share state buffers — the old
+        ``id(param)``-keyed dicts aliased state when the allocator reused
+        an address."""
+        init = np.ones((6, 2))
+        p0, p1 = Parameter(init.copy()), Parameter(init.copy())
+        opt = Adam([p0, p1], lr=1e-2)
+        p0.grad = np.full((6, 2), 0.5)
+        p1.grad = np.full((6, 2), -2.0)
+        opt.step()
+        assert set(opt._m.keys()) == {0, 1}
+        assert opt._m[0] is not opt._m[1]
+        assert not np.array_equal(opt._m[0], opt._m[1])
+        # Recreating a param (allowing id() reuse) must not leak state.
+        del p0
+        p2 = Parameter(init.copy())
+        opt2 = Adagrad([p2], lr=0.1)
+        p2.grad = np.ones((6, 2))
+        opt2.step()
+        assert set(opt2._accum.keys()) == {0}
+        assert np.array_equal(opt2._accum[0], np.ones((6, 2)))
+
+    @pytest.mark.parametrize("factory,state_attr", [
+        (lambda p: SGD([p], lr=0.05, momentum=0.9), "_velocity"),
+        (lambda p: Adam([p], lr=1e-2), "_m"),
+        (lambda p: Adam([p], lr=1e-2), "_v"),
+        (lambda p: Adagrad([p], lr=0.1), "_accum"),
+    ])
+    def test_state_updated_in_place(self, factory, state_attr):
+        """The fixed ``accum += g**2`` (vs legacy ``accum = accum + g**2``)
+        must keep the same buffer across steps — no per-step reallocation
+        of table-sized state."""
+        param = Parameter(np.ones((50, 4)))
+        opt = factory(param)
+        rng = np.random.default_rng(19)
+        param.grad = rng.normal(size=(50, 4))
+        opt.step()
+        buffer_id = id(getattr(opt, state_attr)[0])
+        for _ in range(3):
+            param.grad = rng.normal(size=(50, 4))
+            opt.step()
+            assert id(getattr(opt, state_attr)[0]) == buffer_id

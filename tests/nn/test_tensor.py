@@ -1,5 +1,7 @@
 """Unit tests for the autograd engine: every op is gradient-checked."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,19 @@ class TestBasics:
     def test_repr_mentions_grad(self):
         assert "requires_grad" in repr(make((1,)))
         assert "requires_grad" not in repr(Tensor([1.0]))
+
+    def test_pickle_round_trip_detaches(self):
+        """A pickled tensor keeps data, grad, flag and name, not its graph."""
+        t = make((3, 2))
+        out = (t * 2.0).sum()
+        out.backward()
+        t.name = "table"
+        back = pickle.loads(pickle.dumps(t))
+        assert np.array_equal(back.data, t.data)
+        assert np.array_equal(back.grad, t.grad)
+        assert back.requires_grad is True and back.name == "table"
+        node = pickle.loads(pickle.dumps(t * 3.0))
+        assert node._parents == () and node._backward is None
 
 
 class TestArithmeticGradients:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.io import load_optimizer_state, save_optimizer_state
+from repro.nn import Adagrad, Adam, Parameter
 from repro.nn.optim import make_optimizer
 from repro.online import EventLog, OnlineTrainer, select_online_params
 from repro.online.__main__ import fingerprint
@@ -32,7 +33,7 @@ def test_state_tables_round_trip_exactly(tmp_path, online_causer, shadow_of,
         shadow_of(online_causer)), lr=0.05)
     load_optimizer_state(fresh, path)
     assert getattr(fresh, "_t", 0) == getattr(saved, "_t", 0)
-    for slot in ("_velocity", "_m", "_v", "_row_steps", "_accum"):
+    for slot in ("_velocity", "_m", "_v", "_accum"):
         table = getattr(saved, slot, None)
         if table is None:
             continue
@@ -66,8 +67,8 @@ def test_trainer_restart_is_bitwise_warm(tmp_path, online_causer, shadow_of,
                                          optimizer):
     """save_state → restore_state → continue == never having stopped.
 
-    The per-row moments and last-touch steps matter here: a cold-restart
-    optimizer would re-run Adam's decay catch-up from step 0 and diverge.
+    The moments and the step counter matter here: a cold-restart
+    optimizer would restart Adam's bias correction at step 1 and diverge.
     """
     log = EventLog(None)
     fill_log(log, 96)
@@ -105,3 +106,63 @@ def test_restore_rejects_sheared_batch_size(tmp_path, online_causer,
     with pytest.raises(ValueError, match="batch_events"):
         other.restore_state(state_dir)
     log.close()
+
+
+def _stepped(optimizer_cls, shapes, **kwargs):
+    params = [Parameter(np.ones(shape)) for shape in shapes]
+    optimizer = optimizer_cls(params, lr=0.1, **kwargs)
+    for param in params:
+        param.grad = np.full(param.data.shape, 0.5)
+    optimizer.step()
+    return optimizer
+
+
+def _rewrite_archive(path, **entries):
+    """Copy the archive at ``path`` with ``entries`` added or replaced."""
+    with np.load(str(path)) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    arrays.update(entries)
+    np.savez(str(path), **arrays)
+
+
+def test_load_rejects_misshapen_entry_naming_file_and_key(tmp_path):
+    path = tmp_path / "opt.npz"
+    save_optimizer_state(_stepped(Adagrad, [(5, 3), (4,)]), path)
+    _rewrite_archive(path, **{"state::_accum::0": np.ones((2, 3))})
+    fresh = Adagrad([Parameter(np.ones((5, 3))), Parameter(np.ones(4))],
+                    lr=0.1)
+    with pytest.raises(ValueError) as err:
+        load_optimizer_state(fresh, path)
+    assert str(path) in str(err.value)
+    assert "state::_accum::0" in str(err.value)
+    assert "(2, 3)" in str(err.value) and "(5, 3)" in str(err.value)
+    assert fresh._accum == {}  # a rejected archive leaves no partial state
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_load_rejects_entry_outside_parameter_list(tmp_path, index):
+    path = tmp_path / "opt.npz"
+    save_optimizer_state(_stepped(Adagrad, [(5, 3), (4,)]), path)
+    _rewrite_archive(path, **{f"state::_accum::{index}": np.ones(4)})
+    fresh = Adagrad([Parameter(np.ones((5, 3))), Parameter(np.ones(4))],
+                    lr=0.1)
+    with pytest.raises(ValueError, match="outside the parameter list"):
+        load_optimizer_state(fresh, path)
+    assert fresh._accum == {}
+
+
+def test_load_rejects_legacy_lazy_adam_archive(tmp_path):
+    """Archives from the lazy row-sparse Adam of older builds carried
+    per-row last-touch steps; dense Adam has no such slot, so they are
+    refused by name."""
+    legacy_slot = "_row_steps"
+    path = tmp_path / "opt.npz"
+    save_optimizer_state(_stepped(Adam, [(5, 3)]), path)
+    _rewrite_archive(path, **{
+        f"state::{legacy_slot}::0": np.ones(5, dtype=np.int64)})
+    fresh = Adam([Parameter(np.ones((5, 3)))], lr=0.1)
+    with pytest.raises(ValueError, match=legacy_slot) as err:
+        load_optimizer_state(fresh, path)
+    assert str(path) in str(err.value)
+    assert fresh._t == 0 and fresh._m == {}
+
