@@ -28,11 +28,23 @@ Generative story for one user:
 
 Every causally-generated item records its trigger, producing the ground
 truth that substitutes for the paper's human-labeled explanation dataset.
+
+Categorical draws read cached CDFs instead of calling
+``Generator.choice`` per draw: cluster popularity, noise popularity and
+child-cluster lists are built once per simulator, recency weights once
+per history length, and the preference CDFs once per user.  Each draw
+makes exactly the stream calls ``choice`` would (one ``random()`` for a
+weighted draw, one ``integers(0, n)`` for an unweighted one) and returns
+the same element, so corpora are byte-identical to per-draw ``choice``
+sampling; ``tests/data/test_synthetic.py`` pins this against a reference
+simulator that still calls ``choice``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -166,6 +178,66 @@ def _popularity_weights(num_items: int, alpha: float,
     return np.concatenate([[0.0], weights])
 
 
+#: Knuth's multiplicative hash constant, spreading a trigger's preferred
+#: effects over its child clusters (see ``preferred_effects``).
+_AFFINITY_HASH = 2654435761
+
+#: ``Generator.choice``'s tolerance on ``|sum(p) - 1|``.
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _choice_cdf(p: np.ndarray) -> List[float]:
+    """The CDF ``Generator.choice(a, p=p)`` searches, after the same checks.
+
+    ``a[_draw(cdf, rng)]`` then consumes the stream exactly as
+    ``rng.choice(a, p=p)`` does (one ``random()``) and returns the same
+    element, but the validation and accumulation run once per cached CDF
+    instead of once per draw.  The CDF is non-decreasing, so
+    ``bisect_right`` on its list finds the index ``choice``'s
+    ``searchsorted(side="right")`` finds, without numpy's per-call cost.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > _CHOICE_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _draw(cdf: List[float], rng: np.random.Generator) -> int:
+    """One weighted index draw from a :func:`_choice_cdf` table."""
+    return bisect_right(cdf, rng.random())
+
+
+class _UserPreference:
+    """One user's cluster-preference CDFs, each built on first use.
+
+    Building lazily keeps ``Generator.choice``'s failure points too: an
+    invalid preference raises only when a draw would have used it.
+    """
+
+    def __init__(self, preference: np.ndarray,
+                 root_clusters: np.ndarray) -> None:
+        self.preference = preference
+        self.root_clusters = root_clusters
+
+    @cached_property
+    def cluster_cdf(self) -> List[float]:
+        return _choice_cdf(self.preference)
+
+    @cached_property
+    def root_cdf(self) -> Optional[List[float]]:
+        """``None`` when no root is preferred: the draw is then uniform."""
+        root_pref = self.preference[self.root_clusters]
+        total = root_pref.sum()
+        return _choice_cdf(root_pref / total) if total > 0 else None
+
+
 class BehaviorSimulator:
     """Samples :class:`SyntheticDataset` instances from a causal story."""
 
@@ -190,6 +262,17 @@ class BehaviorSimulator:
         # Clusters with no incoming causal edge (the DAG's entry points).
         self._root_clusters = np.nonzero(
             self.cluster_graph.sum(axis=0) == 0)[0]
+        # Draw tables fixed for the simulator's lifetime (see _choice_cdf).
+        # Round-robin assignment gives every cluster at least one item.
+        self._child_clusters = [np.nonzero(row)[0] for row in self.cluster_graph]
+        self._cluster_cdfs = [
+            _choice_cdf(self.popularity[members]
+                        / self.popularity[members].sum())
+            for members in self._items_by_cluster]
+        self._noise_cdf = _choice_cdf(self.popularity[1:]
+                                      / self.popularity[1:].sum())
+        #: Recency CDFs of ``_pick_trigger``, keyed by history length.
+        self._recency_cdfs: Dict[int, List[float]] = {}
 
     # ------------------------------------------------------------------
     def user_rng(self, user_id: int) -> np.random.Generator:
@@ -258,10 +341,11 @@ class BehaviorSimulator:
         cfg = self.config
         if rng is None:
             rng = self._rng
-        preference = rng.dirichlet(
-            np.full(cfg.num_clusters, cfg.preference_concentration))
-        length = int(np.clip(rng.geometric(1.0 / cfg.mean_sequence_length),
-                             cfg.min_sequence_length, cfg.max_sequence_length))
+        preference = _UserPreference(rng.dirichlet(
+            np.full(cfg.num_clusters, cfg.preference_concentration)),
+            self._root_clusters)
+        length = min(max(int(rng.geometric(1.0 / cfg.mean_sequence_length)),
+                         cfg.min_sequence_length), cfg.max_sequence_length)
         history: List[int] = []
         baskets: List[Tuple[int, ...]] = []
         causes: List[CauseMap] = []
@@ -280,7 +364,7 @@ class BehaviorSimulator:
             history.extend(basket)
         return baskets, causes
 
-    def _sample_item(self, history: List[int], preference: np.ndarray,
+    def _sample_item(self, history: List[int], preference: _UserPreference,
                      rng: np.random.Generator) -> Tuple[int, Tuple[int, ...]]:
         """Sample one item; return ``(item, cause_items)``."""
         cfg = self.config
@@ -290,31 +374,36 @@ class BehaviorSimulator:
             # one that comes to mind.
             for _ in range(3):
                 trigger = self._pick_trigger(history, rng)
-                trigger_cluster = int(self.cluster_of_item[trigger])
-                child_clusters = np.nonzero(self.cluster_graph[trigger_cluster])[0]
+                child_clusters = self._child_clusters[
+                    self.cluster_of_item[trigger]]
                 if len(child_clusters) > 0:
-                    child = int(rng.choice(child_clusters))
+                    child = int(child_clusters[
+                        rng.integers(0, len(child_clusters))])
                     item = self._pick_effect_item(trigger, child, rng)
                     return item, (trigger,)
         if rng.random() < cfg.noise_prob:
             # Pure popularity noise, causally irrelevant.
-            probs = self.popularity[1:] / self.popularity[1:].sum()
-            return int(rng.choice(cfg.num_items, p=probs)) + 1, ()
+            return _draw(self._noise_cdf, rng) + 1, ()
         if self._root_clusters.size and rng.random() < cfg.spontaneous_root_bias:
-            root_pref = preference[self._root_clusters]
-            root_pref = root_pref / root_pref.sum() if root_pref.sum() > 0 else None
-            cluster = int(rng.choice(self._root_clusters, p=root_pref))
+            roots = self._root_clusters
+            root_cdf = preference.root_cdf
+            if root_cdf is None:
+                cluster = int(roots[rng.integers(0, len(roots))])
+            else:
+                cluster = int(roots[_draw(root_cdf, rng)])
         else:
-            cluster = int(rng.choice(cfg.num_clusters, p=preference))
+            cluster = _draw(preference.cluster_cdf, rng)
         return self._pick_item_from_cluster(cluster, rng), ()
 
     def _pick_trigger(self, history: List[int],
                       rng: np.random.Generator) -> int:
         """Recency-biased trigger choice (geometric decay toward the past)."""
-        weights = np.power(self.config.recency_decay,
-                           np.arange(len(history))[::-1])
-        probs = weights / weights.sum()
-        return int(rng.choice(history, p=probs))
+        n = len(history)
+        cdf = self._recency_cdfs.get(n)
+        if cdf is None:
+            weights = np.power(self.config.recency_decay, np.arange(n)[::-1])
+            cdf = self._recency_cdfs[n] = _choice_cdf(weights / weights.sum())
+        return history[_draw(cdf, rng)]
 
     def preferred_effects(self, trigger: int, child_cluster: int) -> np.ndarray:
         """The trigger item's preferred effect items in ``child_cluster``.
@@ -324,31 +413,27 @@ class BehaviorSimulator:
         item-specific regularity sequential models can learn.
         """
         members = self._items_by_cluster[child_cluster]
-        if len(members) == 0:
-            return members
         fanout = min(self.config.affinity_fanout, len(members))
-        start = (trigger * 2654435761) % len(members)  # Knuth multiplicative hash
-        idx = (start + np.arange(fanout)) % len(members)
-        return members[idx]
+        start = (trigger * _AFFINITY_HASH) % len(members)
+        return members[(start + np.arange(fanout)) % len(members)]
 
     def _pick_effect_item(self, trigger: int, child_cluster: int,
                           rng: np.random.Generator) -> int:
         """Sample the effect of a causal step (affinity-aware)."""
-        preferred = self.preferred_effects(trigger, child_cluster)
-        if len(preferred) and rng.random() < self.config.affinity_strength:
-            return int(rng.choice(preferred))
+        members = self._items_by_cluster[child_cluster]
+        fanout = min(self.config.affinity_fanout, len(members))
+        if fanout and rng.random() < self.config.affinity_strength:
+            # A uniform pick from ``preferred_effects(trigger,
+            # child_cluster)`` without building the array.
+            start = (trigger * _AFFINITY_HASH) % len(members)
+            return int(members[(start + rng.integers(0, fanout))
+                               % len(members)])
         return self._pick_item_from_cluster(child_cluster, rng)
 
     def _pick_item_from_cluster(self, cluster: int,
                                 rng: np.random.Generator) -> int:
-        members = self._items_by_cluster[cluster]
-        if len(members) == 0:
-            # Degenerate config: fall back to the global popularity draw.
-            probs = self.popularity[1:] / self.popularity[1:].sum()
-            return int(rng.choice(self.config.num_items, p=probs)) + 1
-        weights = self.popularity[members]
-        probs = weights / weights.sum()
-        return int(rng.choice(members, p=probs))
+        return int(self._items_by_cluster[cluster][
+            _draw(self._cluster_cdfs[cluster], rng)])
 
 
 def generate_dataset(config: SimulatorConfig,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pathlib
 from typing import Callable, Dict, Iterator, Mapping, Union
 
@@ -206,9 +207,12 @@ def write_json_header(path: PathLike, format_name: str, version: int,
                       payload: Mapping) -> None:
     """Write ``header.json``-style metadata with format name + version.
 
-    The ``format``/``format_version`` keys come first so a truncated or
-    hand-inspected header still identifies itself; ``payload`` keys must
-    not collide with them.
+    The ``format``/``format_version`` keys come first so a hand-inspected
+    header identifies itself; ``payload`` keys must not collide with
+    them.  The JSON goes to a temporary file in the same directory that
+    ``os.replace`` then moves into place, so a reader (or a check that
+    the header exists) sees the previous state or the whole new header,
+    never a torn write.
     """
     header = {"format": format_name, "format_version": int(version)}
     for key in payload:
@@ -216,20 +220,35 @@ def write_json_header(path: PathLike, format_name: str, version: int,
             raise ValueError(f"payload key {key!r} collides with the "
                              f"reserved header fields")
     header.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=1, sort_keys=False)
+    path = pathlib.Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(header, fh, indent=1, sort_keys=False)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_json_header(path: PathLike, format_name: str,
                      version: int) -> Dict[str, object]:
     """Read and validate a header written by :func:`write_json_header`.
 
-    Raises :class:`ValueError` (naming the file) when the format name or
-    version does not match — the same contract model checkpoints follow,
-    so stale on-disk stores fail loudly instead of being misparsed.
+    Raises :class:`ValueError` naming the file when the JSON is
+    unparsable or not an object, or when the format name or version does
+    not match — the same contract model checkpoints follow, so torn or
+    stale on-disk stores fail loudly instead of being misparsed.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: unreadable {format_name} header: "
+                         f"{exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: {format_name} header is not a JSON "
+                         f"object (found {type(header).__name__})")
     found = header.get("format")
     if found != format_name:
         raise ValueError(f"{path}: expected format {format_name!r}, "

@@ -8,10 +8,12 @@ The contracts under test, in order of importance:
   corpus built from the same per-user seed streams — same statistics,
   same leave-one-out splits, same training batches, and therefore the
   same loss trajectory through a real model;
-* the writer validates its input and the header is versioned.
+* the writer validates its input and the header is versioned, written
+  atomically, and rejected with the file's name when torn.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from repro.data import (BehaviorSimulator, SimulatorConfig, EventLogWriter,
                         generate_eventlog, iterate_batches,
                         load_eventlog_dataset, open_eventlog, pad_samples,
                         training_prefixes)
+from repro.data.eventlog import EVENTLOG_FORMAT, EVENTLOG_VERSION
 from repro.data.interactions import leave_one_out_split
+from repro.io import write_json_header
 
 CONFIG = SimulatorConfig(num_users=60, num_items=80, num_clusters=6, seed=11)
 
@@ -108,6 +112,40 @@ class TestHeaderVersioning:
         header_path.write_text(json.dumps(header))
         with pytest.raises(ValueError, match="format"):
             open_eventlog(tmp_path / "log")
+
+
+class TestHeaderAtomicity:
+    def _log(self, tmp_path):
+        with EventLogWriter(tmp_path / "log", num_items=10) as writer:
+            writer.add_user(0, [[1, 2], [3]])
+            writer.add_user(1, [[4]])
+        return tmp_path / "log" / "header.json"
+
+    def test_every_truncation_names_the_file(self, tmp_path):
+        header_path = self._log(tmp_path)
+        full = header_path.read_bytes()
+        for cut in range(len(full)):
+            header_path.write_bytes(full[:cut])
+            with pytest.raises(ValueError, match=re.escape(str(header_path))):
+                open_eventlog(tmp_path / "log")
+        header_path.write_bytes(full)
+        assert open_eventlog(tmp_path / "log").num_users == 2
+
+    def test_non_object_header_names_the_file(self, tmp_path):
+        header_path = self._log(tmp_path)
+        header_path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match=re.escape(str(header_path))):
+            open_eventlog(tmp_path / "log")
+
+    def test_failed_rewrite_keeps_old_header(self, tmp_path):
+        header_path = self._log(tmp_path)
+        before = header_path.read_bytes()
+        with pytest.raises(TypeError):  # object() is not JSON: dies mid-dump
+            write_json_header(header_path, EVENTLOG_FORMAT, EVENTLOG_VERSION,
+                              {"num_items": 10, "bad": object()})
+        assert header_path.read_bytes() == before
+        assert sorted(p.name for p in header_path.parent.iterdir()
+                      if p.name.startswith(".")) == []
 
 
 class TestParallelBitIdentity:

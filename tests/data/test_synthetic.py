@@ -1,10 +1,14 @@
 """Tests for the causal behaviour simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.causal import is_dag
-from repro.data import BehaviorSimulator, SimulatorConfig, generate_dataset
+from repro.data import (DATASET_NAMES, BehaviorSimulator, SimulatorConfig,
+                        dataset_config, generate_dataset)
+from repro.data.synthetic import _choice_cdf
 
 
 class TestConfigValidation:
@@ -142,3 +146,202 @@ class TestAffinity:
         sim = BehaviorSimulator(tiny_dataset.config)
         fanout = tiny_dataset.config.affinity_fanout
         assert len(sim.preferred_effects(3, 0)) <= fanout
+
+
+class TestClusters:
+    @pytest.mark.parametrize("num_clusters", [1, 2, 5, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_cluster_nonempty_at_one_item_each(self, num_clusters,
+                                                     seed):
+        cfg = SimulatorConfig(num_users=5, num_items=num_clusters,
+                              num_clusters=num_clusters, seed=seed)
+        sim = BehaviorSimulator(cfg)
+        counts = np.bincount(sim.cluster_of_item[1:], minlength=num_clusters)
+        assert counts.min() == 1
+        for cluster in range(num_clusters):
+            assert len(sim.preferred_effects(1, cluster)) >= 1
+        sim.generate()
+
+
+# ----------------------------------------------------------------------
+# Oracle: the cached-CDF simulator against per-draw ``Generator.choice``
+# ----------------------------------------------------------------------
+def _reference_simulate_user(sim, rng, uniform_root_draws):
+    """One user simulated with a ``Generator.choice`` call per draw.
+
+    The simulator must make exactly these stream calls and return exactly
+    these baskets and causes.  ``uniform_root_draws`` counts the root
+    draws whose preference mass is zero (``choice(..., p=None)``).
+    """
+    cfg = sim.config
+    roots = np.nonzero(sim.cluster_graph.sum(axis=0) == 0)[0]
+    preference = rng.dirichlet(
+        np.full(cfg.num_clusters, cfg.preference_concentration))
+    length = int(np.clip(rng.geometric(1.0 / cfg.mean_sequence_length),
+                         cfg.min_sequence_length, cfg.max_sequence_length))
+
+    def from_cluster(cluster):
+        members = np.nonzero(sim.cluster_of_item[1:] == cluster)[0] + 1
+        weights = sim.popularity[members]
+        return int(rng.choice(members, p=weights / weights.sum()))
+
+    def sample(history):
+        if history and rng.random() < cfg.causal_follow_prob:
+            for _ in range(3):
+                weights = np.power(cfg.recency_decay,
+                                   np.arange(len(history))[::-1])
+                trigger = int(rng.choice(history, p=weights / weights.sum()))
+                children = np.nonzero(
+                    sim.cluster_graph[sim.cluster_of_item[trigger]])[0]
+                if len(children) > 0:
+                    child = int(rng.choice(children))
+                    preferred = sim.preferred_effects(trigger, child)
+                    if (len(preferred)
+                            and rng.random() < cfg.affinity_strength):
+                        return int(rng.choice(preferred)), (trigger,)
+                    return from_cluster(child), (trigger,)
+        if rng.random() < cfg.noise_prob:
+            probs = sim.popularity[1:] / sim.popularity[1:].sum()
+            return int(rng.choice(cfg.num_items, p=probs)) + 1, ()
+        if roots.size and rng.random() < cfg.spontaneous_root_bias:
+            root_pref = preference[roots]
+            if root_pref.sum() > 0:
+                root_pref = root_pref / root_pref.sum()
+            else:
+                root_pref = None
+                uniform_root_draws.append(1)
+            return from_cluster(int(rng.choice(roots, p=root_pref))), ()
+        return from_cluster(int(rng.choice(cfg.num_clusters,
+                                           p=preference))), ()
+
+    history, baskets, causes = [], [], []
+    for _ in range(length):
+        basket, basket_causes = [], {}
+        for slot in range(cfg.max_basket_size):
+            if slot > 0 and rng.random() >= cfg.basket_extra_prob:
+                break
+            item, cause = sample(history)
+            if item not in basket:
+                basket.append(item)
+                basket_causes[item] = cause
+        baskets.append(tuple(basket))
+        causes.append(basket_causes)
+        history.extend(basket)
+    return baskets, causes
+
+
+def _outcome(fn):
+    """``fn()``'s result, or ``ValueError`` if it raised one."""
+    try:
+        return fn()
+    except ValueError:
+        return ValueError
+
+
+#: Every Table II profile, plus recency-biased triggers and a preference
+#: so concentrated that root draws fall back to ``p=None``.
+ORACLE_CASES = (
+    [pytest.param(name, {}, id=name) for name in DATASET_NAMES]
+    + [pytest.param("video", {"recency_decay": 0.7}, id="video-decay"),
+       pytest.param("epinions", {"recency_decay": 0.7}, id="epinions-decay"),
+       pytest.param("baby", {"preference_concentration": 1e-3},
+                    id="baby-concentrated"),
+       pytest.param("video", {"preference_concentration": 1e-3},
+                    id="video-concentrated")])
+
+
+def _oracle_config(name, overrides):
+    cfg = dataset_config(name, scale=0.02, seed=3)
+    return dataclasses.replace(cfg, num_users=60, **overrides)
+
+
+@pytest.mark.parametrize("name,overrides", ORACLE_CASES)
+class TestChoiceOracle:
+    def test_keyed_user_streams(self, name, overrides):
+        cfg = _oracle_config(name, overrides)
+        sim = BehaviorSimulator(cfg)
+        uniform_root_draws = []
+        for user in range(cfg.num_users):
+            ours, theirs = sim.user_rng(user), sim.user_rng(user)
+            assert (_outcome(lambda: sim._simulate_user(ours))
+                    == _outcome(lambda: _reference_simulate_user(
+                        sim, theirs, uniform_root_draws))), user
+            # Same calls on the stream, not merely the same output.
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        if "preference_concentration" in overrides:
+            assert uniform_root_draws, "p=None root branch never reached"
+
+    def test_shared_stream_generate(self, name, overrides):
+        cfg = _oracle_config(name, overrides)
+        reference = BehaviorSimulator(cfg)
+
+        def expected():
+            users = [_reference_simulate_user(reference, reference._rng, [])
+                     for _ in range(cfg.num_users)]
+            return users, reference.generate_features()
+
+        def actual():
+            dataset = BehaviorSimulator(cfg).generate()
+            users = [(list(s.baskets), causes) for s, causes
+                     in zip(dataset.corpus, dataset.cause_log)]
+            return users, dataset.features
+
+        want, got = _outcome(expected), _outcome(actual)
+        if want is ValueError or got is ValueError:
+            assert want is got
+            return
+        assert got[0] == want[0]
+        # The features follow the users on the shared stream.
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+class _ChoiceForbidden:
+    """A ``Generator`` stand-in that forwards the simulator's stream calls
+    and fails on ``choice``: a per-draw ``choice`` is the cost the cached
+    CDFs removed, and shared CI runners cannot time it reliably."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def random(self):
+        return self._rng.random()
+
+    def integers(self, low, high):
+        return self._rng.integers(low, high)
+
+    def dirichlet(self, alpha):
+        return self._rng.dirichlet(alpha)
+
+    def geometric(self, p):
+        return self._rng.geometric(p)
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("Generator.choice called per draw in the "
+                             "simulator's sampling loop")
+
+
+@pytest.mark.parametrize("name,overrides", ORACLE_CASES)
+def test_simulation_makes_no_choice_calls(name, overrides):
+    cfg = _oracle_config(name, overrides)
+    sim = BehaviorSimulator(cfg)
+    for user in range(cfg.num_users):
+        sim._simulate_user(_ChoiceForbidden(sim.user_rng(user)))
+
+
+class TestChoiceCdfValidation:
+    @pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [1.5, -0.5],
+                                   [-0.2, 0.6, 0.6], [0.5, 0.4]],
+                             ids=["nan", "negative", "negative-sum-1",
+                                  "sum-below-1"])
+    def test_rejects_what_choice_rejects(self, p):
+        p = np.array(p)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(p), p=p)
+        with pytest.raises(ValueError):
+            _choice_cdf(p)
+
+    def test_accepts_normalised_weights(self):
+        weights = np.array([0.0, 3.0, 1.0, 0.0, 2.0])
+        cdf = _choice_cdf(weights / weights.sum())
+        assert cdf[-1] == 1.0
+        assert cdf == sorted(cdf)
