@@ -69,13 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict sequential backbones")
     parser.add_argument("--workers", type=int, default=None,
                         help="process count for the parallel commands "
-                             "(table4, grid); default: CPU-count aware "
-                             "capped at 8, 0/1 = serial.  For `serve`, "
-                             "N > 1 starts the sharded multi-process "
-                             "cluster (repro.serve.mp): sessions are "
-                             "partitioned by user-id hash across N "
-                             "workers attached to one shared-memory "
-                             "checkpoint")
+                             "(table4, grid) and for event-log generation "
+                             "(--data-backend eventlog); default: "
+                             "CPU-count aware capped at 8, 0/1 = serial")
     parser.add_argument("--grid-param", action="append", default=None,
                         metavar="KEY=V1,V2,...",
                         help="(grid) one hyper-parameter and its candidate "
@@ -356,10 +352,14 @@ def _build_online_stack(args: argparse.Namespace, publish, metrics):
 
 def _run_serve(args: argparse.Namespace) -> int:
     """Run the HTTP serving layer (see :mod:`repro.serve`)."""
-    from .serve import ServeApp, ServeServer
+    from .serve import ServeApp
     if args.online and not args.checkpoint:
         print("--online requires --checkpoint: the shadow trainer needs "
               "a model to start from")
+        return 2
+    if args.workers is not None and args.workers > 1:
+        print(f"--workers {args.workers}: serving runs in one process "
+              f"(a threaded HTTP server); omit --workers for serve")
         return 2
     retrieval = None
     if args.retrieval is not None:
@@ -367,12 +367,10 @@ def _run_serve(args: argparse.Namespace) -> int:
         retrieval = RetrievalConfig(mode=args.retrieval,
                                     shortlist=args.shortlist,
                                     nprobe=args.nprobe)
-    if args.workers is not None and args.workers > 1:
-        return _serve_mp(args, retrieval)
     app = ServeApp(session_capacity=args.session_capacity,
                    max_batch_size=args.max_batch_size,
                    max_wait_ms=args.max_wait_ms,
-                   retrieval=retrieval)
+                   retrieval=retrieval, quantize=args.quantize)
     if not args.thread_sanitizer:
         return _serve_loop(args, app)
     from .analysis import threadsan
@@ -392,22 +390,10 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _serve_loop(args: argparse.Namespace, app) -> int:
     from .serve import ServeServer
     if args.checkpoint:
+        artifacts = app.load_checkpoint(args.checkpoint)
         if args.quantize != "none":
-            # Quantized single-process path: build the dense bundle once,
-            # quantize its frozen tables, and adopt the result as-is (no
-            # second build).  Same code path the mp workers run.
-            from .io import load_model
-            from .serve import build_artifacts, quantize_artifacts
-            dense = build_artifacts(load_model(args.checkpoint),
-                                    generation=1,
-                                    path=str(args.checkpoint),
-                                    retrieval=app.retrieval)
-            app.registry.adopt(quantize_artifacts(dense, args.quantize))
-            artifacts = app.registry.current()
             print(f"quantize={args.quantize}: frozen embedding tables "
                   f"stored at reduced precision (see docs/SERVING.md)")
-        else:
-            artifacts = app.load_checkpoint(args.checkpoint)
         print(f"loaded {artifacts.model_class} from {args.checkpoint} "
               f"(scorer: {artifacts.mode}, generation {artifacts.generation})")
         if app.retrieval is not None:
@@ -440,69 +426,6 @@ def _serve_loop(args: argparse.Namespace, app) -> int:
         server.shutdown()
         if online_close is not None:
             online_close()
-    return 0
-
-
-def _serve_mp(args: argparse.Namespace, retrieval) -> int:
-    """Sharded multi-process serving (see :mod:`repro.serve.mp`).
-
-    The coordinator owns the listening socket and routes by user-id
-    hash; each worker serves its shard from a private HTTP port with
-    read-only views into the shared-memory checkpoint.  The thread
-    sanitizer, when requested, runs *inside every worker* — a finding
-    in any worker turns into a non-zero exit code here.
-    """
-    from .serve import ServeCluster, ServeServer
-    cluster = ServeCluster(num_workers=args.workers,
-                           quantize=args.quantize,
-                           retrieval=retrieval,
-                           session_capacity=args.session_capacity,
-                           max_batch_size=args.max_batch_size,
-                           max_wait_ms=args.max_wait_ms,
-                           host=args.host,
-                           thread_sanitizer=args.thread_sanitizer)
-    cluster.start()
-    try:
-        if args.checkpoint:
-            artifacts = cluster.load_checkpoint(args.checkpoint)
-            checkpoint = cluster.current_checkpoint()
-            print(f"loaded {artifacts.model_class} from {args.checkpoint} "
-                  f"(scorer: {artifacts.mode}, "
-                  f"generation {artifacts.generation}, "
-                  f"quantize={args.quantize}, "
-                  f"segment {checkpoint.nbytes / 1e6:.1f} MB)")
-        else:
-            print("no --checkpoint given: serving degraded "
-                  "(popularity fallback) until one is installed")
-        online_close = None
-        if args.online:
-            # One coordinator-side log covers the whole fleet; refresh
-            # publishes through cluster.install, which broadcasts the
-            # new generation to every worker via shared memory.
-            log, _trainer, _refresh, online_close = _build_online_stack(
-                args, publish=cluster.install, metrics=cluster.metrics)
-            cluster.event_sink = log.append
-        server = ServeServer(cluster, host=args.host, port=args.port)
-        host, port = server.address
-        print(f"serving on http://{host}:{port} with {args.workers} "
-              f"workers on ports {cluster.worker_ports()}  "
-              f"(POST /v1/recommend /v1/events /v1/explain, "
-              f"GET /healthz /metrics)")
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.shutdown()
-            if online_close is not None:
-                online_close()
-    finally:
-        exit_codes = cluster.close()
-    bad = {wid: code for wid, code in exit_codes.items() if code}
-    if bad:
-        print(f"worker(s) exited non-zero: {bad} "
-              f"(thread-sanitizer findings or crashes)")
-        return 1
     return 0
 
 

@@ -26,7 +26,9 @@ import dataclasses
 import json
 import os
 import pathlib
-from typing import Callable, Dict, Iterator, Mapping, Union
+import zipfile
+import zlib
+from typing import BinaryIO, Callable, Dict, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -68,6 +70,54 @@ def registered_model_classes() -> Dict[str, type]:
     return dict(_MODEL_CLASSES)
 
 
+def _write_atomic(path: PathLike, write: Callable[[BinaryIO], None]) -> None:
+    """Write ``path`` through a temporary file that ``os.replace`` renames.
+
+    The temporary file sits next to ``path``, so the rename is atomic: a
+    reader (or a crash) sees the previous file or the whole new one,
+    never a torn write.  The temporary file is removed on failure.
+    """
+    path = pathlib.Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _npz_path(path: PathLike) -> pathlib.Path:
+    """Where ``np.savez_compressed(path)`` writes: ``.npz`` is appended."""
+    text = os.fspath(path)
+    return pathlib.Path(text if text.endswith(".npz") else text + ".npz")
+
+
+def _parse_header(path: PathLike, raw: bytes,
+                  kind: str = "checkpoint") -> Dict[str, object]:
+    """Decode a JSON header; a torn or non-object one raises a
+    :class:`ValueError` naming ``path``."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: unreadable {kind} header: "
+                         f"{exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: {kind} header is not a JSON object "
+                         f"(found {type(header).__name__})")
+    return header
+
+
+#: What reading a truncated or bit-damaged npz archive raises.
+_CORRUPT_ARCHIVE = (EOFError, zipfile.BadZipFile, zlib.error)
+
+
+def _corrupt_archive(path: PathLike, exc: BaseException) -> ValueError:
+    return ValueError(f"{path}: truncated or corrupt checkpoint archive: "
+                      f"{exc}")
+
+
 def _model_header(model) -> Dict[str, object]:
     class_name = type(model).__name__
     if class_name not in _MODEL_CLASSES:
@@ -100,6 +150,10 @@ def save_model(model, path: PathLike, format: str = "npz") -> None:
     :func:`load_model` can map with ``mmap_mode="r"`` (low cold-start
     RSS).  Supported classes: Causer and every baseline in
     :mod:`repro.models`.
+
+    The archive, and the directory's ``header.json`` (written after its
+    parameters), go through a temporary file and ``os.replace``, so a
+    crash mid-save leaves the previous checkpoint readable.
     """
     if format not in ("npz", "dir"):
         raise ValueError(f"format must be 'npz' or 'dir', got {format!r}")
@@ -111,12 +165,12 @@ def save_model(model, path: PathLike, format: str = "npz") -> None:
         header["format"] = "dir"
         header["params"] = sorted(name for name, _
                                   in model.named_parameters())
-        with open(root / "header.json", "w", encoding="utf-8") as fh:
-            json.dump(header, fh, indent=1)
         if features is not None:
             np.save(root / "features.npy", features)
         for name, param in model.named_parameters():
             np.save(root / "params" / f"{name}.npy", param.data)
+        _write_atomic(root / "header.json", lambda fh: fh.write(
+            json.dumps(header, indent=1).encode("utf-8")))
         return
     arrays = {f"param::{name}": values
               for name, values in model.state_dict().items()}
@@ -124,7 +178,8 @@ def save_model(model, path: PathLike, format: str = "npz") -> None:
         arrays["features"] = features
     arrays["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    np.savez_compressed(str(path), **arrays)
+    _write_atomic(_npz_path(path),
+                  lambda fh: np.savez_compressed(fh, **arrays))
 
 
 class _NpzState(Mapping):
@@ -220,15 +275,8 @@ def write_json_header(path: PathLike, format_name: str, version: int,
             raise ValueError(f"payload key {key!r} collides with the "
                              f"reserved header fields")
     header.update(payload)
-    path = pathlib.Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(header, fh, indent=1, sort_keys=False)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    _write_atomic(path, lambda fh: fh.write(
+        json.dumps(header, indent=1).encode("utf-8")))
 
 
 def read_json_header(path: PathLike, format_name: str,
@@ -240,15 +288,8 @@ def read_json_header(path: PathLike, format_name: str,
     not match — the same contract model checkpoints follow, so torn or
     stale on-disk stores fail loudly instead of being misparsed.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ValueError(f"{path}: unreadable {format_name} header: "
-                         f"{exc}") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: {format_name} header is not a JSON "
-                         f"object (found {type(header).__name__})")
+    header = _parse_header(path, pathlib.Path(path).read_bytes(),
+                           format_name)
     found = header.get("format")
     if found != format_name:
         raise ValueError(f"{path}: expected format {format_name!r}, "
@@ -278,7 +319,9 @@ def save_optimizer_state(optimizer, path: PathLike) -> None:
     online shadow trainer in particular — restart *warm*: reloading both
     archives and continuing produces bit-for-bit the update a
     never-interrupted run would have applied, because an optimizer's
-    state is exactly these tables plus the step counter.
+    state is exactly these tables plus the step counter.  Like
+    :func:`save_model`, the archive is written to a temporary file and
+    renamed into place.
     """
     header = {
         "format_version": OPTIMIZER_STATE_VERSION,
@@ -296,7 +339,8 @@ def save_optimizer_state(optimizer, path: PathLike) -> None:
             arrays[f"state::{slot}::{index}"] = value
     arrays["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    np.savez_compressed(str(path), **arrays)
+    _write_atomic(_npz_path(path),
+                  lambda fh: np.savez_compressed(fh, **arrays))
 
 
 def load_optimizer_state(optimizer, path: PathLike):
@@ -371,12 +415,14 @@ def load_model(path: PathLike, mmap: bool = True):
     parameter at a time; both paths adopt arrays without copying.
 
     Raises :class:`ValueError` (naming the file) when the archive
-    declares an unknown model class or an unreadable format version.
+    declares an unknown model class or an unreadable format version, and
+    when the archive or the directory's ``header.json`` is truncated or
+    corrupt.
     """
     root = pathlib.Path(path)
     if root.is_dir():
-        with open(root / "header.json", "r", encoding="utf-8") as fh:
-            header = json.load(fh)
+        header_path = root / "header.json"
+        header = _parse_header(header_path, header_path.read_bytes())
         cls, class_name, config = _check_header(path, header)
         features = None
         if class_name in _NEEDS_FEATURES:
@@ -385,12 +431,22 @@ def load_model(path: PathLike, mmap: bool = True):
         model.load_state_dict(_DirState(root, header["params"], mmap),
                               assign=True)
     else:
-        with np.load(str(path)) as archive:
-            header = json.loads(bytes(archive["header"]).decode("utf-8"))
-            cls, class_name, config = _check_header(path, header)
-            features = (archive["features"]
-                        if class_name in _NEEDS_FEATURES else None)
-            model = _construct(cls, class_name, header, config, features)
-            model.load_state_dict(_NpzState(archive), assign=True)
+        try:
+            # A prefix too short to carry the zip magic sends np.load down
+            # its pickle branch, which refuses with a ValueError.
+            archive = np.load(str(path))
+        except (ValueError, *_CORRUPT_ARCHIVE) as exc:
+            raise _corrupt_archive(path, exc) from exc
+        try:
+            with archive:
+                header = _parse_header(path, bytes(archive["header"]))
+                cls, class_name, config = _check_header(path, header)
+                features = (archive["features"]
+                            if class_name in _NEEDS_FEATURES else None)
+                model = _construct(cls, class_name, header, config,
+                                   features)
+                model.load_state_dict(_NpzState(archive), assign=True)
+        except _CORRUPT_ARCHIVE as exc:
+            raise _corrupt_archive(path, exc) from exc
     model.eval()
     return model

@@ -18,8 +18,7 @@ Two complementary views of "how far has the online model moved":
   never survive.
 
 Both are exported to ``/metrics`` as gauges by the refresh controller,
-so dashboards see drift per refresh generation in single- and
-multi-process serving alike.
+so dashboards see drift per refresh generation.
 """
 
 from __future__ import annotations

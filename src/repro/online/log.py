@@ -1,7 +1,7 @@
 """Append-only, replayable event log backing online learning.
 
-``/v1/events`` tees every accepted event here (see ``ServeApp.event_sink``
-/ ``ServeCluster.event_sink``); the online trainer and the refresh loop
+``/v1/events`` tees every accepted event here (see
+``ServeApp.event_sink``); the online trainer and the refresh loop
 consume it.  The log is the *only* coupling between serving and online
 training: serving appends, training reads — so online training can be
 replayed offline (``python -m repro.online replay``), restarted from any

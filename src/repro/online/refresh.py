@@ -13,9 +13,8 @@ here on a sliding window of the event log, then atomically published:
    (V+1, K) eq.-9 factors, never a (V+1)² matrix; score divergence vs
    the frozen offline baseline on a probe set),
 4. publish through the injected ``publish`` callable — the registry's
-   generation-bumping ``install`` in one process, ``ServeCluster
-   .install`` (which shared-memory-broadcasts via ``publish_artifacts``)
-   with ``--workers N`` — and
+   generation-bumping ``install`` (via ``ServeApp.install_model``), which
+   also applies the server's ``--quantize`` precision — and
 5. hand the trainer a *fresh deep copy* to keep training.  Published
    artifacts alias the published model's arrays, so the model that went
    out must never be touched again.
@@ -74,7 +73,7 @@ class RefreshController:
     """Drive refresh cycles, drift measurement, and hot swaps.
 
     ``publish`` receives the refreshed model and must make it live
-    (``registry.install`` / ``cluster.install`` / ``app.install_model``).
+    (``registry.install`` / ``app.install_model``).
     ``baseline`` is the frozen offline model used for score-divergence
     probes; it is only ever read (``score_samples`` under ``no_grad``).
     """

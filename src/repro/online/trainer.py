@@ -18,10 +18,10 @@ Determinism contract (the replay guarantee):
   batch is never applied; it waits until the log fills it.
 * Negative sampling for batch ``k`` draws from
   ``default_rng(SeedSequence(seed, spawn_key=(k,)))`` — independent of
-  wall clock, thread timing, or how many serving workers appended.
+  wall clock, thread timing, or which request thread appended.
 
 Together these make ``python -m repro.online replay`` bit-reproduce the
-live shadow tables from the log alone, at any worker count.
+live shadow tables from the log alone.
 
 Session-eviction resync: the trainer keeps its own bounded LRU of
 per-user history tails.  When a user reappears after their tail was

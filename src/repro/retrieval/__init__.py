@@ -13,12 +13,12 @@ from .index import (ASSIGN_CHUNK, ExactIndex, IVFIndex, kmeans_fit,
 from .rerank import rerank_top_z
 from .towers import (QUANTIZE_MODES, SCORERS, ItemTower, QuantizedTable,
                      as_dense, build_item_tower, dot_scores, l2_scores,
-                     table_nbytes, take_rows, user_vector)
+                     take_rows, user_vector)
 
 __all__ = [
     "ASSIGN_CHUNK", "ExactIndex", "IVFIndex", "ItemTower",
     "QUANTIZE_MODES", "QuantizedTable", "RETRIEVAL_MODES",
     "RetrievalConfig", "SCORERS", "as_dense", "build_item_tower",
     "dot_scores", "kmeans_fit", "l2_scores", "rerank_top_z",
-    "table_nbytes", "take_rows", "top_ids_by_score", "user_vector",
+    "take_rows", "top_ids_by_score", "user_vector",
 ]

@@ -160,13 +160,6 @@ def take_rows(table: TableLike,
     return table.take(rows)
 
 
-def table_nbytes(table: Optional[TableLike]) -> int:
-    """Storage footprint of a frozen table in bytes (0 for ``None``)."""
-    if table is None:
-        return 0
-    return int(table.nbytes)
-
-
 def dot_scores(query: np.ndarray, vectors: np.ndarray,
                bias: np.ndarray) -> np.ndarray:
     """Inner-product scores, the native head of every servable model."""

@@ -119,26 +119,20 @@ def _parse_history(value: Any, num_items: Optional[int]
 class ServeApp:
     """Registry + sessions + batcher behind a route table."""
 
-    def __init__(self, registry: Optional[CheckpointRegistry] = None,
-                 metrics: Optional[MetricsRegistry] = None,
+    def __init__(self, metrics: Optional[MetricsRegistry] = None,
                  session_capacity: int = 10_000,
                  max_batch_size: int = 32, max_wait_ms: float = 2.0,
                  default_z: int = 5,
                  retrieval: Optional[RetrievalConfig] = None,
-                 event_sink=None) -> None:
+                 event_sink=None, quantize: str = "none") -> None:
         #: Optional ``callable(user_id, basket)`` invoked after every
         #: accepted ``/v1/events`` request — the tee into the append-only
         #: event log that online training replays (see repro.online.log).
         #: Sink errors are counted, never surfaced to the client.
         self.event_sink = event_sink
         self.retrieval = retrieval
-        if registry is None:
-            registry = CheckpointRegistry(retrieval=retrieval)
-        elif retrieval is not None:
-            # An externally-owned registry adopts this app's retrieval
-            # config so hot swaps keep rebuilding the index.
-            registry.retrieval = retrieval
-        self.registry = registry
+        self.registry = CheckpointRegistry(retrieval=retrieval,
+                                           quantize=quantize)
         self.metrics = metrics or MetricsRegistry()
         self.sessions = SessionStore(capacity=session_capacity,
                                      metrics=self.metrics)

@@ -12,6 +12,11 @@ frozen :class:`ServingArtifacts` bundle once, at install time:
   (:class:`repro.serve.sessions.RecurrentServingParams`),
 * the output item-embedding table + bias the final dot-product reads.
 
+With ``quantize`` set to ``fp16`` or ``int8`` the registry stores the
+frozen embedding tables of every bundle it installs at that precision
+(:func:`quantize_artifacts`), so the first load, a hot swap and every
+online refresh serve the same precision.
+
 Artifacts are immutable once published.  :meth:`CheckpointRegistry.install`
 swaps the current bundle atomically under a lock and bumps a monotonically
 increasing **generation**; in-flight requests keep scoring against the
@@ -21,8 +26,10 @@ their first touch after the swap (see :meth:`SessionStore._sync`).
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass, field
+from dataclasses import replace as dataclass_replace
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -31,7 +38,8 @@ from ..core.causer import Causer
 from ..io import PathLike, load_model
 from ..models.gru4rec import GRU4Rec
 from ..nn import no_grad
-from ..retrieval import IVFIndex, ItemTower, RetrievalConfig, build_item_tower
+from ..retrieval import (QUANTIZE_MODES, IVFIndex, ItemTower, QuantizedTable,
+                         RetrievalConfig, build_item_tower)
 from .sessions import RecurrentServingParams
 
 
@@ -136,12 +144,7 @@ class GRUServingArtifacts(ServingArtifacts):
 
 @dataclass(frozen=True)
 class TanhUserInit:
-    """Causer's learned initial state ``tanh(u Wᵀ + b)`` per user id.
-
-    A module-level callable (not a closure) so the whole
-    :class:`RecurrentServingParams` bundle pickles — the multi-process
-    serving layer ships artifacts through shared memory.
-    """
+    """Causer's learned initial state ``tanh(u Wᵀ + b)`` per user id."""
 
     user_table: np.ndarray
     init_w: np.ndarray
@@ -252,21 +255,72 @@ def build_artifacts(model, generation: int, path: Optional[str] = None,
     return artifacts
 
 
+def _check_quantize(mode: str) -> str:
+    if mode not in QUANTIZE_MODES:
+        raise ValueError(f"quantize must be one of {QUANTIZE_MODES}, "
+                         f"got {mode!r}")
+    return mode
+
+
+def quantize_artifacts(artifacts: ServingArtifacts,
+                       mode: str) -> ServingArtifacts:
+    """A shallow re-wrap of ``artifacts`` with quantized frozen tables.
+
+    Quantizes the embedding tables every score reads — the composed
+    input table, the output table, the item tower, and the IVF inverted
+    lists — as :class:`repro.retrieval.towers.QuantizedTable`; the
+    serving scorers dequantize on the fly.  Biases, eq. 9's causal
+    factors ``(Ā Wᶜ, Ā)``, attention and adapter weights, and the model
+    itself stay float64: they are either small, or (the causal head's
+    case) part of the bit-for-bit eq.-10 contract that quantization
+    tolerances are defined against.  ``none`` returns the input
+    unchanged, so its scores are byte-identical to the dense bundle's.
+    """
+    if _check_quantize(mode) == "none":
+        return artifacts
+    bundle = copy.copy(artifacts)
+    if bundle.recurrent is not None:
+        bundle.recurrent = dataclass_replace(
+            bundle.recurrent,
+            input_table=QuantizedTable.quantize(
+                bundle.recurrent.input_table, mode))
+    if isinstance(bundle, (CausalServingArtifacts, GRUServingArtifacts)):
+        bundle.output_table = QuantizedTable.quantize(bundle.output_table,
+                                                      mode)
+    if bundle.retrieval is not None:
+        retrieval = bundle.retrieval
+        tower = dataclass_replace(
+            retrieval.tower,
+            vectors=QuantizedTable.quantize(retrieval.tower.vectors, mode))
+        old = retrieval.index
+        index = IVFIndex(
+            old.centroids, old.list_ids,
+            [QuantizedTable.quantize(vectors, mode)
+             for vectors in old.list_vectors],
+            old.list_bias, scorer=old.scorer_name, seed=old.seed)
+        bundle.retrieval = dataclass_replace(retrieval, tower=tower,
+                                             index=index)
+    return bundle
+
+
 class CheckpointRegistry:
     """Holds the current serving bundle; ``install`` hot-swaps it.
 
     With a ``retrieval`` config the registry also (re)builds the IVF
     retrieval artifact on every install — the index rides inside the
     generation-counted bundle, so readers can never observe a
-    mixed-generation (index, embedding) pair.
+    mixed-generation (index, embedding) pair.  ``quantize`` (``none``,
+    ``fp16`` or ``int8``) is applied to every installed bundle the same
+    way, so no generation is served at a different precision.
     """
 
-    def __init__(self,
-                 retrieval: Optional[RetrievalConfig] = None) -> None:
+    def __init__(self, retrieval: Optional[RetrievalConfig] = None,
+                 quantize: str = "none") -> None:
         self._lock = threading.Lock()
         self._current: Optional[ServingArtifacts] = None
         self._generation = 0
         self.retrieval = retrieval
+        self.quantize = _check_quantize(quantize)
 
     def load(self, path: PathLike) -> ServingArtifacts:
         """Load a checkpoint file and make it the live bundle."""
@@ -282,8 +336,9 @@ class CheckpointRegistry:
         with self._lock:
             self._generation += 1
             generation = self._generation
-        artifacts = build_artifacts(model, generation, path=path,
-                                    retrieval=self.retrieval)
+        artifacts = quantize_artifacts(
+            build_artifacts(model, generation, path=path,
+                            retrieval=self.retrieval), self.quantize)
         with self._lock:
             # A concurrent install may have published a newer generation
             # while we precomputed; never roll the registry backwards.
@@ -291,24 +346,6 @@ class CheckpointRegistry:
                     or self._current.generation < generation):
                 self._current = artifacts
         return artifacts
-
-    def adopt(self, artifacts: ServingArtifacts) -> bool:
-        """Install a pre-built bundle at its recorded generation.
-
-        The multi-process attach path: a worker receives artifacts the
-        coordinator already precomputed (and numbered) and publishes them
-        as-is — no rebuild, no retrieval re-index, no generation bump.
-        Returns ``False`` when the registry already holds the same or a
-        newer generation (the never-roll-backwards rule of ``install``).
-        """
-        with self._lock:
-            if (self._current is not None
-                    and self._current.generation >= artifacts.generation):
-                return False
-            self._current = artifacts
-            if self._generation < artifacts.generation:
-                self._generation = artifacts.generation
-            return True
 
     def current(self) -> Optional[ServingArtifacts]:
         with self._lock:

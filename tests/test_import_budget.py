@@ -44,7 +44,8 @@ def test_serving_imports_are_numpy_only():
 
 
 def test_multiprocess_worker_imports_are_numpy_only():
-    loaded = _loaded_after("import repro.serve.mp, repro.parallel")
+    """A ``repro.parallel`` pool worker starts on numpy alone."""
+    loaded = _loaded_after("import repro.parallel")
     assert _heavy(loaded) == set()
 
 

@@ -1,14 +1,18 @@
 """Tests for model persistence and the CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core import Causer, CauserConfig
-from repro.io import load_model, registered_model_classes, save_model
+from repro.io import (load_model, load_optimizer_state,
+                      registered_model_classes, save_model,
+                      save_optimizer_state)
 from repro.models import GRU4Rec, PopularityRecommender, TrainConfig, VTRNN
+from repro.nn import Adam
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +117,77 @@ class TestCheckpointHeaders:
             "STAMP", "VTRNN"}
 
 
+def _cuts(size):
+    """Truncation offsets: empty, inside the magic, early, half, near end."""
+    return sorted({0, 1, 3, 10, size // 2, size - 10, size - 1})
+
+
+class TestCrashConsistency:
+    """Checkpoints are written then renamed; torn files name themselves."""
+
+    def test_truncated_npz_names_the_file(self, trained_causer, tmp_path):
+        raw_path = tmp_path / "whole.npz"
+        save_model(trained_causer, raw_path)
+        raw = raw_path.read_bytes()
+        path = tmp_path / "torn.npz"
+        for cut in _cuts(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_model(path)
+
+    def test_torn_dir_header_names_the_file(self, trained_causer, tmp_path):
+        root = tmp_path / "ckpt"
+        save_model(trained_causer, root, format="dir")
+        header = root / "header.json"
+        raw = header.read_bytes()
+        for cut in _cuts(len(raw)):
+            header.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=re.escape(str(header))):
+                load_model(root)
+        header.write_bytes(b"[1, 2]")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_model(root)
+        header.write_bytes(raw)
+        assert type(load_model(root)) is Causer
+
+    @staticmethod
+    def _dies_mid_write(monkeypatch):
+        """Make np.savez_compressed write a few bytes, then fail."""
+        def savez(file, **arrays):
+            file.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+        monkeypatch.setattr(np, "savez_compressed", savez)
+
+    def test_failed_save_keeps_previous_checkpoint(self, trained_causer,
+                                                   tmp_path, monkeypatch):
+        path = tmp_path / "model.npz"
+        save_model(trained_causer, path)
+        before = path.read_bytes()
+        self._dies_mid_write(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(trained_causer, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+
+    def test_failed_optimizer_save_keeps_previous_state(
+            self, trained_causer, tmp_path, monkeypatch):
+        optimizer = Adam(list(trained_causer.parameters()), lr=0.01)
+        path = tmp_path / "opt.npz"
+        save_optimizer_state(optimizer, path)
+        before = path.read_bytes()
+        self._dies_mid_write(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            save_optimizer_state(optimizer, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["opt.npz"]
+        load_optimizer_state(optimizer, path)
+
+    def test_suffixless_path_still_gains_npz(self, trained_causer, tmp_path):
+        save_model(trained_causer, tmp_path / "model")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+
+
 class TestCLI:
     def test_parser_accepts_experiments(self):
         parser = build_parser()
@@ -159,6 +234,11 @@ class TestTrainEvalServeCLI:
                                   "--session-capacity", "50"])
         assert args.port == 0 and args.max_batch_size == 16
         assert args.max_wait_ms == 1.5 and args.session_capacity == 50
+
+    def test_serve_rejects_multiple_workers(self, capsys):
+        """Serving runs in one process: ``--workers N > 1`` is refused."""
+        assert main(["serve", "--workers", "2"]) == 2
+        assert "serving runs in one process" in capsys.readouterr().out
 
     def test_eval_requires_checkpoint(self):
         with pytest.raises(SystemExit, match="--load-model"):

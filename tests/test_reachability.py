@@ -28,7 +28,6 @@ KEEP = {
     "quick_settings": "smallest experiment settings for harness tests",
     "registered_model_classes": "read-only registry view for round-trip tests",
     "InProcessClient": "socket-free client the serving tests drive",
-    "cleanup_segments": "shared-memory reaper for serve_mp fixtures",
 }
 
 
