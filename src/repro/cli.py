@@ -322,14 +322,14 @@ def _build_online_stack(args: argparse.Namespace, publish, metrics):
     from .io import load_model
     from .online import EventLog, OnlineTrainer, RefreshController
     log = EventLog(args.event_log)
-    shadow = load_model(args.checkpoint, mmap=False)
+    shadow = load_model(args.checkpoint)
     trainer = OnlineTrainer(
         shadow, log, lr=args.online_lr,
         batch_events=args.online_batch_events, metrics=metrics)
     trainer.start()
     refresh = None
     if args.refresh_every > 0:
-        baseline = load_model(args.checkpoint, mmap=False)
+        baseline = load_model(args.checkpoint)
         refresh = RefreshController(
             trainer, log, publish, window=args.window, baseline=baseline,
             interval=args.refresh_every, metrics=metrics)

@@ -693,15 +693,16 @@ class PrefixSampleView:
 # ======================================================================
 # Shard-parallel synthetic generation
 # ======================================================================
-def _simulate_shard_columns(sim: BehaviorSimulator, user_start: int,
-                            user_stop: int
-                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _simulate_shard(spec: Tuple[BehaviorSimulator, int, int]
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate a contiguous user range into concatenated columns.
 
     Every user draws from its own keyed stream
     (:meth:`BehaviorSimulator.user_rng`), so the output depends only on
-    ``(config, user range)`` — not on which process runs it.
+    ``(config, user range)`` — not on which process runs it.  Module-level
+    so it pickles by qualified name under every start method.
     """
+    sim, user_start, user_stop = spec
     items_parts: List[np.ndarray] = []
     ts_parts: List[np.ndarray] = []
     event_counts = np.zeros(user_stop - user_start, dtype=np.int64)
@@ -719,13 +720,6 @@ def _simulate_shard_columns(sim: BehaviorSimulator, user_start: int,
             event_counts)
 
 
-def _simulate_shard_task(spec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Module-level (picklable) worker task: one generation shard."""
-    config, name, user_start, user_stop = spec
-    sim = BehaviorSimulator(config, name=name)
-    return _simulate_shard_columns(sim, user_start, user_stop)
-
-
 def _write_shard(writer: EventLogWriter, user_start: int,
                  columns: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
     items, ts, event_counts = columns
@@ -740,8 +734,7 @@ def _write_shard(writer: EventLogWriter, user_start: int,
 def generate_eventlog(config: SimulatorConfig, path: PathLike, *,
                       name: str = "synthetic",
                       users_per_shard: Optional[int] = None,
-                      workers: Optional[int] = None,
-                      timeout: Optional[float] = None) -> EventLogStore:
+                      workers: Optional[int] = None) -> EventLogStore:
     """Generate a synthetic corpus straight to a columnar event log.
 
     Shards are fixed contiguous user ranges (``users_per_shard`` wide);
@@ -769,22 +762,16 @@ def generate_eventlog(config: SimulatorConfig, path: PathLike, *,
     }
     writer = EventLogWriter(path, config.num_items, shard_events=None,
                             meta=meta)
-    from ..parallel.pool import resolve_workers
-    resolved = resolve_workers(workers, len(ranges))
-    if resolved <= 1 or len(ranges) == 1:
-        for user_start, user_stop in ranges:
-            _write_shard(writer, user_start,
-                         _simulate_shard_columns(sim, user_start, user_stop))
-    else:
-        from ..parallel.adapters import generate_shards_parallel
-        # Waves bound parent memory to ~``workers`` shards of columns.
-        for wave_start in range(0, len(ranges), resolved):
-            wave = ranges[wave_start:wave_start + resolved]
-            results = generate_shards_parallel(config, name, wave,
-                                               workers=resolved,
-                                               timeout=timeout)
-            for (user_start, _), columns in zip(wave, results):
-                _write_shard(writer, user_start, columns)
+    from ..parallel import parallel_map, resolve_workers
+    # Waves bound parent memory to ~``workers`` shards of columns.
+    wave_size = resolve_workers(workers, len(ranges))
+    for wave_start in range(0, len(ranges), wave_size):
+        wave = ranges[wave_start:wave_start + wave_size]
+        shards = parallel_map(_simulate_shard,
+                              [(sim, start, stop) for start, stop in wave],
+                              workers=wave_size, name="eventlog shard")
+        for (user_start, _), columns in zip(wave, shards):
+            _write_shard(writer, user_start, columns)
     np.save(writer.path / "features.npy",
             sim.generate_features(sim.feature_rng()))
     np.savez(writer.path / "truth.npz", cluster_graph=sim.cluster_graph,

@@ -20,8 +20,10 @@ from ..data import (DATASET_NAMES, PAPER_STATISTICS, build_explanation_dataset,
                     sequence_length_histogram)
 from ..data.synthetic import SyntheticDataset
 from ..eval import (evaluate_explanations, evaluate_model, paired_t_test)
+from ..parallel import parallel_map
 from .config import BenchmarkSettings
-from .runner import TABLE4_MODEL_NAMES, RunResult, build_model
+from .runner import (TABLE4_MODEL_NAMES, RunResult, _run_model_task,
+                     build_model)
 from .tables import render_metric_matrix, render_series, render_table
 
 
@@ -132,12 +134,13 @@ def table4_overall(settings: Optional[BenchmarkSettings] = None,
     with p < 0.05 under the paired t-test (the paper's protocol).
 
     ``workers`` > 1 fans the (model, dataset) cells out one process per
-    cell through :mod:`repro.parallel` (``None`` → CPU-aware default,
-    ``0``/``1`` → serial).  Datasets are generated and split once here in
-    the parent; cell results are grouped back dataset-major, model-minor —
-    the serial iteration order — so the table is identical either way.
+    cell through :func:`repro.parallel.parallel_map` (``None`` → CPU-aware
+    default, ``0``/``1`` → serial).  Datasets are generated and split once
+    here in the parent; the datasets x models cross-product is one flat
+    task list (a wide lineup keeps every worker busy even when single
+    datasets are small), and results come back dataset-major, model-minor,
+    so the table is identical either way.
     """
-    from ..parallel import run_table_cells
     settings = settings or BenchmarkSettings()
     f1: Dict[str, Dict[str, float]] = {m: {} for m in models}
     ndcg: Dict[str, Dict[str, float]] = {m: {} for m in models}
@@ -147,9 +150,10 @@ def table4_overall(settings: Optional[BenchmarkSettings] = None,
         dataset = load_dataset(name, scale=settings.scale,
                                seed=settings.data_seed)
         loaded.append((name, dataset, leave_one_out_split(dataset.corpus)))
-    cells = [(model, dataset, split)
+    cells = [(model, dataset, settings, split)
              for _, dataset, split in loaded for model in models]
-    all_runs = run_table_cells(cells, settings, workers=workers)
+    all_runs = parallel_map(_run_model_task, cells, workers=workers,
+                            name="table cell")
     for block, (name, _, _) in enumerate(loaded):
         runs = all_runs[block * len(models):(block + 1) * len(models)]
         best_base = max((r for r in runs

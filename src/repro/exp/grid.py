@@ -10,6 +10,7 @@ from ..core import Causer
 from ..data.interactions import leave_one_out_split
 from ..data.synthetic import SyntheticDataset
 from ..eval import evaluate_model
+from ..parallel import parallel_map
 from .config import BenchmarkSettings
 
 
@@ -45,6 +46,19 @@ def grid_combinations(parameter_grid: Dict[str, Sequence]) -> List[Dict]:
                                              for k in keys))]
 
 
+def _grid_combo_task(spec) -> Tuple[Dict, float]:
+    """Train and score one hyper-parameter combo; module-level so it
+    pickles by qualified name under every start method."""
+    (dataset, overrides, settings, train_corpus, eval_samples,
+     metric) = spec
+    config = settings.causer_config(dataset.name, **overrides)
+    model = Causer(dataset.corpus.num_users, dataset.num_items,
+                   dataset.features, config)
+    model.fit(train_corpus)
+    evaluation = evaluate_model(model, eval_samples, z=settings.z)
+    return overrides, 100.0 * evaluation.mean(metric)
+
+
 def grid_search_causer(dataset: SyntheticDataset,
                        parameter_grid: Dict[str, Sequence],
                        settings: Optional[BenchmarkSettings] = None,
@@ -57,27 +71,17 @@ def grid_search_causer(dataset: SyntheticDataset,
     names to candidate values, e.g. ``{"epsilon": [0.1, 0.3], "eta": [0.5]}``.
 
     ``workers`` > 1 trains one hyper-parameter combo per process through
-    :mod:`repro.parallel` (``None`` → CPU-aware default, ``0``/``1`` →
-    serial).  The split is computed once here and shipped to workers, and
-    ``scores`` keeps the serial combo order, so serial and parallel runs
-    return identical results.
+    :func:`repro.parallel.parallel_map` (``None`` → CPU-aware default,
+    ``0``/``1`` → serial).  The split is computed once here and shipped to
+    workers, and ``scores`` keeps the combo order, so serial and parallel
+    runs return identical results.
     """
     settings = settings or BenchmarkSettings()
     split = leave_one_out_split(dataset.corpus)
     eval_samples = split.validation if validation else split.test
-    result = GridSearchResult(parameter_grid=dict(parameter_grid))
-    combos = grid_combinations(parameter_grid)
-    from ..parallel import grid_scores_parallel, resolve_workers
-    if resolve_workers(workers, len(combos)) > 1:
-        result.scores.extend(grid_scores_parallel(
-            dataset, combos, settings, split.train, eval_samples, metric,
-            workers=workers))
-        return result
-    for overrides in combos:
-        config = settings.causer_config(dataset.name, **overrides)
-        model = Causer(dataset.corpus.num_users, dataset.num_items,
-                       dataset.features, config)
-        model.fit(split.train)
-        evaluation = evaluate_model(model, eval_samples, z=settings.z)
-        result.scores.append((overrides, 100.0 * evaluation.mean(metric)))
-    return result
+    specs = [(dataset, overrides, settings, split.train, eval_samples, metric)
+             for overrides in grid_combinations(parameter_grid)]
+    return GridSearchResult(
+        parameter_grid=dict(parameter_grid),
+        scores=parallel_map(_grid_combo_task, specs, workers=workers,
+                            name="grid combo"))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import Causer
 from ..data.interactions import Split, leave_one_out_split
@@ -12,6 +12,7 @@ from ..data.synthetic import SyntheticDataset
 from ..eval import EvaluationResult, evaluate_model
 from ..models import (BPR, GRU4Rec, MMSARec, NARM, NCF,
                       PopularityRecommender, SASRec, STAMP, VTRNN)
+from ..parallel import parallel_map
 from .config import BenchmarkSettings
 
 #: Baseline factories in lineup order, each called as
@@ -95,20 +96,25 @@ def run_model(name: str, dataset: SyntheticDataset,
                      final_loss=fit.final_loss)
 
 
+def _run_model_task(spec: Tuple[str, SyntheticDataset, BenchmarkSettings,
+                                Split]) -> RunResult:
+    """One (model name, dataset, settings, split) cell; module-level so it
+    pickles by qualified name under every start method."""
+    name, dataset, settings, split = spec
+    return run_model(name, dataset, settings, split=split)
+
+
 def run_models(names: Sequence[str], dataset: SyntheticDataset,
                settings: BenchmarkSettings,
                workers: Optional[int] = 1) -> List[RunResult]:
     """Run a list of models on the same dataset/split.
 
     ``workers`` > 1 fans the lineup out one process per model through
-    :mod:`repro.parallel` (``None`` → CPU-aware default, ``0``/``1`` →
-    serial, the library default); results are identical either way and
-    always in name order.
+    :func:`repro.parallel.parallel_map` (``None`` → CPU-aware default,
+    ``0``/``1`` → serial, the library default); results are identical
+    either way and always in name order.
     """
-    from ..parallel import resolve_workers, run_models_parallel
     split = leave_one_out_split(dataset.corpus)
-    if resolve_workers(workers, len(names)) > 1:
-        return run_models_parallel(names, dataset, settings,
-                                   workers=workers, split=split)
-    return [run_model(name, dataset, settings, split=split)
-            for name in names]
+    return parallel_map(_run_model_task,
+                        [(name, dataset, settings, split) for name in names],
+                        workers=workers, name="model run")

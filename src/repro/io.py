@@ -1,19 +1,13 @@
 """Model persistence: save/load trained models.
 
-Two on-disk formats share one JSON header (model class, format version,
-config dataclass fields, vocabulary sizes, extra constructor arguments):
-
-* ``.npz`` (default) — a single compressed archive.  Loading streams one
-  parameter at a time and *adopts* each decompressed array
-  (``load_state_dict(assign=True)``), so cold-start peak RSS is one
-  model plus one parameter, not the historical ~2× artifact size.
-  zip-compressed members cannot be mmapped (numpy silently ignores
-  ``mmap_mode`` for npz), which is why the second format exists.
-* **directory** (``save_model(..., format="dir")``) — ``header.json``
-  plus one raw ``.npy`` per parameter.  Loading maps every parameter
-  with ``np.load(mmap_mode="r")``: pages fault in on first touch and
-  stay evictable, so a serving coordinator's cold start touches only
-  the tables it actually reads.
+A checkpoint is one compressed ``.npz`` archive: every parameter, the
+item features of feature-hungry models, and a JSON header (model class,
+format version, config dataclass fields, vocabulary sizes, extra
+constructor arguments).  It is written to a temporary file and renamed
+into place, so a crash mid-save leaves the previous checkpoint readable.
+Loading streams one parameter at a time and *adopts* each decompressed
+array (``load_state_dict(assign=True)``), so cold-start peak RSS is one
+model plus one parameter, not the historical ~2× artifact size.
 
 Every class in :mod:`repro.models` (and the Causer core) is registered
 here; the serving registry (:mod:`repro.serve.registry`) loads
@@ -142,36 +136,17 @@ def _model_features(model):
     return None
 
 
-def save_model(model, path: PathLike, format: str = "npz") -> None:
+def save_model(model, path: PathLike) -> None:
     """Serialize a trained model (parameters + config) to ``path``.
 
-    ``format="npz"`` writes the single-file compressed archive;
-    ``format="dir"`` writes a directory of raw ``.npy`` files that
-    :func:`load_model` can map with ``mmap_mode="r"`` (low cold-start
-    RSS).  Supported classes: Causer and every baseline in
-    :mod:`repro.models`.
-
-    The archive, and the directory's ``header.json`` (written after its
-    parameters), go through a temporary file and ``os.replace``, so a
-    crash mid-save leaves the previous checkpoint readable.
+    Writes one compressed ``.npz`` archive (``.npz`` is appended when
+    missing).  Supported classes: Causer and every baseline in
+    :mod:`repro.models`.  The archive goes through a temporary file and
+    ``os.replace``, so a crash mid-save leaves the previous checkpoint
+    readable.
     """
-    if format not in ("npz", "dir"):
-        raise ValueError(f"format must be 'npz' or 'dir', got {format!r}")
     header = _model_header(model)
     features = _model_features(model)
-    if format == "dir":
-        root = pathlib.Path(path)
-        (root / "params").mkdir(parents=True, exist_ok=True)
-        header["format"] = "dir"
-        header["params"] = sorted(name for name, _
-                                  in model.named_parameters())
-        if features is not None:
-            np.save(root / "features.npy", features)
-        for name, param in model.named_parameters():
-            np.save(root / "params" / f"{name}.npy", param.data)
-        _write_atomic(root / "header.json", lambda fh: fh.write(
-            json.dumps(header, indent=1).encode("utf-8")))
-        return
     arrays = {f"param::{name}": values
               for name, values in model.state_dict().items()}
     if features is not None:
@@ -198,27 +173,6 @@ class _NpzState(Mapping):
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._archive[self._prefix + name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-
-class _DirState(Mapping):
-    """Parameter mapping over a directory checkpoint, one mmap per file."""
-
-    def __init__(self, root: pathlib.Path, names, mmap: bool) -> None:
-        self._root = root
-        self._names = list(names)
-        self._mmap_mode = "r" if mmap else None
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        if name not in self._names:
-            raise KeyError(name)
-        return np.load(self._root / "params" / f"{name}.npy",
-                       mmap_mode=self._mmap_mode)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._names)
@@ -405,48 +359,36 @@ def load_optimizer_state(optimizer, path: PathLike):
     return optimizer
 
 
-def load_model(path: PathLike, mmap: bool = True):
+def load_model(path: PathLike):
     """Restore a model saved with :func:`save_model`.
 
-    Directory checkpoints map their parameters read-only
-    (``mmap_mode="r"``) unless ``mmap=False`` — pass that when the
-    loaded model will be trained further (in-place optimizer updates
-    need writable buffers).  npz checkpoints stream one decompressed
-    parameter at a time; both paths adopt arrays without copying.
+    Parameters stream out of the archive one decompressed array at a time
+    and are adopted without copying; every loaded array is writable, so
+    the model can be trained further.
 
-    Raises :class:`ValueError` (naming the file) when the archive
-    declares an unknown model class or an unreadable format version, and
-    when the archive or the directory's ``header.json`` is truncated or
+    Raises :class:`ValueError` (naming the path) when ``path`` is a
+    directory, when the archive declares an unknown model class or an
+    unreadable format version, and when the archive is truncated or
     corrupt.
     """
-    root = pathlib.Path(path)
-    if root.is_dir():
-        header_path = root / "header.json"
-        header = _parse_header(header_path, header_path.read_bytes())
-        cls, class_name, config = _check_header(path, header)
-        features = None
-        if class_name in _NEEDS_FEATURES:
-            features = np.load(root / "features.npy")
-        model = _construct(cls, class_name, header, config, features)
-        model.load_state_dict(_DirState(root, header["params"], mmap),
-                              assign=True)
-    else:
-        try:
-            # A prefix too short to carry the zip magic sends np.load down
-            # its pickle branch, which refuses with a ValueError.
-            archive = np.load(str(path))
-        except (ValueError, *_CORRUPT_ARCHIVE) as exc:
-            raise _corrupt_archive(path, exc) from exc
-        try:
-            with archive:
-                header = _parse_header(path, bytes(archive["header"]))
-                cls, class_name, config = _check_header(path, header)
-                features = (archive["features"]
-                            if class_name in _NEEDS_FEATURES else None)
-                model = _construct(cls, class_name, header, config,
-                                   features)
-                model.load_state_dict(_NpzState(archive), assign=True)
-        except _CORRUPT_ARCHIVE as exc:
-            raise _corrupt_archive(path, exc) from exc
+    if pathlib.Path(path).is_dir():
+        raise ValueError(f"{path}: is a directory; a checkpoint is one "
+                         f".npz archive written by save_model")
+    try:
+        # A prefix too short to carry the zip magic sends np.load down
+        # its pickle branch, which refuses with a ValueError.
+        archive = np.load(str(path))
+    except (ValueError, *_CORRUPT_ARCHIVE) as exc:
+        raise _corrupt_archive(path, exc) from exc
+    try:
+        with archive:
+            header = _parse_header(path, bytes(archive["header"]))
+            cls, class_name, config = _check_header(path, header)
+            features = (archive["features"]
+                        if class_name in _NEEDS_FEATURES else None)
+            model = _construct(cls, class_name, header, config, features)
+            model.load_state_dict(_NpzState(archive), assign=True)
+    except _CORRUPT_ARCHIVE as exc:
+        raise _corrupt_archive(path, exc) from exc
     model.eval()
     return model

@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_replay(args: argparse.Namespace) -> int:
-    model = load_model(args.checkpoint, mmap=False)
+    model = load_model(args.checkpoint)
     log = EventLog(args.event_log)
     trainer = OnlineTrainer(
         model, log, lr=args.online_lr,

@@ -67,8 +67,8 @@ def select_online_params(model) -> List:
 class OnlineTrainer:
     """Consume an :class:`EventLog` into updates on a shadow model.
 
-    ``model`` must be a *private trainable copy* (``load_model(...,
-    mmap=False)`` or a deepcopy) — published serving artifacts alias the
+    ``model`` must be a *private trainable copy* (its own ``load_model``
+    or a deepcopy) — published serving artifacts alias the
     published model's arrays, so the trainer must never share parameters
     with anything the registry holds.
 
@@ -312,7 +312,7 @@ class OnlineTrainer:
             raise ValueError(
                 f"{state_dir}: saved batch_events={meta['batch_events']} "
                 f"!= configured {self.batch_events}; offsets would shear")
-        model = load_model(state_dir / "shadow.npz", mmap=False)
+        model = load_model(state_dir / "shadow.npz")
         with self._lock:
             self._adopt_locked(model)
             optimizer_path = state_dir / "optimizer.npz"

@@ -1,54 +1,43 @@
-"""Deterministic multi-process task pool (the `repro.parallel` core).
+"""One order-preserving fan-out primitive (the `repro.parallel` core).
 
-:class:`ProcessMap` fans a list of pickle-able task *specs* out to worker
-processes and returns one :class:`TaskResult` per spec, in spec order.  It
-is designed around four contracts the rest of the repo relies on:
+:func:`parallel_map` applies a module-level function to a list of
+picklable task *specs* and returns the values in spec order.  The
+contracts the rest of the repo relies on:
 
-* **Determinism** — when a ``seed`` is supplied, task ``i`` receives
-  ``numpy.random.SeedSequence(seed, spawn_key=(i,))``.  The derivation
-  depends only on the run seed and the task *index*, never on worker
-  count or scheduling order, so ``workers=1`` and ``workers=8`` produce
-  bit-identical per-task results.
+* **One copy of the work** — with one effective worker (``workers`` of
+  ``0``/``1``, a single spec, or a call from inside a worker) ``fn`` runs
+  inline, in spec order, and nothing is pickled.  Otherwise the specs go
+  to a :class:`concurrent.futures.ProcessPoolExecutor`.  Callers keep no
+  serial branch of their own, so worker count can only change scheduling,
+  never a result bit.
 * **Spawn safety** — tasks are ``(module-level function, picklable spec)``
-  pairs, not closures.  Everything crossing the process boundary is pickled
-  explicitly up front, so an unpicklable spec fails fast in the parent
-  with a clear error instead of hanging a queue feeder thread.
-* **Isolation of failures** — a task that raises returns a
-  :class:`TaskResult` carrying the formatted traceback; a task that blows
-  past ``timeout`` gets its worker killed and is retried once (then
-  recorded as a timeout failure).  One bad task never kills the run.
-* **Serial fallback** — ``workers<=1``, a single task, or running inside
-  an already-parallel region (daemonic worker processes cannot fork) all
-  degrade to an in-process loop with the *same* seed derivation and the
-  same structured failure capture, so call sites behave identically on
-  one core.  Timeouts are not enforced on the serial path.
-
-Workers pin BLAS/OpenMP thread counts to 1 (``OMP_NUM_THREADS`` etc.) so
-``N`` processes do not oversubscribe the machine with ``N x T`` BLAS
-threads.  The pin is applied to the parent environment while workers
-start (inherited by spawn/forkserver children at exec time) and re-applied
-inside each worker for libraries loaded later.
+  pairs, not closures; the start method is ``fork`` where the platform
+  offers it and ``spawn`` elsewhere (:func:`default_context`).
+* **Fail fast, never hang** — the first failure in spec order (a task
+  that raised, an unpicklable spec or value, a worker that died and broke
+  the pool) cancels the pending tasks and raises :class:`WorkerError`
+  naming the operation and the task index, chained from the original
+  exception.  The serial path raises the same error.
+* **No oversubscription** — BLAS/OpenMP thread counts (``OMP_NUM_THREADS``
+  etc.) are pinned to 1 in the parent environment while workers start
+  (spawn children inherit it at exec time) and again in each worker's
+  initializer for libraries loaded later.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import pickle
-import queue as queue_mod
-import time
-import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
 __all__ = [
-    "BLAS_ENV_VARS", "DEFAULT_WORKER_CAP", "ProcessMap", "TaskResult",
-    "WorkerError", "available_cpus", "default_context", "default_workers",
-    "process_map", "resolve_workers", "task_seed_sequence", "unwrap",
+    "BLAS_ENV_VARS", "DEFAULT_WORKER_CAP", "WorkerError", "available_cpus",
+    "default_context", "default_workers", "parallel_map", "resolve_workers",
 ]
+
+S = TypeVar("S")
+R = TypeVar("R")
 
 #: Upper bound applied by :func:`default_workers` — fanning out wider than
 #: this rarely helps the workloads in this repo and hurts shared machines.
@@ -59,8 +48,9 @@ BLAS_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                  "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                  "NUMEXPR_NUM_THREADS")
 
-#: Seconds between parent scheduling passes (deadline checks, liveness).
-_POLL_SECONDS = 0.05
+#: Set by the executor's worker initializer.  Executor workers are not
+#: daemonic, so this marker is what sends nested calls down the serial path.
+_IN_WORKER = False
 
 
 def available_cpus() -> int:
@@ -84,8 +74,8 @@ def default_workers(cap: int = DEFAULT_WORKER_CAP) -> int:
 
 
 def in_parallel_region() -> bool:
-    """True inside a daemonic worker process (which cannot fork children)."""
-    return bool(mp.current_process().daemon)
+    """True inside a pool worker or a daemonic process (no children)."""
+    return _IN_WORKER or bool(mp.current_process().daemon)
 
 
 def resolve_workers(workers: Optional[int], num_tasks: int) -> int:
@@ -93,7 +83,7 @@ def resolve_workers(workers: Optional[int], num_tasks: int) -> int:
 
     ``None`` means :func:`default_workers`; ``0``/``1`` force serial; the
     result is clamped to the task count; nested parallel regions always
-    resolve to 1 (the serial fallback).
+    resolve to 1 (the serial path).
     """
     if num_tasks <= 1:
         return 1
@@ -108,80 +98,48 @@ def resolve_workers(workers: Optional[int], num_tasks: int) -> int:
 
 
 def default_context() -> str:
-    """Preferred multiprocessing start method for this platform.
-
-    ``fork`` where available (cheap startup, no re-import); ``spawn``
-    elsewhere.  Every code path stays spawn-safe regardless — specs are
-    pickled either way — so callers may force ``context="spawn"``.
-    """
+    """Start method for this platform: ``fork`` where available (cheap
+    startup, no re-import), ``spawn`` elsewhere."""
     if "fork" in mp.get_all_start_methods():
         return "fork"
     return "spawn"
 
 
-def task_seed_sequence(run_seed: int, index: int) -> np.random.SeedSequence:
-    """The per-task seed contract: depends on (run seed, task index) only.
-
-    Identical to ``SeedSequence(run_seed).spawn(n)[index]`` without
-    materialising ``n`` children, and — critically — independent of worker
-    count and scheduling order.
-    """
-    return np.random.SeedSequence(run_seed, spawn_key=(index,))
-
-
-@dataclass
-class TaskResult:
-    """Outcome of one task: a value or a captured failure, never both."""
-
-    index: int
-    ok: bool
-    value: Any = None
-    error: Optional[str] = None      # formatted traceback / failure reason
-    seconds: float = 0.0
-    attempts: int = 1
-    timed_out: bool = False
-    worker: str = "serial"
-
-
 class WorkerError(RuntimeError):
-    """Raised by :func:`unwrap` for the first failed task in a run."""
+    """The first failed task of a :func:`parallel_map` call.
 
-    def __init__(self, result: TaskResult, context: str = "parallel task"):
-        self.result = result
-        super().__init__(
-            f"{context} #{result.index} failed after {result.attempts} "
-            f"attempt(s){' (timeout)' if result.timed_out else ''}:\n"
-            f"{result.error}")
+    ``name`` is the operation label and ``index`` the task's position in
+    the spec list; the original exception is the ``__cause__``.
+    """
 
+    def __init__(self, name: str, index: int, reason: str) -> None:
+        # All three go to ``args`` so the error pickles back from a worker.
+        super().__init__(name, index, reason)
+        self.name = name
+        self.index = index
 
-def unwrap(results: Sequence[TaskResult],
-           context: str = "parallel task") -> List[Any]:
-    """Values in task order; raises :class:`WorkerError` on any failure."""
-    for result in results:
-        if not result.ok:
-            raise WorkerError(result, context=context)
-    return [result.value for result in results]
+    def __str__(self) -> str:
+        name, index, reason = self.args
+        return f"{name} #{index} failed: {reason}"
 
 
-def _pin_blas_environ(environ: Optional[Dict[str, str]] = None) -> None:
-    """Set single-threaded BLAS knobs in ``environ`` (default: os.environ)."""
-    target = os.environ if environ is None else environ
+def _failure(name: str, index: int, exc: BaseException) -> WorkerError:
+    return WorkerError(name, index, f"{type(exc).__name__}: {exc}")
+
+
+def _pin_blas_environ() -> None:
     for var in BLAS_ENV_VARS:
-        target[var] = "1"
+        os.environ[var] = "1"
 
 
 @contextmanager
-def _pinned_parent_env(enabled: bool) -> Iterator[None]:
-    """Temporarily pin BLAS vars in the parent while workers start.
+def _pinned_parent_env() -> Iterator[None]:
+    """Pin BLAS vars in the parent while workers start, then restore.
 
     spawn/forkserver children inherit ``os.environ`` at exec time, which is
     the only reliable moment to cap BLAS pools (the libraries size their
-    thread pools at import).  The parent's own values are restored after
-    startup so the caller's environment is untouched.
+    thread pools at import).
     """
-    if not enabled:
-        yield
-        return
     saved = {var: os.environ.get(var) for var in BLAS_ENV_VARS}
     _pin_blas_environ()
     try:
@@ -194,306 +152,45 @@ def _pinned_parent_env(enabled: bool) -> Iterator[None]:
                 os.environ[var] = value
 
 
-def _run_payload(blob: bytes) -> Tuple[bool, bytes, float]:
-    """Execute one pickled ``(fn, spec, seed_seq)`` task; never raises.
+def _init_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+    _pin_blas_environ()
 
-    The result value is pickled *here* so an unpicklable return value is
-    reported as a structured task failure instead of crashing the result
-    queue's feeder thread (which would hang the parent).
+
+def parallel_map(fn: Callable[[S], R], specs: Sequence[S], *,
+                 workers: Optional[int] = None,
+                 name: str = "parallel task") -> List[R]:
+    """``[fn(spec) for spec in specs]``, fanned out over processes.
+
+    ``workers``: ``None`` → :func:`default_workers`; ``0``/``1`` → inline.
+    Values come back in spec order; the first failure in spec order raises
+    :class:`WorkerError` labelled ``name`` (see the module docs).
     """
-    start = time.perf_counter()
-    try:
-        fn, spec, seed_seq = pickle.loads(blob)
-        value = fn(spec) if seed_seq is None else fn(spec, seed_seq)
-        payload = pickle.dumps(value)
-        ok = True
-    except Exception:
-        payload = traceback.format_exc().encode("utf-8")
-        ok = False
-    return ok, payload, time.perf_counter() - start
-
-
-def _worker_main(worker_id: int, task_queue: Any, result_queue: Any,
-                 pin_blas: bool) -> None:
-    """Worker loop: pull (index, attempt, blob) tasks until ``None``."""
-    if pin_blas:
-        _pin_blas_environ()
-    while True:
-        item = task_queue.get()
-        if item is None:
-            return
-        index, attempt, blob = item
-        ok, payload, seconds = _run_payload(blob)
-        result_queue.put((worker_id, index, attempt, ok, payload, seconds))
-
-
-class _WorkerHandle:
-    """A live worker process plus its private task queue and current task."""
-
-    def __init__(self, ctx, worker_id: int, result_queue, pin_blas: bool):
-        self.worker_id = worker_id
-        self.task_queue = ctx.Queue()
-        self.process = ctx.Process(
-            target=_worker_main, name=f"repro-parallel-{worker_id}",
-            args=(worker_id, self.task_queue, result_queue, pin_blas),
-            daemon=True)
-        self.process.start()
-        #: (task index, attempt, absolute deadline or None) while busy.
-        self.current: Optional[Tuple[int, int, Optional[float]]] = None
-
-    def assign(self, index: int, attempt: int, blob: bytes,
-               timeout: Optional[float]) -> None:
-        deadline = (time.monotonic() + timeout) if timeout else None
-        self.current = (index, attempt, deadline)
-        self.task_queue.put((index, attempt, blob))
-
-    def expired(self, now: float) -> bool:
-        return (self.current is not None and self.current[2] is not None
-                and now > self.current[2])
-
-    def stop(self) -> None:
-        if self.process.is_alive():
-            try:
-                self.task_queue.put(None)
-            except (OSError, ValueError):
-                pass
-        self.process.join(timeout=1.0)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=1.0)
-        # The worker may have died without consuming the sentinel; never
-        # let the queue's feeder thread block interpreter exit on it.
-        self.task_queue.cancel_join_thread()
-        self.task_queue.close()
-
-    def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=1.0)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(timeout=1.0)
-        # A killed worker leaves its queued task undelivered; drop it
-        # rather than joining a feeder thread that can never drain.
-        self.task_queue.cancel_join_thread()
-        self.task_queue.close()
-
-
-class ProcessMap:
-    """Map a picklable function over picklable specs across processes.
-
-    Parameters
-    ----------
-    workers:
-        ``None`` → :func:`default_workers`; ``0``/``1`` → serial fallback.
-    seed:
-        When given, ``fn`` is called as ``fn(spec, seed_seq)`` with the
-        per-task :func:`task_seed_sequence`; otherwise ``fn(spec)``.
-    timeout:
-        Per-attempt wall-clock budget in seconds.  An expired task's worker
-        is killed and the task retried (``retries`` times total) before it
-        is recorded as a timeout failure.  Not enforced on the serial path.
-    retries:
-        Extra attempts granted to a failing/timing-out task (default 1 —
-        the "retry once" contract).  Exceptions on the serial path are
-        never retried: re-running identical code in the same process is
-        deterministic.
-    context:
-        multiprocessing start method (``"fork"``/``"spawn"``/
-        ``"forkserver"``); ``None`` → :func:`default_context`.
-    pin_blas:
-        Pin BLAS/OpenMP thread counts to 1 in workers (see module docs).
-    """
-
-    def __init__(self, workers: Optional[int] = None, *,
-                 seed: Optional[int] = None,
-                 timeout: Optional[float] = None,
-                 retries: int = 1,
-                 context: Optional[str] = None,
-                 pin_blas: bool = True) -> None:
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        self.workers = workers
-        self.seed = seed
-        self.timeout = timeout
-        self.retries = retries
-        self.context = context
-        self.pin_blas = pin_blas
-
-    # -- public API -------------------------------------------------------
-    def map(self, fn: Callable[..., Any],
-            specs: Sequence[Any]) -> List[TaskResult]:
-        """Run ``fn`` over ``specs``; one ordered :class:`TaskResult` each."""
-        specs = list(specs)
-        if not specs:
-            return []
-        blobs = self._pickle_tasks(fn, specs)
-        workers = resolve_workers(self.workers, len(specs))
-        if workers <= 1:
-            return self._map_serial(fn, specs)
-        return self._map_parallel(blobs, workers)
-
-    # -- task preparation -------------------------------------------------
-    def _seed_for(self, index: int) -> Optional[np.random.SeedSequence]:
-        if self.seed is None:
-            return None
-        return task_seed_sequence(self.seed, index)
-
-    def _pickle_tasks(self, fn: Callable[..., Any],
-                      specs: Sequence[Any]) -> List[bytes]:
-        blobs = []
+    specs = list(specs)
+    count = resolve_workers(workers, len(specs))
+    if count <= 1:
+        values = []
         for index, spec in enumerate(specs):
             try:
-                blobs.append(pickle.dumps((fn, spec, self._seed_for(index))))
+                values.append(fn(spec))
             except Exception as exc:
-                raise TypeError(
-                    f"task #{index} is not picklable and cannot cross the "
-                    f"process boundary (fn={getattr(fn, '__name__', fn)!r}, "
-                    f"spec type={type(spec).__name__}): {exc}") from exc
-        return blobs
+                raise _failure(name, index, exc) from exc
+        return values
 
-    # -- serial fallback --------------------------------------------------
-    def _map_serial(self, fn: Callable[..., Any],
-                    specs: Sequence[Any]) -> List[TaskResult]:
-        results = []
-        for index, spec in enumerate(specs):
-            seed_seq = self._seed_for(index)
-            start = time.perf_counter()
+    from concurrent.futures import ProcessPoolExecutor
+    executor = ProcessPoolExecutor(
+        max_workers=count, mp_context=mp.get_context(default_context()),
+        initializer=_init_worker)
+    try:
+        with _pinned_parent_env():
+            futures = [executor.submit(fn, spec) for spec in specs]
+        values = []
+        for index, future in enumerate(futures):
             try:
-                value = fn(spec) if seed_seq is None else fn(spec, seed_seq)
-                results.append(TaskResult(
-                    index=index, ok=True, value=value,
-                    seconds=time.perf_counter() - start))
-            except Exception:
-                results.append(TaskResult(
-                    index=index, ok=False, error=traceback.format_exc(),
-                    seconds=time.perf_counter() - start))
-        return results
-
-    # -- parallel path ----------------------------------------------------
-    def _map_parallel(self, blobs: List[bytes],
-                      workers: int) -> List[TaskResult]:
-        ctx = mp.get_context(self.context or default_context())
-        result_queue = ctx.Queue()
-        handles: Dict[int, _WorkerHandle] = {}
-        next_worker_id = 0
-        with _pinned_parent_env(self.pin_blas):
-            for _ in range(workers):
-                handles[next_worker_id] = _WorkerHandle(
-                    ctx, next_worker_id, result_queue, self.pin_blas)
-                next_worker_id += 1
-        pending: List[Tuple[int, int]] = [(i, 1) for i in range(len(blobs))]
-        pending.reverse()  # pop() from the tail keeps submission in order
-        results: Dict[int, TaskResult] = {}
-        try:
-            while len(results) < len(blobs):
-                self._assign_pending(handles, pending, blobs)
-                self._drain_results(handles, result_queue, pending, results)
-                next_worker_id = self._reap_expired_and_dead(
-                    ctx, handles, result_queue, pending, results,
-                    next_worker_id)
-        finally:
-            for handle in handles.values():
-                handle.stop()
-            # All results we care about are drained; anything a dying
-            # worker still pushed must not keep the feeder thread alive.
-            result_queue.cancel_join_thread()
-            result_queue.close()
-        return [results[i] for i in range(len(blobs))]
-
-    def _assign_pending(self, handles, pending, blobs) -> None:
-        for handle in handles.values():
-            if not pending:
-                return
-            if handle.current is None and handle.process.is_alive():
-                index, attempt = pending.pop()
-                handle.assign(index, attempt, blobs[index], self.timeout)
-
-    def _drain_results(self, handles, result_queue, pending, results) -> None:
-        try:
-            item = result_queue.get(timeout=_POLL_SECONDS)
-        except queue_mod.Empty:
-            return
-        while True:
-            worker_id, index, attempt, ok, payload, seconds = item
-            handle = handles.get(worker_id)
-            if handle is not None and handle.current is not None \
-                    and handle.current[0] == index:
-                handle.current = None
-            if index not in results:  # a late result after a timeout retry
-                if ok:
-                    results[index] = TaskResult(
-                        index=index, ok=True, value=pickle.loads(payload),
-                        seconds=seconds, attempts=attempt,
-                        worker=f"worker-{worker_id}")
-                elif attempt <= self.retries:
-                    pending.append((index, attempt + 1))
-                else:
-                    results[index] = TaskResult(
-                        index=index, ok=False,
-                        error=payload.decode("utf-8", "replace"),
-                        seconds=seconds, attempts=attempt,
-                        worker=f"worker-{worker_id}")
-            try:
-                item = result_queue.get_nowait()
-            except queue_mod.Empty:
-                return
-
-    def _reap_expired_and_dead(self, ctx, handles, result_queue, pending,
-                               results, next_worker_id: int) -> int:
-        now = time.monotonic()
-        for worker_id in list(handles):
-            handle = handles[worker_id]
-            expired = handle.expired(now)
-            died = not handle.process.is_alive()
-            if not (expired or died):
-                continue
-            if handle.current is None:
-                if died:  # idle crash: replace so assignment never stalls
-                    handle.kill()
-                    del handles[worker_id]
-                    with _pinned_parent_env(self.pin_blas):
-                        handles[next_worker_id] = _WorkerHandle(
-                            ctx, next_worker_id, result_queue, self.pin_blas)
-                    next_worker_id += 1
-                continue
-            index, attempt, _ = handle.current
-            handle.kill()
-            del handles[worker_id]
-            if index not in results:
-                if attempt <= self.retries:
-                    pending.append((index, attempt + 1))
-                elif expired:
-                    results[index] = TaskResult(
-                        index=index, ok=False, timed_out=True,
-                        error=(f"task timed out after {self.timeout:.1f}s "
-                               f"(attempt {attempt}); worker "
-                               f"{worker_id} killed"),
-                        seconds=float(self.timeout or 0.0), attempts=attempt,
-                        worker=f"worker-{worker_id}")
-                else:
-                    results[index] = TaskResult(
-                        index=index, ok=False,
-                        error=(f"worker {worker_id} died (exitcode="
-                               f"{handle.process.exitcode}) while running "
-                               f"task #{index}, attempt {attempt}"),
-                        attempts=attempt, worker=f"worker-{worker_id}")
-            with _pinned_parent_env(self.pin_blas):
-                handles[next_worker_id] = _WorkerHandle(
-                    ctx, next_worker_id, result_queue, self.pin_blas)
-            next_worker_id += 1
-        return next_worker_id
-
-
-def process_map(fn: Callable[..., Any], specs: Sequence[Any], *,
-                workers: Optional[int] = None,
-                seed: Optional[int] = None,
-                timeout: Optional[float] = None,
-                retries: int = 1,
-                context: Optional[str] = None,
-                pin_blas: bool = True) -> List[TaskResult]:
-    """One-shot convenience wrapper around :class:`ProcessMap`."""
-    return ProcessMap(workers, seed=seed, timeout=timeout, retries=retries,
-                      context=context, pin_blas=pin_blas).map(fn, specs)
+                values.append(future.result())
+            except Exception as exc:
+                raise _failure(name, index, exc) from exc
+        return values
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)

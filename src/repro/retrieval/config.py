@@ -28,7 +28,6 @@ class RetrievalConfig:
     scorer: str = "dot"          # "dot" | "l2" (see retrieval.towers.SCORERS)
     kmeans_iters: int = 8
     seed: int = 0
-    workers: int = 0             # k-means assignment fan-out (repro.parallel)
 
     def __post_init__(self) -> None:
         if self.mode not in RETRIEVAL_MODES:

@@ -14,10 +14,9 @@ Determinism contract (asserted by ``tests/retrieval/test_determinism.py``):
 * k-means initialisation draws from ``SeedSequence(seed, spawn_key=(0,))``
   and every other step is arithmetic on fixed-order arrays, so a build is
   bit-identical across runs for a fixed seed;
-* the assignment step is row-independent and computed in fixed-size
-  chunks, so fanning it out over :mod:`repro.parallel` workers cannot
-  change a single bit — ``workers=0`` and ``workers=8`` build the same
-  index;
+* the assignment step runs over fixed-size row chunks
+  (:data:`ASSIGN_CHUNK`), so the chunk boundaries — and every matrix
+  product — are the same on every build;
 * every ranking (probe order, candidate top-k) breaks score ties by
   ascending id via ``np.lexsort``, so duplicate/degenerate vectors have
   one canonical order.
@@ -31,9 +30,9 @@ import numpy as np
 
 from .towers import SCORERS, ItemTower, as_dense
 
-#: Rows per assignment chunk.  Fixed (never derived from worker count) so
-#: the chunk boundaries — and therefore every reduction — are identical
-#: no matter how the chunks are scheduled.
+#: Rows per assignment chunk: bounds the ``(chunk, n_clusters)`` distance
+#: block.  Fixed, so the chunk boundaries — and therefore every matrix
+#: product — are identical from build to build.
 ASSIGN_CHUNK = 16_384
 
 
@@ -77,41 +76,24 @@ class ExactIndex:
 # k-means coarse quantizer
 # ----------------------------------------------------------------------
 
-def _assign_task(spec) -> Tuple[np.ndarray, np.ndarray]:
-    """One chunk of the assignment step: nearest centroid per row.
-
-    Top-level so :func:`repro.parallel.process_map` can pickle it; the
-    per-task seed the pool derives is unused — assignment is pure
-    arithmetic.
-    """
-    chunk, centroids, cent_sq = spec
-    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; the ||x||^2 term is
-    # constant per row and dropped (it cannot change the argmin).
-    d2 = cent_sq[None, :] - 2.0 * (chunk @ centroids.T)
-    assign = np.argmin(d2, axis=1)
-    mindist = d2[np.arange(chunk.shape[0]), assign]
-    return assign.astype(np.int64), mindist
-
-
-def _assign_all(vectors: np.ndarray, centroids: np.ndarray,
-                workers: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid for every row, chunked (optionally fanned out)."""
+def _assign_all(vectors: np.ndarray, centroids: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid (and its distance) for every row, chunk by chunk."""
     cent_sq = (centroids * centroids).sum(axis=1)
-    specs = [(vectors[start:start + ASSIGN_CHUNK], centroids, cent_sq)
-             for start in range(0, vectors.shape[0], ASSIGN_CHUNK)]
-    if workers and workers > 1 and len(specs) > 1:
-        from ..parallel import process_map, unwrap
-        parts = unwrap(process_map(_assign_task, specs, workers=workers))
-    else:
-        parts = [_assign_task(spec) for spec in specs]
-    assign = np.concatenate([part[0] for part in parts])
-    mindist = np.concatenate([part[1] for part in parts])
-    return assign, mindist
+    assign_parts, mindist_parts = [], []
+    for start in range(0, vectors.shape[0], ASSIGN_CHUNK):
+        chunk = vectors[start:start + ASSIGN_CHUNK]
+        # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; the ||x||^2 term is
+        # constant per row and dropped (it cannot change the argmin).
+        d2 = cent_sq[None, :] - 2.0 * (chunk @ centroids.T)
+        assign = np.argmin(d2, axis=1)
+        assign_parts.append(assign.astype(np.int64))
+        mindist_parts.append(d2[np.arange(chunk.shape[0]), assign])
+    return np.concatenate(assign_parts), np.concatenate(mindist_parts)
 
 
 def kmeans_fit(vectors: np.ndarray, n_clusters: int, seed: int = 0,
-               iters: int = 8, workers: int = 0
-               ) -> Tuple[np.ndarray, np.ndarray]:
+               iters: int = 8) -> Tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm; returns ``(centroids, assignments)``.
 
     Initial centroids are ``n_clusters`` distinct rows drawn from
@@ -130,7 +112,7 @@ def kmeans_fit(vectors: np.ndarray, n_clusters: int, seed: int = 0,
     centroids = vectors[picks].copy()
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(max(1, iters)):
-        new_assign, mindist = _assign_all(vectors, centroids, workers)
+        new_assign, mindist = _assign_all(vectors, centroids)
         # Re-seed empty cells from the worst-served points so no cell
         # stays empty (deterministic: argmax breaks ties by lowest index).
         counts = np.bincount(new_assign, minlength=n_clusters)
@@ -182,14 +164,14 @@ class IVFIndex:
 
     @classmethod
     def build(cls, tower: ItemTower, n_clusters: Optional[int] = None,
-              scorer: str = "dot", seed: int = 0, iters: int = 8,
-              workers: int = 0) -> "IVFIndex":
+              scorer: str = "dot", seed: int = 0,
+              iters: int = 8) -> "IVFIndex":
         """Train the coarse quantizer and materialize the inverted lists."""
         n = tower.size
         if n_clusters is None:
             n_clusters = max(1, int(round(np.sqrt(n))))
         centroids, assign = kmeans_fit(tower.vectors, n_clusters, seed=seed,
-                                       iters=iters, workers=workers)
+                                       iters=iters)
         list_ids: List[np.ndarray] = []
         list_vectors: List[np.ndarray] = []
         list_bias: List[np.ndarray] = []

@@ -74,8 +74,7 @@ def build_retrieval(artifacts: "ServingArtifacts",
         return None
     index = IVFIndex.build(tower, n_clusters=config.n_clusters,
                            scorer=config.scorer, seed=config.seed,
-                           iters=config.kmeans_iters,
-                           workers=config.workers)
+                           iters=config.kmeans_iters)
     return RetrievalArtifact(config=config, tower=tower, index=index,
                              generation=artifacts.generation)
 

@@ -19,7 +19,7 @@ def logged_run(tmp_path, online_causer):
     log_dir = tmp_path / "events"
     log = EventLog(log_dir, segment_records=32)
     fill_log(log, 100)
-    live = OnlineTrainer(load_model(checkpoint, mmap=False), log, lr=0.05,
+    live = OnlineTrainer(load_model(checkpoint), log, lr=0.05,
                          batch_events=16, seed=0)
     live.pump()
     log.close()
@@ -46,7 +46,7 @@ def test_replay_bit_reproduces_the_live_shadow(tmp_path, capsys,
     assert summary["batches_applied"] == 6
     assert summary["fingerprint"] == live_fingerprint
     # The saved replay artifact round-trips to the same tables.
-    assert fingerprint(load_model(out, mmap=False)) == live_fingerprint
+    assert fingerprint(load_model(out)) == live_fingerprint
 
 
 def test_replay_is_deterministic_across_invocations(capsys, logged_run):

@@ -5,7 +5,6 @@ by qualified name under every start method, including ``spawn``.
 """
 
 import os
-import time
 
 import numpy as np
 
@@ -14,10 +13,10 @@ def square(x):
     return x * x
 
 
-def seeded_normal(spec, seed_seq):
-    """Draw ``spec`` numbers from the task's derived seed sequence."""
-    rng = np.random.default_rng(seed_seq)
-    return [float(v) for v in rng.normal(size=spec)]
+def seeded_normal(seed):
+    """Draw from a generator the spec itself seeds."""
+    rng = np.random.default_rng(seed)
+    return [float(v) for v in rng.normal(size=4)]
 
 
 def explode_on_two(x):
@@ -26,24 +25,10 @@ def explode_on_two(x):
     return x
 
 
-def sleep_for(seconds):
-    time.sleep(seconds)
-    return seconds
-
-
-def succeed_on_retry(path):
-    """Fail on the first attempt; succeed once a marker file exists."""
-    if os.path.exists(path):
-        return "second attempt"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("attempt 1\n")
-    raise RuntimeError("flaky first attempt")
-
-
 def nested_map(values):
     """A task that itself fans out — must fall back to serial and work."""
-    from repro.parallel import process_map, unwrap
-    return unwrap(process_map(square, values, workers=4))
+    from repro.parallel import parallel_map
+    return parallel_map(square, values, workers=4)
 
 
 def read_blas_env(_):
@@ -54,3 +39,29 @@ def read_blas_env(_):
 def hard_exit(_):
     """Kill the worker process without a traceback (simulated crash)."""
     os._exit(17)
+
+
+def identity(spec):
+    return spec
+
+
+class Unpicklable:
+    """A spec that refuses to cross a process boundary."""
+
+    def __reduce__(self):
+        raise TypeError("Unpicklable refuses to be pickled")
+
+
+def nested_explode(values):
+    """A task whose own (serial) fan-out fails."""
+    from repro.parallel import parallel_map
+    return parallel_map(explode_on_two, values, workers=4, name="inner")
+
+
+#: Rebound by a test in the parent: a forked worker inherits the new
+#: value, a spawned one re-imports this module and sees this one.
+MARKER = "imported"
+
+
+def read_marker(_):
+    return MARKER

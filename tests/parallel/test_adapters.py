@@ -15,7 +15,7 @@ from repro.data.interactions import leave_one_out_split
 from repro.exp import BenchmarkSettings, grid_search_causer, run_models
 from repro.exp.runner import build_model
 from repro.nn import Tensor
-from repro.parallel import WorkerError, run_models_parallel
+from repro.parallel import WorkerError
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +43,9 @@ class TestRunnerEquivalence:
         assert_runs_identical(serial, fanned)
 
     def test_worker_crash_surfaces_traceback(self, dataset, settings):
-        with pytest.raises(WorkerError, match="unknown model name"):
-            run_models_parallel(("Pop", "no-such-model"), dataset, settings,
-                                workers=2)
+        with pytest.raises(WorkerError,
+                           match="model run #1 failed: .*unknown model name"):
+            run_models(("Pop", "no-such-model"), dataset, settings, workers=2)
 
 
 class TestGridEquivalence:

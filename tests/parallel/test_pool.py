@@ -1,11 +1,14 @@
-"""Pool-core tests: determinism, fallback, failure capture, timeouts."""
+"""Pool-core tests: ordering, serial fallback, failure paths, start method."""
 
-import numpy as np
+import multiprocessing as mp
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
-from repro.parallel import (DEFAULT_WORKER_CAP, ProcessMap, WorkerError,
-                            available_cpus, default_workers, process_map,
-                            resolve_workers, task_seed_sequence, unwrap)
+import repro.parallel.pool as pool
+from repro.parallel import (DEFAULT_WORKER_CAP, WorkerError, available_cpus,
+                            default_workers, parallel_map, resolve_workers)
 
 from . import tasks
 
@@ -29,114 +32,87 @@ class TestWorkerResolution:
         assert available_cpus() >= 1
 
 
-class TestSeedDerivation:
-    def test_matches_seedsequence_spawn(self):
-        spawned = np.random.SeedSequence(7).spawn(5)
-        for index in range(5):
-            derived = task_seed_sequence(7, index)
-            assert (derived.generate_state(4).tolist()
-                    == spawned[index].generate_state(4).tolist())
-
-    def test_independent_of_worker_count(self):
-        serial = unwrap(process_map(tasks.seeded_normal, [3] * 6,
-                                    workers=1, seed=123))
-        fanned = unwrap(process_map(tasks.seeded_normal, [3] * 6,
-                                    workers=3, seed=123))
-        assert serial == fanned  # bit-identical floats, not approx
-
-    def test_distinct_per_task(self):
-        draws = unwrap(process_map(tasks.seeded_normal, [2] * 4,
-                                   workers=1, seed=0))
-        assert len({tuple(d) for d in draws}) == 4
-
-
 class TestMapping:
     def test_results_in_spec_order(self):
-        results = process_map(tasks.square, list(range(10)), workers=3)
-        assert [r.index for r in results] == list(range(10))
-        assert unwrap(results) == [x * x for x in range(10)]
+        assert (parallel_map(tasks.square, list(range(10)), workers=3)
+                == [x * x for x in range(10)])
 
     def test_empty_specs(self):
-        assert process_map(tasks.square, [], workers=4) == []
+        assert parallel_map(tasks.square, [], workers=4) == []
 
     def test_serial_fallback_matches(self):
-        serial = unwrap(process_map(tasks.square, [1, 2, 3], workers=1))
-        assert serial == [1, 4, 9]
+        assert parallel_map(tasks.square, [1, 2, 3], workers=1) == [1, 4, 9]
 
-    def test_spawn_context(self):
-        results = process_map(tasks.square, [4, 5], workers=2,
-                              context="spawn")
-        assert unwrap(results) == [16, 25]
+    def test_spawn_context(self, monkeypatch):
+        """The start method without ``fork``: ordered, bit-identical."""
+        monkeypatch.setattr(pool, "default_context", lambda: "spawn")
+        monkeypatch.setattr(tasks, "MARKER", "inherited")
+        assert (parallel_map(tasks.read_marker, [None, None], workers=2)
+                == ["imported", "imported"])  # re-imported: really spawned
+        seeds = list(range(5))
+        assert (parallel_map(tasks.seeded_normal, seeds, workers=3)
+                == parallel_map(tasks.seeded_normal, seeds, workers=1))
 
     def test_nested_region_falls_back_to_serial(self):
-        results = process_map(tasks.nested_map, [[1, 2], [3]], workers=2)
-        assert unwrap(results) == [[1, 4], [9]]
+        assert (parallel_map(tasks.nested_map, [[1, 2], [3]], workers=2)
+                == [[1, 4], [9]])
+
+    def test_unpicklable_spec_runs_inline_when_serial(self):
+        spec = tasks.Unpicklable()
+        assert parallel_map(tasks.identity, [1, spec], workers=1) == [1, spec]
 
     def test_unpicklable_spec_fails_fast(self):
-        with pytest.raises(TypeError, match="not picklable"):
-            process_map(tasks.square, [lambda: None], workers=2)
+        start = time.monotonic()
+        with pytest.raises(WorkerError, match=r"pickle demo #1 failed") as info:
+            parallel_map(tasks.identity, [1, tasks.Unpicklable(), 3],
+                         workers=2, name="pickle demo")
+        assert info.value.index == 1
+        assert "refuses to be pickled" in str(info.value)
+        assert time.monotonic() - start < 10.0
+        assert mp.active_children() == []
 
     def test_workers_pin_blas_env(self):
-        envs = unwrap(process_map(tasks.read_blas_env, [None, None],
-                                  workers=2))
+        envs = parallel_map(tasks.read_blas_env, [None, None], workers=2)
         for worker_env in envs:
             assert worker_env["OMP_NUM_THREADS"] == "1"
             assert worker_env["OPENBLAS_NUM_THREADS"] == "1"
 
 
 class TestFailureCapture:
-    def test_traceback_captured_without_killing_run(self):
-        results = process_map(tasks.explode_on_two, [0, 1, 2, 3], workers=2,
-                              retries=0)
-        oks = [r for r in results if r.ok]
-        bad = results[2]
-        assert [r.value for r in oks] == [0, 1, 3]
-        assert not bad.ok
-        assert "ValueError" in bad.error
-        assert "task exploded on purpose" in bad.error
+    def test_task_error_raises_worker_error(self):
+        with pytest.raises(WorkerError,
+                           match=r"demo task #2 failed: ValueError: task "
+                                 r"exploded on purpose") as info:
+            parallel_map(tasks.explode_on_two, [0, 1, 2, 3], workers=2,
+                         name="demo task")
+        assert (info.value.name, info.value.index) == ("demo task", 2)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert mp.active_children() == []
 
     def test_serial_capture_is_identical_in_shape(self):
-        results = process_map(tasks.explode_on_two, [0, 1, 2, 3], workers=1)
-        assert [r.ok for r in results] == [True, True, False, True]
-        assert "task exploded on purpose" in results[2].error
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(WorkerError) as info:
+                parallel_map(tasks.explode_on_two, [0, 1, 2, 3],
+                             workers=workers, name="demo task")
+            errors.append(info.value)
+        serial, fanned = errors
+        assert str(serial) == str(fanned)
+        assert type(serial.__cause__) is type(fanned.__cause__) is ValueError
 
-    def test_unwrap_raises_worker_error(self):
-        results = process_map(tasks.explode_on_two, [2], workers=1)
-        with pytest.raises(WorkerError, match="exploded on purpose"):
-            unwrap(results, context="demo task")
-
-    def test_retry_once_recovers_flaky_task(self, tmp_path):
-        marker = str(tmp_path / "attempt.marker")
-        results = process_map(tasks.succeed_on_retry, [marker, marker],
-                              workers=2, retries=1)
-        assert all(r.ok for r in results)
-        assert any(r.attempts == 2 for r in results)
+    def test_nested_failure_names_both_operations(self):
+        with pytest.raises(WorkerError) as info:
+            parallel_map(tasks.nested_explode, [[0], [0, 2]], workers=2,
+                         name="outer")
+        message = str(info.value)
+        assert message.startswith("outer #1 failed: WorkerError: inner #1")
+        assert "exploded on purpose" in message
 
     def test_worker_hard_crash_is_reported(self):
-        results = process_map(tasks.hard_exit, [None, None], workers=2,
-                              retries=0)
-        assert all(not r.ok for r in results)
-        assert any("died" in r.error for r in results)
-
-    def test_retries_validation(self):
-        with pytest.raises(ValueError):
-            ProcessMap(2, retries=-1)
-        with pytest.raises(ValueError):
-            ProcessMap(2, timeout=0.0)
-
-
-class TestTimeout:
-    def test_timeout_kills_task_but_not_run(self):
-        results = process_map(tasks.sleep_for, [0.01, 30.0], workers=2,
-                              timeout=0.5, retries=0)
-        assert results[0].ok and results[0].value == 0.01
-        assert not results[1].ok
-        assert results[1].timed_out
-        assert "timed out" in results[1].error
-
-    def test_timeout_retry_then_fail(self):
-        results = process_map(tasks.sleep_for, [0.01, 30.0], workers=2,
-                              timeout=0.4, retries=1)
-        assert not results[1].ok
-        assert results[1].timed_out
-        assert results[1].attempts == 2
+        start = time.monotonic()
+        with pytest.raises(WorkerError, match=r"crash demo #0 failed") as info:
+            parallel_map(tasks.hard_exit, [None, None], workers=2,
+                         name="crash demo")
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        assert time.monotonic() - start < 10.0
+        assert mp.active_children() == []

@@ -1,17 +1,14 @@
-"""Index builds and searches must be bit-identical across runs and
-across :mod:`repro.parallel` worker counts.
+"""Index builds and searches must be bit-identical across runs.
 
 The contract: k-means draws its initial centroids from
 ``SeedSequence(seed, spawn_key=(0,))``, the assignment step is
-row-independent arithmetic over fixed-size chunks, and every ranking
-breaks ties by ascending item id — so nothing about scheduling, worker
-count, or rerunning can change a single bit.
+arithmetic over fixed-size row chunks, and every ranking breaks ties by
+ascending item id — so rerunning cannot change a single bit.
 """
 
 import numpy as np
 import pytest
 
-import repro.retrieval.index as index_mod
 from repro.retrieval import ExactIndex, IVFIndex, ItemTower, kmeans_fit
 
 
@@ -48,25 +45,6 @@ def test_kmeans_same_seed_same_centroids():
     c2, a2 = kmeans_fit(tower.vectors, 8, seed=42)
     assert np.array_equal(c1, c2)
     assert np.array_equal(a1, a2)
-
-
-def test_build_identical_across_worker_counts(monkeypatch):
-    """workers=0 (inline) and workers=2 (process_map fan-out) must agree.
-
-    The chunk size is shrunk so the tower actually splits into several
-    assignment tasks — the point is that chunk *boundaries* are fixed and
-    only the scheduling differs.
-    """
-    monkeypatch.setattr(index_mod, "ASSIGN_CHUNK", 64)
-    tower = make_tower(7)
-    inline = IVFIndex.build(tower, n_clusters=10, seed=1, workers=0)
-    fanned = IVFIndex.build(tower, n_clusters=10, seed=1, workers=2)
-    assert_indexes_identical(inline, fanned)
-    rng = np.random.default_rng(99)
-    for _ in range(3):
-        query = rng.normal(size=tower.dim)
-        assert np.array_equal(inline.search(query, 20, nprobe=3),
-                              fanned.search(query, 20, nprobe=3))
 
 
 def test_repeated_search_is_identical():
