@@ -50,13 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="2-epoch smoke mode")
     parser.add_argument("--data-backend", choices=["memory", "eventlog"],
                         default="memory",
-                        help="(train, eval) dataset substrate: 'memory' "
-                             "materialises Python basket tuples (default), "
-                             "'eventlog' streams batches straight from the "
-                             "memmapped columnar store in repro.data.eventlog "
-                             "with bounded resident memory (see docs/DATA.md); "
-                             "both backends yield bit-identical batches and "
-                             "loss trajectories for the same seed")
+                        help="(train, eval) where the corpus columns live: "
+                             "'memory' simulates the profile into RAM "
+                             "(default), 'eventlog' generates it once as "
+                             "memmapped shards on disk (per-user seed "
+                             "streams, see docs/DATA.md) and reads them with "
+                             "bounded resident memory; either way the same "
+                             "corpus code trains and evaluates")
     parser.add_argument("--eventlog-dir", metavar="DIR", default=None,
                         help="(--data-backend eventlog) cache directory for "
                              "generated event logs; default ./eventlogs.  An "

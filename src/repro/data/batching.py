@@ -212,6 +212,11 @@ def iterate_batches(samples: Sequence[EvalSample], batch_size: int,
                     max_history: Optional[int] = None) -> Iterator[PaddedBatch]:
     """Yield :class:`PaddedBatch` chunks, optionally shuffled each epoch.
 
+    ``samples`` is a :class:`~repro.data.eventlog.PrefixSampleView`, whose
+    ``gather_batch`` assembles each batch from the corpus columns, or a
+    plain list of samples (the online refresh's log window), padded with
+    :func:`pad_samples`; both give the same bits for the same samples.
+
     Shuffling requires an explicit ``rng``: an unseeded fallback generator
     would silently break run-to-run reproducibility (the repo-wide
     contract is that every RNG is an explicitly seeded
@@ -227,15 +232,10 @@ def iterate_batches(samples: Sequence[EvalSample], batch_size: int,
                 "epoch order is reproducible; pass "
                 "np.random.default_rng(seed) or use shuffle=False")
         rng.shuffle(order)
-    # Out-of-core sample views assemble the padded batch directly from
-    # their memmaps (bit-identical to pad_samples over the same chunk).
-    gather = getattr(samples, "gather_batch", None)
     for start in range(0, len(samples), batch_size):
         indices = order[start:start + batch_size]
-        if not indices.size:
-            continue
-        if gather is not None:
-            yield gather(indices, max_history=max_history)
-        else:
+        if isinstance(samples, list):
             yield pad_samples([samples[i] for i in indices],
                               max_history=max_history)
+        else:
+            yield samples.gather_batch(indices, max_history=max_history)

@@ -1,50 +1,53 @@
-"""Out-of-core columnar event log: memmapped shards + streaming views.
+"""The corpus: six columns per shard, held in RAM or memmapped from disk.
 
-The in-memory :class:`~repro.data.interactions.SequenceCorpus` holds every
-interaction as nested Python tuples — fine at Table II scale, linear RSS at
-10M+ interactions.  This module stores the same data column-wise on disk
-and streams it:
+The paper's data model (§II-A) is one chronological sequence of baskets
+per user.  This module stores it column-wise, once, whatever the scale:
 
-* **Layout** — a directory of npy shards plus a versioned ``header.json``
-  (written through :func:`repro.io.write_json_header`).  Shard ``k`` holds
-  six columns, all loaded with ``np.load(mmap_mode="r")``:
+* **Layout** — shard ``k`` holds six columns:
 
-  ========================  =======  ====================================
-  file                      dtype    contents
-  ========================  =======  ====================================
-  ``shard-K.user.npy``      int64    user id of each event          (E,)
-  ``shard-K.item.npy``      int32    item id of each event          (E,)
-  ``shard-K.ts.npy``        int32    basket index within the user   (E,)
-  ``shard-K.offsets.npy``   int64    per-user event offsets         (U+1,)
-  ``shard-K.boffsets.npy``  int64    per-basket event offsets       (B+1,)
-  ``shard-K.uboffsets.npy`` int64    per-user basket offsets        (U+1,)
-  ========================  =======  ====================================
+  ===============  =======  ===========================================
+  column           dtype    contents
+  ===============  =======  ===========================================
+  ``user``         int64    user id of each event                  (E,)
+  ``item``         int32    item id of each event                  (E,)
+  ``ts``           int32    basket index within the user           (E,)
+  ``offsets``      int64    per-user event offsets                 (U+1,)
+  ``boffsets``     int64    per-basket event offsets               (B+1,)
+  ``uboffsets``    int64    per-user basket offsets                (U+1,)
+  ===============  =======  ===========================================
 
   Events are grouped by user (user ids strictly increasing across the
-  log, so a user never spans shards) and ordered by basket; consecutive
+  store, so a user never spans shards) and ordered by basket; consecutive
   events with equal ``ts`` form one basket.  The three offset indices
-  make every per-user / per-basket access a pair of O(1) memmap reads —
-  no scan, no ``np.diff`` over event columns.
+  make every per-user / per-basket access a pair of O(1) reads — no
+  scan, no ``np.diff`` over event columns.
+
+* **Storage** — an :class:`EventLogStore` holds either one shard of
+  plain arrays in RAM (``SequenceCorpus(num_items, sequences)``) or a
+  directory of ``shard-K.<column>.npy`` files plus a versioned
+  ``header.json`` (written through :func:`repro.io.write_json_header`),
+  opened with ``np.load(mmap_mode="r")`` by :func:`open_eventlog`.  Both
+  are built by the same checks (:func:`_check_users`: strictly
+  increasing user ids, items in ``[1, num_items]``, non-empty baskets,
+  dense ``ts``) and the same packing (:func:`_pack_shard`).
 
 * **Writer** — :class:`EventLogWriter` buffers at most one shard of
   columns, so writing an arbitrarily large log needs memory proportional
   to ``shard_events``, not the corpus.
 
-* **Views** — :class:`EventLogCorpus` duck-types ``SequenceCorpus``
-  (statistics, iteration, splits); :func:`~repro.data.interactions.
-  leave_one_out_split` and :func:`~repro.data.interactions.
-  training_prefixes` dispatch to :meth:`EventLogCorpus.streaming_split` /
-  :meth:`EventLogCorpus.prefix_samples`, and
-  :func:`~repro.data.batching.iterate_batches` calls
-  :meth:`PrefixSampleView.gather_batch` to assemble ``PaddedBatch``es
-  directly from the memmaps — trainers, eval and the online trainer run
-  unchanged on either backend.
+* **Corpus** — :class:`SequenceCorpus` is the one corpus class: a view
+  of a store that may hide each user's last baskets (the training side
+  of :func:`~repro.data.interactions.leave_one_out_split`).  Its splits
+  and training prefixes are the lazy :class:`EvalSampleView` and
+  :class:`PrefixSampleView`; :func:`~repro.data.batching.iterate_batches`
+  assembles training batches with :meth:`PrefixSampleView.gather_batch`.
+  Behaviour does not depend on where the columns live.
 
 * **Generation** — :func:`generate_eventlog` fans
-  ``BehaviorSimulator._simulate_user`` over ``repro.parallel`` with
-  per-user ``SeedSequence`` streams (see
-  :meth:`~repro.data.synthetic.BehaviorSimulator.user_rng`), so serial
-  and parallel runs produce byte-identical shards at any worker count.
+  ``BehaviorSimulator._simulate_user`` over one ``repro.parallel`` call.
+  Each task writes its own shard from per-user ``SeedSequence`` streams
+  (see :meth:`~repro.data.synthetic.BehaviorSimulator.user_rng`), so any
+  worker count produces byte-identical shards.
 
 Memmap hygiene: never call ``np.asarray``/``np.array`` on a whole column
 (gradlint GL008) — it silently materializes the file and re-inflates RSS.
@@ -57,18 +60,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import pathlib
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from .batching import PaddedBatch, _exclusive_cumsum, _segmented_arange
-from .interactions import PAD_ITEM, EvalSample, Split, UserSequence
-from .synthetic import BehaviorSimulator, SimulatorConfig
+from .interactions import PAD_ITEM, EvalSample, UserSequence
+from .synthetic import BehaviorSimulator, SimulatorConfig, SyntheticDataset
 
 __all__ = [
     "EVENTLOG_FORMAT", "EVENTLOG_VERSION", "EventLogWriter", "EventLogStore",
-    "EventLogCorpus", "EventLogDataset", "EvalSampleView", "PrefixSampleView",
+    "SequenceCorpus", "EvalSampleView", "PrefixSampleView",
     "generate_eventlog", "load_eventlog_dataset", "open_eventlog",
 ]
 
@@ -88,17 +91,135 @@ def _shard_file(k: int, column: str) -> str:
 
 
 # ======================================================================
+# Checks and packing: every store is built through these
+# ======================================================================
+def _event_columns(users: Sequence[Sequence[Sequence[int]]]
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten each user's baskets into ``(items, ts, events per user)``."""
+    basket_counts = np.fromiter((len(u) for u in users), dtype=np.int64,
+                                count=len(users))
+    widths = np.fromiter((len(b) for u in users for b in u), dtype=np.int64,
+                         count=int(basket_counts.sum()))
+    if widths.size and widths.min() == 0:
+        raise ValueError("baskets must be non-empty")
+    items = np.fromiter((i for u in users for b in u for i in b),
+                        dtype=np.int64, count=int(widths.sum()))
+    ts = np.repeat(_segmented_arange(basket_counts), widths).astype(np.int32)
+    event_cum = _exclusive_cumsum(widths)
+    basket_cum = _exclusive_cumsum(basket_counts)
+    return items, ts, event_cum[basket_cum[1:]] - event_cum[basket_cum[:-1]]
+
+
+def _check_users(num_items: int, uids: np.ndarray, items: np.ndarray,
+                 ts: np.ndarray, event_counts: np.ndarray,
+                 after: int = -1) -> None:
+    """Refuse columns that break the layout, naming what is wrong.
+
+    User ids must strictly increase from above ``after``, every user needs
+    an event, items lie in ``[1, num_items]``, and each user's ``ts``
+    starts at 0 and grows by 0 or 1 per event (so no basket is empty).
+    """
+    if items.shape != ts.shape or items.ndim != 1:
+        raise ValueError("items/ts must be equal-length 1-D columns")
+    previous = np.concatenate([[after], uids[:-1]]).astype(np.int64)
+    unordered = np.flatnonzero(uids <= previous)
+    if unordered.size:
+        i = int(unordered[0])
+        raise ValueError(f"user ids must be strictly increasing (got "
+                         f"{int(uids[i])} after {int(previous[i])})")
+    empty = np.flatnonzero(event_counts == 0)
+    if empty.size:
+        raise ValueError(f"user {int(uids[empty[0]])} has no events")
+    if items.size and (int(items.min()) <= PAD_ITEM
+                       or int(items.max()) > num_items):
+        raise ValueError(f"item ids must lie in [1, {num_items}]")
+    starts = _exclusive_cumsum(event_counts)[:-1]
+    if ts[starts].any():
+        raise ValueError("ts must start at basket index 0")
+    steps = np.diff(ts.astype(np.int64))
+    steps[starts[1:] - 1] = 0        # each user restarts at basket 0
+    if steps.size and (int(steps.min()) < 0 or int(steps.max()) > 1):
+        raise ValueError("ts must be dense basket indices "
+                         "(consecutive events differ by 0 or 1)")
+
+
+def _pack_shard(uids: np.ndarray, items: np.ndarray, ts: np.ndarray,
+                event_counts: np.ndarray
+                ) -> Tuple[Dict[str, np.ndarray], Dict]:
+    """Checked users' events as one shard: its six columns and header record."""
+    ts = ts.astype(np.int32, copy=False)
+    offsets = _exclusive_cumsum(event_counts)
+    new_basket = np.ones(ts.size, dtype=bool)
+    new_basket[1:] = ts[1:] != ts[:-1]
+    new_basket[offsets[:-1]] = True
+    basket_counts = ts[offsets[1:] - 1].astype(np.int64) + 1
+    columns = {
+        "user": np.repeat(uids.astype(np.int64), event_counts),
+        "item": items.astype(np.int32),
+        "ts": ts,
+        "offsets": offsets,
+        "boffsets": np.append(np.flatnonzero(new_basket),
+                              ts.size).astype(np.int64),
+        "uboffsets": _exclusive_cumsum(basket_counts),
+    }
+    record = {
+        "events": int(ts.size),
+        "users": int(uids.size),
+        "baskets": int(basket_counts.sum()),
+        "user_start": int(uids[0]),
+        "user_stop": int(uids[-1]) + 1,
+    }
+    return columns, record
+
+
+def _save_shard(path: pathlib.Path, k: int, uids: np.ndarray,
+                items: np.ndarray, ts: np.ndarray,
+                event_counts: np.ndarray) -> Dict:
+    """Pack checked users as shard ``k`` of ``path``; its header record."""
+    columns, record = _pack_shard(uids, items, ts, event_counts)
+    for name, column in columns.items():
+        np.save(path / _shard_file(k, name), column)
+    return record
+
+
+def _new_log_dir(path: PathLike) -> pathlib.Path:
+    path = pathlib.Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    if (path / "header.json").exists():
+        raise FileExistsError(
+            f"{path} already contains an event log; refusing to "
+            f"overwrite (delete the directory to regenerate)")
+    return path
+
+
+def _write_header(path: pathlib.Path, num_items: int, shards: List[Dict],
+                  meta: Dict) -> None:
+    """Write ``header.json`` last and atomically: the log's commit point."""
+    payload = {
+        "num_items": num_items,
+        "num_users": sum(s["users"] for s in shards),
+        "num_events": sum(s["events"] for s in shards),
+        "num_baskets": sum(s["baskets"] for s in shards),
+        "num_shards": len(shards),
+        "columns": dict(_COLUMN_DTYPES),
+        "shards": shards,
+        "meta": meta,
+    }
+    from ..io import write_json_header
+    write_json_header(path / "header.json", EVENTLOG_FORMAT,
+                      EVENTLOG_VERSION, payload)
+
+
+# ======================================================================
 # Writer
 # ======================================================================
 class EventLogWriter:
-    """Streams (user, baskets) records into columnar shards.
+    """Streams (user, baskets) records into columnar shards on disk.
 
     Memory is bounded by one shard: buffers flush to disk whenever the
     buffered event count reaches ``shard_events`` (always at a user
     boundary).  Pass ``shard_events=None`` to disable the automatic
-    flush and cut shards manually with :meth:`flush` — the generator
-    does this so shard boundaries are fixed user ranges, independent of
-    realized sequence lengths and of the worker count.
+    flush and cut shards manually with :meth:`flush`.
     """
 
     def __init__(self, path: PathLike, num_items: int,
@@ -108,43 +229,26 @@ class EventLogWriter:
             raise ValueError("num_items must be positive")
         if shard_events is not None and shard_events < 1:
             raise ValueError("shard_events must be positive or None")
-        self.path = pathlib.Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-        if (self.path / "header.json").exists():
-            raise FileExistsError(
-                f"{self.path} already contains an event log; refusing to "
-                f"overwrite (delete the directory to regenerate)")
+        self.path = _new_log_dir(path)
         self.num_items = int(num_items)
         self.shard_events = shard_events
         self.meta = dict(meta or {})
         self._shards: List[Dict] = []
         self._closed = False
         self._last_user = -1
-        self._num_users = 0
-        self._num_events = 0
-        self._num_baskets = 0
         self._reset_buffers()
 
     def _reset_buffers(self) -> None:
         self._buf_uids: List[int] = []
         self._buf_items: List[np.ndarray] = []
         self._buf_ts: List[np.ndarray] = []
-        self._buf_widths: List[np.ndarray] = []
-        self._buf_event_counts: List[int] = []
-        self._buf_basket_counts: List[int] = []
         self._buf_events = 0
 
     # ------------------------------------------------------------------
     def add_user(self, user_id: int,
                  baskets: Sequence[Sequence[int]]) -> None:
         """Append one user's chronological baskets (Python-object path)."""
-        widths = np.fromiter((len(b) for b in baskets), dtype=np.int64,
-                             count=len(baskets))
-        if len(widths) and widths.min() == 0:
-            raise ValueError("baskets must be non-empty")
-        items = np.fromiter((i for b in baskets for i in b), dtype=np.int32,
-                            count=int(widths.sum()))
-        ts = np.repeat(np.arange(len(baskets), dtype=np.int32), widths)
+        items, ts, _ = _event_columns([baskets])
         self.add_user_columns(user_id, items, ts)
 
     def add_user_columns(self, user_id: int, items: np.ndarray,
@@ -158,37 +262,14 @@ class EventLogWriter:
         if self._closed:
             raise ValueError("writer is closed")
         user_id = int(user_id)
-        if user_id <= self._last_user:
-            raise ValueError(
-                f"user ids must be strictly increasing (got {user_id} "
-                f"after {self._last_user})")
-        items = items.astype(np.int32, copy=False)
-        ts = ts.astype(np.int32, copy=False)
-        if items.shape != ts.shape or items.ndim != 1 or items.size == 0:
-            raise ValueError("items/ts must be equal-length non-empty 1-D")
-        if int(items.min()) <= PAD_ITEM or int(items.max()) > self.num_items:
-            raise ValueError(
-                f"item ids must lie in [1, {self.num_items}]")
-        if int(ts[0]) != 0:
-            raise ValueError("ts must start at basket index 0")
-        steps = np.diff(ts)
-        if steps.size and (int(steps.min()) < 0 or int(steps.max()) > 1):
-            raise ValueError("ts must be dense basket indices "
-                             "(consecutive events differ by 0 or 1)")
-        num_baskets = int(ts[-1]) + 1
-        widths = np.bincount(ts, minlength=num_baskets).astype(np.int64)
-
+        _check_users(self.num_items, np.array([user_id], dtype=np.int64),
+                     items, ts, np.array([items.size], dtype=np.int64),
+                     after=self._last_user)
         self._buf_uids.append(user_id)
         self._buf_items.append(items)
         self._buf_ts.append(ts)
-        self._buf_widths.append(widths)
-        self._buf_event_counts.append(items.size)
-        self._buf_basket_counts.append(num_baskets)
         self._buf_events += items.size
         self._last_user = user_id
-        self._num_users += 1
-        self._num_events += items.size
-        self._num_baskets += num_baskets
         if self.shard_events is not None and self._buf_events >= self.shard_events:
             self.flush()
 
@@ -197,51 +278,22 @@ class EventLogWriter:
         """Write buffered users as the next shard (no-op when empty)."""
         if not self._buf_uids:
             return
-        k = len(self._shards)
-        uids = np.array(self._buf_uids, dtype=np.int64)
-        event_counts = np.array(self._buf_event_counts, dtype=np.int64)
-        basket_counts = np.array(self._buf_basket_counts, dtype=np.int64)
-        user_col = np.repeat(uids, event_counts)
-        item_col = np.concatenate(self._buf_items)
-        ts_col = np.concatenate(self._buf_ts)
-        offsets = _exclusive_cumsum(event_counts)
-        boffsets = _exclusive_cumsum(np.concatenate(self._buf_widths))
-        uboffsets = _exclusive_cumsum(basket_counts)
-        for name, col in (("user", user_col), ("item", item_col),
-                          ("ts", ts_col), ("offsets", offsets),
-                          ("boffsets", boffsets), ("uboffsets", uboffsets)):
-            np.save(self.path / _shard_file(k, name), col)
-        self._shards.append({
-            "events": int(event_counts.sum()),
-            "users": int(len(uids)),
-            "baskets": int(basket_counts.sum()),
-            "user_start": int(uids[0]),
-            "user_stop": int(uids[-1]) + 1,
-        })
+        self._shards.append(_save_shard(
+            self.path, len(self._shards),
+            np.array(self._buf_uids, dtype=np.int64),
+            np.concatenate(self._buf_items), np.concatenate(self._buf_ts),
+            np.array([len(i) for i in self._buf_items], dtype=np.int64)))
         self._reset_buffers()
 
     def close(self) -> "EventLogStore":
         """Flush the tail shard, write the header, return a reader."""
-        if self._closed:
-            return EventLogStore(self.path)
-        self.flush()
-        if not self._shards:
-            raise ValueError("cannot close an event log with zero events")
-        payload = {
-            "num_items": self.num_items,
-            "num_users": self._num_users,
-            "num_events": self._num_events,
-            "num_baskets": self._num_baskets,
-            "num_shards": len(self._shards),
-            "columns": dict(_COLUMN_DTYPES),
-            "shards": self._shards,
-            "meta": self.meta,
-        }
-        from ..io import write_json_header
-        write_json_header(self.path / "header.json", EVENTLOG_FORMAT,
-                          EVENTLOG_VERSION, payload)
-        self._closed = True
-        return EventLogStore(self.path)
+        if not self._closed:
+            self.flush()
+            if not self._shards:
+                raise ValueError("cannot close an event log with zero events")
+            _write_header(self.path, self.num_items, self._shards, self.meta)
+            self._closed = True
+        return open_eventlog(self.path)
 
     def __enter__(self) -> "EventLogWriter":
         return self
@@ -252,39 +304,40 @@ class EventLogWriter:
 
 
 # ======================================================================
-# Store (reader)
+# Store
 # ======================================================================
 class EventLogStore:
-    """Read side of a columnar event log: lazily memmapped shards.
+    """The columns of each shard, memmapped from disk or held in RAM.
 
-    Opening a store reads only ``header.json``; columns fault in on
-    first touch and stay evictable (``mmap_mode="r"``).
+    ``path`` is the log directory, whose columns fault in on first touch
+    and stay evictable (``mmap_mode="r"``); an in-RAM store has no path
+    and is given all its ``columns`` up front.
     """
 
-    def __init__(self, path: PathLike) -> None:
-        self.path = pathlib.Path(path)
-        from ..io import read_json_header
-        header = read_json_header(self.path / "header.json",
-                                  EVENTLOG_FORMAT, EVENTLOG_VERSION)
-        self.num_items = int(header["num_items"])
-        self.num_users = int(header["num_users"])
-        self.num_events = int(header["num_events"])
-        self.num_baskets = int(header["num_baskets"])
-        self.shards: List[Dict] = list(header["shards"])
-        self.meta: Dict = dict(header.get("meta") or {})
+    def __init__(self, num_items: int, shards: List[Dict], *,
+                 path: Optional[PathLike] = None,
+                 columns: Optional[Dict[Tuple[int, str], np.ndarray]] = None,
+                 meta: Optional[Dict] = None) -> None:
+        self.path = None if path is None else pathlib.Path(path)
+        self.num_items = int(num_items)
+        self.shards: List[Dict] = list(shards)
+        self.meta: Dict = dict(meta or {})
         self.num_shards = len(self.shards)
+        self.num_users = sum(int(s["users"]) for s in self.shards)
+        self.num_events = sum(int(s["events"]) for s in self.shards)
+        self.num_baskets = sum(int(s["baskets"]) for s in self.shards)
         self._user_cum = _exclusive_cumsum(
             np.array([s["users"] for s in self.shards], dtype=np.int64))
-        self._columns: Dict[Tuple[int, str], np.ndarray] = {}
+        self._columns: Dict[Tuple[int, str], np.ndarray] = dict(columns or {})
         self._uids: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def column(self, k: int, name: str) -> np.ndarray:
-        """Shard ``k``'s column ``name`` as a read-only memmap (cached)."""
+        """Shard ``k``'s column ``name`` (a read-only memmap on disk)."""
         key = (k, name)
         if key not in self._columns:
-            if name not in _COLUMN_DTYPES:
-                raise KeyError(f"unknown column {name!r}")
+            if name not in _COLUMN_DTYPES or self.path is None:
+                raise KeyError(f"no column {name!r} in shard {k}")
             self._columns[key] = np.load(self.path / _shard_file(k, name),
                                          mmap_mode="r")
         return self._columns[key]
@@ -297,19 +350,22 @@ class EventLogStore:
         return self._uids[k]
 
     def locate(self, gids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Global user index -> (shard index, local user index), vectorized."""
+        """Global user index -> (shard index, local user index); takes an
+        index array or a single index."""
         k = np.searchsorted(self._user_cum, gids, side="right") - 1
         return k, gids - self._user_cum[k]
 
-    def user_events(self, gid: int) -> Tuple[int, np.ndarray, np.ndarray]:
-        """One user's ``(user_id, items, ts)`` as memmap slices."""
-        k, u = self.locate(np.array([gid], dtype=np.int64))
-        k, u = int(k[0]), int(u[0])
-        offsets = self.column(k, "offsets")
-        start, stop = int(offsets[u]), int(offsets[u + 1])
-        return (int(self.user_ids(k)[u]),
-                self.column(k, "item")[start:stop],
-                self.column(k, "ts")[start:stop])
+    def user_baskets(self, gid: int, keep: int
+                     ) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+        """Global user ``gid``'s id and first ``keep`` baskets as tuples."""
+        k, u = map(int, self.locate(gid))
+        first = int(self.column(k, "uboffsets")[u])
+        bounds = self.column(k, "boffsets")[first:first + keep + 1].tolist()
+        start = bounds[0]
+        values = self.column(k, "item")[start:bounds[-1]].tolist()
+        return int(self.user_ids(k)[u]), tuple(
+            tuple(values[a - start:b - start])
+            for a, b in zip(bounds, bounds[1:]))
 
     def iter_users(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
         """Yield ``(user_id, items, ts)`` per user, one shard at a time."""
@@ -323,25 +379,14 @@ class EventLogStore:
                 yield int(uids[u]), items[start:stop], ts[start:stop]
 
     # ------------------------------------------------------------------
-    def features(self) -> Optional[np.ndarray]:
-        """Item raw features, when generated with them (else ``None``)."""
-        path = self.path / "features.npy"
-        return np.load(path) if path.exists() else None
-
-    def truth(self) -> Optional[Dict[str, np.ndarray]]:
-        """Ground-truth causal annotations, when present."""
-        path = self.path / "truth.npz"
-        if not path.exists():
-            return None
-        with np.load(path) as archive:
-            return {name: archive[name] for name in archive.files}
-
     def checksum(self) -> str:
         """SHA-256 over every shard file's bytes, in shard/column order.
 
-        Serial and shard-parallel generation of the same config must
-        produce equal checksums — the bit-identity contract.
+        Generation at any worker count must produce equal checksums —
+        the bit-identity contract.
         """
+        if self.path is None:
+            raise ValueError("an in-RAM store has no shard files")
         digest = hashlib.sha256()
         for k in range(self.num_shards):
             for name in sorted(_COLUMN_DTYPES):
@@ -350,61 +395,82 @@ class EventLogStore:
                         digest.update(chunk)
         return digest.hexdigest()
 
-    def corpus(self) -> "EventLogCorpus":
-        return EventLogCorpus(self)
+    def corpus(self) -> "SequenceCorpus":
+        return SequenceCorpus.from_store(self)
 
 
 def open_eventlog(path: PathLike) -> EventLogStore:
-    """Open an existing on-disk event log."""
-    return EventLogStore(path)
+    """Open an on-disk event log; only ``header.json`` is read."""
+    from ..io import read_json_header
+    path = pathlib.Path(path)
+    header = read_json_header(path / "header.json", EVENTLOG_FORMAT,
+                              EVENTLOG_VERSION)
+    return EventLogStore(header["num_items"], header["shards"], path=path,
+                         meta=header.get("meta"))
+
+
+def _memory_store(num_items: int,
+                  sequences: Iterable[UserSequence]) -> EventLogStore:
+    """Pack user sequences into one in-RAM shard (none when empty)."""
+    users = list(sequences)
+    if not users:
+        return EventLogStore(num_items, [])
+    uids = np.fromiter((u.user_id for u in users), dtype=np.int64,
+                       count=len(users))
+    items, ts, event_counts = _event_columns([u.baskets for u in users])
+    _check_users(num_items, uids, items, ts, event_counts)
+    columns, record = _pack_shard(uids, items, ts, event_counts)
+    return EventLogStore(num_items, [record], columns={
+        (0, name): column for name, column in columns.items()})
 
 
 # ======================================================================
-# Corpus view (duck-types SequenceCorpus)
+# Corpus
 # ======================================================================
-class EventLogCorpus:
-    """A streaming corpus over an :class:`EventLogStore`.
+class SequenceCorpus:
+    """Every user's chronological baskets over a shared item vocabulary.
 
-    ``holdout > 0`` hides the last ``holdout`` baskets of every user
-    with at least ``min_length`` baskets — exactly the users
-    :func:`~repro.data.interactions.leave_one_out_split` trims — without
-    rewriting any data.  All statistics and views honor the holdout.
+    ``SequenceCorpus(num_items, sequences)`` packs :class:`UserSequence`s
+    into an in-RAM store; :meth:`from_store` views any store, such as an
+    on-disk event log.  Iteration yields one :class:`UserSequence` per
+    user, in user-id order.
 
-    Peak memory is O(num_users) for the offset indices (a few int64 per
-    user), never O(num_events).
+    A corpus may show fewer baskets than its store holds: ``lengths``
+    gives the number of leading baskets visible per user, which is how
+    the training side of a leave-one-out split hides held-out baskets
+    without copying data.  Statistics, iteration and the sample views
+    honour it.  Beyond the store, memory is O(num_users).
     """
 
-    def __init__(self, store: EventLogStore, holdout: int = 0,
-                 min_length: int = 3) -> None:
-        if holdout < 0:
-            raise ValueError("holdout must be non-negative")
+    def __init__(self, num_items: int,
+                 sequences: Iterable[UserSequence] = ()) -> None:
+        self._bind(_memory_store(num_items, sequences), None)
+
+    @classmethod
+    def from_store(cls, store: EventLogStore,
+                   lengths: Optional[np.ndarray] = None) -> "SequenceCorpus":
+        """A corpus over ``store``; ``lengths`` trims each user's baskets."""
+        corpus = cls.__new__(cls)
+        corpus._bind(store, lengths)
+        return corpus
+
+    def _bind(self, store: EventLogStore,
+              lengths: Optional[np.ndarray]) -> None:
         self.store = store
-        self.holdout = int(holdout)
-        self.min_length = int(min_length)
-        self._full_lengths: Optional[np.ndarray] = None
-        self._train_lengths: Optional[np.ndarray] = None
+        self._trimmed = lengths is not None
+        self._lengths = lengths
 
     # -- lengths ---------------------------------------------------------
-    def full_lengths(self) -> np.ndarray:
-        """Basket count per user before any holdout (global, O(U))."""
-        if self._full_lengths is None:
+    def lengths(self) -> np.ndarray:
+        """Visible basket count per user, in user-id order (O(U))."""
+        if self._lengths is None:
             parts = [np.diff(self.store.column(k, "uboffsets"))
                      for k in range(self.store.num_shards)]
-            self._full_lengths = np.concatenate(parts).astype(np.int64)
-        return self._full_lengths
+            self._lengths = (np.concatenate(parts).astype(np.int64)
+                             if parts else np.zeros(0, dtype=np.int64))
+        return self._lengths
 
-    def lengths(self) -> np.ndarray:
-        """Basket count per user after the holdout."""
-        if self._train_lengths is None:
-            full = self.full_lengths()
-            if self.holdout == 0:
-                self._train_lengths = full
-            else:
-                trimmed = full - self.holdout * (full >= self.min_length)
-                self._train_lengths = np.maximum(trimmed, 0)
-        return self._train_lengths
-
-    # -- SequenceCorpus-compatible statistics ---------------------------
+    # -- statistics (Table II) ------------------------------------------
     @property
     def num_items(self) -> int:
         return self.store.num_items
@@ -415,7 +481,7 @@ class EventLogCorpus:
 
     @property
     def num_interactions(self) -> int:
-        if self.holdout == 0:
+        if not self._trimmed:
             return self.store.num_events
         total = 0
         cum = self.store._user_cum
@@ -435,6 +501,7 @@ class EventLogCorpus:
 
     @property
     def sparsity(self) -> float:
+        """1 - |interactions| / (|users| * |items|), the Table II definition."""
         if self.num_users == 0 or self.num_items == 0:
             return 1.0
         return 1.0 - self.num_interactions / (self.num_users * self.num_items)
@@ -443,13 +510,13 @@ class EventLogCorpus:
         return self.lengths().copy()
 
     def item_popularity(self) -> np.ndarray:
-        """Interaction count per item, streamed shard-by-shard."""
+        """Interaction count per item (index 0 unused), shard by shard."""
         counts = np.zeros(self.num_items + 1, dtype=np.int64)
         cum = self.store._user_cum
         lengths = self.lengths()
         for k in range(self.store.num_shards):
             items = self.store.column(k, "item")
-            if self.holdout == 0:
+            if not self._trimmed:
                 # Chunked bincount: each slice copies at most one chunk.
                 for start in range(0, items.shape[0], 1 << 20):
                     chunk = items[start:start + (1 << 20)]
@@ -459,77 +526,41 @@ class EventLogCorpus:
                 ts = self.store.column(k, "ts")
                 offsets = self.store.column(k, "offsets")
                 local = lengths[cum[k]:cum[k + 1]]
-                per_user_events = np.diff(offsets)
-                limit = np.repeat(local, per_user_events)
+                limit = np.repeat(local, np.diff(offsets))
                 keep = ts[:] < limit
                 counts += np.bincount(items[:][keep],
                                       minlength=self.num_items + 1)
         return counts
 
-    # -- iteration (compatibility path; O(1) memory per user) -----------
+    # -- iteration (O(1) memory per user) -------------------------------
     def __len__(self) -> int:
         return self.num_users
 
     def __iter__(self) -> Iterator[UserSequence]:
-        lengths = self.lengths()
-        for gid, (uid, items, ts) in enumerate(self.store.iter_users()):
-            keep = int(lengths[gid])
-            baskets = _baskets_from_columns(items, ts, keep)
-            if baskets:
-                yield UserSequence(user_id=uid, baskets=baskets)
-
-    # -- streaming splits and samples -----------------------------------
-    def streaming_split(self, min_length: int = 3) -> Split:
-        """Leave-one-out split without materializing anything.
-
-        Mirrors :func:`~repro.data.interactions.leave_one_out_split`:
-        last basket of every eligible user -> test, second-last ->
-        validation, both removed from the training view.
-        """
-        if self.holdout:
-            raise ValueError("cannot re-split a corpus that already holds "
-                             "out baskets")
-        train = EventLogCorpus(self.store, holdout=2, min_length=min_length)
-        return Split(
-            train=train,
-            validation=EvalSampleView(self, "validation", min_length),
-            test=EvalSampleView(self, "test", min_length),
-        )
-
-    def prefix_samples(self, max_history: Optional[int] = None
-                       ) -> "PrefixSampleView":
-        """Lazy (history, next-basket) training samples over this view."""
-        return PrefixSampleView(self, max_history=max_history)
-
-
-def _baskets_from_columns(items: np.ndarray, ts: np.ndarray,
-                          keep: int) -> Tuple[Tuple[int, ...], ...]:
-    """First ``keep`` baskets of one user's columns, as nested tuples."""
-    if keep <= 0:
-        return ()
-    stop = int(np.searchsorted(ts, keep, side="left"))
-    items = items[:stop]
-    ts = ts[:stop]
-    bounds = np.flatnonzero(np.diff(ts)) + 1
-    return tuple(tuple(int(i) for i in part)
-                 for part in np.split(items, bounds))
+        for gid, keep in enumerate(self.lengths().tolist()):
+            uid, baskets = self.store.user_baskets(gid, keep)
+            yield UserSequence(user_id=uid, baskets=baskets)
 
 
 # ======================================================================
 # Lazy sample views
 # ======================================================================
 class EvalSampleView:
-    """Lazy sequence of held-out :class:`EvalSample`s (validation/test)."""
+    """Lazy sequence of held-out :class:`EvalSample`s (validation/test).
 
-    def __init__(self, corpus: EventLogCorpus, kind: str,
+    Covers the users of ``corpus`` with at least ``min_length`` visible
+    baskets, in user-id order: ``test`` targets each one's last visible
+    basket, ``validation`` the one before.
+    """
+
+    def __init__(self, corpus: SequenceCorpus, kind: str,
                  min_length: int = 3) -> None:
         if kind not in ("validation", "test"):
             raise ValueError("kind must be 'validation' or 'test'")
         self.corpus = corpus
         self.kind = kind
         self.min_length = int(min_length)
-        lengths = corpus.full_lengths()
-        self._gids = np.flatnonzero(lengths >= self.min_length)
+        self._gids = np.flatnonzero(corpus.lengths() >= self.min_length)
 
     def __len__(self) -> int:
         return int(self._gids.size)
@@ -543,8 +574,8 @@ class EvalSampleView:
         if not 0 <= index < len(self):
             raise IndexError(index)
         gid = int(self._gids[index])
-        uid, items, ts = self.corpus.store.user_events(gid)
-        baskets = _baskets_from_columns(items, ts, int(ts[-1]) + 1)
+        uid, baskets = self.corpus.store.user_baskets(
+            gid, int(self.corpus.lengths()[gid]))
         cut = -1 if self.kind == "test" else -2
         return EvalSample(user_id=uid, history=baskets[:cut],
                           target=baskets[cut])
@@ -557,18 +588,17 @@ class EvalSampleView:
 class PrefixSampleView:
     """Lazy training-prefix samples with a vectorized batch gather.
 
-    Sample order is exactly
-    ``training_prefixes(leave_one_out_split(corpus).train)``: users in id
-    order, step ``j`` ascending — so shuffled epochs (driven by the same
-    RNG) visit identical samples on both backends.
+    Sample order: users in id order, step ``j`` ascending, so shuffled
+    epochs driven by the same RNG visit the same samples wherever the
+    columns live.
 
-    ``__getitem__`` builds one :class:`EvalSample` from memmap slices;
+    ``__getitem__`` builds one :class:`EvalSample` from column slices;
     :meth:`gather_batch` assembles a whole :class:`PaddedBatch` in a
     handful of vectorized gathers and is the path
     :func:`~repro.data.batching.iterate_batches` uses.
     """
 
-    def __init__(self, corpus: EventLogCorpus,
+    def __init__(self, corpus: SequenceCorpus,
                  max_history: Optional[int] = None) -> None:
         self.corpus = corpus
         self.max_history = max_history
@@ -599,8 +629,8 @@ class PrefixSampleView:
             raise IndexError(index)
         idx = np.array([index], dtype=np.int64)
         gids, j0, j = self._locate(idx)
-        uid, items, ts = self.corpus.store.user_events(int(gids[0]))
-        baskets = _baskets_from_columns(items, ts, int(j[0]) + 1)
+        uid, baskets = self.corpus.store.user_baskets(int(gids[0]),
+                                                      int(j[0]) + 1)
         return EvalSample(user_id=uid,
                           history=baskets[int(j0[0]):int(j[0])],
                           target=baskets[int(j[0])])
@@ -614,12 +644,12 @@ class PrefixSampleView:
                      max_history: Optional[int] = None) -> PaddedBatch:
         """Assemble ``pad_samples([self[i] for i in indices])`` directly.
 
-        Bit-identical to the in-memory path (same dtypes, same padding
-        geometry) but built from a constant number of numpy operations
-        per shard touched: basket offsets are looked up through the
-        on-disk index, events arrive via one fancy-indexed gather per
-        shard, and values scatter into the padded arrays in one
-        assignment.
+        Bit-identical to :func:`~repro.data.batching.pad_samples` (same
+        dtypes, same padding geometry) but built from a constant number
+        of numpy operations per shard touched: basket offsets are looked
+        up through the offset indices, events arrive via one
+        fancy-indexed gather per shard, and values scatter into the
+        padded arrays in one assignment.
         """
         idx = np.array(indices, dtype=np.int64)
         if idx.size == 0:
@@ -693,42 +723,23 @@ class PrefixSampleView:
 # ======================================================================
 # Shard-parallel synthetic generation
 # ======================================================================
-def _simulate_shard(spec: Tuple[BehaviorSimulator, int, int]
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate a contiguous user range into concatenated columns.
+def _simulate_shard(spec: Tuple[BehaviorSimulator, pathlib.Path, int,
+                                int, int]) -> Dict:
+    """Simulate a contiguous user range and write it as shard ``k``.
 
     Every user draws from its own keyed stream
-    (:meth:`BehaviorSimulator.user_rng`), so the output depends only on
-    ``(config, user range)`` — not on which process runs it.  Module-level
-    so it pickles by qualified name under every start method.
+    (:meth:`BehaviorSimulator.user_rng`), so the shard's bytes depend
+    only on ``(config, user range)`` — not on which process runs it, nor
+    when.  Returns the shard's header record.  Module-level so it
+    pickles by qualified name under every start method.
     """
-    sim, user_start, user_stop = spec
-    items_parts: List[np.ndarray] = []
-    ts_parts: List[np.ndarray] = []
-    event_counts = np.zeros(user_stop - user_start, dtype=np.int64)
-    for offset, user_id in enumerate(range(user_start, user_stop)):
-        baskets, _causes = sim._simulate_user(sim.user_rng(user_id))
-        widths = np.fromiter((len(b) for b in baskets), dtype=np.int64,
-                             count=len(baskets))
-        flat = np.fromiter((i for b in baskets for i in b), dtype=np.int32,
-                           count=int(widths.sum()))
-        items_parts.append(flat)
-        ts_parts.append(np.repeat(np.arange(len(baskets), dtype=np.int32),
-                                  widths))
-        event_counts[offset] = flat.size
-    return (np.concatenate(items_parts), np.concatenate(ts_parts),
-            event_counts)
-
-
-def _write_shard(writer: EventLogWriter, user_start: int,
-                 columns: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-    items, ts, event_counts = columns
-    offsets = _exclusive_cumsum(event_counts)
-    for offset in range(len(event_counts)):
-        start, stop = int(offsets[offset]), int(offsets[offset + 1])
-        writer.add_user_columns(user_start + offset, items[start:stop],
-                                ts[start:stop])
-    writer.flush()
+    sim, path, k, user_start, user_stop = spec
+    users = [sim._simulate_user(sim.user_rng(user_id))[0]
+             for user_id in range(user_start, user_stop)]
+    uids = np.arange(user_start, user_stop, dtype=np.int64)
+    items, ts, event_counts = _event_columns(users)
+    _check_users(sim.config.num_items, uids, items, ts, event_counts)
+    return _save_shard(path, k, uids, items, ts, event_counts)
 
 
 def generate_eventlog(config: SimulatorConfig, path: PathLike, *,
@@ -737,97 +748,66 @@ def generate_eventlog(config: SimulatorConfig, path: PathLike, *,
                       workers: Optional[int] = None) -> EventLogStore:
     """Generate a synthetic corpus straight to a columnar event log.
 
-    Shards are fixed contiguous user ranges (``users_per_shard`` wide);
-    workers simulate ranges with per-user seeded streams and the parent
-    writes shards in order — so any worker count (including the serial
-    in-process path) produces byte-identical files.  Parent memory is
-    bounded by one *wave* of ``workers`` shards, not the corpus.
+    Shards are fixed contiguous user ranges (``users_per_shard`` wide).
+    One ``parallel_map`` call simulates them; each task writes its own
+    shard's files from per-user seeded streams, so any worker count
+    (including the serial in-process path) produces byte-identical
+    files, and the parent holds no shard columns.  The parent then
+    writes the item features, the ground truth and, last, the header.
 
-    The matching in-memory corpus is ``BehaviorSimulator(config,
+    The same corpus in RAM is ``BehaviorSimulator(config,
     name).generate(user_seeds=True)``; per-event cause annotations are
-    not stored at event-log scale (use the in-memory generator for
+    not stored at event-log scale (use the in-RAM generator for
     explanation evaluation).
     """
     config = dataclasses.replace(config)
     sim = BehaviorSimulator(config, name=name)
     if users_per_shard is None:
         users_per_shard = max(1, min(config.num_users, 200_000))
-    ranges = [(start, min(start + users_per_shard, config.num_users))
-              for start in range(0, config.num_users, users_per_shard)]
-    meta = {
+    path = _new_log_dir(path)
+    specs = [(sim, path, k, start, min(start + users_per_shard,
+                                       config.num_users))
+             for k, start in enumerate(range(0, config.num_users,
+                                             users_per_shard))]
+    from ..parallel import parallel_map
+    shards = parallel_map(_simulate_shard, specs, workers=workers,
+                          name="eventlog shard")
+    np.save(path / "features.npy", sim.generate_features(sim.feature_rng()))
+    np.savez(path / "truth.npz", cluster_graph=sim.cluster_graph,
+             cluster_of_item=sim.cluster_of_item)
+    _write_header(path, config.num_items, shards, {
         "name": name,
         "generator": "repro.data.eventlog.generate_eventlog",
         "config": dataclasses.asdict(config),
         "users_per_shard": int(users_per_shard),
-    }
-    writer = EventLogWriter(path, config.num_items, shard_events=None,
-                            meta=meta)
-    from ..parallel import parallel_map, resolve_workers
-    # Waves bound parent memory to ~``workers`` shards of columns.
-    wave_size = resolve_workers(workers, len(ranges))
-    for wave_start in range(0, len(ranges), wave_size):
-        wave = ranges[wave_start:wave_start + wave_size]
-        shards = parallel_map(_simulate_shard,
-                              [(sim, start, stop) for start, stop in wave],
-                              workers=wave_size, name="eventlog shard")
-        for (user_start, _), columns in zip(wave, shards):
-            _write_shard(writer, user_start, columns)
-    np.save(writer.path / "features.npy",
-            sim.generate_features(sim.feature_rng()))
-    np.savez(writer.path / "truth.npz", cluster_graph=sim.cluster_graph,
-             cluster_of_item=sim.cluster_of_item)
-    return writer.close()
+    })
+    return open_eventlog(path)
 
 
-# ======================================================================
-# Dataset adapter (build_model-compatible)
-# ======================================================================
-@dataclass
-class EventLogDataset:
-    """An on-disk dataset exposing the :class:`SyntheticDataset` surface.
+def load_eventlog_dataset(path: PathLike) -> SyntheticDataset:
+    """Open a generated event log as a dataset over its memmapped columns.
 
-    ``corpus`` is an :class:`EventLogCorpus`; ``features`` /
-    ``cluster_of_item`` / ``cluster_graph`` come from the generation
-    sidecars when present, so feature-hungry models (Causer, VTRNN,
-    MMSARec) build unchanged.
+    ``features``, ``cluster_of_item`` and ``cluster_graph`` come from the
+    generation sidecars and stay ``None`` when a log lacks them; an
+    event log stores no per-event cause annotations.
     """
-
-    name: str
-    store: EventLogStore
-    corpus: EventLogCorpus
-    config: Optional[SimulatorConfig] = None
-    features: Optional[np.ndarray] = None
-    cluster_of_item: Optional[np.ndarray] = None
-    cluster_graph: Optional[np.ndarray] = None
-
-    @property
-    def num_items(self) -> int:
-        return self.store.num_items
-
-    @property
-    def num_clusters(self) -> int:
-        if self.cluster_graph is None:
-            raise ValueError(f"{self.name}: no ground-truth cluster graph "
-                             f"stored with this event log")
-        return int(self.cluster_graph.shape[0])
-
-
-def load_eventlog_dataset(path: PathLike) -> EventLogDataset:
-    """Open a generated event log as a dataset adapter."""
-    store = EventLogStore(path)
+    store = open_eventlog(path)
     meta = store.meta
     config = None
     if isinstance(meta.get("config"), dict):
         known = {f.name for f in dataclasses.fields(SimulatorConfig)}
         config = SimulatorConfig(**{k: v for k, v in meta["config"].items()
                                     if k in known})
-    truth = store.truth()
-    return EventLogDataset(
+    features = store.path / "features.npy"
+    truth = {}
+    if (store.path / "truth.npz").exists():
+        with np.load(store.path / "truth.npz") as archive:
+            truth = {key: archive[key] for key in archive.files}
+    return SyntheticDataset(
         name=str(meta.get("name", store.path.name)),
-        store=store,
-        corpus=EventLogCorpus(store),
         config=config,
-        features=store.features(),
-        cluster_of_item=None if truth is None else truth["cluster_of_item"],
-        cluster_graph=None if truth is None else truth["cluster_graph"],
+        corpus=store.corpus(),
+        features=np.load(features) if features.exists() else None,
+        cluster_of_item=truth.get("cluster_of_item"),
+        cluster_graph=truth.get("cluster_graph"),
     )

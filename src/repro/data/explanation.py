@@ -52,7 +52,7 @@ def build_explanation_dataset(dataset: SyntheticDataset,
     """
     rng = rng or np.random.default_rng(0)
     candidates: List[ExplanationSample] = []
-    for seq, causes in zip(dataset.corpus.sequences, dataset.cause_log):
+    for seq, causes in zip(dataset.corpus, dataset.cause_log):
         if seq.length < 3:
             continue
         if singleton_only and any(len(b) != 1 for b in seq.baskets):

@@ -6,15 +6,17 @@ sequential recommendation is the special case of singleton baskets; next-
 basket recommendation allows multi-item steps.
 
 Item ids are 1-based; id 0 is reserved as the padding index everywhere in
-the library.
+the library.  The corpus itself (``SequenceCorpus``) is columnar and lives
+in :mod:`repro.data.eventlog`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    from .eventlog import PrefixSampleView, SequenceCorpus
 
 PAD_ITEM = 0
 
@@ -51,64 +53,6 @@ class UserSequence:
         return [item for basket in self.baskets for item in basket]
 
 
-@dataclass
-class SequenceCorpus:
-    """A collection of user sequences over a shared item vocabulary."""
-
-    num_items: int
-    sequences: List[UserSequence] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        for seq in self.sequences:
-            for item in seq.items():
-                if not 1 <= item <= self.num_items:
-                    raise ValueError(
-                        f"item id {item} outside vocabulary [1, {self.num_items}]")
-
-    # -- basic statistics -------------------------------------------------
-    @property
-    def num_users(self) -> int:
-        return len(self.sequences)
-
-    @property
-    def num_interactions(self) -> int:
-        return sum(seq.num_interactions for seq in self.sequences)
-
-    @property
-    def average_sequence_length(self) -> float:
-        if not self.sequences:
-            return 0.0
-        return float(np.mean([seq.length for seq in self.sequences]))
-
-    @property
-    def sparsity(self) -> float:
-        """1 - |interactions| / (|users| * |items|), the Table II definition."""
-        if not self.sequences or self.num_items == 0:
-            return 1.0
-        return 1.0 - self.num_interactions / (self.num_users * self.num_items)
-
-    def sequence_lengths(self) -> np.ndarray:
-        return np.fromiter((seq.length for seq in self.sequences),
-                           dtype=np.int64, count=len(self.sequences))
-
-    def item_popularity(self) -> np.ndarray:
-        """Interaction count per item, index 0 unused (padding).
-
-        One ``bincount`` over the flattened item stream instead of a
-        per-item Python increment loop.
-        """
-        flat = np.fromiter((item for seq in self.sequences
-                            for basket in seq.baskets for item in basket),
-                           dtype=np.int64)
-        return np.bincount(flat, minlength=self.num_items + 1)
-
-    def __iter__(self) -> Iterator[UserSequence]:
-        return iter(self.sequences)
-
-    def __len__(self) -> int:
-        return len(self.sequences)
-
-
 @dataclass(frozen=True)
 class EvalSample:
     """One evaluation case: a user, their history, and the held-out basket."""
@@ -123,8 +67,8 @@ class Split:
     """Leave-one-out split: train corpus plus validation/test samples."""
 
     train: SequenceCorpus
-    validation: List[EvalSample]
-    test: List[EvalSample]
+    validation: Sequence[EvalSample]
+    test: Sequence[EvalSample]
 
 
 def leave_one_out_split(corpus: SequenceCorpus, min_length: int = 3) -> Split:
@@ -132,52 +76,30 @@ def leave_one_out_split(corpus: SequenceCorpus, min_length: int = 3) -> Split:
 
     Users with fewer than ``min_length`` baskets stay in training unchanged
     (they cannot donate both held-out steps and still leave a history).
+    Nothing is copied: the training corpus views the same store with the
+    two held-out baskets hidden, and validation and test are lazy
+    :class:`~repro.data.eventlog.EvalSampleView` sequences.
     """
     if min_length < 3:
         raise ValueError("min_length below 3 cannot support a two-way holdout")
-    if hasattr(corpus, "streaming_split"):
-        # Out-of-core corpora (repro.data.eventlog) split by view: the
-        # holdout is a per-user length adjustment, not a data copy.
-        return corpus.streaming_split(min_length=min_length)
-    train_sequences: List[UserSequence] = []
-    validation: List[EvalSample] = []
-    test: List[EvalSample] = []
-    for seq in corpus.sequences:
-        if seq.length < min_length:
-            train_sequences.append(seq)
-            continue
-        test.append(EvalSample(user_id=seq.user_id,
-                               history=seq.baskets[:-1],
-                               target=seq.baskets[-1]))
-        validation.append(EvalSample(user_id=seq.user_id,
-                                     history=seq.baskets[:-2],
-                                     target=seq.baskets[-2]))
-        train_sequences.append(UserSequence(user_id=seq.user_id,
-                                            baskets=seq.baskets[:-2]))
-    train = SequenceCorpus(num_items=corpus.num_items, sequences=train_sequences)
-    return Split(train=train, validation=validation, test=test)
+    from .eventlog import EvalSampleView, SequenceCorpus
+    lengths = corpus.lengths()
+    train = SequenceCorpus.from_store(
+        corpus.store, lengths - 2 * (lengths >= min_length))
+    return Split(train=train,
+                 validation=EvalSampleView(corpus, "validation", min_length),
+                 test=EvalSampleView(corpus, "test", min_length))
 
 
 def training_prefixes(corpus: SequenceCorpus, max_history: Optional[int] = None
-                      ) -> List[EvalSample]:
+                      ) -> "PrefixSampleView":
     """Expand each training sequence into (history, next-basket) samples.
 
     This realises the paper's eq. (1) sum over steps ``j``: every step with a
     non-empty history becomes a supervised sample.  ``max_history`` truncates
-    long histories to their most recent steps.
-
-    Out-of-core corpora return a lazy view (same ordering, same samples)
-    instead of a materialized list; downstream code only needs
-    ``len``/``__getitem__``, which both provide.
+    long histories to their most recent steps.  The result is a lazy,
+    indexable :class:`~repro.data.eventlog.PrefixSampleView`: users in id
+    order, step ``j`` ascending.
     """
-    if hasattr(corpus, "prefix_samples"):
-        return corpus.prefix_samples(max_history=max_history)
-    samples: List[EvalSample] = []
-    for seq in corpus.sequences:
-        for j in range(1, seq.length):
-            history = seq.baskets[:j]
-            if max_history is not None and len(history) > max_history:
-                history = history[-max_history:]
-            samples.append(EvalSample(user_id=seq.user_id, history=history,
-                                      target=seq.baskets[j]))
-    return samples
+    from .eventlog import PrefixSampleView
+    return PrefixSampleView(corpus, max_history=max_history)

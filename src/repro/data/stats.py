@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from .interactions import SequenceCorpus
+from .eventlog import SequenceCorpus
 
 
 @dataclass(frozen=True)

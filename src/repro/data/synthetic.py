@@ -45,13 +45,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..causal.sem import random_dag
 from .features import gps_like_features, text_like_features
-from .interactions import SequenceCorpus, UserSequence
+from .interactions import UserSequence
+
+if TYPE_CHECKING:
+    from .eventlog import SequenceCorpus
 
 CauseMap = Dict[int, Tuple[int, ...]]
 
@@ -114,14 +117,20 @@ class SimulatorConfig:
 
 @dataclass
 class SyntheticDataset:
-    """A generated corpus plus all the ground truth behind it."""
+    """A generated corpus plus all the ground truth behind it.
+
+    A dataset loaded from an event log
+    (:func:`~repro.data.eventlog.load_eventlog_dataset`) has no
+    ``cause_log``, and its other ground truth is ``None`` where the log
+    stores none.
+    """
 
     name: str
-    config: SimulatorConfig
+    config: Optional[SimulatorConfig]
     corpus: SequenceCorpus
-    features: np.ndarray                   # (num_items + 1, feature_dim)
-    cluster_of_item: np.ndarray            # (num_items + 1,), entry 0 = -1
-    cluster_graph: np.ndarray              # (K, K) 0/1 ground-truth DAG
+    features: Optional[np.ndarray]         # (num_items + 1, feature_dim)
+    cluster_of_item: Optional[np.ndarray]  # (num_items + 1,), entry 0 = -1
+    cluster_graph: Optional[np.ndarray]    # (K, K) 0/1 ground-truth DAG
     cause_log: List[List[CauseMap]] = field(default_factory=list)
 
     @property
@@ -130,7 +139,10 @@ class SyntheticDataset:
 
     @property
     def num_clusters(self) -> int:
-        return self.cluster_graph.shape[0]
+        if self.cluster_graph is None:
+            raise ValueError(f"{self.name}: no ground-truth cluster graph "
+                             f"stored with this dataset")
+        return int(self.cluster_graph.shape[0])
 
     def item_causal_matrix(self) -> np.ndarray:
         """Ground-truth item-level causal adjacency implied by eq. (9).
@@ -314,9 +326,9 @@ class BehaviorSimulator:
         stream: one generator drives every user in order.  With
         ``user_seeds=True`` each user draws from :meth:`user_rng` and the
         features from :meth:`feature_rng` — the exact draws the event-log
-        generator makes, so the in-memory and out-of-core backends produce
-        identical corpora for equivalence testing.
+        generator makes, so the corpus equals the one it writes to disk.
         """
+        from .eventlog import SequenceCorpus
         cfg = self.config
         sequences: List[UserSequence] = []
         cause_log: List[List[CauseMap]] = []

@@ -84,11 +84,17 @@ def evaluate_rankings(rankings: Sequence[Sequence[int]],
 
 def evaluate_model(model, samples: Sequence[EvalSample], z: int = 5,
                    batch_size: int = 128) -> EvaluationResult:
-    """Evaluate a model implementing ``recommend`` over ``samples``."""
+    """Evaluate a model implementing ``recommend`` over ``samples``.
+
+    Each sample is read from ``samples`` once: a lazy view builds a
+    sample per read, so the chunks are kept and scored, not re-read.
+    """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
     rankings: List[List[int]] = []
+    evaluated: List[EvalSample] = []
     for start in range(0, len(samples), batch_size):
         chunk = list(samples[start:start + batch_size])
         rankings.extend(model.recommend(chunk, z=z))
-    return evaluate_rankings(rankings, samples, z=z)
+        evaluated.extend(chunk)
+    return evaluate_rankings(rankings, evaluated, z=z)

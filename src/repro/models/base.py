@@ -22,9 +22,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..data import EvalSample, SequenceCorpus, training_prefixes
 from ..data.batching import (PaddedBatch, iterate_batches, pad_samples,
                              sample_negatives)
-from ..data.interactions import EvalSample, SequenceCorpus, training_prefixes
 from ..nn import Embedding, Module, Parameter, Tensor, losses, make_optimizer
 
 

@@ -12,7 +12,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..data.interactions import EvalSample, SequenceCorpus
+from ..data import EvalSample, SequenceCorpus
 from ..nn import Embedding, Module, losses, make_optimizer
 from .base import FitResult, Recommender, TrainConfig
 
@@ -36,7 +36,7 @@ class BPR(Recommender, Module):
 
     def _triples(self, corpus: SequenceCorpus) -> np.ndarray:
         pairs = [(seq.user_id, item)
-                 for seq in corpus.sequences for item in seq.items()]
+                 for seq in corpus for item in seq.items()]
         return np.asarray(pairs, dtype=np.int64)
 
     def fit(self, corpus: SequenceCorpus) -> FitResult:
@@ -48,8 +48,7 @@ class BPR(Recommender, Module):
                                    lr=cfg.learning_rate,
                                    weight_decay=cfg.weight_decay)
         result = FitResult()
-        positive_sets = {seq.user_id: set(seq.items())
-                         for seq in corpus.sequences}
+        positive_sets = {seq.user_id: set(seq.items()) for seq in corpus}
         for _ in range(cfg.num_epochs):
             order = self.rng.permutation(len(pairs))
             total, count = 0.0, 0

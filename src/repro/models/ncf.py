@@ -12,7 +12,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..data.interactions import EvalSample, SequenceCorpus
+from ..data import EvalSample, SequenceCorpus
 from ..nn import Embedding, Linear, Module, Tensor, concat, losses, make_optimizer
 from .base import FitResult, Recommender, TrainConfig
 
@@ -49,7 +49,7 @@ class NCF(Recommender, Module):
 
     def fit(self, corpus: SequenceCorpus) -> FitResult:
         cfg = self.config
-        pairs = np.asarray([(seq.user_id, item) for seq in corpus.sequences
+        pairs = np.asarray([(seq.user_id, item) for seq in corpus
                             for item in seq.items()], dtype=np.int64)
         if len(pairs) == 0:
             raise ValueError("NCF: empty training corpus")

@@ -252,9 +252,9 @@ class EventLog:
         log contents.  Users are written in ascending id order (the
         writer's ordering contract) and empty baskets — which carry no
         training signal — are dropped.  Returns the opened
-        :class:`~repro.data.eventlog.EventLogStore`, ready for
-        ``.corpus()`` / streaming splits, so logged traffic can feed the
-        same out-of-core training path as generated corpora.
+        :class:`~repro.data.eventlog.EventLogStore`, whose ``.corpus()``
+        splits and trains like any other corpus, so logged traffic feeds
+        the same training path as generated corpora.
         """
         from ..data.eventlog import EventLogWriter
         records = self.read(0, self.next_offset)

@@ -11,8 +11,8 @@ contracts the rest of the repo relies on:
   serial branch of their own, so worker count can only change scheduling,
   never a result bit.
 * **Spawn safety** — tasks are ``(module-level function, picklable spec)``
-  pairs, not closures; the start method is ``fork`` where the platform
-  offers it and ``spawn`` elsewhere (:func:`default_context`).
+  pairs, not closures; the start method is ``fork`` on Linux and
+  ``spawn`` elsewhere (:func:`default_context`).
 * **Fail fast, never hang** — the first failure in spec order (a task
   that raised, an unpicklable spec or value, a worker that died and broke
   the pool) cancels the pending tasks and raises :class:`WorkerError`
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import sys
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
@@ -98,9 +99,14 @@ def resolve_workers(workers: Optional[int], num_tasks: int) -> int:
 
 
 def default_context() -> str:
-    """Start method for this platform: ``fork`` where available (cheap
-    startup, no re-import), ``spawn`` elsewhere."""
-    if "fork" in mp.get_all_start_methods():
+    """Start method for this platform: ``fork`` on Linux (cheap startup,
+    no re-import), ``spawn`` elsewhere.
+
+    macOS lists ``fork`` too, but a forked child can crash once the
+    parent has loaded system frameworks (Accelerate BLAS among them),
+    which is why CPython itself defaults to ``spawn`` there.
+    """
+    if sys.platform.startswith("linux"):
         return "fork"
     return "spawn"
 

@@ -4,10 +4,11 @@ The contracts under test, in order of importance:
 
 * shard-parallel generation is bit-identical to serial at any worker
   count (same shard files, byte for byte);
-* the eventlog backend is observationally equivalent to the in-memory
-  corpus built from the same per-user seed streams — same statistics,
-  same leave-one-out splits, same training batches, and therefore the
-  same loss trajectory through a real model;
+* the corpus behaves the same whether its columns sit in RAM or in
+  memmapped shards, and both match explicit oracles over the
+  simulator's nested basket tuples — same statistics, same
+  leave-one-out splits, same training batches, and therefore the same
+  loss trajectory through a real model;
 * the writer validates its input and the header is versioned, written
   atomically, and rejected with the file's name when torn.
 """
@@ -18,12 +19,13 @@ import re
 import numpy as np
 import pytest
 
-from repro.data import (BehaviorSimulator, SimulatorConfig, EventLogWriter,
-                        generate_eventlog, iterate_batches,
-                        load_eventlog_dataset, open_eventlog, pad_samples,
-                        training_prefixes)
+from repro.data import (BehaviorSimulator, EvalSample, EventLogWriter,
+                        SimulatorConfig, UserSequence, generate_eventlog,
+                        iterate_batches, load_eventlog_dataset,
+                        open_eventlog, pad_samples, training_prefixes)
 from repro.data.eventlog import EVENTLOG_FORMAT, EVENTLOG_VERSION
 from repro.data.interactions import leave_one_out_split
+from repro.exp import ALL_MODEL_NAMES, quick_settings, run_model
 from repro.io import write_json_header
 
 CONFIG = SimulatorConfig(num_users=60, num_items=80, num_clusters=6, seed=11)
@@ -167,6 +169,20 @@ class TestParallelBitIdentity:
                 assert ((stores[workers].path / name).read_bytes()
                         == (stores[1].path / name).read_bytes()), name
 
+    def test_one_pool_for_every_shard(self, tmp_path, monkeypatch):
+        import repro.parallel
+        real, calls = repro.parallel.parallel_map, []
+
+        def spy(fn, specs, **kwargs):
+            calls.append(len(specs))
+            return real(fn, specs, **kwargs)
+
+        monkeypatch.setattr(repro.parallel, "parallel_map", spy)
+        store = generate_eventlog(CONFIG, tmp_path / "log",
+                                  users_per_shard=7, workers=2)
+        assert store.num_shards == 9
+        assert calls == [9]
+
     def test_shard_size_does_not_change_users(self, tmp_path):
         coarse = generate_eventlog(CONFIG, tmp_path / "coarse")
         fine = generate_eventlog(CONFIG, tmp_path / "fine",
@@ -178,23 +194,85 @@ class TestParallelBitIdentity:
             assert np.array_equal(ia, ib) and np.array_equal(ta, tb)
 
 
-class TestBackendEquivalence:
-    def test_statistics_match(self, log_dir, memory_dataset):
-        corpus = open_eventlog(log_dir).corpus()
-        mem = memory_dataset.corpus
-        assert corpus.num_users == mem.num_users
-        assert corpus.num_items == mem.num_items
-        assert corpus.num_interactions == mem.num_interactions
-        assert corpus.average_sequence_length == mem.average_sequence_length
-        assert np.array_equal(corpus.sequence_lengths(),
-                              mem.sequence_lengths())
-        assert np.array_equal(corpus.item_popularity(), mem.item_popularity())
+def reference_split(sequences, min_length=3):
+    """Oracle: the leave-one-out loop over nested basket tuples."""
+    train, validation, test = [], [], []
+    for seq in sequences:
+        if seq.length < min_length:
+            train.append(seq)
+            continue
+        test.append(EvalSample(user_id=seq.user_id,
+                               history=seq.baskets[:-1],
+                               target=seq.baskets[-1]))
+        validation.append(EvalSample(user_id=seq.user_id,
+                                     history=seq.baskets[:-2],
+                                     target=seq.baskets[-2]))
+        train.append(UserSequence(user_id=seq.user_id,
+                                  baskets=seq.baskets[:-2]))
+    return train, validation, test
 
-    def test_baskets_match(self, log_dir, memory_dataset):
-        corpus = open_eventlog(log_dir).corpus()
-        for seq_log, seq_mem in zip(corpus, memory_dataset.corpus.sequences):
-            assert seq_log.user_id == seq_mem.user_id
-            assert seq_log.baskets == seq_mem.baskets
+
+def reference_prefixes(sequences, max_history=None):
+    """Oracle: eq. (1)'s prefix expansion over nested basket tuples."""
+    samples = []
+    for seq in sequences:
+        for j in range(1, seq.length):
+            history = seq.baskets[:j]
+            if max_history is not None and len(history) > max_history:
+                history = history[-max_history:]
+            samples.append(EvalSample(user_id=seq.user_id, history=history,
+                                      target=seq.baskets[j]))
+    return samples
+
+
+def reference_popularity(sequences, num_items):
+    counts = np.zeros(num_items + 1, dtype=np.int64)
+    for seq in sequences:
+        for item in seq.items():
+            counts[item] += 1
+    return counts
+
+
+@pytest.fixture(scope="module")
+def reference_sequences():
+    # The simulator's own output, before any corpus code touches it.
+    sim = BehaviorSimulator(CONFIG)
+    return [UserSequence(user_id=u, baskets=tuple(
+                sim._simulate_user(sim.user_rng(u))[0]))
+            for u in range(CONFIG.num_users)]
+
+
+def _stores(log_dir, memory_dataset):
+    """The same corpus with its columns in RAM and memmapped on disk."""
+    return (("memory", memory_dataset.corpus),
+            ("disk", open_eventlog(log_dir).corpus()))
+
+
+class TestBackendEquivalence:
+    """Both storages against the nested-tuple oracles above."""
+
+    def test_statistics_match(self, log_dir, memory_dataset,
+                              reference_sequences):
+        ref = reference_sequences
+        for _, corpus in _stores(log_dir, memory_dataset):
+            assert corpus.num_users == len(ref)
+            assert corpus.num_items == CONFIG.num_items
+            assert corpus.num_interactions == sum(s.num_interactions
+                                                  for s in ref)
+            assert corpus.average_sequence_length == float(
+                np.mean([s.length for s in ref]))
+            assert np.array_equal(corpus.sequence_lengths(),
+                                  [s.length for s in ref])
+            assert np.array_equal(corpus.item_popularity(),
+                                  reference_popularity(ref, CONFIG.num_items))
+
+    def test_baskets_match(self, log_dir, memory_dataset, reference_sequences):
+        for _, corpus in _stores(log_dir, memory_dataset):
+            sequences = list(corpus)
+            assert len(sequences) == len(reference_sequences)
+            for seq, ref in zip(sequences, reference_sequences):
+                assert seq.user_id == ref.user_id
+                assert seq.baskets == ref.baskets
 
     def test_features_and_truth_match(self, log_dir, memory_dataset):
         dataset = load_eventlog_dataset(log_dir)
@@ -204,66 +282,72 @@ class TestBackendEquivalence:
         assert np.array_equal(dataset.cluster_graph,
                               memory_dataset.cluster_graph)
 
-    def test_split_matches(self, log_dir, memory_dataset):
-        split_log = leave_one_out_split(open_eventlog(log_dir).corpus())
-        split_mem = leave_one_out_split(memory_dataset.corpus)
-        for kind in ("validation", "test"):
-            view = getattr(split_log, kind)
-            samples = getattr(split_mem, kind)
-            assert len(view) == len(samples)
-            assert list(view) == list(samples)
-        # The training corpus hides the same two baskets per user.
-        assert np.array_equal(split_log.train.sequence_lengths(),
-                              np.fromiter((len(s.baskets)
-                                           for s in split_mem.train.sequences),
-                                          dtype=np.int64))
-        assert np.array_equal(split_log.train.item_popularity(),
-                              split_mem.train.item_popularity())
+    def test_split_matches(self, log_dir, memory_dataset,
+                           reference_sequences):
+        train, validation, test = reference_split(reference_sequences)
+        for _, corpus in _stores(log_dir, memory_dataset):
+            split = leave_one_out_split(corpus)
+            for view, samples in ((split.validation, validation),
+                                  (split.test, test)):
+                assert len(view) == len(samples)
+                assert list(view) == samples
+            # The training corpus hides the same two baskets per user.
+            assert np.array_equal(split.train.sequence_lengths(),
+                                  np.fromiter((len(s.baskets) for s in train),
+                                              dtype=np.int64))
+            assert np.array_equal(split.train.item_popularity(),
+                                  reference_popularity(train,
+                                                       CONFIG.num_items))
 
-    def test_training_prefixes_match(self, log_dir, memory_dataset):
-        split_log = leave_one_out_split(open_eventlog(log_dir).corpus())
-        split_mem = leave_one_out_split(memory_dataset.corpus)
-        view = training_prefixes(split_log.train, max_history=10)
-        samples = training_prefixes(split_mem.train, max_history=10)
-        assert len(view) == len(samples)
-        assert list(view) == samples
-        # Random access agrees with iteration.
-        assert view[0] == samples[0]
-        assert view[len(view) - 1] == samples[-1]
-        assert list(view[3:7]) == samples[3:7]
+    def test_training_prefixes_match(self, log_dir, memory_dataset,
+                                     reference_sequences):
+        train, _, _ = reference_split(reference_sequences)
+        samples = reference_prefixes(train, max_history=10)
+        for _, corpus in _stores(log_dir, memory_dataset):
+            view = training_prefixes(leave_one_out_split(corpus).train,
+                                     max_history=10)
+            assert len(view) == len(samples)
+            assert list(view) == samples
+            # Random access agrees with iteration.
+            assert view[0] == samples[0]
+            assert view[len(view) - 1] == samples[-1]
+            assert list(view[3:7]) == samples[3:7]
 
     def test_gather_batch_bit_identical_to_pad_samples(self, log_dir,
-                                                       memory_dataset):
-        split_log = leave_one_out_split(open_eventlog(log_dir).corpus())
-        split_mem = leave_one_out_split(memory_dataset.corpus)
-        view = training_prefixes(split_log.train)
-        samples = training_prefixes(split_mem.train)
-        batches_log = list(iterate_batches(view, 16,
+                                                       memory_dataset,
+                                                       reference_sequences):
+        train, _, _ = reference_split(reference_sequences)
+        samples = reference_prefixes(train)
+        batches_ref = list(iterate_batches(samples, 16,
                                            np.random.default_rng(5),
                                            max_history=8))
-        batches_mem = list(iterate_batches(samples, 16,
+        for _, corpus in _stores(log_dir, memory_dataset):
+            view = training_prefixes(leave_one_out_split(corpus).train)
+            batches = list(iterate_batches(view, 16,
                                            np.random.default_rng(5),
                                            max_history=8))
-        assert len(batches_log) == len(batches_mem)
-        for got, want in zip(batches_log, batches_mem):
-            for field in ("users", "items", "basket_mask", "step_mask",
-                          "positives", "positive_mask"):
-                a, b = getattr(got, field), getattr(want, field)
-                assert a.dtype == b.dtype, field
-                assert np.array_equal(a, b), field
+            assert len(batches) == len(batches_ref)
+            for got, want in zip(batches, batches_ref):
+                for field in ("users", "items", "basket_mask", "step_mask",
+                              "positives", "positive_mask"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype, field
+                    assert np.array_equal(a, b), field
 
-    def test_loss_trajectories_match(self, log_dir, memory_dataset):
+    def test_loss_trajectories_match(self, log_dir, memory_dataset,
+                                     reference_sequences):
         from repro.models import GRU4Rec, TrainConfig
         cfg = TrainConfig(embedding_dim=8, hidden_dim=8, num_epochs=3,
                           batch_size=16, seed=0)
-        losses = {}
-        for backend, corpus in (
-                ("eventlog", open_eventlog(log_dir).corpus()),
-                ("memory", memory_dataset.corpus)):
+        train, _, _ = reference_split(reference_sequences)
+        reference = GRU4Rec(CONFIG.num_users, CONFIG.num_items, cfg)
+        want = reference.fit_samples(
+            reference_prefixes(train, max_history=cfg.max_history))
+        for backend, corpus in _stores(log_dir, memory_dataset):
             split = leave_one_out_split(corpus)
             model = GRU4Rec(corpus.num_users, corpus.num_items, cfg)
-            losses[backend] = model.fit(split.train).epoch_losses
-        assert losses["eventlog"] == losses["memory"]
+            assert model.fit(split.train).epoch_losses == want.epoch_losses, \
+                backend
 
 
 class TestPrefixSampleView:
@@ -275,11 +359,27 @@ class TestPrefixSampleView:
         assert np.array_equal(batch.items, reference.items)
         assert np.array_equal(batch.positives, reference.positives)
 
-    def test_length_counts_prefixes(self, log_dir, memory_dataset):
+    def test_length_counts_prefixes(self, log_dir, reference_sequences):
         view = training_prefixes(open_eventlog(log_dir).corpus())
-        expected = sum(len(s.baskets) - 1
-                       for s in memory_dataset.corpus.sequences)
+        expected = sum(len(s.baskets) - 1 for s in reference_sequences)
         assert len(view) == expected
+
+
+class TestModelsOnEventlog:
+    @pytest.mark.parametrize("name", ALL_MODEL_NAMES)
+    def test_fits_and_evaluates(self, log_dir, name):
+        dataset = load_eventlog_dataset(log_dir)
+        run = run_model(name, dataset, quick_settings())
+        assert np.isfinite(run.final_loss)
+        assert 0.0 <= run.result.mean("ndcg") <= 1.0
+
+    def test_missing_truth_names_the_dataset(self, tmp_path):
+        with EventLogWriter(tmp_path / "bare", num_items=10) as writer:
+            writer.add_user(0, [[1], [2], [3]])
+        dataset = load_eventlog_dataset(tmp_path / "bare")
+        assert dataset.features is None and dataset.cause_log == []
+        with pytest.raises(ValueError, match="bare: no ground-truth"):
+            dataset.num_clusters
 
 
 class TestOnlineExport:

@@ -55,6 +55,13 @@ class TestSequenceCorpus:
         assert corpus.average_sequence_length == 0.0
         assert corpus.sparsity == 1.0
 
+    def test_user_ids_must_increase(self):
+        for ids in ((3, 3), (4, 2)):
+            with pytest.raises(ValueError, match=f"got {ids[1]} after "
+                                                 f"{ids[0]}"):
+                SequenceCorpus(num_items=2, sequences=[seq(ids[0], [1]),
+                                                       seq(ids[1], [2])])
+
     def test_iteration(self):
         corpus = SequenceCorpus(num_items=2, sequences=[seq(0, [1])])
         assert len(corpus) == 1
@@ -70,13 +77,13 @@ class TestLeaveOneOutSplit:
         assert split.test[0].history == ((1,), (2,), (3,))
         assert split.validation[0].target == (3,)
         assert split.validation[0].history == ((1,), (2,))
-        assert split.train.sequences[0].baskets == ((1,), (2,))
+        assert list(split.train)[0].baskets == ((1,), (2,))
 
     def test_short_sequences_stay_in_train(self):
         corpus = SequenceCorpus(num_items=5, sequences=[seq(0, [1], [2])])
         split = leave_one_out_split(corpus)
         assert not split.test
-        assert split.train.sequences[0].length == 2
+        assert list(split.train)[0].length == 2
 
     def test_min_length_validation(self):
         corpus = SequenceCorpus(num_items=2)
@@ -113,4 +120,4 @@ class TestTrainingPrefixes:
 
     def test_single_step_sequence_yields_nothing(self):
         corpus = SequenceCorpus(num_items=2, sequences=[seq(0, [1])])
-        assert training_prefixes(corpus) == []
+        assert list(training_prefixes(corpus)) == []

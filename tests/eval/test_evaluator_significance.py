@@ -1,15 +1,53 @@
 """Tests for the evaluation harness, t-tests and explanation scoring."""
 
+from collections import Counter
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
 from repro.data import EvalSample, ExplanationSample
-from repro.eval import (evaluate_explanations, evaluate_rankings,
-                        paired_t_test, top_k_history_items)
+from repro.eval import (evaluate_explanations, evaluate_model,
+                        evaluate_rankings, paired_t_test,
+                        top_k_history_items)
 
 
 def sample(target):
     return EvalSample(user_id=0, history=((1,),), target=tuple(target))
+
+
+class _CountingSamples(Sequence):
+    """A sample sequence that counts how often each index is read."""
+
+    def __init__(self, samples):
+        self.samples = samples
+        self.reads = Counter()
+
+    def __len__(self):
+        return len(self.samples)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        self.reads[index] += 1
+        return self.samples[index]
+
+
+class _FixedRanker:
+    def recommend(self, samples, z):
+        return [[(s.user_id + k) % 7 + 1 for k in range(z)] for s in samples]
+
+
+class TestEvaluateModel:
+    def test_reads_each_sample_once(self):
+        samples = [EvalSample(user_id=u, history=((1,),), target=(u % 7 + 1,))
+                   for u in range(11)]
+        counting = _CountingSamples(samples)
+        result = evaluate_model(_FixedRanker(), counting, z=3, batch_size=4)
+        assert counting.reads == Counter(range(len(samples)))
+        want = evaluate_rankings(_FixedRanker().recommend(samples, 3),
+                                 samples, z=3)
+        assert result.per_user == want.per_user
 
 
 class TestEvaluateRankings:

@@ -53,6 +53,15 @@ class TestMapping:
         assert (parallel_map(tasks.seeded_normal, seeds, workers=3)
                 == parallel_map(tasks.seeded_normal, seeds, workers=1))
 
+    def test_start_method_per_platform(self, monkeypatch):
+        """``fork`` only on Linux: macOS lists it, but CPython spawns there."""
+        monkeypatch.setattr(pool.sys, "platform", "darwin")
+        assert pool.default_context() == "spawn"
+        monkeypatch.setattr(pool.sys, "platform", "win32")
+        assert pool.default_context() == "spawn"
+        monkeypatch.setattr(pool.sys, "platform", "linux")
+        assert pool.default_context() == "fork"
+
     def test_nested_region_falls_back_to_serial(self):
         assert (parallel_map(tasks.nested_map, [[1, 2], [3]], workers=2)
                 == [[1, 4], [9]])

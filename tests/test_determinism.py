@@ -24,7 +24,7 @@ class TestDataDeterminism:
         dataset = small_dataset()
         a = leave_one_out_split(dataset.corpus)
         b = leave_one_out_split(dataset.corpus)
-        assert a.test == b.test
+        assert list(a.test) == list(b.test)
 
 
 class TestModelDeterminism:
