@@ -2,6 +2,8 @@
 
 Run:  python examples/baseline_comparison.py [dataset]
 where dataset is one of: epinions, foursquare, patio, baby, video.
+The output is deterministic; training speed is measured by
+``benchmarks/e2e/run.py``, not here.
 """
 
 import sys
@@ -20,9 +22,8 @@ def main(dataset_name: str = "baby") -> None:
     print(f"dataset {dataset_name}: {dataset.corpus.num_users} users, "
           f"{dataset.num_items} items")
     runs = run_models(MODELS, dataset, settings)
-    rows = [(run.model_name, run.f1, run.ndcg, f"{run.fit_seconds:.1f}s")
-            for run in runs]
-    print(render_table(("model", "F1@5 (%)", "NDCG@5 (%)", "train"), rows,
+    rows = [(run.model_name, run.f1, run.ndcg) for run in runs]
+    print(render_table(("model", "F1@5 (%)", "NDCG@5 (%)"), rows,
                        title=f"Mini Table IV — {dataset_name}"))
     best = max(runs, key=lambda run: run.ndcg)
     print(f"\nbest NDCG@5: {best.model_name} ({best.ndcg:.2f}%)")

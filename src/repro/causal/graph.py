@@ -9,12 +9,9 @@ topological order), binarization, and conversions used throughout
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 def validate_adjacency(matrix: np.ndarray) -> np.ndarray:
@@ -31,21 +28,26 @@ def binarize(matrix: np.ndarray, threshold: float = 0.0) -> np.ndarray:
     return (np.abs(arr) > threshold).astype(np.int64)
 
 
+def _kahn_order(binary: np.ndarray) -> List[int]:
+    """Kahn's order, shorter than ``m`` iff the graph has a cycle.
+
+    A node joins the moment its in-degree reaches 0, children visited in
+    ascending order: the order ``networkx.topological_sort`` returns.
+    """
+    indegree = binary.sum(axis=0)
+    order = [int(node) for node in np.flatnonzero(indegree == 0)]
+    for node in order:  # grows while it is walked: the FIFO queue
+        for child in np.flatnonzero(binary[node]):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                order.append(int(child))
+    return order
+
+
 def is_dag(matrix: np.ndarray, threshold: float = 0.0) -> bool:
     """True if the thresholded graph has no directed cycles."""
-    import networkx as nx
-    graph = to_networkx(matrix, threshold)
-    return nx.is_directed_acyclic_graph(graph)
-
-
-def to_networkx(matrix: np.ndarray, threshold: float = 0.0) -> nx.DiGraph:
-    """Convert an adjacency matrix to a :class:`networkx.DiGraph`."""
-    import networkx as nx
     binary = binarize(matrix, threshold)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(binary.shape[0]))
-    graph.add_edges_from(zip(*np.nonzero(binary)))
-    return graph
+    return len(_kahn_order(binary)) == binary.shape[0]
 
 
 def topological_order(matrix: np.ndarray, threshold: float = 0.0) -> List[int]:
@@ -53,12 +55,11 @@ def topological_order(matrix: np.ndarray, threshold: float = 0.0) -> List[int]:
 
     Raises ``ValueError`` if the graph contains a cycle.
     """
-    import networkx as nx
-    graph = to_networkx(matrix, threshold)
-    try:
-        return list(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible as exc:
-        raise ValueError("graph contains a cycle; no topological order exists") from exc
+    binary = binarize(matrix, threshold)
+    order = _kahn_order(binary)
+    if len(order) < binary.shape[0]:
+        raise ValueError("graph contains a cycle; no topological order exists")
+    return order
 
 
 def parents(matrix: np.ndarray, node: int, threshold: float = 0.0) -> List[int]:
@@ -104,19 +105,42 @@ def markov_equivalent(matrix_a: np.ndarray, matrix_b: np.ndarray,
     return v_structures(matrix_a, threshold) == v_structures(matrix_b, threshold)
 
 
+def _first_cycle(binary: np.ndarray) -> Optional[List[Tuple[int, int]]]:
+    """The first cycle a depth-first search meets, as edges, or ``None``.
+
+    The search starts from nodes ``0..m-1`` in order, visits children in
+    ascending order, and stops at the first edge into a node on its current
+    path: the cycle ``networkx.find_cycle`` reports.
+    """
+    finished = np.zeros(binary.shape[0], dtype=bool)
+    for start in range(binary.shape[0]):
+        if finished[start]:
+            continue
+        path, pending = [start], [iter(np.flatnonzero(binary[start]))]
+        while path:
+            child = next(pending[-1], None)
+            if child is None:
+                finished[path.pop()] = True
+                pending.pop()
+            elif child in path:
+                nodes = path[path.index(child):] + [int(child)]
+                return list(zip(nodes[:-1], nodes[1:]))
+            elif not finished[child]:
+                path.append(int(child))
+                pending.append(iter(np.flatnonzero(binary[child])))
+    return None
+
+
 def prune_to_dag(matrix: np.ndarray) -> np.ndarray:
     """Greedily remove smallest-magnitude edges until the graph is acyclic.
 
     NOTEARS drives the acyclicity penalty to ~0 but floating point rarely
     reaches exactly zero; this post-processing step (standard practice)
-    returns the nearest DAG by deleting the weakest edge on some cycle,
-    repeatedly.
+    returns the nearest DAG by deleting the weakest edge of the first cycle
+    found (the first one on ties), repeatedly.
     """
-    import networkx as nx
     arr = validate_adjacency(matrix).copy()
-    while not is_dag(arr):
-        graph = to_networkx(arr)
-        cycle = nx.find_cycle(graph)
-        weakest = min(cycle, key=lambda edge: abs(arr[edge[0], edge[1]]))
-        arr[weakest[0], weakest[1]] = 0.0
+    while (cycle := _first_cycle(binarize(arr))) is not None:
+        weakest = min(cycle, key=lambda edge: abs(arr[edge]))
+        arr[weakest] = 0.0
     return arr

@@ -45,12 +45,9 @@ def structural_hamming_distance(true_graph: np.ndarray,
 
     diff = np.abs(true_bin - learned_bin)
     # A reversal shows up as a 1 in both (i, j) and (j, i) of the diff.
-    reversals = ((diff == 1) & (diff.T == 1) &
-                 ((true_bin == 1) & (learned_bin.T == 1)).T).sum() // 1
     reversal_pairs = (((true_bin == 1) & (learned_bin == 0) &
                        (learned_bin.T == 1) & (true_bin.T == 0))).sum()
     plain_mismatches = diff.sum() - 2 * reversal_pairs
-    del reversals
     return int(plain_mismatches + reversal_pairs)
 
 

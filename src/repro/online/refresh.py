@@ -31,13 +31,6 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-# Algorithm 1's acyclicity term h(W) needs scipy's expm, which the rest of
-# serving never touches.  Importing it here puts its cost in an --online
-# server's start-up, before /healthz reports ok, instead of inside the
-# first refresh under traffic.  A refresh builds no DiGraph, so networkx
-# stays unloaded.
-import scipy.linalg  # noqa: F401
-
 from ..data.interactions import EvalSample
 from .drift import DriftReport, edge_churn, score_divergence
 from .log import EventLog, EventRecord

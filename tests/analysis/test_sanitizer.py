@@ -126,6 +126,21 @@ class TestTrainingGuards:
         with pytest.raises(RuntimeError, match=r"h\(W\).*epoch 3"):
             model._check_finite_h(float("nan"), epoch=2)
 
+    def test_fit_stops_when_h_leaves_the_reals(self, tiny_dataset,
+                                               tiny_split, monkeypatch):
+        """W^c overflowing after an epoch's last step trips the h(W) guard."""
+        model = tiny_causer(tiny_dataset, batch_size=100_000)  # one batch
+        after_step = model._after_step
+
+        def poison() -> None:
+            after_step()
+            model.graph.weights.data[0, 1] = 1e200  # (W ∘ W) overflows
+
+        monkeypatch.setattr(model, "_after_step", poison)
+        with pytest.raises(RuntimeError,
+                           match=r"h\(W\) became non-finite .* after epoch 1 "):
+            model.fit(tiny_split.train)
+
     def test_anomaly_mode_attributes_training_nan_to_op(self, tiny_dataset,
                                                         tiny_split):
         """--detect-anomaly semantics: the creating op is reported."""

@@ -5,6 +5,7 @@ import pytest
 
 from repro.causal import (h_tensor, h_value, h_value_and_grad,
                           polynomial_h_value, random_dag)
+from repro.causal.dag_constraint import _expm_nonnegative
 from repro.nn import Tensor
 
 
@@ -86,43 +87,89 @@ class TestPolynomialApproximation:
 
 
 class TestExpmCache:
-    """The matrix-exponential memo that speeds up augmented-Lagrangian loops."""
-
-    def setup_method(self):
-        from repro.causal import clear_expm_cache
-        clear_expm_cache()
-
-    def test_repeat_evaluations_hit_cache(self):
-        from repro.causal import clear_expm_cache, expm_cache_info
-        w = np.random.default_rng(7).normal(size=(6, 6)) * 0.3
-        first = h_value(w)
-        hits0, misses0, _ = expm_cache_info()
-        assert misses0 == 1 and hits0 == 0
-        assert h_value(w) == first
-        value, _grad = h_value_and_grad(w)
-        assert value == pytest.approx(first, abs=1e-12)
-        hits, misses, size = expm_cache_info()
-        assert misses == 1
-        assert hits == 2
-        assert size == 1
-        clear_expm_cache()
-        assert expm_cache_info() == (0, 0, 0)
-
-    def test_cache_keyed_on_content_not_identity(self):
-        from repro.causal import expm_cache_info
-        w = np.random.default_rng(8).normal(size=(4, 4)) * 0.2
-        h_value(w)
-        h_value(w.copy())  # same bytes, different array object
-        hits, misses, _ = expm_cache_info()
-        assert (hits, misses) == (1, 1)
-        h_value(w + 0.01)  # different content must miss
-        hits, misses, _ = expm_cache_info()
-        assert misses == 2
+    """There is no expm memo; h(W) still follows in-place edits of W."""
 
     def test_cached_results_stay_correct_after_mutation(self):
         w = np.random.default_rng(9).normal(size=(4, 4)) * 0.2
         before = h_value(w)
-        w[0, 1] += 0.5  # in-place edit: new content hash, no stale reuse
+        w[0, 1] += 0.5  # same array object, new content
         after = h_value(w)
         assert after != before
         assert after == pytest.approx(h_value(w.copy()), abs=1e-12)
+
+
+def _expm_reference(a):
+    """``e^A`` in extended precision: a long Taylor series after scaling."""
+    a = a.astype(np.longdouble)
+    squarings = max(0, int(np.frexp(float(a.sum(axis=0).max()))[1]) + 4)
+    scaled = a / np.longdouble(2.0) ** squarings
+    term = np.eye(a.shape[0], dtype=np.longdouble)
+    result = term.copy()
+    for k in range(1, 30):
+        term = term @ scaled / k
+        result += term
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def _squared_weights():
+    """``W ∘ W`` for dense and sparse ``W`` with entries up to 3 in size."""
+    rng = np.random.default_rng(10)
+    for k in (1, 2, 5, 8, 16, 32):
+        for scale in (0.1, 1.0, 3.0):
+            for density in (1.0, 0.2):
+                w = rng.uniform(-scale, scale, size=(k, k))
+                w *= rng.random((k, k)) < density
+                yield w * w
+
+
+def _max_rel_error(approx, reference):
+    reference = np.asarray(reference, dtype=np.longdouble)
+    return float(np.abs(approx - reference).max() / np.abs(reference).max())
+
+
+class TestMatrixExponential:
+    def test_matches_extended_precision(self):
+        if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+            pytest.skip("long double is no wider than double here")
+        worst = max(_max_rel_error(_expm_nonnegative(a), _expm_reference(a))
+                    for a in _squared_weights())
+        assert worst <= 1e-13
+
+    def test_matches_scipy(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        worst = max(_max_rel_error(_expm_nonnegative(a), linalg.expm(a))
+                    for a in _squared_weights())
+        assert worst <= 1e-11
+
+    def test_dag_gives_exact_zero(self):
+        dag = random_dag(16, 0.5, np.random.default_rng(11)) * 3.0
+        assert h_value(dag) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+class TestNonFiniteWeights:
+    """Broken weights give a non-finite h(W), never an exception."""
+
+    @staticmethod
+    def _weights(bad):
+        w = np.random.default_rng(12).normal(size=(5, 5)) * 0.3
+        w[1, 3] = bad
+        return w
+
+    def test_h_value(self, bad):
+        assert not np.isfinite(h_value(self._weights(bad)))
+
+    def test_h_value_and_grad(self, bad):
+        value, grad = h_value_and_grad(self._weights(bad))
+        assert not np.isfinite(value)
+        assert not np.isfinite(grad).all()
+
+    def test_h_tensor(self, bad):
+        t = Tensor(self._weights(bad), requires_grad=True)
+        node = h_tensor(t)
+        assert not np.isfinite(node.item())
+        node.backward()
+        assert not np.isfinite(t.grad).all()

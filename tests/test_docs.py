@@ -5,9 +5,13 @@ every relative markdown link, and every back-ticked repo path (inline or
 in a fenced block) starting with ``src/``, ``tests/``, ``benchmarks/``,
 ``docs/`` or ``examples/``, or naming an upper-case ``*.json`` artifact at
 the repo root, must resolve.  Lower-case ``*.json`` names (``header.json``)
-are files a program writes at run time, not repo files.
+are files a program writes at run time, not repo files.  Every back-ticked
+dotted name ``repro.<module>...`` whose second part is a module or package
+under ``src/repro`` must resolve by import plus ``getattr``; other
+``repro.*`` strings (the ``repro.eventlog`` format tag) are not code.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -21,6 +25,9 @@ _CODE = re.compile(r"^```.*?^```|`[^`\n]+`", re.M | re.S)
 _PATH = re.compile(r"(?<![\w./-])((?:src|tests|benchmarks|docs|examples)/"
                    r"[\w./*-]*|[A-Z][A-Z0-9_]*\.json\b)")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_DOTTED = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
+_MODULES = {path.stem for path in (ROOT / "src" / "repro").iterdir()
+            if path.suffix == ".py" or (path / "__init__.py").exists()}
 
 
 def _exists(reference: str) -> bool:
@@ -41,3 +48,32 @@ def test_references_resolve(doc):
                and not (doc.parent / target.split("#")[0]).exists()]
     assert not broken, f"{doc.name} points at missing files: {broken}"
     assert not re.search(r"python -m repro\.bench\b", text)
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, getattr the rest."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        module = ".".join(parts[:split])
+        try:
+            obj = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if not (module + ".").startswith(f"{exc.name}."):
+                raise  # a real import error inside an existing module
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda doc: doc.name)
+def test_module_names_resolve(doc):
+    text = doc.read_text(encoding="utf-8")
+    names = {name for code in _CODE.findall(text)
+             for name in _DOTTED.findall(code)
+             if name.split(".")[1] in _MODULES}
+    broken = sorted(name for name in names if not _resolves(name))
+    assert not broken, f"{doc.name} names missing code: {broken}"

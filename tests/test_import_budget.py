@@ -1,10 +1,11 @@
 """Import budget: each entrypoint loads only what it runs.
 
-A serving process scores eq. 10 on frozen artifacts and needs numpy
-alone; scipy (NOTEARS' expm and optimizer, the paired t-test), networkx
-(DAG utilities) and the experiment/analysis layers belong to training, the
-studies and the tooling.  Every check runs in a fresh interpreter, since
-the test process itself has long since imported everything.
+Serving, Causer training (Algorithm 1 with its h(W) term), the online
+refresh and the SEM simulator need numpy alone.  scipy (the standalone
+NOTEARS optimizer, the paired t-test) and the experiment/analysis layers
+belong to the studies and the tooling; networkx is a test-only reference.
+Every check runs in a fresh interpreter, since the test process itself
+has long since imported everything.
 """
 
 import json
@@ -50,13 +51,13 @@ def test_multiprocess_worker_imports_are_numpy_only():
 
 
 def test_online_refresh_preloads_its_dependencies():
+    """Importing the refresh loop loads neither scipy nor networkx."""
     loaded = _loaded_after("import repro.online.refresh")
-    assert "scipy.linalg" in loaded
-    assert "networkx" not in loaded
+    assert _heavy(loaded) == set()
 
 
 def test_online_refresh_cycle_never_loads_networkx():
-    """A whole refresh runs without networkx, so traffic never pays for it."""
+    """A whole refresh, h(W) included, runs without scipy or networkx."""
     loaded = _loaded_after(
         "from repro.core import Causer, CauserConfig\n"
         "from repro.data import SimulatorConfig, generate_dataset\n"
@@ -73,8 +74,32 @@ def test_online_refresh_cycle_never_loads_networkx():
         "trainer.pump()\n"
         "assert RefreshController(trainer, log, lambda m: None,"
         " window=64).refresh_once()\n")
-    assert "scipy.linalg" in loaded
-    assert "networkx" not in loaded
+    assert _heavy(loaded) == set()
+
+
+def test_causer_training_is_numpy_only():
+    """Algorithm 1 (fit, h(W) every epoch) and the pruned DAG it serves."""
+    loaded = _loaded_after(
+        "from repro.core import Causer, CauserConfig\n"
+        "from repro.data import SimulatorConfig, generate_dataset\n"
+        "from repro.data import leave_one_out_split\n"
+        "data = generate_dataset(SimulatorConfig(num_users=40, num_items=30,"
+        " num_clusters=4, seed=1))\n"
+        "model = Causer(data.corpus.num_users, data.num_items, data.features,"
+        " CauserConfig(num_clusters=4, embedding_dim=6, hidden_dim=6,"
+        " num_epochs=2, seed=0))\n"
+        "model.fit(leave_one_out_split(data.corpus).train)\n"
+        "model.learned_cluster_graph(threshold=0.0)\n")
+    assert _heavy(loaded) == set()
+
+
+def test_sem_simulation_is_numpy_only():
+    loaded = _loaded_after(
+        "import numpy as np\n"
+        "from repro.causal import random_dag, simulate_linear_sem\n"
+        "rng = np.random.default_rng(0)\n"
+        "simulate_linear_sem(random_dag(8, 0.4, rng), 20, rng)\n")
+    assert _heavy(loaded) == set()
 
 
 @pytest.mark.parametrize("name", ["analysis", "causal", "core", "data",

@@ -21,8 +21,8 @@ PROGRAM_DIRS = ("src", "examples", "benchmarks")
 KEEP = {
     "gradient_check": "finite-difference reference for autograd tests",
     "polynomial_h_value": "truncated-series reference for h(W) tests",
+    "is_dag": "acyclicity check the tests of every DAG output assert with",
     "ExactIndex": "brute-force oracle the IVF recall tests compare against",
-    "clear_expm_cache": "resets the expm cache between cache tests",
     "anomaly_mode_enabled": "lets tests see detect_anomaly() restore the mode",
     "lint_paths": "in-process gradlint entry point for analysis tests",
     "quick_settings": "smallest experiment settings for harness tests",
