@@ -5,6 +5,7 @@ Usage::
     python -m repro table2
     python -m repro table4 --scale 0.05 --epochs 12 --workers 4
     python -m repro fig5 --datasets baby --cells gru
+    python -m repro identifiability
     python -m repro grid --datasets baby --grid-param epsilon=0.2,0.3
     python -m repro efficiency --quick
     python -m repro train --model "Causer (GRU)" --save-model causer.npz
@@ -12,11 +13,13 @@ Usage::
     python -m repro eval --load-model causer.npz
     python -m repro serve --checkpoint causer.npz --port 8080
 
-Each subcommand prints the same rows/series layout the paper reports.
-``--workers N`` fans the embarrassingly-parallel commands (``table4``,
-``grid``) out across processes via :mod:`repro.parallel`; the default is
-CPU-count aware (capped), ``0``/``1`` force serial, and results are
-bit-identical at any worker count.
+Every name in :data:`repro.exp.EXPERIMENTS` is a subcommand that runs
+that entry at its registered arguments and prints the same rows/series
+layout the paper reports; ``--epochs`` replaces the entry's epoch budget
+only when given.  An experiment refuses (exit 2) a ``--datasets``,
+``--cells`` or ``--workers`` it does not take.  ``--workers N`` fans
+``table4`` and ``grid`` out across processes via :mod:`repro.parallel`;
+results are bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -28,9 +31,27 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 if TYPE_CHECKING:
     from .exp import BenchmarkSettings
 
-EXPERIMENTS = ("table2", "fig3", "table4", "fig4", "fig5", "fig6", "table5",
-               "fig7", "fig8", "efficiency", "identifiability", "grid",
-               "train", "eval", "serve")
+#: The subcommands that are not paper experiments.
+TOOLS = ("grid", "train", "eval", "serve")
+
+
+def _registry():
+    from .exp import EXPERIMENTS
+    return EXPERIMENTS
+
+
+class _Commands:
+    """The subcommand choices: the registry's experiments, then the tools.
+
+    The registry is read only for a name that is not a tool, so parsing
+    ``serve`` never imports :mod:`repro.exp`.
+    """
+
+    def __contains__(self, name) -> bool:
+        return name in TOOLS or name in _registry()
+
+    def __iter__(self):
+        return iter((*_registry(), *TOOLS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,12 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduce tables/figures from the Causer paper "
                     "(ICDE 2023) on scaled synthetic profiles.")
-    parser.add_argument("experiment", choices=EXPERIMENTS,
-                        help="which table/figure to regenerate")
+    parser.add_argument("experiment", choices=_Commands(),
+                        metavar="experiment",
+                        help="which table/figure to regenerate, or a tool: "
+                             "%(choices)s")
     parser.add_argument("--scale", type=float, default=0.05,
                         help="dataset scale relative to Table II sizes")
-    parser.add_argument("--epochs", type=int, default=12,
-                        help="training epochs per model")
+    parser.add_argument("--epochs", type=int, default=None,
+                        help="training epochs per model (default: the "
+                             "experiment's registered budget; 12 for "
+                             "train, eval and grid)")
     parser.add_argument("--seed", type=int, default=1,
                         help="data-generation seed")
     parser.add_argument("--quick", action="store_true",
@@ -63,15 +88,19 @@ def build_parser() -> argparse.ArgumentParser:
                              "existing log for the same "
                              "dataset/scale/seed is reused, not regenerated")
     parser.add_argument("--datasets", nargs="+", default=None,
-                        help="restrict sweep/ablation datasets")
+                        help="restrict the datasets of an experiment that "
+                             "takes it (others exit 2); train, eval and grid "
+                             "use the first")
     parser.add_argument("--cells", nargs="+", default=None,
                         choices=["gru", "lstm"],
-                        help="restrict sequential backbones")
+                        help="restrict the sequential backbones of an "
+                             "experiment that takes it (others exit 2)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="process count for the parallel commands "
-                             "(table4, grid) and for event-log generation "
-                             "(--data-backend eventlog); default: "
-                             "CPU-count aware capped at 8, 0/1 = serial")
+                        help="process count for an experiment that takes "
+                             "it (default serial; others exit 2), for grid "
+                             "and for event-log generation (--data-backend "
+                             "eventlog; default CPU-count aware capped at "
+                             "8); 0/1 = serial")
     parser.add_argument("--grid-param", action="append", default=None,
                         metavar="KEY=V1,V2,...",
                         help="(grid) one hyper-parameter and its candidate "
@@ -177,35 +206,22 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "serve":
         return _run_serve(args)
     from . import exp
-    settings = exp.BenchmarkSettings(scale=args.scale, num_epochs=args.epochs,
-                                     data_seed=args.seed, quick=args.quick)
+    overrides = dict(scale=args.scale, data_seed=args.seed, quick=args.quick)
+    if args.epochs is not None:
+        overrides["num_epochs"] = args.epochs
     handlers = {"train": _run_train, "eval": _run_eval, "grid": _run_grid}
     if args.experiment in handlers:
-        return handlers[args.experiment](args, settings)
-    if args.experiment == "identifiability":
-        from .causal import run_identifiability_study
-        rows = [(r.num_samples, r.mec_recovery_rate, r.mean_shd,
-                 r.mean_skeleton_f1) for r in run_identifiability_study()]
-        print(exp.render_table(("samples", "MEC recovery", "mean SHD",
-                                "skeleton F1"), rows,
-                               title="Theorem 1 — identifiability"))
-        return 0
-    datasets = {"datasets": tuple(args.datasets)} if args.datasets else {}
-    cells = {"cells": tuple(args.cells)} if args.cells else {}
-    sweep = {**datasets, **cells}
-    study, kwargs = {
-        "table2": (exp.table2_statistics, {}),
-        "fig3": (exp.figure3_sequence_lengths, {}),
-        "table4": (exp.table4_overall, {"workers": args.workers, **datasets}),
-        "fig4": (exp.figure4_cluster_sweep, sweep),
-        "fig5": (exp.figure5_epsilon_sweep, sweep),
-        "fig6": (exp.figure6_temperature_sweep, sweep),
-        "table5": (exp.table5_ablation, sweep),
-        "fig7": (exp.figure7_explanation, cells),
-        "fig8": (exp.figure8_case_studies, {}),
-        "efficiency": (exp.efficiency_study, {}),
-    }[args.experiment]
-    print(study(settings, **kwargs).render())
+        return handlers[args.experiment](args,
+                                         exp.BenchmarkSettings(**overrides))
+    experiment = exp.EXPERIMENTS[args.experiment]
+    given = {flag: getattr(args, flag) for flag in exp.RESTRICTIONS
+             if getattr(args, flag) is not None}
+    for flag in given:
+        if flag not in experiment.accepts:
+            print(f"error: {experiment.name} does not take --{flag}",
+                  file=sys.stderr)
+            return 2
+    print(experiment(experiment.settings(**overrides), **given).render())
     return 0
 
 

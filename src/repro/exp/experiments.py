@@ -1,23 +1,29 @@
-"""One function per paper table/figure.
+"""One definition per paper experiment: the functions and their registry.
 
 Each function generates the workload, runs the models, and returns a
 structured result object with a ``render()`` method printing the same
-rows/series layout the paper reports.  The bench targets in
-``benchmarks/`` call these functions and time their core computations.
+rows/series layout the paper reports.  :data:`EXPERIMENTS` registers every
+table, figure and study once, with the arguments its archive was made at
+and the shape claims it must show; ``python -m repro <name>`` runs an
+entry, and ``benchmarks/bench_paper.py`` runs each one, archives its table
+and asserts its claims.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..causal import IdentifiabilityReport, h_value, run_identifiability_study
 from ..core import Causer, ablation_config, format_case_study, make_explainer
-from ..data import (DATASET_NAMES, PAPER_STATISTICS, build_explanation_dataset,
+from ..core.config import CauserConfig
+from ..data import (DATASET_NAMES, build_explanation_dataset,
                     compute_statistics, leave_one_out_split, load_dataset,
-                    sequence_length_histogram)
+                    pad_samples, sequence_length_histogram)
+from ..data.interactions import Split
 from ..data.synthetic import SyntheticDataset
 from ..eval import (evaluate_explanations, evaluate_model, paired_t_test)
 from ..parallel import parallel_map
@@ -25,6 +31,29 @@ from .config import BenchmarkSettings
 from .runner import (TABLE4_MODEL_NAMES, RunResult, _run_model_task,
                      build_model)
 from .tables import render_metric_matrix, render_series, render_table
+
+
+def _load(name: str, settings: BenchmarkSettings
+          ) -> Tuple[SyntheticDataset, Split]:
+    """The named profile at the settings' scale and seed, and its split."""
+    dataset = load_dataset(name, scale=settings.scale,
+                           seed=settings.data_seed)
+    return dataset, leave_one_out_split(dataset.corpus)
+
+
+def _fit_causer(dataset: SyntheticDataset, split: Split,
+                config: CauserConfig) -> Causer:
+    model = Causer(dataset.corpus.num_users, dataset.num_items,
+                   dataset.features, config)
+    model.fit(split.train)
+    return model
+
+
+def _causer_ndcg(dataset: SyntheticDataset, split: Split,
+                 config: CauserConfig, z: int) -> float:
+    """Test NDCG@z (%) of a Causer fitted under ``config``."""
+    model = _fit_causer(dataset, split, config)
+    return 100.0 * evaluate_model(model, split.test, z=z).mean("ndcg")
 
 
 # ----------------------------------------------------------------------
@@ -145,11 +174,7 @@ def table4_overall(settings: Optional[BenchmarkSettings] = None,
     f1: Dict[str, Dict[str, float]] = {m: {} for m in models}
     ndcg: Dict[str, Dict[str, float]] = {m: {} for m in models}
     stars: Dict[str, Dict[str, str]] = {m: {} for m in models}
-    loaded = []
-    for name in datasets:
-        dataset = load_dataset(name, scale=settings.scale,
-                               seed=settings.data_seed)
-        loaded.append((name, dataset, leave_one_out_split(dataset.corpus)))
+    loaded = [(name, *_load(name, settings)) for name in datasets]
     cells = [(model, dataset, settings, split)
              for _, dataset, split in loaded for model in models]
     all_runs = parallel_map(_run_model_task, cells, workers=workers,
@@ -204,42 +229,16 @@ def causer_parameter_sweep(parameter: str, values: Sequence,
     settings = settings or BenchmarkSettings()
     series: Dict[str, List[float]] = {}
     for dataset_name in datasets:
-        dataset = load_dataset(dataset_name, scale=settings.scale,
-                               seed=settings.data_seed)
-        split = leave_one_out_split(dataset.corpus)
+        dataset, split = _load(dataset_name, settings)
         for cell in cells:
-            label = f"{dataset_name}/{cell}"
-            series[label] = []
-            for value in values:
-                config = settings.causer_config(dataset_name, cell_type=cell,
-                                                **{parameter: value})
-                model = Causer(dataset.corpus.num_users, dataset.num_items,
-                               dataset.features, config)
-                model.fit(split.train)
-                result = evaluate_model(model, split.test, z=settings.z)
-                series[label].append(100.0 * result.mean("ndcg"))
+            series[f"{dataset_name}/{cell}"] = [
+                _causer_ndcg(dataset, split,
+                             settings.causer_config(dataset_name,
+                                                    cell_type=cell,
+                                                    **{parameter: value}),
+                             settings.z)
+                for value in values]
     return SweepResult(parameter=parameter, values=list(values), ndcg=series)
-
-
-def figure4_cluster_sweep(settings: Optional[BenchmarkSettings] = None,
-                          values: Sequence[int] = (2, 3, 5, 8, 12, 16, 24, 32),
-                          **kwargs) -> SweepResult:
-    return causer_parameter_sweep("num_clusters", values, settings, **kwargs)
-
-
-def figure5_epsilon_sweep(settings: Optional[BenchmarkSettings] = None,
-                          values: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5,
-                                                     0.6, 0.7, 0.8, 0.9),
-                          **kwargs) -> SweepResult:
-    return causer_parameter_sweep("epsilon", values, settings, **kwargs)
-
-
-def figure6_temperature_sweep(settings: Optional[BenchmarkSettings] = None,
-                              values: Sequence[float] = (1e-8, 1e-4, 1e-2,
-                                                         0.1, 0.5, 1.0, 1e2,
-                                                         1e4, 1e8),
-                              **kwargs) -> SweepResult:
-    return causer_parameter_sweep("eta", values, settings, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -270,20 +269,15 @@ def table5_ablation(settings: Optional[BenchmarkSettings] = None,
     ndcg: Dict[str, Dict[str, float]] = {v: {} for v in ABLATION_VARIANTS}
     columns: List[str] = []
     for dataset_name in datasets:
-        dataset = load_dataset(dataset_name, scale=settings.scale,
-                               seed=settings.data_seed)
-        split = leave_one_out_split(dataset.corpus)
+        dataset, split = _load(dataset_name, settings)
         for cell in cells:
             column = f"{dataset_name}/{cell}"
             columns.append(column)
             base_config = settings.causer_config(dataset_name, cell_type=cell)
             for variant in ABLATION_VARIANTS:
-                config = ablation_config(base_config, variant)
-                model = Causer(dataset.corpus.num_users, dataset.num_items,
-                               dataset.features, config)
-                model.fit(split.train)
-                result = evaluate_model(model, split.test, z=settings.z)
-                ndcg[variant][column] = 100.0 * result.mean("ndcg")
+                ndcg[variant][column] = _causer_ndcg(
+                    dataset, split, ablation_config(base_config, variant),
+                    settings.z)
     return Table5Result(ndcg=ndcg, columns=columns)
 
 
@@ -316,9 +310,7 @@ def figure7_explanation(settings: Optional[BenchmarkSettings] = None,
     against the labeled causes.
     """
     settings = settings or BenchmarkSettings()
-    dataset = load_dataset(dataset_name, scale=settings.scale,
-                           seed=settings.data_seed)
-    split = leave_one_out_split(dataset.corpus)
+    dataset, split = _load(dataset_name, settings)
     samples = build_explanation_dataset(dataset, max_samples=max_samples)
     if not samples:
         raise RuntimeError("explanation dataset came out empty; "
@@ -327,10 +319,9 @@ def figure7_explanation(settings: Optional[BenchmarkSettings] = None,
     f1: Dict[str, float] = {}
     ndcg: Dict[str, float] = {}
     for cell in cells:
-        model = Causer(dataset.corpus.num_users, dataset.num_items,
-                       dataset.features,
-                       settings.causer_config(dataset_name, cell_type=cell))
-        model.fit(split.train)
+        model = _fit_causer(dataset, split,
+                            settings.causer_config(dataset_name,
+                                                   cell_type=cell))
         for mode, label in (("full", f"Causer/{cell}"),
                             ("causal", f"Causer(-att)/{cell}"),
                             ("attention", f"Causer(-causal)/{cell}")):
@@ -359,14 +350,10 @@ def figure8_case_studies(settings: Optional[BenchmarkSettings] = None,
                          num_cases: int = 4) -> Figure8Result:
     """Print Fig. 8-style cases: per-history-item Ŵ, α and combined scores."""
     settings = settings or BenchmarkSettings()
-    dataset = load_dataset(dataset_name, scale=settings.scale,
-                           seed=settings.data_seed)
-    split = leave_one_out_split(dataset.corpus)
+    dataset, split = _load(dataset_name, settings)
     samples = build_explanation_dataset(dataset, max_samples=200)
-    model = Causer(dataset.corpus.num_users, dataset.num_items,
-                   dataset.features,
-                   settings.causer_config(dataset_name, cell_type="gru"))
-    model.fit(split.train)
+    model = _fit_causer(dataset, split,
+                        settings.causer_config(dataset_name, cell_type="gru"))
     # Prefer cases with at least three history items (richer stories).
     ranked = sorted(samples, key=lambda s: -len(s.history_items))
     cases = [format_case_study(model, sample)
@@ -415,9 +402,7 @@ def efficiency_study(settings: Optional[BenchmarkSettings] = None,
                      dataset_name: str = "baby") -> EfficiencyResult:
     """Time the paper's two efficiency claims on equal workloads."""
     settings = settings or BenchmarkSettings()
-    dataset = load_dataset(dataset_name, scale=settings.scale,
-                           seed=settings.data_seed)
-    split = leave_one_out_split(dataset.corpus)
+    dataset, split = _load(dataset_name, settings)
 
     def time_causer_training(update_every: int) -> float:
         config = settings.causer_config(dataset_name,
@@ -431,9 +416,7 @@ def efficiency_study(settings: Optional[BenchmarkSettings] = None,
     every_epoch = time_causer_training(1)
     slow = time_causer_training(10)
 
-    causer = Causer(dataset.corpus.num_users, dataset.num_items,
-                    dataset.features, settings.causer_config(dataset_name))
-    causer.fit(split.train)
+    causer = _fit_causer(dataset, split, settings.causer_config(dataset_name))
     sasrec = build_model("SASRec", dataset, settings)
     sasrec.fit(split.train)
     start = time.perf_counter()
@@ -447,3 +430,351 @@ def efficiency_study(settings: Optional[BenchmarkSettings] = None,
         train_slow_updates_seconds=slow,
         causer_inference_seconds=causer_inference,
         sasrec_inference_seconds=sasrec_inference)
+
+
+# ----------------------------------------------------------------------
+# DESIGN.md §5 — filtering-mode scoring cost
+# ----------------------------------------------------------------------
+@dataclass
+class FilteringResult:
+    num_users: int
+    seconds: Dict[str, float]  # filtering mode -> one scoring pass
+
+    def render(self) -> str:
+        lines = [f"Filtering-mode scoring cost ({self.num_users} users, "
+                 f"full catalog):"]
+        for mode, seconds in self.seconds.items():
+            lines.append(f"  {mode:8s} {seconds:8.3f}s "
+                         f"({seconds / self.seconds['shared']:.1f}x shared)")
+        return "\n".join(lines)
+
+
+def filtering_costs(settings: Optional[BenchmarkSettings] = None,
+                    dataset_name: str = "baby",
+                    num_users: int = 64) -> FilteringResult:
+    """Time one full-catalog scoring pass under each eq.-10 filtering mode.
+
+    ``shared`` and ``cluster`` score through ``candidate_logits``,
+    ``strict`` re-runs the RNN per candidate (DESIGN.md §5).
+    """
+    settings = settings or BenchmarkSettings()
+    dataset, split = _load(dataset_name, settings)
+    samples = split.test[:num_users]
+    batch = pad_samples(samples, max_history=settings.max_history)
+    candidates = np.tile(np.arange(1, dataset.num_items + 1),
+                         (len(samples), 1))
+    model = _fit_causer(dataset, split, settings.causer_config(dataset_name))
+    seconds: Dict[str, float] = {}
+    for mode in ("shared", "cluster", "strict"):
+        model.config.filtering_mode = mode
+        start = time.perf_counter()
+        if mode == "strict":
+            model.candidate_logits_strict(batch, candidates)
+        else:
+            model.candidate_logits(batch, candidates)
+        seconds[mode] = time.perf_counter() - start
+    return FilteringResult(num_users=len(samples), seconds=seconds)
+
+
+# ----------------------------------------------------------------------
+# DESIGN.md §5 — the reproduction's own design choices
+# ----------------------------------------------------------------------
+@dataclass
+class DesignResult:
+    dataset: str
+    rows: List[Tuple[str, float]]  # (design choice, NDCG@5 %)
+
+    def render(self) -> str:
+        return render_table(
+            ("design choice", "NDCG@5 (%)"), self.rows,
+            title=f"Reproduction design-choice ablations ({self.dataset})")
+
+
+def design_ablations(choices: Sequence[Tuple[str, Mapping[str, Any]]],
+                     settings: Optional[BenchmarkSettings] = None,
+                     dataset_name: str = "baby") -> DesignResult:
+    """Causer's NDCG@5 with one design choice set per row.
+
+    Each choice is a label and the :class:`CauserConfig` overrides it
+    stands for (graph pre-seeding, filtering mode, update pace).
+    """
+    settings = settings or BenchmarkSettings()
+    dataset, split = _load(dataset_name, settings)
+    rows = [(label, _causer_ndcg(dataset, split,
+                                 settings.causer_config(dataset_name,
+                                                        **overrides),
+                                 settings.z))
+            for label, overrides in choices]
+    return DesignResult(dataset=dataset_name, rows=rows)
+
+
+# ----------------------------------------------------------------------
+# Theorem 1 — identifiability
+# ----------------------------------------------------------------------
+@dataclass
+class IdentifiabilityResult:
+    reports: List[IdentifiabilityReport]  # one per sample size, ascending
+
+    def render(self) -> str:
+        rows = [(r.num_samples, r.mec_recovery_rate, r.mean_shd,
+                 r.mean_skeleton_f1) for r in self.reports]
+        return render_table(("samples", "MEC recovery", "mean SHD",
+                             "skeleton F1"), rows,
+                            title="Theorem 1 — identifiability vs sample size")
+
+
+def identifiability_study(num_nodes: int, sample_sizes: Sequence[int],
+                          trials_per_size: int, base_seed: int,
+                          settings: Optional[BenchmarkSettings] = None
+                          ) -> IdentifiabilityResult:
+    """NOTEARS on linear-SEM data from random DAGs, per sample size.
+
+    ``settings`` is unused: the study draws its own data, so the dataset
+    scale, seed and epoch budget do not apply.
+    """
+    return IdentifiabilityResult(reports=run_identifiability_study(
+        num_nodes=num_nodes, sample_sizes=sample_sizes,
+        trials_per_size=trials_per_size, base_seed=base_seed))
+
+
+# ----------------------------------------------------------------------
+# §III motivation — cluster- vs item-level graph cost
+# ----------------------------------------------------------------------
+@dataclass
+class ScalabilityResult:
+    rows: List[Tuple[int, float, float, float]]  # |V|, cluster s, item s, ratio
+
+    def render(self) -> str:
+        return render_table(("|V|", "cluster-level (s)", "item-level (s)",
+                             "item/cluster ratio"), self.rows,
+                            title="Scalability — acyclicity + eq. 9 cost",
+                            float_format="{:.4f}")
+
+
+def scalability_study(catalog_sizes: Sequence[int], num_clusters: int,
+                      seed: int,
+                      settings: Optional[BenchmarkSettings] = None
+                      ) -> ScalabilityResult:
+    """Time h(W) plus eq. 9's expansion on a K x K cluster graph against
+    h(W) on a |V| x |V| item graph, per catalog size.
+
+    ``settings`` is unused: the graphs are random matrices.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for size in catalog_sizes:
+        assignments = rng.dirichlet(np.ones(num_clusters), size=size)
+        cluster_graph = rng.random((num_clusters, num_clusters)) * 0.3
+        start = time.perf_counter()
+        h_value(cluster_graph)
+        _ = assignments @ cluster_graph @ assignments.T
+        cluster = time.perf_counter() - start
+        item_graph = rng.random((size, size)) * (0.5 / size)
+        start = time.perf_counter()
+        h_value(item_graph)
+        item = time.perf_counter() - start
+        rows.append((size, cluster, item, item / max(cluster, 1e-9)))
+    return ScalabilityResult(rows=rows)
+
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+#: The CLI flags that restrict a run; an entry lists those it takes.
+RESTRICTIONS = ("datasets", "cells", "workers")
+
+Claim = Callable[[Any], bool]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One paper experiment: what runs, at which arguments, and what its
+    result must show.
+
+    ``run(settings=..., **kwargs, **restrictions)`` returns a result with
+    ``render()``.  ``epochs`` is the registered training budget, which a
+    caller's own ``num_epochs`` replaces.  ``accepts`` names the
+    :data:`RESTRICTIONS` the run takes.  ``claims`` maps a name to a
+    predicate over the result: the paper's shape (and sanity bounds) at the
+    registered arguments.
+    """
+
+    name: str
+    run: Callable[..., Any]
+    kwargs: Mapping[str, Any] = field(default_factory=dict)
+    epochs: Optional[int] = None
+    accepts: Tuple[str, ...] = ()
+    claims: Mapping[str, Claim] = field(default_factory=dict)
+
+    def settings(self, **overrides) -> BenchmarkSettings:
+        """The registered settings, with ``overrides`` on top."""
+        if self.epochs is not None:
+            overrides.setdefault("num_epochs", self.epochs)
+        return BenchmarkSettings(**overrides)
+
+    def __call__(self, settings: Optional[BenchmarkSettings] = None,
+                 **restrictions):
+        return self.run(settings=settings or self.settings(), **self.kwargs,
+                        **restrictions)
+
+
+def _long_share(hist: Dict[str, int]) -> float:
+    """Share of users with sequences of length 8 or more."""
+    long_buckets = ("8-11", "12-19", "20-49", "50+")
+    return (sum(v for k, v in hist.items() if k in long_buckets)
+            / max(sum(hist.values()), 1))
+
+
+def _causer_top2_on_half(result: Table4Result) -> bool:
+    """A Causer ranks top-2 by NDCG on at least half of the datasets."""
+    top2 = 0
+    for dataset in result.datasets:
+        scores = sorted(((result.ndcg[m][dataset], m) for m in result.models),
+                        reverse=True)
+        if any(m.startswith("Causer") for _, m in scores[:2]):
+            top2 += 1
+    return top2 >= len(result.datasets) // 2
+
+
+def _full_series(result: SweepResult) -> bool:
+    return all(len(s) == len(result.values) for s in result.ndcg.values())
+
+
+def _finite_series(result: SweepResult) -> bool:
+    return all(np.isfinite(v) for s in result.ndcg.values() for v in s)
+
+
+def _inverted_u_on_half(result: SweepResult) -> bool:
+    """An interior K matches or beats both extremes, within 0.3 points."""
+    humped = sum(max(s[1:-1]) >= min(s[0], s[-1]) - 0.3
+                 for s in result.ndcg.values())
+    return humped >= len(result.ndcg) // 2
+
+
+def _moderate_epsilon_on_half(result: SweepResult) -> bool:
+    """The optimum, at ε <= 0.7, strictly beats the filter-everything end."""
+    strict = [label for label, s in result.ndcg.items()
+              if max(s) > s[-1] + 1e-9 and result.best_value(label) <= 0.7]
+    return len(strict) >= len(result.ndcg) // 2
+
+
+def _full_near_ablated_mean(result: Table5Result) -> bool:
+    for column in result.columns:
+        ablated = [result.ndcg[v][column] for v in ABLATION_VARIANTS
+                   if v != "full"]
+        if not result.ndcg["full"][column] >= np.mean(ablated) * 0.9:
+            return False
+    return True
+
+
+EXPERIMENTS: Dict[str, Experiment] = {e.name: e for e in (
+    Experiment("table2", table2_statistics, claims={
+        "five_profiles": lambda r: len(r.rows) == 5,
+        "sparsity_above_80": lambda r: all(
+            float(row[5].rstrip("%")) > 80.0 for row in r.rows),
+    }),
+    Experiment("fig3", figure3_sequence_lengths, claims={
+        "five_profiles": lambda r: set(r.histograms) == {
+            "epinions", "foursquare", "patio", "baby", "video"},
+        "foursquare_longer_than_baby": lambda r: (
+            _long_share(r.histograms["foursquare"])
+            > _long_share(r.histograms["baby"])),
+    }),
+    Experiment("table4", table4_overall, accepts=("datasets", "workers"),
+               claims={
+        "causer_ndcg_gain_above_-5%": lambda r: (
+            r.causer_improvement("ndcg") > -5.0),
+        "causer_top2_ndcg_on_half": _causer_top2_on_half,
+    }),
+    Experiment("fig4", causer_parameter_sweep,
+               kwargs={"parameter": "num_clusters",
+                       "values": (2, 3, 5, 8, 16, 32)},
+               epochs=8, accepts=("datasets", "cells"), claims={
+        "full_series": _full_series, "finite": _finite_series,
+        "inverted_u_on_half": _inverted_u_on_half,
+    }),
+    Experiment("fig5", causer_parameter_sweep,
+               kwargs={"parameter": "epsilon",
+                       "values": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                  0.9)},
+               epochs=8, accepts=("datasets", "cells"), claims={
+        "full_series": _full_series,
+        "largest_epsilon_not_above_best": lambda r: all(
+            max(s) >= s[-1] for s in r.ndcg.values()),
+        "moderate_epsilon_best_on_half": _moderate_epsilon_on_half,
+    }),
+    Experiment("fig6", causer_parameter_sweep,
+               kwargs={"parameter": "eta",
+                       "values": (1e-8, 1e-4, 1e-2, 0.1, 0.5, 1.0, 1e2, 1e4,
+                                  1e8)},
+               epochs=8, accepts=("datasets", "cells"), claims={
+        "full_series": _full_series, "finite": _finite_series,
+        "best_eta_interior": lambda r: all(
+            1e-8 < r.best_value(label) or max(s) == s[0]
+            for label, s in r.ndcg.items()),
+    }),
+    Experiment("table5", table5_ablation, accepts=("datasets", "cells"),
+               claims={
+        "finite": lambda r: all(np.isfinite(r.ndcg[v][c])
+                                for v in ABLATION_VARIANTS
+                                for c in r.columns),
+        "full_within_90%_of_ablated_mean": _full_near_ablated_mean,
+    }),
+    Experiment("fig7", figure7_explanation, accepts=("cells",), claims={
+        "over_50_samples": lambda r: r.num_samples > 50,
+        "1_to_3_causes_each": lambda r: 1.0 <= r.avg_causes <= 3.0,
+        "scores_are_percentages": lambda r: all(
+            0.0 <= r.f1[label] <= 100.0 and 0.0 <= r.ndcg[label] <= 100.0
+            for label in r.f1),
+        "causer_ndcg_above_25": lambda r: all(
+            value > 25.0 for label, value in r.ndcg.items()
+            if label.startswith("Causer/")),
+    }),
+    Experiment("fig8", figure8_case_studies, claims={
+        "four_cases": lambda r: len(r.cases) == 4,
+        "cases_show_causes_and_w_hat": lambda r: all(
+            "true causes" in case and "W_hat" in case for case in r.cases),
+    }),
+    Experiment("efficiency", efficiency_study, claims={
+        "slow_updates_not_slower": lambda r: (
+            r.train_slow_updates_seconds
+            <= r.train_every_epoch_seconds * 1.1),
+        "inference_under_5x_sasrec": lambda r: r.inference_ratio < 5.0,
+    }),
+    Experiment("filtering", filtering_costs, claims={
+        "shared_not_slower_than_strict": lambda r: (
+            r.seconds["shared"] <= r.seconds["strict"]),
+    }),
+    Experiment("design", design_ablations, kwargs={"choices": (
+        ("pretrain seed ON (default)", {"pretrain_graph": True}),
+        ("pretrain seed OFF", {"pretrain_graph": False}),
+        ("filtering=shared (default)", {"filtering_mode": "shared"}),
+        ("filtering=cluster (strict)", {"filtering_mode": "cluster"}),
+        ("update_every=1", {"update_every": 1}),
+        ("update_every=2", {"update_every": 2}),
+        ("update_every=10", {"update_every": 10}),
+    )}, claims={
+        "finite": lambda r: all(np.isfinite(v) for _, v in r.rows),
+        "no_choice_below_25%_of_best": lambda r: (
+            min(v for _, v in r.rows) > 0.25 * max(v for _, v in r.rows)),
+    }),
+    Experiment("identifiability", identifiability_study,
+               kwargs={"num_nodes": 7, "sample_sizes": (100, 500, 2000),
+                       "trials_per_size": 3, "base_seed": 0},
+               claims={
+        "skeleton_f1_holds_with_data": lambda r: (
+            r.reports[-1].mean_skeleton_f1
+            >= r.reports[0].mean_skeleton_f1 - 0.05),
+        "mec_recovered_2_of_3_at_most_data": lambda r: (
+            r.reports[-1].mec_recovery_rate >= 2 / 3),
+    }),
+    Experiment("scalability", scalability_study,
+               kwargs={"catalog_sizes": (100, 300, 1000), "num_clusters": 10,
+                       "seed": 0},
+               claims={
+        "item_over_cluster_ratio_grows": lambda r: (
+            r.rows[-1][3] > r.rows[0][3]),
+        "item_level_costlier_at_largest": lambda r: (
+            r.rows[-1][2] > r.rows[-1][1]),
+    }),
+)}

@@ -1,11 +1,23 @@
-"""CLI end-to-end coverage for the heavier experiment subcommands.
+"""Every registered paper experiment runs through the CLI (quick mode).
 
-All runs use --quick at a tiny scale, so each takes seconds.
+Parametrized over ``repro.exp.EXPERIMENTS``, so a new entry is covered
+without a new test.  Each entry runs at ``--quick --scale 0.02``, on one
+dataset and one cell where it takes ``--datasets`` / ``--cells``; the CLI
+must print exactly its result's table, and every claim must evaluate on
+that result.  An experiment given a restricting flag it does not take
+exits 2 before running anything.  ``test_cli_experiment_commands`` keeps
+the hand-picked invocations of the heavier experiments with their
+restricting flags.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
+from repro.exp import EXPERIMENTS
+
+QUICK = {"datasets": ["baby"], "cells": ["gru"], "workers": ["3"]}
 
 
 @pytest.mark.parametrize("command,needle", [
@@ -24,3 +36,34 @@ from repro.cli import main
 def test_cli_experiment_commands(capsys, command, needle):
     assert main(command) == 0
     assert needle in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_experiment_runs_from_the_cli(name, capsys, monkeypatch):
+    experiment = EXPERIMENTS[name]
+    results = []
+
+    def recorded(**kwargs):
+        results.append(experiment.run(**kwargs))
+        return results[-1]
+
+    monkeypatch.setitem(EXPERIMENTS, name, replace(experiment, run=recorded))
+    argv = [name, "--quick", "--scale", "0.02"]
+    for flag in ("datasets", "cells"):
+        if flag in experiment.accepts:
+            argv += [f"--{flag}", *QUICK[flag]]
+    assert main(argv) == 0
+    (result,) = results
+    assert capsys.readouterr().out == result.render() + "\n"
+    for claim in experiment.claims.values():
+        assert claim(result) in (True, False)
+
+
+@pytest.mark.parametrize("name,flag", [
+    (name, flag) for name, experiment in EXPERIMENTS.items()
+    for flag in QUICK if flag not in experiment.accepts])
+def test_refused_restriction_exits_2(name, flag, capsys, monkeypatch):
+    monkeypatch.setitem(EXPERIMENTS, name,
+                        replace(EXPERIMENTS[name], run=None))
+    assert main([name, f"--{flag}", *QUICK[flag]]) == 2
+    assert f"error: {name} does not take --{flag}" in capsys.readouterr().err

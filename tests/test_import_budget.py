@@ -44,6 +44,15 @@ def test_serving_imports_are_numpy_only():
     assert _heavy(loaded) == set()
 
 
+def test_parsing_serve_reads_no_experiment_registry():
+    """The e2e server's start-up parses ``serve`` without ``repro.exp``."""
+    loaded = _loaded_after(
+        "import repro.cli\n"
+        "repro.cli.build_parser().parse_args(['serve', '--checkpoint',"
+        " 'ck.npz', '--port', '0', '--retrieval', 'ivf'])")
+    assert _heavy(loaded) == set()
+
+
 def test_multiprocess_worker_imports_are_numpy_only():
     """A ``repro.parallel`` pool worker starts on numpy alone."""
     loaded = _loaded_after("import repro.parallel")

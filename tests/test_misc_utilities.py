@@ -60,5 +60,5 @@ class TestPackageMetadata:
 
     def test_cli_module_entrypoint_exists(self):
         import repro.__main__  # noqa: F401
-        from repro.cli import EXPERIMENTS
-        assert "table4" in EXPERIMENTS
+        from repro.cli import build_parser
+        assert build_parser().parse_args(["table4"]).experiment == "table4"
