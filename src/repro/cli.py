@@ -16,8 +16,9 @@ Usage::
 Every name in :data:`repro.exp.EXPERIMENTS` is a subcommand that runs
 that entry at its registered arguments and prints the same rows/series
 layout the paper reports; ``--epochs`` replaces the entry's epoch budget
-only when given.  An experiment refuses (exit 2) a ``--datasets``,
-``--cells`` or ``--workers`` it does not take.  ``--workers N`` fans
+only when given.  Every command refuses (exit 2) a flag it does not read,
+such as a ``--datasets``, ``--cells`` or ``--workers`` an experiment does
+not take, or a tool's flag given to another command.  ``--workers N`` fans
 ``table4`` and ``grid`` out across processes via :mod:`repro.parallel`;
 results are bit-identical at any worker count.
 """
@@ -31,8 +32,28 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 if TYPE_CHECKING:
     from .exp import BenchmarkSettings
 
-#: The subcommands that are not paper experiments.
-TOOLS = ("grid", "train", "eval", "serve")
+#: The flags that build a run's settings; every command but ``serve``
+#: reads them.
+SETTINGS_FLAGS = ("scale", "epochs", "seed", "quick")
+
+#: The subcommands that are not paper experiments, each with the flags it
+#: reads.  An experiment reads :data:`SETTINGS_FLAGS` and the restricting
+#: flags its registry entry ``accepts``.
+TOOLS = {
+    "grid": SETTINGS_FLAGS + ("datasets", "workers", "grid_param"),
+    "train": SETTINGS_FLAGS + ("datasets", "data_backend", "eventlog_dir",
+                               "workers", "model", "save_model"),
+    "eval": SETTINGS_FLAGS + ("datasets", "data_backend", "eventlog_dir",
+                              "workers", "load_model"),
+    "serve": ("checkpoint", "host", "port", "max_batch_size", "max_wait_ms",
+              "session_capacity", "retrieval", "shortlist", "nprobe",
+              "quantize", "online", "online_lr", "online_batch_events",
+              "refresh_every", "window", "event_log", "thread_sanitizer",
+              "workers"),
+}
+
+#: What every command reads: the command itself and the anomaly switch.
+_EVERY_COMMAND = ("experiment", "detect_anomaly")
 
 
 def _registry():
@@ -193,8 +214,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unread_flags(parser: argparse.ArgumentParser,
+                  args: argparse.Namespace) -> List[str]:
+    """The flags given a value other than their default that
+    ``args.experiment`` does not read."""
+    reads = TOOLS.get(args.experiment)
+    if reads is None:
+        reads = SETTINGS_FLAGS + _registry()[args.experiment].accepts
+    return [dest.replace("_", "-") for dest, value in vars(args).items()
+            if dest not in reads + _EVERY_COMMAND
+            and value != parser.get_default(dest)]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    unread = _unread_flags(parser, args)
+    for flag in unread:
+        print(f"error: {args.experiment} does not take --{flag}",
+              file=sys.stderr)
+    if unread:
+        return 2
     if args.detect_anomaly:
         from .analysis import detect_anomaly
         with detect_anomaly():
@@ -214,13 +254,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return handlers[args.experiment](args,
                                          exp.BenchmarkSettings(**overrides))
     experiment = exp.EXPERIMENTS[args.experiment]
-    given = {flag: getattr(args, flag) for flag in exp.RESTRICTIONS
+    given = {flag: getattr(args, flag) for flag in experiment.accepts
              if getattr(args, flag) is not None}
-    for flag in given:
-        if flag not in experiment.accepts:
-            print(f"error: {experiment.name} does not take --{flag}",
-                  file=sys.stderr)
-            return 2
     print(experiment(experiment.settings(**overrides), **given).render())
     return 0
 

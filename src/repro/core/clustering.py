@@ -140,9 +140,3 @@ class ItemClusterModule(Module):
     def hard_assignments(self) -> np.ndarray:
         """Most likely cluster per item (argmax of the soft assignment)."""
         return np.argmax(self.assignments().data, axis=-1)
-
-    def assignment_entropy(self) -> float:
-        """Mean entropy of item assignments — 0 means fully hard clusters."""
-        probs = self.assignments().data[1:]
-        safe = np.clip(probs, 1e-12, 1.0)
-        return float(-(safe * np.log(safe)).sum(axis=-1).mean())

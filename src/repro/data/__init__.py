@@ -11,9 +11,8 @@ from .batching import PaddedBatch, iterate_batches, pad_samples, sample_negative
 from .datasets import (DATASET_NAMES, DEFAULT_SCALE, PAPER_STATISTICS,
                        dataset_config, load_dataset)
 from .eventlog import (EVENTLOG_FORMAT, EVENTLOG_VERSION, EvalSampleView,
-                       EventLogStore, EventLogWriter, PrefixSampleView,
-                       SequenceCorpus, generate_eventlog,
-                       load_eventlog_dataset, open_eventlog)
+                       EventLogStore, PrefixSampleView, SequenceCorpus,
+                       generate_eventlog, load_eventlog_dataset, open_eventlog)
 from .explanation import (ExplanationSample, average_causes_per_sample,
                           build_explanation_dataset)
 from .features import gps_like_features, text_like_features
@@ -33,7 +32,7 @@ __all__ = [
     "dataset_config", "load_dataset",
     "text_like_features", "gps_like_features",
     "PaddedBatch", "pad_samples", "sample_negatives", "iterate_batches",
-    "EVENTLOG_FORMAT", "EVENTLOG_VERSION", "EventLogWriter", "EventLogStore",
+    "EVENTLOG_FORMAT", "EVENTLOG_VERSION", "EventLogStore",
     "EvalSampleView", "PrefixSampleView",
     "generate_eventlog", "load_eventlog_dataset", "open_eventlog",
     "ExplanationSample", "build_explanation_dataset",

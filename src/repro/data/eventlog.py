@@ -31,10 +31,6 @@ per user.  This module stores it column-wise, once, whatever the scale:
   increasing user ids, items in ``[1, num_items]``, non-empty baskets,
   dense ``ts``) and the same packing (:func:`_pack_shard`).
 
-* **Writer** — :class:`EventLogWriter` buffers at most one shard of
-  columns, so writing an arbitrarily large log needs memory proportional
-  to ``shard_events``, not the corpus.
-
 * **Corpus** — :class:`SequenceCorpus` is the one corpus class: a view
   of a store that may hide each user's last baskets (the training side
   of :func:`~repro.data.interactions.leave_one_out_split`).  Its splits
@@ -70,9 +66,9 @@ from .interactions import PAD_ITEM, EvalSample, UserSequence
 from .synthetic import BehaviorSimulator, SimulatorConfig, SyntheticDataset
 
 __all__ = [
-    "EVENTLOG_FORMAT", "EVENTLOG_VERSION", "EventLogWriter", "EventLogStore",
-    "SequenceCorpus", "EvalSampleView", "PrefixSampleView",
-    "generate_eventlog", "load_eventlog_dataset", "open_eventlog",
+    "EVENTLOG_FORMAT", "EVENTLOG_VERSION", "EventLogStore", "SequenceCorpus",
+    "EvalSampleView", "PrefixSampleView", "generate_eventlog",
+    "load_eventlog_dataset", "open_eventlog",
 ]
 
 EVENTLOG_FORMAT = "repro.eventlog"
@@ -111,17 +107,16 @@ def _event_columns(users: Sequence[Sequence[Sequence[int]]]
 
 
 def _check_users(num_items: int, uids: np.ndarray, items: np.ndarray,
-                 ts: np.ndarray, event_counts: np.ndarray,
-                 after: int = -1) -> None:
+                 ts: np.ndarray, event_counts: np.ndarray) -> None:
     """Refuse columns that break the layout, naming what is wrong.
 
-    User ids must strictly increase from above ``after``, every user needs
+    User ids must strictly increase, every user needs
     an event, items lie in ``[1, num_items]``, and each user's ``ts``
     starts at 0 and grows by 0 or 1 per event (so no basket is empty).
     """
     if items.shape != ts.shape or items.ndim != 1:
         raise ValueError("items/ts must be equal-length 1-D columns")
-    previous = np.concatenate([[after], uids[:-1]]).astype(np.int64)
+    previous = np.concatenate([[-1], uids[:-1]]).astype(np.int64)
     unordered = np.flatnonzero(uids <= previous)
     if unordered.size:
         i = int(unordered[0])
@@ -211,99 +206,6 @@ def _write_header(path: pathlib.Path, num_items: int, shards: List[Dict],
 
 
 # ======================================================================
-# Writer
-# ======================================================================
-class EventLogWriter:
-    """Streams (user, baskets) records into columnar shards on disk.
-
-    Memory is bounded by one shard: buffers flush to disk whenever the
-    buffered event count reaches ``shard_events`` (always at a user
-    boundary).  Pass ``shard_events=None`` to disable the automatic
-    flush and cut shards manually with :meth:`flush`.
-    """
-
-    def __init__(self, path: PathLike, num_items: int,
-                 shard_events: Optional[int] = 1_000_000,
-                 meta: Optional[Dict] = None) -> None:
-        if num_items < 1:
-            raise ValueError("num_items must be positive")
-        if shard_events is not None and shard_events < 1:
-            raise ValueError("shard_events must be positive or None")
-        self.path = _new_log_dir(path)
-        self.num_items = int(num_items)
-        self.shard_events = shard_events
-        self.meta = dict(meta or {})
-        self._shards: List[Dict] = []
-        self._closed = False
-        self._last_user = -1
-        self._reset_buffers()
-
-    def _reset_buffers(self) -> None:
-        self._buf_uids: List[int] = []
-        self._buf_items: List[np.ndarray] = []
-        self._buf_ts: List[np.ndarray] = []
-        self._buf_events = 0
-
-    # ------------------------------------------------------------------
-    def add_user(self, user_id: int,
-                 baskets: Sequence[Sequence[int]]) -> None:
-        """Append one user's chronological baskets (Python-object path)."""
-        items, ts, _ = _event_columns([baskets])
-        self.add_user_columns(user_id, items, ts)
-
-    def add_user_columns(self, user_id: int, items: np.ndarray,
-                         ts: np.ndarray) -> None:
-        """Append one user from pre-built columns.
-
-        ``items`` are 1-based item ids; ``ts`` is the basket index of
-        each event (starting at 0, increasing by 0 or 1 between
-        consecutive events).
-        """
-        if self._closed:
-            raise ValueError("writer is closed")
-        user_id = int(user_id)
-        _check_users(self.num_items, np.array([user_id], dtype=np.int64),
-                     items, ts, np.array([items.size], dtype=np.int64),
-                     after=self._last_user)
-        self._buf_uids.append(user_id)
-        self._buf_items.append(items)
-        self._buf_ts.append(ts)
-        self._buf_events += items.size
-        self._last_user = user_id
-        if self.shard_events is not None and self._buf_events >= self.shard_events:
-            self.flush()
-
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Write buffered users as the next shard (no-op when empty)."""
-        if not self._buf_uids:
-            return
-        self._shards.append(_save_shard(
-            self.path, len(self._shards),
-            np.array(self._buf_uids, dtype=np.int64),
-            np.concatenate(self._buf_items), np.concatenate(self._buf_ts),
-            np.array([len(i) for i in self._buf_items], dtype=np.int64)))
-        self._reset_buffers()
-
-    def close(self) -> "EventLogStore":
-        """Flush the tail shard, write the header, return a reader."""
-        if not self._closed:
-            self.flush()
-            if not self._shards:
-                raise ValueError("cannot close an event log with zero events")
-            _write_header(self.path, self.num_items, self._shards, self.meta)
-            self._closed = True
-        return open_eventlog(self.path)
-
-    def __enter__(self) -> "EventLogWriter":
-        return self
-
-    def __exit__(self, exc_type, *_exc) -> None:
-        if exc_type is None:
-            self.close()
-
-
-# ======================================================================
 # Store
 # ======================================================================
 class EventLogStore:
@@ -366,17 +268,6 @@ class EventLogStore:
         return int(self.user_ids(k)[u]), tuple(
             tuple(values[a - start:b - start])
             for a, b in zip(bounds, bounds[1:]))
-
-    def iter_users(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(user_id, items, ts)`` per user, one shard at a time."""
-        for k in range(self.num_shards):
-            offsets = self.column(k, "offsets")
-            items = self.column(k, "item")
-            ts = self.column(k, "ts")
-            uids = self.user_ids(k)
-            for u in range(len(uids)):
-                start, stop = int(offsets[u]), int(offsets[u + 1])
-                yield int(uids[u]), items[start:stop], ts[start:stop]
 
     # ------------------------------------------------------------------
     def checksum(self) -> str:

@@ -30,10 +30,6 @@ class EvaluationResult:
     def summary(self) -> Dict[str, float]:
         return {name: self.mean(name) for name in self.per_user}
 
-    def as_percentages(self) -> Dict[str, float]:
-        """Paper tables report percentage values with '%' omitted."""
-        return {name: 100.0 * value for name, value in self.summary().items()}
-
 
 def evaluate_rankings(rankings: Sequence[Sequence[int]],
                       samples: Sequence[EvalSample],

@@ -31,9 +31,6 @@ class ExplanationEvalResult:
     per_sample_f1: List[float]
     per_sample_ndcg: List[float]
 
-    def as_percentages(self) -> Dict[str, float]:
-        return {"f1": 100.0 * self.f1, "ndcg": 100.0 * self.ndcg}
-
 
 def top_k_history_items(sample: ExplanationSample, scores: np.ndarray,
                         k: int) -> List[int]:

@@ -8,8 +8,8 @@ and ASCII table rendering.
 
 from .config import (CAUSER_TUNED, PAPER_TUNING_RANGES, BenchmarkSettings,
                      quick_settings)
-from .experiments import (ABLATION_VARIANTS, EXPERIMENTS, RESTRICTIONS,
-                          DesignResult, EfficiencyResult, Experiment,
+from .experiments import (ABLATION_VARIANTS, EXPERIMENTS, DesignResult,
+                          EfficiencyResult, Experiment,
                           FilteringResult, Figure3Result, Figure7Result,
                           Figure8Result, IdentifiabilityResult,
                           ScalabilityResult, SweepResult, Table2Result,
@@ -28,7 +28,7 @@ from .tables import render_metric_matrix, render_series, render_table
 __all__ = [
     "BenchmarkSettings", "quick_settings", "CAUSER_TUNED",
     "PAPER_TUNING_RANGES",
-    "Experiment", "EXPERIMENTS", "RESTRICTIONS",
+    "Experiment", "EXPERIMENTS",
     "Table2Result", "table2_statistics",
     "Figure3Result", "figure3_sequence_lengths",
     "Table4Result", "table4_overall",

@@ -580,9 +580,6 @@ def scalability_study(catalog_sizes: Sequence[int], num_clusters: int,
 # ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
-#: The CLI flags that restrict a run; an entry lists those it takes.
-RESTRICTIONS = ("datasets", "cells", "workers")
-
 Claim = Callable[[Any], bool]
 
 
@@ -593,8 +590,9 @@ class Experiment:
 
     ``run(settings=..., **kwargs, **restrictions)`` returns a result with
     ``render()``.  ``epochs`` is the registered training budget, which a
-    caller's own ``num_epochs`` replaces.  ``accepts`` names the
-    :data:`RESTRICTIONS` the run takes.  ``claims`` maps a name to a
+    caller's own ``num_epochs`` replaces.  ``accepts`` names the CLI
+    flags that restrict the run (``datasets``, ``cells``, ``workers``) it
+    takes.  ``claims`` maps a name to a
     predicate over the result: the paper's shape (and sanity bounds) at the
     registered arguments.
     """

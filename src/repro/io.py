@@ -256,109 +256,6 @@ def read_json_header(path: PathLike, format_name: str,
     return header
 
 
-#: Bumped whenever the optimizer-state archive layout changes.
-OPTIMIZER_STATE_VERSION = 1
-
-#: Per-optimizer state tables (``Dict[int, ndarray]`` keyed by the stable
-#: parameter index, each entry shaped like its parameter) that must
-#: survive a restart.
-_OPTIMIZER_STATE_SLOTS = ("_velocity", "_m", "_v", "_accum")
-
-
-def save_optimizer_state(optimizer, path: PathLike) -> None:
-    """Serialize an optimizer's state tables (velocity, moments,
-    accumulators) and global step to a ``.npz`` archive.
-
-    Together with :func:`save_model` this lets a training loop — the
-    online shadow trainer in particular — restart *warm*: reloading both
-    archives and continuing produces bit-for-bit the update a
-    never-interrupted run would have applied, because an optimizer's
-    state is exactly these tables plus the step counter.  Like
-    :func:`save_model`, the archive is written to a temporary file and
-    renamed into place.
-    """
-    header = {
-        "format_version": OPTIMIZER_STATE_VERSION,
-        "optimizer": type(optimizer).__name__,
-        "lr": float(optimizer.lr),
-        "num_params": len(optimizer.params),
-        "step": int(getattr(optimizer, "_t", 0)),
-    }
-    arrays: Dict[str, np.ndarray] = {}
-    for slot in _OPTIMIZER_STATE_SLOTS:
-        table = getattr(optimizer, slot, None)
-        if not table:
-            continue
-        for index, value in table.items():
-            arrays[f"state::{slot}::{index}"] = value
-    arrays["header"] = np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    _write_atomic(_npz_path(path),
-                  lambda fh: np.savez_compressed(fh, **arrays))
-
-
-def load_optimizer_state(optimizer, path: PathLike):
-    """Restore state written by :func:`save_optimizer_state` in place.
-
-    The optimizer must already be constructed over the *same parameter
-    list* (same order, same shapes) it was saved with — state is keyed by
-    the stable parameter index.  Raises :class:`ValueError` (naming the
-    file) on version, class, or parameter-count mismatch, and (naming the
-    file and the key) on a state slot the optimizer does not hold or an
-    entry whose shape differs from its parameter's.
-    """
-    with np.load(str(path)) as archive:
-        header = json.loads(bytes(archive["header"]).decode("utf-8"))
-        version = header.get("format_version")
-        if version != OPTIMIZER_STATE_VERSION:
-            raise ValueError(
-                f"{path}: unsupported optimizer-state format_version "
-                f"{version!r} (this build reads version "
-                f"{OPTIMIZER_STATE_VERSION})")
-        saved_class = header.get("optimizer")
-        if saved_class != type(optimizer).__name__:
-            raise ValueError(
-                f"{path}: optimizer state was saved from {saved_class!r} "
-                f"but is being loaded into {type(optimizer).__name__}")
-        if header.get("num_params") != len(optimizer.params):
-            raise ValueError(
-                f"{path}: optimizer state covers "
-                f"{header.get('num_params')} parameters, the target "
-                f"optimizer holds {len(optimizer.params)}")
-        entries = []
-        for key in archive.files:
-            if not key.startswith("state::"):
-                continue
-            _, slot, index = key.split("::")
-            table = (getattr(optimizer, slot, None)
-                     if slot in _OPTIMIZER_STATE_SLOTS else None)
-            if table is None:
-                raise ValueError(
-                    f"{path}: state slot {slot!r} does not exist on "
-                    f"{type(optimizer).__name__}")
-            value = archive[key]
-            row = int(index)
-            if not 0 <= row < len(optimizer.params):
-                raise ValueError(f"{path}: state entry {key!r} indexes "
-                                 f"outside the parameter list")
-            expected = optimizer.params[row].data.shape
-            if value.shape != expected:
-                raise ValueError(
-                    f"{path}: state entry {key!r} has shape {value.shape}, "
-                    f"its parameter has shape {expected}")
-            entries.append((table, row, value))
-    # Only a fully validated archive touches the optimizer.
-    if hasattr(optimizer, "_t"):
-        optimizer._t = int(header.get("step", 0))
-    for slot in _OPTIMIZER_STATE_SLOTS:
-        table = getattr(optimizer, slot, None)
-        if table is not None:
-            table.clear()
-    for table, row, value in entries:
-        table[row] = value
-    return optimizer
-
-
 def load_model(path: PathLike):
     """Restore a model saved with :func:`save_model`.
 

@@ -100,9 +100,6 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def non_finite_parameters(self) -> List[Tuple[str, str]]:
         """``(name, field)`` pairs whose data or gradient contains NaN/Inf.
 

@@ -242,41 +242,6 @@ class EventLog:
         end = self.next_offset
         return self.read(max(0, end - count), end)
 
-    def export_columnar(self, path, num_items: int, *,
-                        shard_events: Optional[int] = 1_000_000,
-                        meta: Optional[dict] = None):
-        """Export the log as a columnar event log (``repro.data.eventlog``).
-
-        Each ``append`` becomes one basket; a user's baskets keep their
-        offset order, so the export is a deterministic function of the
-        log contents.  Users are written in ascending id order (the
-        writer's ordering contract) and empty baskets — which carry no
-        training signal — are dropped.  Returns the opened
-        :class:`~repro.data.eventlog.EventLogStore`, whose ``.corpus()``
-        splits and trains like any other corpus, so logged traffic feeds
-        the same training path as generated corpora.
-        """
-        from ..data.eventlog import EventLogWriter
-        records = self.read(0, self.next_offset)
-        baskets_by_user: dict = {}
-        for record in records:
-            if record.basket:
-                baskets_by_user.setdefault(record.user_id,
-                                           []).append(record.basket)
-        if not baskets_by_user:
-            raise ValueError("cannot export an event log with no "
-                             "non-empty baskets")
-        export_meta = {"generator": "online.EventLog.export_columnar",
-                       "source_events": len(records)}
-        export_meta.update(meta or {})
-        with EventLogWriter(path, num_items=num_items,
-                            shard_events=shard_events,
-                            meta=export_meta) as writer:
-            for user_id in sorted(baskets_by_user):
-                writer.add_user(user_id, baskets_by_user[user_id])
-        from ..data.eventlog import open_eventlog
-        return open_eventlog(path)
-
     def close(self) -> None:
         with self._lock:
             if self._handle is not None:

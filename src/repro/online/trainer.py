@@ -33,11 +33,9 @@ symptom upstream), the event is treated as the start of a fresh session
 from __future__ import annotations
 
 import copy
-import json
 import threading
 import time
 from collections import OrderedDict, deque
-from pathlib import Path
 from typing import Deque, List, Optional, Set, Tuple
 
 import numpy as np
@@ -103,7 +101,7 @@ class OnlineTrainer:
         self.tail_capacity = int(tail_capacity)
         self.poll_interval = float(poll_interval)
         self.metrics = metrics
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._consumed = int(start_offset)
         self._steps = 0
         self._tails: "OrderedDict[int, Deque[Basket]]" = OrderedDict()
@@ -273,57 +271,3 @@ class OnlineTrainer:
             self._thread = None
         if thread is not None:
             thread.join()
-
-    # -- durability --------------------------------------------------------
-    def save_state(self, path) -> None:
-        """Persist shadow model + optimizer state + consumption cursor.
-
-        Restoring (:meth:`restore_state`) and continuing is equivalent to
-        never having stopped: moments, accumulators, the step counter,
-        tails, the seen-user set, and the consumed offset all round-trip.
-        """
-        from ..io import save_model, save_optimizer_state
-        state_dir = Path(path)
-        state_dir.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            save_model(self.model, state_dir / "shadow.npz")
-            if self._optimizer is not None:
-                save_optimizer_state(self._optimizer,
-                                     state_dir / "optimizer.npz")
-            meta = {
-                "consumed": self._consumed,
-                "steps": self._steps,
-                "batch_events": self.batch_events,
-                "seed": self.seed,
-                "seen": sorted(self._seen),
-                "tails": [[user_id, [list(basket) for basket in tail]]
-                          for user_id, tail in self._tails.items()],
-            }
-        (state_dir / "trainer.json").write_text(json.dumps(meta),
-                                                encoding="utf-8")
-
-    def restore_state(self, path) -> None:
-        """Warm-restart from :meth:`save_state` output."""
-        from ..io import load_model, load_optimizer_state
-        state_dir = Path(path)
-        meta = json.loads((state_dir / "trainer.json").read_text(
-            encoding="utf-8"))
-        if meta["batch_events"] != self.batch_events:
-            raise ValueError(
-                f"{state_dir}: saved batch_events={meta['batch_events']} "
-                f"!= configured {self.batch_events}; offsets would shear")
-        model = load_model(state_dir / "shadow.npz")
-        with self._lock:
-            self._adopt_locked(model)
-            optimizer_path = state_dir / "optimizer.npz"
-            if self._optimizer is not None and optimizer_path.exists():
-                load_optimizer_state(self._optimizer, optimizer_path)
-            self._consumed = int(meta["consumed"])
-            self._steps = int(meta["steps"])
-            self._seen = set(int(user) for user in meta["seen"])
-            self._tails = OrderedDict()
-            for user_id, baskets in meta["tails"]:
-                tail: Deque[Basket] = deque(maxlen=self.max_history)
-                tail.extend(tuple(int(i) for i in basket)
-                            for basket in baskets)
-                self._tails[int(user_id)] = tail

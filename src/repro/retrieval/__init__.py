@@ -11,14 +11,13 @@ from .config import RETRIEVAL_MODES, RetrievalConfig
 from .index import (ASSIGN_CHUNK, ExactIndex, IVFIndex, kmeans_fit,
                     top_ids_by_score)
 from .rerank import rerank_top_z
-from .towers import (QUANTIZE_MODES, SCORERS, ItemTower, QuantizedTable,
-                     as_dense, build_item_tower, dot_scores, l2_scores,
-                     take_rows, user_vector)
+from .towers import (QUANTIZE_MODES, ItemTower, QuantizedTable, as_dense,
+                     build_item_tower, dot_scores, take_rows, user_vector)
 
 __all__ = [
     "ASSIGN_CHUNK", "ExactIndex", "IVFIndex", "ItemTower",
     "QUANTIZE_MODES", "QuantizedTable", "RETRIEVAL_MODES",
-    "RetrievalConfig", "SCORERS", "as_dense", "build_item_tower",
-    "dot_scores", "kmeans_fit", "l2_scores", "rerank_top_z",
+    "RetrievalConfig", "as_dense", "build_item_tower", "dot_scores",
+    "kmeans_fit", "rerank_top_z",
     "take_rows", "top_ids_by_score", "user_vector",
 ]

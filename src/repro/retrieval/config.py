@@ -25,7 +25,6 @@ class RetrievalConfig:
     shortlist: int = 500
     nprobe: int = 8
     n_clusters: Optional[int] = None
-    scorer: str = "dot"          # "dot" | "l2" (see retrieval.towers.SCORERS)
     kmeans_iters: int = 8
     seed: int = 0
 

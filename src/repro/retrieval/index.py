@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .towers import SCORERS, ItemTower, as_dense
+from .towers import ItemTower, as_dense, dot_scores
 
 #: Rows per assignment chunk: bounds the ``(chunk, n_clusters)`` distance
 #: block.  Fixed, so the chunk boundaries — and therefore every matrix
@@ -53,13 +53,8 @@ def top_ids_by_score(scores: np.ndarray, ids: np.ndarray,
 class ExactIndex:
     """Brute-force scorer over the full item tower (the oracle)."""
 
-    def __init__(self, tower: ItemTower, scorer: str = "dot") -> None:
-        if scorer not in SCORERS:
-            raise ValueError(f"unknown scorer {scorer!r}; "
-                             f"choose from {sorted(SCORERS)}")
+    def __init__(self, tower: ItemTower) -> None:
         self.tower = tower
-        self.scorer_name = scorer
-        self._scorer = SCORERS[scorer]
 
     @property
     def size(self) -> int:
@@ -67,8 +62,8 @@ class ExactIndex:
 
     def search(self, query: np.ndarray, k: int) -> np.ndarray:
         """Ids of the ``k`` best items for ``query``, best first."""
-        scores = self._scorer(np.asarray(query, dtype=np.float64),
-                              self.tower.vectors, self.tower.bias)
+        scores = dot_scores(np.asarray(query, dtype=np.float64),
+                            self.tower.vectors, self.tower.bias)
         return top_ids_by_score(scores, self.tower.ids, k)
 
 
@@ -145,17 +140,12 @@ class IVFIndex:
 
     def __init__(self, centroids: np.ndarray, list_ids: List[np.ndarray],
                  list_vectors: List[np.ndarray], list_bias: List[np.ndarray],
-                 scorer: str = "dot", seed: int = 0) -> None:
-        if scorer not in SCORERS:
-            raise ValueError(f"unknown scorer {scorer!r}; "
-                             f"choose from {sorted(SCORERS)}")
+                 seed: int = 0) -> None:
         self.centroids = centroids
         self.list_ids = list_ids
         self.list_vectors = list_vectors
         self.list_bias = list_bias
-        self.scorer_name = scorer
         self.seed = seed
-        self._scorer = SCORERS[scorer]
         self._cent_sq = (centroids * centroids).sum(axis=1)
         self._cluster_order = np.arange(centroids.shape[0])
         for array in (self.centroids, self._cent_sq, *list_ids,
@@ -164,8 +154,7 @@ class IVFIndex:
 
     @classmethod
     def build(cls, tower: ItemTower, n_clusters: Optional[int] = None,
-              scorer: str = "dot", seed: int = 0,
-              iters: int = 8) -> "IVFIndex":
+              seed: int = 0, iters: int = 8) -> "IVFIndex":
         """Train the coarse quantizer and materialize the inverted lists."""
         n = tower.size
         if n_clusters is None:
@@ -180,8 +169,7 @@ class IVFIndex:
             list_ids.append(tower.ids[members].copy())
             list_vectors.append(np.ascontiguousarray(tower.vectors[members]))
             list_bias.append(tower.bias[members].copy())
-        return cls(centroids, list_ids, list_vectors, list_bias,
-                   scorer=scorer, seed=seed)
+        return cls(centroids, list_ids, list_vectors, list_bias, seed=seed)
 
     @property
     def n_clusters(self) -> int:
@@ -217,7 +205,7 @@ class IVFIndex:
         # probed cell (cost comparable to the scoring matmul itself).
         vectors = np.concatenate([as_dense(self.list_vectors[j])
                                   for j in probes])
-        scores = self._scorer(query, vectors, np.concatenate(
+        scores = dot_scores(query, vectors, np.concatenate(
             [self.list_bias[j] for j in probes]))
         return top_ids_by_score(
             scores, np.concatenate([self.list_ids[j] for j in probes]), k)

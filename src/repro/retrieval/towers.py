@@ -1,7 +1,7 @@
 """Two-tower factorization of the frozen serving artifacts.
 
-The retrieval stage needs every score to decompose into ``scorer(user
-vector, item vector) + bias`` so an index over the item side can cut a
+The retrieval stage needs every score to decompose into ``user vector ·
+item vector + bias`` so an index over the item side can cut a
 shortlist without touching the model.  The frozen bundles built by
 :func:`repro.serve.registry.build_artifacts` factor exactly that way:
 
@@ -14,9 +14,8 @@ shortlist without touching the model.  The frozen bundles built by
   steps (eq. 10 with the causal effects held at 1 — an approximation
   the exact re-rank stage corrects over the shortlist).
 
-Scoring is pluggable: ``dot`` is the model's native inner-product head,
-``l2`` ranks by negative squared euclidean distance (plus bias), the
-usual choice when item vectors are normalized offline.
+Every servable head is that inner product, so :func:`dot_scores` is the
+one scorer the indexes use.
 
 This module also hosts :class:`QuantizedTable`, the compressed storage
 format for frozen embedding tables (``--quantize {fp16,int8}``): it lives
@@ -27,7 +26,7 @@ can dequantize-on-score without a circular import.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -164,21 +163,6 @@ def dot_scores(query: np.ndarray, vectors: np.ndarray,
                bias: np.ndarray) -> np.ndarray:
     """Inner-product scores, the native head of every servable model."""
     return candidate_dots(query[None], vectors)[:, 0] + bias
-
-
-def l2_scores(query: np.ndarray, vectors: np.ndarray,
-              bias: np.ndarray) -> np.ndarray:
-    """Negative squared L2 distance (higher = closer), plus bias."""
-    deltas = vectors - query[None, :]
-    return -(deltas * deltas).sum(axis=1) + bias
-
-
-#: name -> scorer(query (d,), vectors (N, d), bias (N,)) -> scores (N,)
-SCORERS: Dict[str, Callable[[np.ndarray, np.ndarray, np.ndarray],
-                            np.ndarray]] = {
-    "dot": dot_scores,
-    "l2": l2_scores,
-}
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,6 @@ class RetrievalArtifact:
 
     def describe(self) -> Dict[str, Any]:
         return {"mode": self.config.mode,
-                "scorer": self.config.scorer,
                 "n_clusters": self.index.n_clusters,
                 "shortlist": self.config.shortlist,
                 "nprobe": self.config.nprobe}
@@ -73,8 +72,7 @@ def build_retrieval(artifacts: "ServingArtifacts",
     if tower is None:
         return None
     index = IVFIndex.build(tower, n_clusters=config.n_clusters,
-                           scorer=config.scorer, seed=config.seed,
-                           iters=config.kmeans_iters)
+                           seed=config.seed, iters=config.kmeans_iters)
     return RetrievalArtifact(config=config, tower=tower, index=index,
                              generation=artifacts.generation)
 
@@ -296,7 +294,7 @@ def quantize_artifacts(artifacts: ServingArtifacts,
             old.centroids, old.list_ids,
             [QuantizedTable.quantize(vectors, mode)
              for vectors in old.list_vectors],
-            old.list_bias, scorer=old.scorer_name, seed=old.seed)
+            old.list_bias, seed=old.seed)
         bundle.retrieval = dataclass_replace(retrieval, tower=tower,
                                              index=index)
     return bundle

@@ -275,10 +275,6 @@ class SessionStore:
             session.append(basket, params)
         return session.view()
 
-    def drop(self, user_id: int) -> bool:
-        with self._lock:
-            return self._sessions.pop(user_id, None) is not None
-
     def clear(self) -> None:
         with self._lock:
             self._sessions.clear()

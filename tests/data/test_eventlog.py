@@ -9,26 +9,30 @@ The contracts under test, in order of importance:
   simulator's nested basket tuples — same statistics, same
   leave-one-out splits, same training batches, and therefore the same
   loss trajectory through a real model;
-* the writer validates its input and the header is versioned, written
-  atomically, and rejected with the file's name when torn.
+* every store refuses columns that break the layout, and the header is
+  versioned, written atomically, and rejected with the file's name when
+  torn.
 """
 
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.data import (BehaviorSimulator, EvalSample, EventLogWriter,
+from repro.data import (BehaviorSimulator, EvalSample, SequenceCorpus,
                         SimulatorConfig, UserSequence, generate_eventlog,
                         iterate_batches, load_eventlog_dataset,
                         open_eventlog, pad_samples, training_prefixes)
-from repro.data.eventlog import EVENTLOG_FORMAT, EVENTLOG_VERSION
+from repro.data.eventlog import (EVENTLOG_FORMAT, EVENTLOG_VERSION,
+                                 _check_users)
 from repro.data.interactions import leave_one_out_split
 from repro.exp import ALL_MODEL_NAMES, quick_settings, run_model
 from repro.io import write_json_header
 
 CONFIG = SimulatorConfig(num_users=60, num_items=80, num_clusters=6, seed=11)
+TINY = SimulatorConfig(num_users=2, num_items=10, num_clusters=2, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -45,59 +49,50 @@ def memory_dataset():
     return BehaviorSimulator(CONFIG).generate(user_seeds=True)
 
 
+def _raw_user(user_id, baskets):
+    """A user without :class:`UserSequence`'s own checks, so the store's
+    layout checks are the ones that refuse it."""
+    return SimpleNamespace(user_id=user_id, baskets=baskets)
+
+
 class TestWriterValidation:
-    def test_user_ids_must_increase(self, tmp_path):
-        writer = EventLogWriter(tmp_path / "log", num_items=10)
-        writer.add_user(4, [[1, 2]])
+    """The layout checks every store is written through."""
+
+    def test_user_ids_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            writer.add_user(4, [[3]])
+            SequenceCorpus(10, [UserSequence(4, ((1, 2),)),
+                                UserSequence(4, ((3,),))])
 
-    def test_empty_basket_rejected(self, tmp_path):
-        writer = EventLogWriter(tmp_path / "log", num_items=10)
+    def test_empty_basket_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            writer.add_user(0, [[1], []])
+            SequenceCorpus(10, [_raw_user(0, ((1,), ()))])
 
-    def test_item_range_enforced(self, tmp_path):
-        writer = EventLogWriter(tmp_path / "log", num_items=10)
+    def test_item_range_enforced(self):
         with pytest.raises(ValueError, match=r"\[1, 10\]"):
-            writer.add_user(0, [[11]])
+            SequenceCorpus(10, [UserSequence(0, ((11,),))])
         with pytest.raises(ValueError, match=r"\[1, 10\]"):
-            writer.add_user(0, [[0]])
+            SequenceCorpus(10, [_raw_user(0, ((0,),))])
 
-    def test_ts_must_be_dense(self, tmp_path):
-        writer = EventLogWriter(tmp_path / "log", num_items=10)
+    def test_ts_must_be_dense(self):
+        # Both stores derive ts from baskets, so hand the shared check
+        # columns no basket list can produce.
+        one = np.array([0], dtype=np.int64)
         with pytest.raises(ValueError, match="start at basket index 0"):
-            writer.add_user_columns(0, np.array([1], dtype=np.int32),
-                                    np.array([1], dtype=np.int32))
+            _check_users(10, one, np.array([1]), np.array([1]),
+                         np.array([1]))
         with pytest.raises(ValueError, match="dense basket indices"):
-            writer.add_user_columns(0, np.array([1, 2], dtype=np.int32),
-                                    np.array([0, 2], dtype=np.int32))
-
-    def test_empty_log_rejected(self, tmp_path):
-        writer = EventLogWriter(tmp_path / "log", num_items=10)
-        with pytest.raises(ValueError, match="zero events"):
-            writer.close()
+            _check_users(10, one, np.array([1, 2]), np.array([0, 2]),
+                         np.array([2]))
 
     def test_refuses_to_overwrite(self, tmp_path):
-        with EventLogWriter(tmp_path / "log", num_items=10) as writer:
-            writer.add_user(0, [[1]])
+        generate_eventlog(TINY, tmp_path / "log")
         with pytest.raises(FileExistsError):
-            EventLogWriter(tmp_path / "log", num_items=10)
-
-    def test_shard_rotation_at_user_boundary(self, tmp_path):
-        with EventLogWriter(tmp_path / "log", num_items=10,
-                            shard_events=3) as writer:
-            for user in range(4):
-                writer.add_user(user, [[1, 2], [3]])  # 3 events each
-        store = open_eventlog(tmp_path / "log")
-        assert store.num_shards == 4
-        assert [s["users"] for s in store.shards] == [1, 1, 1, 1]
+            generate_eventlog(TINY, tmp_path / "log")
 
 
 class TestHeaderVersioning:
     def test_bad_version_rejected(self, tmp_path):
-        with EventLogWriter(tmp_path / "log", num_items=10) as writer:
-            writer.add_user(0, [[1]])
+        generate_eventlog(TINY, tmp_path / "log")
         header_path = tmp_path / "log" / "header.json"
         header = json.loads(header_path.read_text())
         header["format_version"] = 99
@@ -106,8 +101,7 @@ class TestHeaderVersioning:
             open_eventlog(tmp_path / "log")
 
     def test_bad_format_rejected(self, tmp_path):
-        with EventLogWriter(tmp_path / "log", num_items=10) as writer:
-            writer.add_user(0, [[1]])
+        generate_eventlog(TINY, tmp_path / "log")
         header_path = tmp_path / "log" / "header.json"
         header = json.loads(header_path.read_text())
         header["format"] = "something.else"
@@ -118,9 +112,7 @@ class TestHeaderVersioning:
 
 class TestHeaderAtomicity:
     def _log(self, tmp_path):
-        with EventLogWriter(tmp_path / "log", num_items=10) as writer:
-            writer.add_user(0, [[1, 2], [3]])
-            writer.add_user(1, [[4]])
+        generate_eventlog(TINY, tmp_path / "log")
         return tmp_path / "log" / "header.json"
 
     def test_every_truncation_names_the_file(self, tmp_path):
@@ -131,7 +123,7 @@ class TestHeaderAtomicity:
             with pytest.raises(ValueError, match=re.escape(str(header_path))):
                 open_eventlog(tmp_path / "log")
         header_path.write_bytes(full)
-        assert open_eventlog(tmp_path / "log").num_users == 2
+        assert open_eventlog(tmp_path / "log").num_users == TINY.num_users
 
     def test_non_object_header_names_the_file(self, tmp_path):
         header_path = self._log(tmp_path)
@@ -188,10 +180,7 @@ class TestParallelBitIdentity:
         fine = generate_eventlog(CONFIG, tmp_path / "fine",
                                  users_per_shard=7)
         assert coarse.num_shards == 1 and fine.num_shards == 9
-        for (ga, ia, ta), (gb, ib, tb) in zip(coarse.iter_users(),
-                                              fine.iter_users()):
-            assert ga == gb
-            assert np.array_equal(ia, ib) and np.array_equal(ta, tb)
+        assert list(coarse.corpus()) == list(fine.corpus())
 
 
 def reference_split(sequences, min_length=3):
@@ -374,43 +363,13 @@ class TestModelsOnEventlog:
         assert 0.0 <= run.result.mean("ndcg") <= 1.0
 
     def test_missing_truth_names_the_dataset(self, tmp_path):
-        with EventLogWriter(tmp_path / "bare", num_items=10) as writer:
-            writer.add_user(0, [[1], [2], [3]])
+        generate_eventlog(TINY, tmp_path / "bare", name="bare")
+        for sidecar in ("features.npy", "truth.npz"):
+            (tmp_path / "bare" / sidecar).unlink()
         dataset = load_eventlog_dataset(tmp_path / "bare")
         assert dataset.features is None and dataset.cause_log == []
         with pytest.raises(ValueError, match="bare: no ground-truth"):
             dataset.num_clusters
-
-
-class TestOnlineExport:
-    def test_export_columnar_roundtrip(self, tmp_path):
-        from repro.online import EventLog
-        log = EventLog(tmp_path / "log")
-        log.append(7, [2, 5])
-        log.append(1, [9])
-        log.append(7, [4])
-        log.append(1, [])  # empty baskets carry no signal: dropped
-        store = log.export_columnar(tmp_path / "columnar", num_items=10)
-        log.close()
-        assert store.num_users == 2
-        assert store.num_events == 4
-        users = {gid: (items.tolist(), ts.tolist())
-                 for gid, items, ts in store.iter_users()}
-        assert users == {1: ([9], [0]), 7: ([2, 5, 4], [0, 0, 1])}
-
-    def test_export_replays_into_corpus(self, tmp_path):
-        from repro.online import EventLog
-        log = EventLog(tmp_path / "log")
-        for user in range(4):
-            for basket in ([1, 2], [3], [4]):
-                log.append(user, basket)
-        corpus = log.export_columnar(tmp_path / "columnar",
-                                     num_items=5).corpus()
-        log.close()
-        assert corpus.num_users == 4
-        assert corpus.num_interactions == 16
-        split = leave_one_out_split(corpus)
-        assert len(split.test) == 4
 
 
 class TestDataCli:

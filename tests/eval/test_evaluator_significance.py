@@ -69,7 +69,7 @@ class TestEvaluateRankings:
 
     def test_percentages(self):
         result = evaluate_rankings([[2]], [sample([2])], z=1)
-        assert result.as_percentages()["f1"] == pytest.approx(100.0)
+        assert 100.0 * result.mean("f1") == pytest.approx(100.0)
 
     def test_per_user_traces_kept(self):
         samples = [sample([2]), sample([9])]
@@ -152,4 +152,4 @@ class TestExplanationEvaluation:
         s = self.make_sample()
         result = evaluate_explanations(
             [s], lambda sample: np.array([0.0, 1.0, 0.0]), k=1)
-        assert result.as_percentages()["ndcg"] == pytest.approx(100.0)
+        assert 100.0 * result.ndcg == pytest.approx(100.0)

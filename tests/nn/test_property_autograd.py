@@ -102,11 +102,3 @@ def test_relu_idempotent(values):
 def test_transpose_involution(values):
     t = Tensor(values, requires_grad=True)
     np.testing.assert_allclose(t.T.T.data, values)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 5))
-def test_detach_blocks_gradient(rows, cols):
-    t = Tensor(np.ones((rows, cols)), requires_grad=True)
-    out = (t.detach() * 2).sum()
-    assert not out.requires_grad

@@ -25,12 +25,6 @@ class TestBasics:
         assert t.size == 6
         assert len(t) == 2
 
-    def test_detach_cuts_graph(self):
-        t = make((2,))
-        d = t.detach()
-        assert not d.requires_grad
-        assert d.data is t.data
-
     def test_item_on_scalar(self):
         assert Tensor(3.5).item() == pytest.approx(3.5)
 

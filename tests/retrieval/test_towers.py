@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.nn.fused import CANDIDATE_BLOCK
-from repro.retrieval import (SCORERS, build_item_tower, dot_scores,
-                             rerank_top_z, top_ids_by_score, user_vector)
+from repro.retrieval import (build_item_tower, dot_scores, rerank_top_z,
+                             top_ids_by_score, user_vector)
 from repro.serve import (ScoreView, SessionStore, build_artifacts,
                          quantize_artifacts, score_view_candidates,
                          score_views)
@@ -144,14 +144,3 @@ def test_rerank_empty_candidates(causer_artifacts, causer_model):
     empty = np.empty(0, dtype=np.int64)
     assert score_view_candidates(causer_artifacts, view, empty).size == 0
     assert rerank_top_z(causer_artifacts, view, empty, 5) == []
-
-
-def test_scorer_registry_contract():
-    assert set(SCORERS) == {"dot", "l2"}
-    rng = np.random.default_rng(0)
-    query = rng.normal(size=4)
-    vectors = rng.normal(size=(9, 4))
-    bias = rng.normal(size=9)
-    for scorer in SCORERS.values():
-        out = scorer(query, vectors, bias)
-        assert out.shape == (9,)

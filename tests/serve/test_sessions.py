@@ -157,7 +157,9 @@ class TestSessionStore:
         store = SessionStore()
         assert store.view(42) is None
         store.append_event(42, (1,), None)
-        assert store.drop(42) and not store.drop(42)
+        assert store.view(42) is not None
+        store.clear()
+        assert store.view(42) is None and 42 not in store
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,10 @@ Parametrized over ``repro.exp.EXPERIMENTS``, so a new entry is covered
 without a new test.  Each entry runs at ``--quick --scale 0.02``, on one
 dataset and one cell where it takes ``--datasets`` / ``--cells``; the CLI
 must print exactly its result's table, and every claim must evaluate on
-that result.  An experiment given a restricting flag it does not take
-exits 2 before running anything.  ``test_cli_experiment_commands`` keeps
-the hand-picked invocations of the heavier experiments with their
+that result.  A command given a flag it does not read (an experiment's
+restricting flag it does not take, or another command's flag) exits 2
+before running anything.  ``test_cli_experiment_commands`` keeps the
+hand-picked invocations of the heavier experiments with their
 restricting flags.
 """
 
@@ -67,3 +68,20 @@ def test_refused_restriction_exits_2(name, flag, capsys, monkeypatch):
                         replace(EXPERIMENTS[name], run=None))
     assert main([name, f"--{flag}", *QUICK[flag]]) == 2
     assert f"error: {name} does not take --{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["table2", "--data-backend", "eventlog", "--model", "BPR",
+      "--grid-param", "epsilon=0.2"], ["data-backend", "model", "grid-param"]),
+    (["train", "--cells", "lstm"], ["cells"]),
+    (["grid", "--data-backend", "eventlog"], ["data-backend"]),
+    # Refused before serve's own --workers check, and before it binds.
+    (["serve", "--quick", "--datasets", "baby", "--workers", "2"],
+     ["quick", "datasets"]),
+])
+def test_unread_flag_exits_2(argv, unread, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    for flag in unread:
+        assert f"error: {argv[0]} does not take --{flag}" in captured.err
+    assert captured.out == ""

@@ -8,11 +8,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core import Causer, CauserConfig
-from repro.io import (load_model, load_optimizer_state,
-                      registered_model_classes, save_model,
-                      save_optimizer_state)
+from repro.io import load_model, registered_model_classes, save_model
 from repro.models import GRU4Rec, PopularityRecommender, TrainConfig, VTRNN
-from repro.nn import Adam
 
 
 @pytest.fixture(scope="module")
@@ -159,20 +156,6 @@ class TestCrashConsistency:
             save_model(trained_causer, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
-
-    def test_failed_optimizer_save_keeps_previous_state(
-            self, trained_causer, tmp_path, monkeypatch):
-        optimizer = Adam(list(trained_causer.parameters()), lr=0.01)
-        path = tmp_path / "opt.npz"
-        save_optimizer_state(optimizer, path)
-        before = path.read_bytes()
-        self._dies_mid_write(monkeypatch)
-        with pytest.raises(OSError, match="disk full"):
-            save_optimizer_state(optimizer, path)
-        monkeypatch.undo()
-        assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["opt.npz"]
-        load_optimizer_state(optimizer, path)
 
     def test_suffixless_path_still_gains_npz(self, trained_causer, tmp_path):
         save_model(trained_causer, tmp_path / "model")
