@@ -13,7 +13,7 @@ three detectors:
   carries the recorded stacks of *both* acquiring sites.  Inversions are
   detected even when the conflicting acquisitions never overlap in time —
   this checks order discipline, not whether the deadlock happened to fire.
-* **long hold** — a lock held longer than ``long_hold_ms`` (wall clock)
+* **long hold** — a lock held longer than ``LONG_HOLD_MS`` (wall clock)
   is reported with the acquisition stack.  ``Condition.wait`` releases
   the underlying lock, so time spent waiting does not count as holding.
 * **torn read** — generation-counted artifacts (``CheckpointRegistry``
@@ -32,7 +32,7 @@ Usage::
 
     from repro.analysis import threadsan
 
-    with threadsan(long_hold_ms=100.0) as san:
+    with threadsan() as san:
         san.instrument_app(app)          # a repro.serve.ServeApp
         ... drive traffic ...
     assert san.findings == [], san.render_report()
@@ -57,13 +57,13 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-#: Default threshold for the long-hold detector, in milliseconds.  Serving
-#: locks guard dict lookups and pointer swaps; anything beyond a few
+#: Threshold of the long-hold detector, in milliseconds.  Serving locks
+#: guard dict lookups and pointer swaps; anything beyond a few
 #: milliseconds under a lock is a foreign blocking call (cf. CL003).
-DEFAULT_LONG_HOLD_MS = 100.0
+LONG_HOLD_MS = 100.0
 
 #: Stack frames recorded per acquisition (innermost last).
-DEFAULT_STACK_DEPTH = 8
+STACK_DEPTH = 8
 
 
 @dataclass
@@ -85,8 +85,8 @@ class ConcurrencyFinding:
         return "\n".join(parts)
 
 
-def _indent(stack: str, prefix: str = "    ") -> str:
-    return "\n".join(prefix + line for line in stack.rstrip().splitlines())
+def _indent(stack: str) -> str:
+    return "\n".join("    " + line for line in stack.rstrip().splitlines())
 
 
 class _HeldLock:
@@ -171,10 +171,7 @@ class LockProxy:
 class ThreadSanitizer:
     """Records lock events across threads and turns them into findings."""
 
-    def __init__(self, long_hold_ms: float = DEFAULT_LONG_HOLD_MS,
-                 stack_depth: int = DEFAULT_STACK_DEPTH) -> None:
-        self.long_hold_ms = float(long_hold_ms)
-        self.stack_depth = int(stack_depth)
+    def __init__(self) -> None:
         self._lock = threading.Lock()   # guards everything below
         self._findings: List[ConcurrencyFinding] = []
         #: dynamic lock-order graph: name -> set of names acquired under it
@@ -356,7 +353,7 @@ class ThreadSanitizer:
         frames = traceback.extract_stack()
         frames = [f for f in frames
                   if not f.filename.endswith("concurrency.py")]
-        return "".join(traceback.format_list(frames[-self.stack_depth:]))
+        return "".join(traceback.format_list(frames[-STACK_DEPTH:]))
 
     def _on_acquired(self, proxy: LockProxy,
                      reacquired: bool = False) -> None:
@@ -384,11 +381,11 @@ class ThreadSanitizer:
                 return
             held.pop(index)
             held_ms = (time.monotonic() - entry.since) * 1000.0
-            if held_ms > self.long_hold_ms:
+            if held_ms > LONG_HOLD_MS:
                 self._add_finding(ConcurrencyFinding(
                     kind="long-hold",
                     message=(f"`{proxy.name}` held for {held_ms:.1f} ms "
-                             f"(threshold {self.long_hold_ms:g} ms)"),
+                             f"(threshold {LONG_HOLD_MS:g} ms)"),
                     thread=threading.current_thread().name,
                     where=entry.stack))
             return
@@ -438,16 +435,13 @@ class ThreadSanitizer:
 
 
 @contextlib.contextmanager
-def threadsan(long_hold_ms: float = DEFAULT_LONG_HOLD_MS,
-              stack_depth: int = DEFAULT_STACK_DEPTH
-              ) -> Iterator[ThreadSanitizer]:
+def threadsan() -> Iterator[ThreadSanitizer]:
     """Scoped runtime thread sanitizer; uninstalls all proxies on exit.
 
     Join any worker threads that may hold instrumented locks before the
     block exits — restore swaps the original primitives back in place.
     """
-    sanitizer = ThreadSanitizer(long_hold_ms=long_hold_ms,
-                                stack_depth=stack_depth)
+    sanitizer = ThreadSanitizer()
     try:
         yield sanitizer
     finally:

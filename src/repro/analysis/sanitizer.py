@@ -74,11 +74,14 @@ def _describe(data: np.ndarray) -> str:
             f"of {data.size} element(s)")
 
 
+#: Stack frames recorded per graph node (innermost last).
+STACK_DEPTH = 6
+
+
 class GradientSanitizer:
     """Observer plugged into :mod:`repro.nn.tensor`'s hook points."""
 
-    def __init__(self, stack_depth: int = 6) -> None:
-        self.stack_depth = stack_depth
+    def __init__(self) -> None:
         self._current: Optional[Tensor] = None
 
     # -- helpers --------------------------------------------------------
@@ -96,7 +99,7 @@ class GradientSanitizer:
         frame = sys._getframe(2)
         op = frame.f_code.co_name
         where = "".join(traceback.format_list(
-            traceback.extract_stack(frame, limit=self.stack_depth)))
+            traceback.extract_stack(frame, limit=STACK_DEPTH)))
         out._op_meta = (op, where)
         if not np.all(np.isfinite(out.data)):
             raise GradientAnomalyError(
@@ -145,9 +148,9 @@ def anomaly_mode_enabled() -> bool:
 
 
 @contextlib.contextmanager
-def detect_anomaly(stack_depth: int = 6) -> Iterator[GradientSanitizer]:
+def detect_anomaly() -> Iterator[GradientSanitizer]:
     """Scoped anomaly mode; restores the previous observer on exit."""
-    sanitizer = GradientSanitizer(stack_depth=stack_depth)
+    sanitizer = GradientSanitizer()
     previous = tensor_mod.set_graph_observer(sanitizer)
     try:
         yield sanitizer

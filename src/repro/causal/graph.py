@@ -44,44 +44,43 @@ def _kahn_order(binary: np.ndarray) -> List[int]:
     return order
 
 
-def is_dag(matrix: np.ndarray, threshold: float = 0.0) -> bool:
-    """True if the thresholded graph has no directed cycles."""
-    binary = binarize(matrix, threshold)
+def is_dag(matrix: np.ndarray) -> bool:
+    """True if the graph has no directed cycles."""
+    binary = binarize(matrix)
     return len(_kahn_order(binary)) == binary.shape[0]
 
 
-def topological_order(matrix: np.ndarray, threshold: float = 0.0) -> List[int]:
-    """A topological ordering of the (thresholded) DAG.
+def topological_order(matrix: np.ndarray) -> List[int]:
+    """A topological ordering of the DAG.
 
     Raises ``ValueError`` if the graph contains a cycle.
     """
-    binary = binarize(matrix, threshold)
+    binary = binarize(matrix)
     order = _kahn_order(binary)
     if len(order) < binary.shape[0]:
         raise ValueError("graph contains a cycle; no topological order exists")
     return order
 
 
-def parents(matrix: np.ndarray, node: int, threshold: float = 0.0) -> List[int]:
-    """Direct causes of ``node``: indices ``i`` with ``|W[i, node]| > threshold``."""
+def parents(matrix: np.ndarray, node: int) -> List[int]:
+    """Direct causes of ``node``: indices ``i`` with ``W[i, node] != 0``."""
     arr = validate_adjacency(matrix)
-    return list(np.nonzero(np.abs(arr[:, node]) > threshold)[0])
+    return list(np.nonzero(np.abs(arr[:, node]) > 0.0)[0])
 
 
-def skeleton(matrix: np.ndarray, threshold: float = 0.0) -> np.ndarray:
+def skeleton(matrix: np.ndarray) -> np.ndarray:
     """Undirected skeleton: symmetric 0/1 matrix of adjacent pairs."""
-    binary = binarize(matrix, threshold)
+    binary = binarize(matrix)
     return ((binary + binary.T) > 0).astype(np.int64)
 
 
-def v_structures(matrix: np.ndarray, threshold: float = 0.0
-                 ) -> Set[Tuple[int, int, int]]:
+def v_structures(matrix: np.ndarray) -> Set[Tuple[int, int, int]]:
     """Colliders ``i -> k <- j`` with ``i`` and ``j`` non-adjacent.
 
     Returned as tuples ``(min(i, j), k, max(i, j))`` so that each collider is
     counted once regardless of parent order.
     """
-    binary = binarize(matrix, threshold)
+    binary = binarize(matrix)
     skel = skeleton(binary)
     found: Set[Tuple[int, int, int]] = set()
     n = binary.shape[0]
@@ -95,14 +94,11 @@ def v_structures(matrix: np.ndarray, threshold: float = 0.0
     return found
 
 
-def markov_equivalent(matrix_a: np.ndarray, matrix_b: np.ndarray,
-                      threshold: float = 0.0) -> bool:
+def markov_equivalent(matrix_a: np.ndarray, matrix_b: np.ndarray) -> bool:
     """Definition 1 of the paper: same skeleton and same v-structures."""
-    skel_equal = np.array_equal(skeleton(matrix_a, threshold),
-                                skeleton(matrix_b, threshold))
-    if not skel_equal:
+    if not np.array_equal(skeleton(matrix_a), skeleton(matrix_b)):
         return False
-    return v_structures(matrix_a, threshold) == v_structures(matrix_b, threshold)
+    return v_structures(matrix_a) == v_structures(matrix_b)
 
 
 def _first_cycle(binary: np.ndarray) -> Optional[List[Tuple[int, int]]]:

@@ -11,7 +11,7 @@ and how structure metrics scale with sample size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -66,20 +66,19 @@ class IdentifiabilityReport:
         }
 
 
-def run_identifiability_trial(num_nodes: int, num_samples: int, seed: int,
-                              edge_prob: Optional[float] = None,
-                              lambda1: float = 0.05,
-                              weight_threshold: float = 0.3
+def run_identifiability_trial(num_nodes: int, num_samples: int, seed: int
                               ) -> IdentifiabilityTrial:
-    """Sample a truth DAG, simulate data, recover with NOTEARS, score it."""
+    """Sample a truth DAG, simulate data, recover with NOTEARS, score it.
+
+    The truth has about two edges per node (edge probability
+    ``2 / (m - 1)``, at most 0.5).
+    """
     rng = np.random.default_rng(seed)
-    if edge_prob is None:
-        edge_prob = min(0.5, 2.0 / max(num_nodes - 1, 1))
+    edge_prob = min(0.5, 2.0 / max(num_nodes - 1, 1))
     truth = random_dag(num_nodes, edge_prob, rng)
     weights = weighted_dag(truth, rng)
     data = standardize(simulate_linear_sem(weights, num_samples, rng))
-    result = notears_linear(data, lambda1=lambda1,
-                            weight_threshold=weight_threshold)
+    result = notears_linear(data, lambda1=0.05)
     metrics = evaluate_structure(truth, result.adjacency)
     return IdentifiabilityTrial(num_nodes=num_nodes, num_samples=num_samples,
                                 seed=seed, metrics=metrics)

@@ -31,15 +31,14 @@ class StructureMetrics:
 
 
 def structural_hamming_distance(true_graph: np.ndarray,
-                                learned_graph: np.ndarray,
-                                threshold: float = 0.0) -> int:
+                                learned_graph: np.ndarray) -> int:
     """SHD: additions + deletions + reversals needed to match ``true_graph``.
 
     A reversed edge counts once (not as one deletion plus one addition),
     following the convention in the causal-discovery literature.
     """
-    true_bin = binarize(true_graph, threshold)
-    learned_bin = binarize(learned_graph, threshold)
+    true_bin = binarize(true_graph)
+    learned_bin = binarize(learned_graph)
     if true_bin.shape != learned_bin.shape:
         raise ValueError("graphs must have the same shape")
 
@@ -51,11 +50,11 @@ def structural_hamming_distance(true_graph: np.ndarray,
     return int(plain_mismatches + reversal_pairs)
 
 
-def skeleton_scores(true_graph: np.ndarray, learned_graph: np.ndarray,
-                    threshold: float = 0.0) -> Dict[str, float]:
+def skeleton_scores(true_graph: np.ndarray,
+                    learned_graph: np.ndarray) -> Dict[str, float]:
     """Precision/recall/F1 of undirected adjacency recovery."""
-    true_skel = skeleton(true_graph, threshold)
-    learned_skel = skeleton(learned_graph, threshold)
+    true_skel = skeleton(true_graph)
+    learned_skel = skeleton(learned_graph)
     upper = np.triu_indices(true_skel.shape[0], k=1)
     truth = true_skel[upper].astype(bool)
     guess = learned_skel[upper].astype(bool)
@@ -67,11 +66,11 @@ def skeleton_scores(true_graph: np.ndarray, learned_graph: np.ndarray,
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-def v_structure_scores(true_graph: np.ndarray, learned_graph: np.ndarray,
-                       threshold: float = 0.0) -> Dict[str, float]:
+def v_structure_scores(true_graph: np.ndarray,
+                       learned_graph: np.ndarray) -> Dict[str, float]:
     """Precision/recall of collider recovery; both 1.0 when truth has none."""
-    true_vs = v_structures(true_graph, threshold)
-    learned_vs = v_structures(learned_graph, threshold)
+    true_vs = v_structures(true_graph)
+    learned_vs = v_structures(learned_graph)
     if not true_vs and not learned_vs:
         return {"precision": 1.0, "recall": 1.0}
     tp = len(true_vs & learned_vs)
@@ -80,19 +79,19 @@ def v_structure_scores(true_graph: np.ndarray, learned_graph: np.ndarray,
     return {"precision": precision, "recall": recall}
 
 
-def evaluate_structure(true_graph: np.ndarray, learned_graph: np.ndarray,
-                       threshold: float = 0.0) -> StructureMetrics:
+def evaluate_structure(true_graph: np.ndarray,
+                       learned_graph: np.ndarray) -> StructureMetrics:
     """Full structure-recovery report comparing a learned graph to truth."""
-    skel = skeleton_scores(true_graph, learned_graph, threshold)
-    vs = v_structure_scores(true_graph, learned_graph, threshold)
+    skel = skeleton_scores(true_graph, learned_graph)
+    vs = v_structure_scores(true_graph, learned_graph)
     return StructureMetrics(
-        shd=structural_hamming_distance(true_graph, learned_graph, threshold),
+        shd=structural_hamming_distance(true_graph, learned_graph),
         skeleton_precision=skel["precision"],
         skeleton_recall=skel["recall"],
         skeleton_f1=skel["f1"],
         v_structure_precision=vs["precision"],
         v_structure_recall=vs["recall"],
-        markov_equivalent=markov_equivalent(true_graph, learned_graph, threshold),
-        true_edges=int(binarize(true_graph, threshold).sum()),
-        learned_edges=int(binarize(learned_graph, threshold).sum()),
+        markov_equivalent=markov_equivalent(true_graph, learned_graph),
+        true_edges=int(binarize(true_graph).sum()),
+        learned_edges=int(binarize(learned_graph).sum()),
     )

@@ -29,6 +29,15 @@ import numpy as np
 from .dag_constraint import h_value_and_grad
 from .graph import prune_to_dag
 
+#: Algorithm 1's schedule (``beta2 *= KAPPA1`` while ``|h|`` fails to
+#: shrink by ``KAPPA2``) and the cut applied to the estimated weights.
+MAX_OUTER_ITERATIONS = 100
+H_TOLERANCE = 1e-8
+BETA2_MAX = 1e16
+KAPPA1 = 10.0
+KAPPA2 = 0.25
+WEIGHT_THRESHOLD = 0.3
+
 
 @dataclass
 class NotearsResult:
@@ -66,18 +75,10 @@ def _loss_and_grad(weights: np.ndarray, data: np.ndarray
 
 
 def notears_linear(data: np.ndarray,
-                   lambda1: float = 0.1,
-                   max_outer_iterations: int = 100,
-                   h_tolerance: float = 1e-8,
-                   beta2_max: float = 1e16,
-                   kappa1: float = 10.0,
-                   kappa2: float = 0.25,
-                   weight_threshold: float = 0.3) -> NotearsResult:
+                   lambda1: float = 0.1) -> NotearsResult:
     """Run linear NOTEARS on an ``(n, m)`` data matrix.
 
-    Parameters mirror the paper's Algorithm 1 notation: ``kappa1 > 1`` grows
-    the penalty ``beta2`` whenever ``|h|`` fails to shrink by factor
-    ``kappa2 < 1``; ``beta1`` is the Lagrange multiplier.
+    ``beta1`` is the Lagrange multiplier, ``beta2`` the penalty weight.
     """
     import scipy.optimize as sopt
     data = np.asarray(data, dtype=np.float64)
@@ -107,29 +108,29 @@ def notears_linear(data: np.ndarray,
               for _ in range(2) for i in range(m) for j in range(m)]
 
     iterations = 0
-    for iterations in range(1, max_outer_iterations + 1):
+    for iterations in range(1, MAX_OUTER_ITERATIONS + 1):
         flat0 = np.concatenate([np.maximum(weights, 0).ravel(),
                                 np.maximum(-weights, 0).ravel()])
         h_new = h_current
-        while beta2 < beta2_max:
+        while beta2 < BETA2_MAX:
             solution = sopt.minimize(augmented, flat0, jac=True,
                                      method="L-BFGS-B", bounds=bounds)
             flat = solution.x
             candidate = flat[:m * m].reshape(m, m) - flat[m * m:].reshape(m, m)
             h_new, _ = h_value_and_grad(candidate)
-            if h_new > kappa2 * h_current:
-                beta2 *= kappa1
+            if h_new > KAPPA2 * h_current:
+                beta2 *= KAPPA1
             else:
                 break
         weights = candidate
         history.append((float(h_new), float(solution.fun)))
         beta1 += beta2 * h_new
         h_current = h_new
-        if h_current <= h_tolerance or beta2 >= beta2_max:
+        if h_current <= H_TOLERANCE or beta2 >= BETA2_MAX:
             break
 
     thresholded = weights.copy()
-    thresholded[np.abs(thresholded) < weight_threshold] = 0.0
+    thresholded[np.abs(thresholded) < WEIGHT_THRESHOLD] = 0.0
     pruned = prune_to_dag(thresholded)
     adjacency = (pruned != 0).astype(np.int64)
     return NotearsResult(weights=weights, adjacency=adjacency,

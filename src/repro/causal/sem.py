@@ -6,11 +6,16 @@ ground truth for the user-behaviour simulator's cluster-level causal graph.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from . import graph as graph_utils
+
+#: Edge-weight magnitude band and sign, and the SEM's exogenous noise
+#: (``"gaussian"``, ``"exponential"`` or ``"gumbel"``) and its scale.
+WEIGHT_RANGE = (0.5, 2.0)
+ALLOW_NEGATIVE = True
+NOISE = "gaussian"
+NOISE_SCALE = 1.0
 
 
 def random_dag(num_nodes: int, edge_prob: float,
@@ -27,15 +32,14 @@ def random_dag(num_nodes: int, edge_prob: float,
     return adjacency.T  # orient edges from earlier to later in the order
 
 
-def weighted_dag(adjacency: np.ndarray, rng: np.random.Generator,
-                 weight_range: Tuple[float, float] = (0.5, 2.0),
-                 allow_negative: bool = True) -> np.ndarray:
+def weighted_dag(adjacency: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
     """Assign random edge weights, avoiding the unidentifiable near-zero band."""
-    low, high = weight_range
+    low, high = WEIGHT_RANGE
     if low <= 0 or high <= low:
-        raise ValueError("weight_range must satisfy 0 < low < high")
+        raise ValueError("WEIGHT_RANGE must satisfy 0 < low < high")
     magnitudes = rng.uniform(low, high, size=adjacency.shape)
-    if allow_negative:
+    if ALLOW_NEGATIVE:
         signs = rng.choice([-1.0, 1.0], size=adjacency.shape)
     else:
         signs = np.ones(adjacency.shape)
@@ -43,9 +47,7 @@ def weighted_dag(adjacency: np.ndarray, rng: np.random.Generator,
 
 
 def simulate_linear_sem(weights: np.ndarray, num_samples: int,
-                        rng: np.random.Generator,
-                        noise_scale: float = 1.0,
-                        noise: str = "gaussian") -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """Sample ``X = X W + E`` in topological order.
 
     Each column j satisfies ``x_j = sum_i W[i, j] x_i + e_j``, matching the
@@ -58,15 +60,15 @@ def simulate_linear_sem(weights: np.ndarray, num_samples: int,
     for node in order:
         parent_idx = graph_utils.parents(weights, node)
         mean = samples[:, parent_idx] @ weights[parent_idx, node] if parent_idx else 0.0
-        if noise == "gaussian":
-            eps = rng.normal(0.0, noise_scale, size=num_samples)
-        elif noise == "exponential":
-            eps = rng.exponential(noise_scale, size=num_samples) - noise_scale
-        elif noise == "gumbel":
-            eps = rng.gumbel(0.0, noise_scale, size=num_samples)
+        if NOISE == "gaussian":
+            eps = rng.normal(0.0, NOISE_SCALE, size=num_samples)
+        elif NOISE == "exponential":
+            eps = rng.exponential(NOISE_SCALE, size=num_samples) - NOISE_SCALE
+        elif NOISE == "gumbel":
+            eps = rng.gumbel(0.0, NOISE_SCALE, size=num_samples)
             eps -= eps.mean()
         else:
-            raise ValueError(f"unknown noise kind: {noise!r}")
+            raise ValueError(f"unknown noise kind: {NOISE!r}")
         samples[:, node] = mean + eps
     return samples
 

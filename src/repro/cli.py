@@ -41,16 +41,20 @@ SETTINGS_FLAGS = ("scale", "epochs", "seed", "quick")
 #: flags its registry entry ``accepts``.
 TOOLS = {
     "grid": SETTINGS_FLAGS + ("datasets", "workers", "grid_param"),
-    "train": SETTINGS_FLAGS + ("datasets", "data_backend", "eventlog_dir",
-                               "workers", "model", "save_model"),
-    "eval": SETTINGS_FLAGS + ("datasets", "data_backend", "eventlog_dir",
-                              "workers", "load_model"),
+    "train": SETTINGS_FLAGS + ("datasets", "data_backend", "model",
+                               "save_model"),
+    "eval": SETTINGS_FLAGS + ("datasets", "data_backend", "load_model"),
     "serve": ("checkpoint", "host", "port", "max_batch_size", "max_wait_ms",
               "session_capacity", "retrieval", "shortlist", "nprobe",
               "quantize", "online", "online_lr", "online_batch_events",
               "refresh_every", "window", "event_log", "thread_sanitizer",
               "workers"),
 }
+
+#: What a command that reads ``--data-backend`` reads only with
+#: ``--data-backend eventlog``: where the log lives and how many processes
+#: generate it.
+EVENTLOG_FLAGS = ("eventlog_dir", "workers")
 
 #: What every command reads: the command itself and the anomaly switch.
 _EVERY_COMMAND = ("experiment", "detect_anomaly")
@@ -221,6 +225,8 @@ def _unread_flags(parser: argparse.ArgumentParser,
     reads = TOOLS.get(args.experiment)
     if reads is None:
         reads = SETTINGS_FLAGS + _registry()[args.experiment].accepts
+    elif "data_backend" in reads and args.data_backend == "eventlog":
+        reads += EVENTLOG_FLAGS
     return [dest.replace("_", "-") for dest, value in vars(args).items()
             if dest not in reads + _EVERY_COMMAND
             and value != parser.get_default(dest)]
@@ -372,6 +378,7 @@ def _build_online_stack(args: argparse.Namespace, publish, metrics):
     """
     from .io import load_model
     from .online import EventLog, OnlineTrainer, RefreshController
+    from .online.trainer import OPTIMIZER
     log = EventLog(args.event_log)
     shadow = load_model(args.checkpoint)
     trainer = OnlineTrainer(
@@ -386,7 +393,7 @@ def _build_online_stack(args: argparse.Namespace, publish, metrics):
             interval=args.refresh_every, metrics=metrics)
         refresh.start()
     print(f"online learning enabled: lr={args.online_lr} "
-          f"optimizer={trainer.optimizer_name} "
+          f"optimizer={OPTIMIZER} "
           f"batch={args.online_batch_events} events  "
           f"log={'memory-only' if args.event_log is None else args.event_log}"
           f"  refresh="

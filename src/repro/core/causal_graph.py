@@ -14,19 +14,22 @@ from ..causal.dag_constraint import h_tensor, h_value
 from ..causal.graph import binarize, prune_to_dag
 from ..nn import Module, Parameter, Tensor
 
+#: ``W^c`` starts uniform in ``[INIT_LOW, INIT_HIGH)`` off the diagonal.
+INIT_LOW = 0.3
+INIT_HIGH = 0.7
+
 
 class ClusterCausalGraph(Module):
     """Learnable cluster-level causal adjacency with DAG regularization."""
 
-    def __init__(self, num_clusters: int, rng: np.random.Generator,
-                 init_low: float = 0.3, init_high: float = 0.7) -> None:
+    def __init__(self, num_clusters: int, rng: np.random.Generator) -> None:
         super().__init__()
         self.num_clusters = num_clusters
         # Start well above typical ε thresholds: the hard gate 1(W > ε) in
         # eq. 10 passes no gradient to entries below ε, so a near-zero init
         # would freeze the graph at birth.  Training then *prunes* edges via
         # L1 + the DAG penalty rather than growing them from zero.
-        weights = rng.uniform(init_low, init_high,
+        weights = rng.uniform(INIT_LOW, INIT_HIGH,
                               size=(num_clusters, num_clusters))
         np.fill_diagonal(weights, 0.0)
         self.weights = Parameter(weights)

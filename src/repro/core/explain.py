@@ -14,7 +14,7 @@ them with the labeled true causes, Fig. 8 inspects individual cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 
@@ -85,14 +85,11 @@ def make_explainer(model: Causer, mode: str = "full"
     return explainer
 
 
-def format_case_study(model: Causer, sample: ExplanationSample,
-                      item_names: Sequence[str] = None) -> str:
+def format_case_study(model: Causer, sample: ExplanationSample) -> str:
     """Human-readable Fig. 8-style case: history, target, per-model picks."""
     breakdown = explanation_breakdown(model, sample)
 
     def label(item: int) -> str:
-        if item_names is not None and item < len(item_names):
-            return item_names[item]
         return f"item#{item}"
 
     lines = [f"target: {label(sample.target_item)}",

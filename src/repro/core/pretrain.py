@@ -22,16 +22,22 @@ import numpy as np
 
 from ..data.interactions import EvalSample
 
+#: Recency decay of a history step's vote, per step of gap to the target.
+DECAY = 0.6
+#: Off-diagonal seed weights span ``[SEED_FLOOR, SEED_CEILING]``.
+SEED_FLOOR = 0.35
+SEED_CEILING = 0.7
+
 
 def estimate_cluster_transitions(samples: Sequence[EvalSample],
                                  hard_clusters: np.ndarray,
-                                 num_clusters: int,
-                                 decay: float = 0.6) -> np.ndarray:
+                                 num_clusters: int) -> np.ndarray:
     """Decay-weighted directed co-occurrence counts between clusters.
 
-    ``counts[p, k]`` accumulates, for every (history item ``a``, target item
-    ``b``) pair, ``decay^(gap)`` where ``gap`` is the number of steps between
-    them; rows are history clusters, columns target clusters.
+    ``counts[p, k]`` accumulates, for every (history item ``a``, target
+    item ``b``) pair, ``DECAY^(gap - 1)`` where ``gap`` is the number of
+    steps between them; rows are history clusters, columns target
+    clusters.
     """
     counts = np.zeros((num_clusters, num_clusters))
     target_totals = np.zeros(num_clusters)
@@ -42,7 +48,7 @@ def estimate_cluster_transitions(samples: Sequence[EvalSample],
             k = hard_clusters[target_item]
             target_totals[k] += 1.0
             for step, basket in enumerate(history):
-                weight = decay ** (gaps[step] - 1)
+                weight = DECAY ** (gaps[step] - 1)
                 for item in basket:
                     counts[hard_clusters[item], k] += weight
     return counts
@@ -64,11 +70,9 @@ def transition_lift(counts: np.ndarray) -> np.ndarray:
 
 def pretrain_cluster_graph(samples: Sequence[EvalSample],
                            hard_clusters: np.ndarray,
-                           num_clusters: int,
-                           decay: float = 0.6,
-                           floor: float = 0.35,
-                           ceiling: float = 0.7) -> np.ndarray:
-    """Seed matrix for ``W^c``: dense, lift-ordered weights in [floor, ceiling].
+                           num_clusters: int) -> np.ndarray:
+    """Seed matrix for ``W^c``: dense, lift-ordered weights in
+    ``[SEED_FLOOR, SEED_CEILING]``.
 
     The seed stays *dense* on purpose: entries below the ε gate receive no
     data gradient (eq. 10's hard threshold), so a sparse seed freezes most
@@ -77,12 +81,12 @@ def pretrain_cluster_graph(samples: Sequence[EvalSample],
     objective (BCE + L1 + acyclicity) then prunes the spurious directions.
     """
     counts = estimate_cluster_transitions(samples, hard_clusters,
-                                          num_clusters, decay)
+                                          num_clusters)
     lift = transition_lift(counts)
     np.fill_diagonal(lift, 0.0)
     positive = np.clip(lift, 0.0, None)
     peak = positive.max()
     scaled = positive / peak if peak > 0 else positive
-    seed = floor + (ceiling - floor) * scaled
+    seed = SEED_FLOOR + (SEED_CEILING - SEED_FLOOR) * scaled
     np.fill_diagonal(seed, 0.0)
     return seed

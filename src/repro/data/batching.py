@@ -26,6 +26,9 @@ import numpy as np
 
 from .interactions import EvalSample
 
+#: Whether :func:`iterate_batches` shuffles the samples each epoch.
+SHUFFLE = True
+
 
 def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
     """``[0, c0, c0+c1, ...]`` — offsets from segment lengths."""
@@ -208,9 +211,8 @@ def sample_negatives(batch: PaddedBatch, num_items: int, num_negatives: int,
 
 def iterate_batches(samples: Sequence[EvalSample], batch_size: int,
                     rng: Optional[np.random.Generator] = None,
-                    shuffle: bool = True,
                     max_history: Optional[int] = None) -> Iterator[PaddedBatch]:
-    """Yield :class:`PaddedBatch` chunks, optionally shuffled each epoch.
+    """Yield :class:`PaddedBatch` chunks, shuffled each epoch (``SHUFFLE``).
 
     ``samples`` is a :class:`~repro.data.eventlog.PrefixSampleView`, whose
     ``gather_batch`` assembles each batch from the corpus columns, or a
@@ -225,12 +227,11 @@ def iterate_batches(samples: Sequence[EvalSample], batch_size: int,
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     order = np.arange(len(samples))
-    if shuffle:
+    if SHUFFLE:
         if rng is None:
             raise ValueError(
-                "iterate_batches(shuffle=True) needs an explicit rng so "
-                "epoch order is reproducible; pass "
-                "np.random.default_rng(seed) or use shuffle=False")
+                "iterate_batches needs an explicit rng so epoch order is "
+                "reproducible; pass np.random.default_rng(seed)")
         rng.shuffle(order)
     for start in range(0, len(samples), batch_size):
         indices = order[start:start + batch_size]

@@ -27,9 +27,11 @@ per user.  This module stores it column-wise, once, whatever the scale:
   directory of ``shard-K.<column>.npy`` files plus a versioned
   ``header.json`` (written through :func:`repro.io.write_json_header`),
   opened with ``np.load(mmap_mode="r")`` by :func:`open_eventlog`.  Both
-  are built by the same checks (:func:`_check_users`: strictly
-  increasing user ids, items in ``[1, num_items]``, non-empty baskets,
-  dense ``ts``) and the same packing (:func:`_pack_shard`).
+  are built by the same columns (:func:`_event_columns`, which refuses
+  empty baskets and derives dense ``ts``), the same checks
+  (:func:`_check_users`: strictly increasing user ids, no user without
+  events, items in ``[1, num_items]``) and the same packing
+  (:func:`_pack_shard`).
 
 * **Corpus** — :class:`SequenceCorpus` is the one corpus class: a view
   of a store that may hide each user's last baskets (the training side
@@ -62,7 +64,7 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from .batching import PaddedBatch, _exclusive_cumsum, _segmented_arange
-from .interactions import PAD_ITEM, EvalSample, UserSequence
+from .interactions import MIN_LENGTH, PAD_ITEM, EvalSample, UserSequence
 from .synthetic import BehaviorSimulator, SimulatorConfig, SyntheticDataset
 
 __all__ = [
@@ -107,15 +109,13 @@ def _event_columns(users: Sequence[Sequence[Sequence[int]]]
 
 
 def _check_users(num_items: int, uids: np.ndarray, items: np.ndarray,
-                 ts: np.ndarray, event_counts: np.ndarray) -> None:
+                 event_counts: np.ndarray) -> None:
     """Refuse columns that break the layout, naming what is wrong.
 
-    User ids must strictly increase, every user needs
-    an event, items lie in ``[1, num_items]``, and each user's ``ts``
-    starts at 0 and grows by 0 or 1 per event (so no basket is empty).
+    User ids must strictly increase, every user needs an event, and items
+    lie in ``[1, num_items]``.  ``ts`` needs no check: every store derives
+    it from basket lists in :func:`_event_columns`.
     """
-    if items.shape != ts.shape or items.ndim != 1:
-        raise ValueError("items/ts must be equal-length 1-D columns")
     previous = np.concatenate([[-1], uids[:-1]]).astype(np.int64)
     unordered = np.flatnonzero(uids <= previous)
     if unordered.size:
@@ -128,14 +128,6 @@ def _check_users(num_items: int, uids: np.ndarray, items: np.ndarray,
     if items.size and (int(items.min()) <= PAD_ITEM
                        or int(items.max()) > num_items):
         raise ValueError(f"item ids must lie in [1, {num_items}]")
-    starts = _exclusive_cumsum(event_counts)[:-1]
-    if ts[starts].any():
-        raise ValueError("ts must start at basket index 0")
-    steps = np.diff(ts.astype(np.int64))
-    steps[starts[1:] - 1] = 0        # each user restarts at basket 0
-    if steps.size and (int(steps.min()) < 0 or int(steps.max()) > 1):
-        raise ValueError("ts must be dense basket indices "
-                         "(consecutive events differ by 0 or 1)")
 
 
 def _pack_shard(uids: np.ndarray, items: np.ndarray, ts: np.ndarray,
@@ -309,7 +301,7 @@ def _memory_store(num_items: int,
     uids = np.fromiter((u.user_id for u in users), dtype=np.int64,
                        count=len(users))
     items, ts, event_counts = _event_columns([u.baskets for u in users])
-    _check_users(num_items, uids, items, ts, event_counts)
+    _check_users(num_items, uids, items, event_counts)
     columns, record = _pack_shard(uids, items, ts, event_counts)
     return EventLogStore(num_items, [record], columns={
         (0, name): column for name, column in columns.items()})
@@ -439,19 +431,17 @@ class SequenceCorpus:
 class EvalSampleView:
     """Lazy sequence of held-out :class:`EvalSample`s (validation/test).
 
-    Covers the users of ``corpus`` with at least ``min_length`` visible
+    Covers the users of ``corpus`` with at least ``MIN_LENGTH`` visible
     baskets, in user-id order: ``test`` targets each one's last visible
     basket, ``validation`` the one before.
     """
 
-    def __init__(self, corpus: SequenceCorpus, kind: str,
-                 min_length: int = 3) -> None:
+    def __init__(self, corpus: SequenceCorpus, kind: str) -> None:
         if kind not in ("validation", "test"):
             raise ValueError("kind must be 'validation' or 'test'")
         self.corpus = corpus
         self.kind = kind
-        self.min_length = int(min_length)
-        self._gids = np.flatnonzero(corpus.lengths() >= self.min_length)
+        self._gids = np.flatnonzero(corpus.lengths() >= MIN_LENGTH)
 
     def __len__(self) -> int:
         return int(self._gids.size)
@@ -629,7 +619,7 @@ def _simulate_shard(spec: Tuple[BehaviorSimulator, pathlib.Path, int,
              for user_id in range(user_start, user_stop)]
     uids = np.arange(user_start, user_stop, dtype=np.int64)
     items, ts, event_counts = _event_columns(users)
-    _check_users(sim.config.num_items, uids, items, ts, event_counts)
+    _check_users(sim.config.num_items, uids, items, event_counts)
     return _save_shard(path, k, uids, items, ts, event_counts)
 
 
@@ -646,10 +636,11 @@ def generate_eventlog(config: SimulatorConfig, path: PathLike, *,
     files, and the parent holds no shard columns.  The parent then
     writes the item features, the ground truth and, last, the header.
 
-    The same corpus in RAM is ``BehaviorSimulator(config,
-    name).generate(user_seeds=True)``; per-event cause annotations are
-    not stored at event-log scale (use the in-RAM generator for
-    explanation evaluation).
+    The same users in RAM are ``sim._simulate_user(sim.user_rng(u))`` for
+    each user ``u`` (``BehaviorSimulator.generate`` draws every user from
+    one shared stream instead, a different corpus); per-event cause
+    annotations are not stored at event-log scale (use the in-RAM
+    generator for explanation evaluation).
     """
     config = dataclasses.replace(config)
     sim = BehaviorSimulator(config, name=name)

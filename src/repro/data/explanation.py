@@ -9,7 +9,7 @@ event, so we can derive an equivalent labeled set mechanically:
 * keep test samples whose steps are all singletons (the paper's "easy
   labeling" filter),
 * label the *actual triggers* recorded during generation, falling back to
-  cluster-level true causes, capped at 3 per sample,
+  cluster-level true causes, capped at ``MAX_CAUSES`` per sample,
 * drop samples with no causal item in the history (workers would not have
   agreed on any label).
 """
@@ -17,11 +17,16 @@ event, so we can derive an equivalent labeled set mechanically:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .synthetic import SyntheticDataset
+
+#: Cause labels kept per sample (the paper's workers mark up to three).
+MAX_CAUSES = 3
+#: Keep only samples whose every step is a single item.
+SINGLETON_ONLY = True
 
 
 @dataclass(frozen=True)
@@ -39,23 +44,20 @@ class ExplanationSample:
 
 
 def build_explanation_dataset(dataset: SyntheticDataset,
-                              max_samples: int = 793,
-                              max_causes: int = 3,
-                              singleton_only: bool = True,
-                              rng: Optional[np.random.Generator] = None
+                              max_samples: int = 793
                               ) -> List[ExplanationSample]:
     """Derive the labeled explanation set from the simulator's ground truth.
 
     Mirrors the paper's protocol on the Baby dataset: the *last* step of each
     user's sequence is the explanation target, the earlier steps are the
-    history to pick causes from.
+    history to pick causes from.  More than ``max_samples`` candidates
+    are subsampled with ``default_rng(0)``.
     """
-    rng = rng or np.random.default_rng(0)
     candidates: List[ExplanationSample] = []
     for seq, causes in zip(dataset.corpus, dataset.cause_log):
         if seq.length < 3:
             continue
-        if singleton_only and any(len(b) != 1 for b in seq.baskets):
+        if SINGLETON_ONLY and any(len(b) != 1 for b in seq.baskets):
             continue
         target_step = seq.length - 1
         target_basket = seq.baskets[target_step]
@@ -71,7 +73,7 @@ def build_explanation_dataset(dataset: SyntheticDataset,
         cluster_causes = dataset.true_causes_in_history(history_items,
                                                         target_item)
         labels.extend(dict.fromkeys(reversed(cluster_causes)))
-        labels = list(dict.fromkeys(labels))[:max_causes]
+        labels = list(dict.fromkeys(labels))[:MAX_CAUSES]
         if not labels:
             continue
         candidates.append(ExplanationSample(
@@ -79,6 +81,7 @@ def build_explanation_dataset(dataset: SyntheticDataset,
             cause_items=tuple(labels)))
 
     if len(candidates) > max_samples:
+        rng = np.random.default_rng(0)
         picked = rng.choice(len(candidates), size=max_samples, replace=False)
         candidates = [candidates[i] for i in sorted(picked)]
     return candidates

@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Spreads of the cluster centres and of the items around them.
+CENTROID_SCALE = 1.0
+TEXT_NOISE_SCALE = 0.25
+CITY_EXTENT = 10.0
+NEIGHBOURHOOD_SCALE = 0.4
+
 
 def text_like_features(cluster_of_item: np.ndarray, feature_dim: int,
-                       rng: np.random.Generator,
-                       centroid_scale: float = 1.0,
-                       noise_scale: float = 0.25) -> np.ndarray:
+                       rng: np.random.Generator) -> np.ndarray:
     """GloVe-like feature matrix of shape ``(num_items + 1, feature_dim)``.
 
     ``cluster_of_item[i]`` gives item ``i``'s primary cluster (entry 0 is the
@@ -25,21 +29,21 @@ def text_like_features(cluster_of_item: np.ndarray, feature_dim: int,
     """
     cluster_of_item = np.asarray(cluster_of_item, dtype=np.int64)
     num_clusters = int(cluster_of_item[1:].max()) + 1 if len(cluster_of_item) > 1 else 1
-    centroids = rng.normal(0.0, centroid_scale, size=(num_clusters, feature_dim))
+    centroids = rng.normal(0.0, CENTROID_SCALE,
+                           size=(num_clusters, feature_dim))
     features = centroids[cluster_of_item] + rng.normal(
-        0.0, noise_scale, size=(len(cluster_of_item), feature_dim))
+        0.0, TEXT_NOISE_SCALE, size=(len(cluster_of_item), feature_dim))
     features[0] = 0.0
     return features
 
 
-def gps_like_features(cluster_of_item: np.ndarray, rng: np.random.Generator,
-                      city_extent: float = 10.0,
-                      neighbourhood_scale: float = 0.4) -> np.ndarray:
+def gps_like_features(cluster_of_item: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
     """2-d check-in coordinates: venues cluster into neighbourhoods."""
     cluster_of_item = np.asarray(cluster_of_item, dtype=np.int64)
     num_clusters = int(cluster_of_item[1:].max()) + 1 if len(cluster_of_item) > 1 else 1
-    centers = rng.uniform(-city_extent, city_extent, size=(num_clusters, 2))
+    centers = rng.uniform(-CITY_EXTENT, CITY_EXTENT, size=(num_clusters, 2))
     features = centers[cluster_of_item] + rng.normal(
-        0.0, neighbourhood_scale, size=(len(cluster_of_item), 2))
+        0.0, NEIGHBOURHOOD_SCALE, size=(len(cluster_of_item), 2))
     features[0] = 0.0
     return features

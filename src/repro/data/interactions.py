@@ -20,6 +20,10 @@ if TYPE_CHECKING:
 
 PAD_ITEM = 0
 
+#: Fewest baskets a user needs to donate a validation and a test basket
+#: and keep a history.
+MIN_LENGTH = 3
+
 
 @dataclass(frozen=True)
 class UserSequence:
@@ -71,24 +75,24 @@ class Split:
     test: Sequence[EvalSample]
 
 
-def leave_one_out_split(corpus: SequenceCorpus, min_length: int = 3) -> Split:
+def leave_one_out_split(corpus: SequenceCorpus) -> Split:
     """The paper's protocol: last basket → test, second-last → validation.
 
-    Users with fewer than ``min_length`` baskets stay in training unchanged
+    Users with fewer than ``MIN_LENGTH`` baskets stay in training unchanged
     (they cannot donate both held-out steps and still leave a history).
     Nothing is copied: the training corpus views the same store with the
     two held-out baskets hidden, and validation and test are lazy
     :class:`~repro.data.eventlog.EvalSampleView` sequences.
     """
-    if min_length < 3:
-        raise ValueError("min_length below 3 cannot support a two-way holdout")
+    if MIN_LENGTH < 3:
+        raise ValueError("MIN_LENGTH below 3 cannot support a two-way holdout")
     from .eventlog import EvalSampleView, SequenceCorpus
     lengths = corpus.lengths()
     train = SequenceCorpus.from_store(
-        corpus.store, lengths - 2 * (lengths >= min_length))
+        corpus.store, lengths - 2 * (lengths >= MIN_LENGTH))
     return Split(train=train,
-                 validation=EvalSampleView(corpus, "validation", min_length),
-                 test=EvalSampleView(corpus, "test", min_length))
+                 validation=EvalSampleView(corpus, "validation"),
+                 test=EvalSampleView(corpus, "test"))
 
 
 def training_prefixes(corpus: SequenceCorpus, max_history: Optional[int] = None

@@ -8,7 +8,7 @@ Fig. 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from .eventlog import SequenceCorpus
 
@@ -42,18 +42,20 @@ def compute_statistics(name: str, corpus: SequenceCorpus) -> DatasetStatistics:
     )
 
 
-def sequence_length_histogram(corpus: SequenceCorpus,
-                              bins: Sequence[int] = (1, 2, 3, 4, 5, 8, 12, 20, 50, 10**9)
-                              ) -> Dict[str, int]:
+#: Right-open bucket edges of the Fig. 3 sequence-length histogram.
+LENGTH_BINS = (1, 2, 3, 4, 5, 8, 12, 20, 50, 10**9)
+
+
+def sequence_length_histogram(corpus: SequenceCorpus) -> Dict[str, int]:
     """Fig. 3 data: counts of users per sequence-length bucket.
 
-    ``bins`` are right-open bucket edges; the label of a bucket with edges
-    ``(a, b)`` is ``"a-b-1"`` or ``"a"`` for unit buckets and ``"a+"`` for
-    the unbounded tail.
+    ``LENGTH_BINS`` are right-open bucket edges; the label of a bucket with
+    edges ``(a, b)`` is ``"a-b-1"`` or ``"a"`` for unit buckets and
+    ``"a+"`` for the unbounded tail.
     """
     lengths = corpus.sequence_lengths()
     histogram: Dict[str, int] = {}
-    for lo, hi in zip(bins[:-1], bins[1:]):
+    for lo, hi in zip(LENGTH_BINS[:-1], LENGTH_BINS[1:]):
         if hi >= 10**8:
             label = f"{lo}+"
             count = int((lengths >= lo).sum())

@@ -319,28 +319,24 @@ class BehaviorSimulator:
         features[0] = 0.0
         return features
 
-    def generate(self, user_seeds: bool = False) -> SyntheticDataset:
+    def generate(self) -> SyntheticDataset:
         """Generate the full dataset (corpus + features + annotations).
 
-        ``user_seeds=False`` (default) preserves the historical serial
-        stream: one generator drives every user in order.  With
-        ``user_seeds=True`` each user draws from :meth:`user_rng` and the
-        features from :meth:`feature_rng` — the exact draws the event-log
-        generator makes, so the corpus equals the one it writes to disk.
+        One generator drives every user in order, then the features.  The
+        event-log generator instead draws each user from :meth:`user_rng`
+        and the features from :meth:`feature_rng`.
         """
         from .eventlog import SequenceCorpus
         cfg = self.config
         sequences: List[UserSequence] = []
         cause_log: List[List[CauseMap]] = []
         for user_id in range(cfg.num_users):
-            rng = self.user_rng(user_id) if user_seeds else None
-            baskets, causes = self._simulate_user(rng)
+            baskets, causes = self._simulate_user()
             sequences.append(UserSequence(user_id=user_id,
                                           baskets=tuple(baskets)))
             cause_log.append(causes)
         corpus = SequenceCorpus(num_items=cfg.num_items, sequences=sequences)
-        features = self.generate_features(
-            self.feature_rng() if user_seeds else None)
+        features = self.generate_features()
         return SyntheticDataset(name=self.name, config=cfg, corpus=corpus,
                                 features=features,
                                 cluster_of_item=self.cluster_of_item,

@@ -16,8 +16,9 @@ class PairedTestResult:
     p_value: float
     mean_difference: float
 
-    def significant(self, alpha: float = 0.05) -> bool:
-        return self.p_value < alpha
+    def significant(self) -> bool:
+        """Significant at the 5% level."""
+        return self.p_value < 0.05
 
     @property
     def star(self) -> str:

@@ -63,7 +63,6 @@ def grid_search_causer(dataset: SyntheticDataset,
                        parameter_grid: Dict[str, Sequence],
                        settings: Optional[BenchmarkSettings] = None,
                        metric: str = "ndcg",
-                       validation: bool = True,
                        workers: Optional[int] = 1) -> GridSearchResult:
     """Exhaustive grid search for Causer, scored on the validation split.
 
@@ -78,8 +77,8 @@ def grid_search_causer(dataset: SyntheticDataset,
     """
     settings = settings or BenchmarkSettings()
     split = leave_one_out_split(dataset.corpus)
-    eval_samples = split.validation if validation else split.test
-    specs = [(dataset, overrides, settings, split.train, eval_samples, metric)
+    specs = [(dataset, overrides, settings, split.train, split.validation,
+              metric)
              for overrides in grid_combinations(parameter_grid)]
     return GridSearchResult(
         parameter_grid=dict(parameter_grid),

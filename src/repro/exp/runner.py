@@ -38,6 +38,9 @@ ALL_MODEL_NAMES = BASELINE_NAMES + CAUSER_NAMES
 TABLE4_MODEL_NAMES = ("BPR", "NCF", "GRU4Rec", "STAMP", "SASRec", "NARM",
                       "VTRNN", "MMSARec") + CAUSER_NAMES
 
+#: Processes :func:`run_models` fans its lineup over (``1`` is serial).
+RUN_MODELS_WORKERS = 1
+
 
 def build_model(name: str, dataset: SyntheticDataset,
                 settings: BenchmarkSettings):
@@ -105,16 +108,14 @@ def _run_model_task(spec: Tuple[str, SyntheticDataset, BenchmarkSettings,
 
 
 def run_models(names: Sequence[str], dataset: SyntheticDataset,
-               settings: BenchmarkSettings,
-               workers: Optional[int] = 1) -> List[RunResult]:
+               settings: BenchmarkSettings) -> List[RunResult]:
     """Run a list of models on the same dataset/split.
 
-    ``workers`` > 1 fans the lineup out one process per model through
-    :func:`repro.parallel.parallel_map` (``None`` → CPU-aware default,
-    ``0``/``1`` → serial, the library default); results are identical
+    ``RUN_MODELS_WORKERS`` > 1 fans the lineup out one process per model
+    through :func:`repro.parallel.parallel_map`; results are identical
     either way and always in name order.
     """
     split = leave_one_out_split(dataset.corpus)
     return parallel_map(_run_model_task,
                         [(name, dataset, settings, split) for name in names],
-                        workers=workers, name="model run")
+                        workers=RUN_MODELS_WORKERS, name="model run")

@@ -2,9 +2,9 @@
 
 A checkpoint is one compressed ``.npz`` archive: every parameter, the
 item features of feature-hungry models, and a JSON header (model class,
-format version, config dataclass fields, vocabulary sizes, extra
-constructor arguments).  It is written to a temporary file and renamed
-into place, so a crash mid-save leaves the previous checkpoint readable.
+format version, config dataclass fields, vocabulary sizes).  It is
+written to a temporary file and renamed into place, so a crash mid-save
+leaves the previous checkpoint readable.
 Loading streams one parameter at a time and *adopts* each decompressed
 array (``load_state_dict(assign=True)``), so cold-start peak RSS is one
 model plus one parameter, not the historical ~2× artifact size.
@@ -29,6 +29,7 @@ import numpy as np
 from .core import Causer, CauserConfig
 from .models import (BPR, GRU4Rec, MMSARec, NARM, NCF, SASRec, STAMP,
                      TrainConfig, VTRNN)
+from .models.sasrec import NUM_BLOCKS, NUM_HEADS
 
 PathLike = Union[str, pathlib.Path]
 
@@ -49,14 +50,8 @@ _MODEL_CLASSES = {
 }
 _NEEDS_FEATURES = {"Causer", "VTRNN", "MMSARec"}
 
-#: Constructor arguments beyond (num_users, num_items[, features], config)
-#: that shape the parameter tree and therefore must round-trip.
-_EXTRA_KWARGS: Dict[str, Callable[[object], Dict[str, object]]] = {
-    "SASRec": lambda m: {"num_blocks": len(m.blocks),
-                         "num_heads": m.blocks[0].attn.num_heads},
-    "MMSARec": lambda m: {"num_blocks": len(m.blocks),
-                          "num_heads": m.blocks[0].attn.num_heads},
-}
+#: The transformer shape older SASRec/MMSARec headers carry as "extra".
+_LEGACY_EXTRA = {"num_blocks": NUM_BLOCKS, "num_heads": NUM_HEADS}
 
 
 def registered_model_classes() -> Dict[str, type]:
@@ -123,7 +118,6 @@ def _model_header(model) -> Dict[str, object]:
         "num_users": model.num_users,
         "num_items": model.num_items,
         "config": dataclasses.asdict(model.config),
-        "extra": _EXTRA_KWARGS.get(class_name, lambda m: {})(model),
     }
 
 
@@ -165,14 +159,13 @@ class _NpzState(Mapping):
     decompressed on ``__getitem__``, not up front).
     """
 
-    def __init__(self, archive, prefix: str = "param::") -> None:
+    def __init__(self, archive) -> None:
         self._archive = archive
-        self._prefix = prefix
-        self._names = [key[len(prefix):] for key in archive.files
-                       if key.startswith(prefix)]
+        self._names = [key[len("param::"):] for key in archive.files
+                       if key.startswith("param::")]
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._archive[self._prefix + name]
+        return self._archive["param::" + name]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._names)
@@ -193,6 +186,11 @@ def _check_header(path: PathLike, header: Dict[str, object]):
         raise ValueError(
             f"{path}: unknown model class {class_name!r} in archive "
             f"header; registered classes: {sorted(_MODEL_CLASSES)}")
+    extra = header.get("extra", {})
+    if extra and not (class_name in ("SASRec", "MMSARec")
+                      and extra == _LEGACY_EXTRA):
+        raise ValueError(f"{path}: unsupported constructor arguments "
+                         f"{extra!r} for {class_name} in archive header")
     config_cls = CauserConfig if class_name == "Causer" else TrainConfig
     config_fields = {f.name for f in dataclasses.fields(config_cls)}
     config = config_cls(**{k: v for k, v in header["config"].items()
@@ -201,11 +199,10 @@ def _check_header(path: PathLike, header: Dict[str, object]):
 
 
 def _construct(cls, class_name: str, header, config, features):
-    extra = header.get("extra", {})
     if class_name in _NEEDS_FEATURES:
         return cls(header["num_users"], header["num_items"], features,
-                   config, **extra)
-    return cls(header["num_users"], header["num_items"], config, **extra)
+                   config)
+    return cls(header["num_users"], header["num_items"], config)
 
 
 # ----------------------------------------------------------------------
@@ -264,9 +261,9 @@ def load_model(path: PathLike):
     the model can be trained further.
 
     Raises :class:`ValueError` (naming the path) when ``path`` is a
-    directory, when the archive declares an unknown model class or an
-    unreadable format version, and when the archive is truncated or
-    corrupt.
+    directory, when the archive declares an unknown model class, an
+    unreadable format version or constructor arguments this build does
+    not take, and when the archive is truncated or corrupt.
     """
     if pathlib.Path(path).is_dir():
         raise ValueError(f"{path}: is a directory; a checkpoint is one "

@@ -13,6 +13,7 @@ import numpy as np
 from ..data.batching import PaddedBatch
 from ..nn import Embedding, Linear, Tensor, TransformerBlock, concat
 from .base import NeuralSequentialRecommender, TrainConfig
+from .sasrec import NUM_BLOCKS, NUM_HEADS
 
 
 class MMSARec(NeuralSequentialRecommender):
@@ -21,8 +22,8 @@ class MMSARec(NeuralSequentialRecommender):
     name = "MMSARec"
 
     def __init__(self, num_users: int, num_items: int,
-                 item_features: np.ndarray, config: TrainConfig = None,
-                 num_blocks: int = 2, num_heads: int = 1) -> None:
+                 item_features: np.ndarray,
+                 config: TrainConfig = None) -> None:
         super().__init__(num_users, num_items, config, name=self.name)
         cfg = self.config
         features = np.asarray(item_features, dtype=np.float64)
@@ -36,8 +37,8 @@ class MMSARec(NeuralSequentialRecommender):
         self.gate = Linear(2 * dim, dim, self.rng)
         self.position_embedding = Embedding(cfg.max_history + 1, dim, self.rng)
         self.blocks = []
-        for i in range(num_blocks):
-            block = TransformerBlock(dim, num_heads, self.rng)
+        for i in range(NUM_BLOCKS):
+            block = TransformerBlock(dim, NUM_HEADS, self.rng)
             self.register_module(f"block{i}", block)
             self.blocks.append(block)
         self.project = Linear(dim, dim, self.rng)

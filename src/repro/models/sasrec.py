@@ -13,6 +13,10 @@ from ..data.batching import PaddedBatch
 from ..nn import Embedding, Linear, Tensor, TransformerBlock
 from .base import NeuralSequentialRecommender, TrainConfig
 
+#: Transformer blocks and attention heads of SASRec and MMSARec.
+NUM_BLOCKS = 2
+NUM_HEADS = 1
+
 
 class SASRec(NeuralSequentialRecommender):
     """Two-block causal self-attention recommender."""
@@ -20,15 +24,14 @@ class SASRec(NeuralSequentialRecommender):
     name = "SASRec"
 
     def __init__(self, num_users: int, num_items: int,
-                 config: TrainConfig = None, num_blocks: int = 2,
-                 num_heads: int = 1) -> None:
+                 config: TrainConfig = None) -> None:
         super().__init__(num_users, num_items, config, name=self.name)
         cfg = self.config
         self.position_embedding = Embedding(cfg.max_history + 1,
                                             cfg.embedding_dim, self.rng)
         self.blocks = []
-        for i in range(num_blocks):
-            block = TransformerBlock(cfg.embedding_dim, num_heads, self.rng)
+        for i in range(NUM_BLOCKS):
+            block = TransformerBlock(cfg.embedding_dim, NUM_HEADS, self.rng)
             self.register_module(f"block{i}", block)
             self.blocks.append(block)
         self.project = Linear(cfg.embedding_dim, cfg.embedding_dim, self.rng)

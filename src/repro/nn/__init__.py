@@ -6,7 +6,7 @@ recurrent cells, attention, optimizers and losses) so the reproduction is
 fully self-contained.
 """
 
-from .tensor import Tensor, concat, gradient_check, maximum, stack, where
+from .tensor import Tensor, concat, gradient_check, maximum, where
 from .module import Embedding, LayerNorm, Linear, Module, Parameter, no_grad
 from .fused import (fused_bce_with_logits, fused_gru_sequence,
                     fused_lstm_sequence, fused_lstm_step, fused_masked_softmax)
@@ -19,7 +19,7 @@ from . import init
 from . import losses
 
 __all__ = [
-    "Tensor", "concat", "stack", "where", "maximum", "gradient_check",
+    "Tensor", "concat", "where", "maximum", "gradient_check",
     "Module", "Parameter", "Linear", "Embedding", "LayerNorm", "no_grad",
     "fused_bce_with_logits", "fused_gru_sequence", "fused_lstm_sequence",
     "fused_lstm_step", "fused_masked_softmax",

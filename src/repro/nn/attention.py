@@ -18,6 +18,9 @@ from . import init
 from .module import Linear, Module, Parameter
 from .tensor import Tensor
 
+#: Hidden width of the transformer feed-forward layer, in multiples of dim.
+FFN_MULTIPLIER = 2
+
 
 class BilinearAttention(Module):
     """Attention over timesteps scored by a bilinear form with a query vector.
@@ -27,17 +30,13 @@ class BilinearAttention(Module):
     ``alpha_t = softmax_t(h_t^T A q)`` restricted to valid (unmasked) steps.
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator,
-                 identity_init: bool = True) -> None:
+    def __init__(self, dim: int, rng: np.random.Generator) -> None:
         super().__init__()
         # Near-identity init makes the initial scores h_t·q, which already
         # favours recent steps (their states resemble the final state), so
         # attention starts recency-biased instead of uniform.
-        if identity_init:
-            self.proj = Parameter(np.eye(dim)
-                                  + init.xavier_uniform((dim, dim), rng) * 0.1)
-        else:
-            self.proj = Parameter(init.xavier_uniform((dim, dim), rng))
+        self.proj = Parameter(np.eye(dim)
+                              + init.xavier_uniform((dim, dim), rng) * 0.1)
 
     def forward(self, states: Tensor, query: Tensor,
                 mask: Optional[np.ndarray] = None) -> Tensor:
@@ -119,15 +118,15 @@ class MultiHeadSelfAttention(Module):
 class TransformerBlock(Module):
     """Self-attention block with residual connections (pre-norm variant)."""
 
-    def __init__(self, dim: int, num_heads: int, rng: np.random.Generator,
-                 ffn_multiplier: int = 2) -> None:
+    def __init__(self, dim: int, num_heads: int,
+                 rng: np.random.Generator) -> None:
         super().__init__()
         from .module import LayerNorm  # local import avoids a cycle at module load
         self.attn = MultiHeadSelfAttention(dim, num_heads, rng)
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
-        self.ffn1 = Linear(dim, dim * ffn_multiplier, rng)
-        self.ffn2 = Linear(dim * ffn_multiplier, dim, rng)
+        self.ffn1 = Linear(dim, dim * FFN_MULTIPLIER, rng)
+        self.ffn2 = Linear(dim * FFN_MULTIPLIER, dim, rng)
 
     def forward(self, x: Tensor,
                 pad_mask: Optional[np.ndarray] = None) -> Tensor:

@@ -10,32 +10,31 @@ from typing import Tuple
 
 import numpy as np
 
+#: Scale of the Xavier bound and of the orthogonal matrix.
+XAVIER_GAIN = 1.0
+ORTHOGONAL_GAIN = 1.0
 
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator,
-                   gain: float = 1.0) -> np.ndarray:
+
+def xavier_uniform(shape: Tuple[int, ...],
+                   rng: np.random.Generator) -> np.ndarray:
     """Glorot/Xavier uniform initialization."""
     fan_in, fan_out = _fans(shape)
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    bound = XAVIER_GAIN * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 
 def normal(shape: Tuple[int, ...], rng: np.random.Generator,
-           std: float = 0.01) -> np.ndarray:
+           std: float) -> np.ndarray:
     """Zero-mean Gaussian initialization, the usual choice for embeddings."""
     return rng.normal(0.0, std, size=shape)
-
-
-def uniform(shape: Tuple[int, ...], rng: np.random.Generator,
-            low: float = -0.05, high: float = 0.05) -> np.ndarray:
-    return rng.uniform(low, high, size=shape)
 
 
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape)
 
 
-def orthogonal(shape: Tuple[int, ...], rng: np.random.Generator,
-               gain: float = 1.0) -> np.ndarray:
+def orthogonal(shape: Tuple[int, ...],
+               rng: np.random.Generator) -> np.ndarray:
     """Orthogonal initialization, recommended for recurrent weights."""
     if len(shape) < 2:
         raise ValueError("orthogonal init needs at least a 2-d shape")
@@ -44,7 +43,7 @@ def orthogonal(shape: Tuple[int, ...], rng: np.random.Generator,
     q, r = np.linalg.qr(flat)
     q = q * np.sign(np.diag(r))
     q = q[:rows, :cols] if rows >= cols else q[:cols, :rows].T
-    return gain * q.reshape(shape)
+    return ORTHOGONAL_GAIN * q.reshape(shape)
 
 
 def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:

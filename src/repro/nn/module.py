@@ -15,12 +15,17 @@ from . import functional as F
 from . import init
 from .tensor import Tensor
 
+#: Standard deviation of the Gaussian embedding initialisation.
+EMBEDDING_STD = 0.05
+#: Variance guard of :class:`LayerNorm`.
+LAYER_NORM_EPS = 1e-5
+
 
 class Parameter(Tensor):
     """A :class:`Tensor` that is registered as trainable by modules."""
 
-    def __init__(self, data, name: Optional[str] = None) -> None:
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data) -> None:
+        super().__init__(data, requires_grad=True)
 
 
 import contextlib
@@ -76,11 +81,11 @@ class Module:
                     seen.add(id(param))
                     yield param
 
-    def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
-        for name, param in self._parameters.items():
-            yield f"{prefix}{name}", param
+    def named_parameters(self) -> Iterator[Tuple[str, Parameter]]:
+        yield from self._parameters.items()
         for mod_name, module in self._modules.items():
-            yield from module.named_parameters(prefix=f"{prefix}{mod_name}.")
+            for name, param in module.named_parameters():
+                yield f"{mod_name}.{name}", param
 
     def modules(self) -> Iterator["Module"]:
         yield self
@@ -180,13 +185,14 @@ class Embedding(Module):
     """
 
     def __init__(self, num_embeddings: int, embedding_dim: int,
-                 rng: np.random.Generator, padding_idx: Optional[int] = None,
-                 std: float = 0.05) -> None:
+                 rng: np.random.Generator,
+                 padding_idx: Optional[int] = None) -> None:
         super().__init__()
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
         self.padding_idx = padding_idx
-        weight = init.normal((num_embeddings, embedding_dim), rng, std=std)
+        weight = init.normal((num_embeddings, embedding_dim), rng,
+                             std=EMBEDDING_STD)
         if padding_idx is not None:
             weight[padding_idx] = 0.0
         self.weight = Parameter(weight)
@@ -204,9 +210,8 @@ class Embedding(Module):
 class LayerNorm(Module):
     """Layer normalization over the last dimension."""
 
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
+    def __init__(self, dim: int) -> None:
         super().__init__()
-        self.eps = eps
         self.gamma = Parameter(np.ones(dim))
         self.beta = Parameter(np.zeros(dim))
 
@@ -214,5 +219,5 @@ class LayerNorm(Module):
         mean = x.mean(axis=-1, keepdims=True)
         centered = x - mean
         var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
+        normed = centered / (var + LAYER_NORM_EPS).sqrt()
         return normed * self.gamma + self.beta

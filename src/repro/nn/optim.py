@@ -19,6 +19,14 @@ import numpy as np
 
 from .module import Parameter
 
+#: SGD momentum (``0`` is plain SGD).
+SGD_MOMENTUM = 0.0
+#: Adam's moment decay rates and denominator guard.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+#: Adagrad's denominator guard.
+ADAGRAD_EPS = 1e-10
+
 
 class Optimizer:
     """Base optimizer holding a parameter list."""
@@ -57,9 +65,8 @@ class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum and weight decay."""
 
     def __init__(self, params: Iterable[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
+                 weight_decay: float = 0.0) -> None:
         super().__init__(params, lr)
-        self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity: Dict[int, np.ndarray] = {}
 
@@ -70,12 +77,12 @@ class SGD(Optimizer):
                 continue
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
-            if self.momentum:
+            if SGD_MOMENTUM:
                 vel = self._velocity.get(index)
                 if vel is None:
                     vel = np.zeros_like(param.data)
                     self._velocity[index] = vel
-                vel *= self.momentum
+                vel *= SGD_MOMENTUM
                 vel += grad
                 grad = vel
             param.data -= self.lr * grad
@@ -85,11 +92,9 @@ class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba, 2015) with the shared step counter ``_t``."""
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0) -> None:
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+        self.beta1, self.beta2 = ADAM_BETAS
         self.weight_decay = weight_decay
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
@@ -117,16 +122,15 @@ class Adam(Optimizer):
             m += (1.0 - self.beta1) * grad
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(grad)
-            param.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            param.data -= (self.lr * (m / bias1)
+                           / (np.sqrt(v / bias2) + ADAM_EPS))
 
 
 class Adagrad(Optimizer):
     """Adagrad optimizer, the historical choice for sparse recommenders."""
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 0.01,
-                 eps: float = 1e-10) -> None:
+    def __init__(self, params: Iterable[Parameter], lr: float = 0.01) -> None:
         super().__init__(params, lr)
-        self.eps = eps
         self._accum: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
@@ -139,7 +143,7 @@ class Adagrad(Optimizer):
                 accum = np.zeros_like(param.data)
                 self._accum[index] = accum
             accum += np.square(grad)
-            param.data -= self.lr * grad / (np.sqrt(accum) + self.eps)
+            param.data -= self.lr * grad / (np.sqrt(accum) + ADAGRAD_EPS)
 
 
 def make_optimizer(name: str, params: Iterable[Parameter], lr: float,

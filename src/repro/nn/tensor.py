@@ -155,16 +155,14 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "name", "_op_meta")
+                 "_op_meta")
 
-    def __init__(self, data: ArrayLike, requires_grad: bool = False,
-                 name: Optional[str] = None) -> None:
+    def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
-        self.name = name
         # (op name, creation traceback) — populated only in anomaly mode.
         self._op_meta: Optional[Tuple[str, str]] = None
 
@@ -215,10 +213,10 @@ class Tensor:
         exactly what `repro.parallel` needs when shipping trained models
         to evaluation workers.
         """
-        return (self.data, self.grad, self.requires_grad, self.name)
+        return (self.data, self.grad, self.requires_grad)
 
     def __setstate__(self, state) -> None:
-        self.data, self.grad, self.requires_grad, self.name = state
+        self.data, self.grad, self.requires_grad = state
         self._backward = None
         self._parents = ()
         self._op_meta = None
@@ -255,17 +253,11 @@ class Tensor:
         else:
             self.grad += grad
 
-    def backward(self, grad: Optional[ArrayLike] = None) -> None:
-        """Backpropagate from this tensor.
-
-        ``grad`` defaults to ones (and must be supplied for non-scalar
-        outputs only if a non-trivial seed is wanted).
-        """
+    def backward(self) -> None:
+        """Backpropagate from this tensor, seeding its gradient with ones."""
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
-        seed = np.ones_like(self.data) if grad is None else _as_array(grad)
-        if seed.shape != self.data.shape:
-            raise ValueError(f"gradient shape {seed.shape} does not match tensor shape {self.data.shape}")
+        seed = np.ones_like(self.data)
 
         # Iterative post-order topological sort.  The stack holds plain
         # nodes; a node is emitted when popped for the second time, which
@@ -608,20 +600,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor._make(out_data, tuple(tensors), backward)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis."""
-    tensors = list(tensors)
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        pieces = np.split(grad, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            if tensor.requires_grad:
-                tensor._accumulate(np.squeeze(piece, axis=axis))
-
-    return Tensor._make(out_data, tuple(tensors), backward)
-
-
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Differentiable selection; ``condition`` is a constant boolean mask."""
     a_t = a if isinstance(a, Tensor) else Tensor(a)
@@ -645,13 +623,15 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return where(a_t.data >= b_t.data, a_t, b_t)
 
 
-def gradient_check(func: Callable[..., Tensor], inputs: Iterable[Tensor],
-                   eps: float = 1e-6) -> float:
+def gradient_check(func: Callable[..., Tensor],
+                   inputs: Iterable[Tensor]) -> float:
     """Return the max relative error between analytic and numeric gradients.
 
-    ``func`` must produce a scalar tensor from ``inputs``.  Used extensively
+    ``func`` must produce a scalar tensor from ``inputs``; the numeric
+    gradient is a central difference with step ``1e-6``.  Used extensively
     by the test-suite to validate every op in this module.
     """
+    eps = 1e-6
     inputs = list(inputs)
     for tensor in inputs:
         tensor.zero_grad()

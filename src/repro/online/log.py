@@ -8,7 +8,7 @@ replayed offline (``python -m repro.online replay``), restarted from any
 offset, or disabled entirely without touching the request path.
 
 Layout: a directory of ``events-<start>.jsonl`` segments, rotated every
-``segment_records`` records.  One JSON object per line::
+``SEGMENT_RECORDS`` records.  One JSON object per line::
 
     {"o": 17, "u": 42, "b": [3, 9], "t": 1722000000.123}
 
@@ -17,7 +17,8 @@ Layout: a directory of ``events-<start>.jsonl`` segments, rotated every
 diagnostic only — readers return ``(offset, user, basket)`` records, so
 replays are bit-reproducible regardless of when events were logged.
 
-A bounded in-memory mirror (a deque of the most recent records) serves
+A bounded in-memory mirror (a deque of the ``MIRROR_CAPACITY`` most
+recent records) serves
 ``window()`` and recent ``read()`` calls without disk I/O; older ranges
 fall back to scanning segments.  With ``path=None`` the log is
 memory-only (tests, ephemeral serving) and ranges evicted from the
@@ -40,6 +41,11 @@ __all__ = ["EventLog", "EventRecord"]
 
 _SEGMENT_PREFIX = "events-"
 _SEGMENT_SUFFIX = ".jsonl"
+
+#: Records per segment file before the log rotates to a new one.
+SEGMENT_RECORDS = 4096
+#: Most recent records kept in memory for ``window`` and ``read``.
+MIRROR_CAPACITY = 65536
 
 
 class EventRecord(NamedTuple):
@@ -106,16 +112,10 @@ class EventLog:
     exactly where the previous process stopped.
     """
 
-    def __init__(self, path=None, segment_records: int = 4096,
-                 mirror_capacity: int = 65536) -> None:
-        if segment_records < 1:
-            raise ValueError("segment_records must be positive")
-        if mirror_capacity < 1:
-            raise ValueError("mirror_capacity must be positive")
+    def __init__(self, path=None) -> None:
         self.path = None if path is None else Path(path)
-        self.segment_records = int(segment_records)
         self._lock = threading.Lock()
-        self._mirror: Deque[EventRecord] = deque(maxlen=int(mirror_capacity))
+        self._mirror: Deque[EventRecord] = deque(maxlen=MIRROR_CAPACITY)
         self._next_offset = 0
         self._handle = None          # open file of the current segment
         self._segment_count = 0      # records written to the current segment
@@ -146,7 +146,7 @@ class EventLog:
         # Continue filling the last segment if it still has room.
         last = segments[-1]
         written = self._next_offset - _segment_start(last)
-        if written < self.segment_records:
+        if written < SEGMENT_RECORDS:
             self._handle = last.open("a", encoding="utf-8")
             self._segment_count = written
 
@@ -165,7 +165,7 @@ class EventLog:
         return offset
 
     def _write_locked(self, record: EventRecord) -> None:
-        if self._handle is None or self._segment_count >= self.segment_records:
+        if self._handle is None or self._segment_count >= SEGMENT_RECORDS:
             if self._handle is not None:
                 self._handle.close()
             segment = self.path / _segment_name(record.offset)
@@ -223,7 +223,7 @@ class EventLog:
             seg_start = _segment_start(segment)
             if seg_start >= stop:
                 break
-            if seg_start + self.segment_records <= start:
+            if seg_start + SEGMENT_RECORDS <= start:
                 continue
             with segment.open("r", encoding="utf-8") as handle:
                 for line in handle:

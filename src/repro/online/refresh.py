@@ -7,11 +7,11 @@ here on a sliding window of the event log, then atomically published:
 
 1. deep-copy the trainer's current shadow model,
 2. warm-start Algorithm 1 on samples expanded from ``log.window(W)``
-   (``fit_samples(..., warm_start=True, num_epochs=refresh_epochs)`` —
+   (``fit_samples(..., warm_start=True, num_epochs=REFRESH_EPOCHS)`` —
    multipliers, the seeded graph, and the h-stall tracker carry over),
 3. measure drift (edge churn vs the previous causal graph, kept as its
    (V+1, K) eq.-9 factors, never a (V+1)² matrix; score divergence vs
-   the frozen offline baseline on a probe set),
+   the frozen offline baseline on the window's first samples),
 4. publish through the injected ``publish`` callable — the registry's
    generation-bumping ``install`` (via ``ServeApp.install_model``), which
    also applies the server's ``--quantize`` precision — and
@@ -37,6 +37,15 @@ from .log import EventLog, EventRecord
 from .trainer import OnlineTrainer
 
 __all__ = ["RefreshController", "build_refresh_samples"]
+
+#: Algorithm 1 epochs per refresh, warm-started from the shadow model.
+REFRESH_EPOCHS = 1
+#: A window with fewer trainable samples publishes nothing.
+MIN_SAMPLES = 8
+#: Score divergence compares top-``PROBE_Z`` lists on the first
+#: ``PROBE_LIMIT`` samples of the refreshed window.
+PROBE_Z = 10
+PROBE_LIMIT = 64
 
 
 def build_refresh_samples(records: Sequence[EventRecord],
@@ -69,14 +78,14 @@ class RefreshController:
     (``registry.install`` / ``app.install_model``).
     ``baseline`` is the frozen offline model used for score-divergence
     probes; it is only ever read (``score_samples`` under ``no_grad``).
+    The probes are the first ``PROBE_LIMIT`` samples of the window each
+    refresh re-derives from, so the divergence gauges stay live without
+    held-out data at serve time.
     """
 
     def __init__(self, trainer: OnlineTrainer, log: EventLog,
                  publish: Callable, *, window: int = 2048,
-                 refresh_epochs: int = 1, min_samples: int = 8,
-                 baseline=None, probes: Sequence[EvalSample] = (),
-                 probe_z: int = 10, probe_limit: int = 64,
-                 interval: Optional[float] = None,
+                 baseline=None, interval: Optional[float] = None,
                  metrics=None) -> None:
         if window < 1:
             raise ValueError("refresh window must be positive")
@@ -84,12 +93,7 @@ class RefreshController:
         self.log = log
         self.publish = publish
         self.window = int(window)
-        self.refresh_epochs = int(refresh_epochs)
-        self.min_samples = max(1, int(min_samples))
         self.baseline = baseline
-        self.probes = list(probes)
-        self.probe_z = int(probe_z)
-        self.probe_limit = int(probe_limit)
         self.interval = interval
         self.metrics = metrics
         self.generations = 0
@@ -107,7 +111,7 @@ class RefreshController:
         """
         records = self.log.window(self.window)
         samples = build_refresh_samples(records, self.trainer.max_history)
-        if len(samples) < self.min_samples:
+        if len(samples) < MIN_SAMPLES:
             return False
         snapshot = self.trainer.snapshot_model()
         causal = hasattr(snapshot, "causal_factors")
@@ -116,7 +120,7 @@ class RefreshController:
         began = time.perf_counter()
         if causal:
             snapshot.fit_samples(samples, warm_start=True,
-                                 num_epochs=self.refresh_epochs)
+                                 num_epochs=REFRESH_EPOCHS)
         else:
             # Baselines have no warm-start hook; a refresh is a plain
             # (short, config-driven) re-fit on the window.
@@ -126,14 +130,10 @@ class RefreshController:
         if previous is not None:
             churn = edge_churn(previous, snapshot.causal_factors(),
                                epsilon=float(snapshot.config.epsilon))
-        # With no explicit probe set, probe on a slice of the very window
-        # we refreshed from — keeps the divergence gauges live in CLI
-        # deployments that have no held-out data at serve time.
-        probes = self.probes or samples[:self.probe_limit]
         divergence = None
-        if self.baseline is not None and probes:
+        if self.baseline is not None:
             divergence = score_divergence(self.baseline, snapshot,
-                                          list(probes), z=self.probe_z)
+                                          samples[:PROBE_LIMIT], z=PROBE_Z)
         report = DriftReport.build(churn=churn, divergence=divergence)
         self.publish(snapshot)
         # The published model's arrays are now aliased by live serving

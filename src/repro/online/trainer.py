@@ -53,6 +53,15 @@ __all__ = ["OnlineTrainer", "ONLINE_PARAM_TOKENS"]
 ONLINE_PARAM_TOKENS = ("item_embedding", "output_embedding",
                       "user_embedding", "output_bias")
 
+#: Optimizer of the online steps (see :func:`repro.nn.optim.make_optimizer`).
+OPTIMIZER = "adagrad"
+#: Global gradient-norm clip applied before every online step.
+CLIP_NORM = 5.0
+#: Users whose history tails the trainer keeps (least recently seen go).
+TAIL_CAPACITY = 10_000
+#: Seconds the background thread sleeps between pumps.
+POLL_INTERVAL = 0.05
+
 Basket = Tuple[int, ...]
 
 
@@ -78,10 +87,8 @@ class OnlineTrainer:
     """
 
     def __init__(self, model, log: EventLog, *, lr: float = 0.01,
-                 optimizer: str = "adagrad", batch_events: int = 32,
-                 num_negatives: int = 4, seed: int = 0,
-                 clip_norm: float = 5.0, tail_capacity: int = 10_000,
-                 start_offset: int = 0, poll_interval: float = 0.05,
+                 batch_events: int = 32, num_negatives: int = 4,
+                 seed: int = 0, start_offset: int = 0,
                  metrics=None) -> None:
         if batch_events < 1:
             raise ValueError("batch_events must be positive")
@@ -93,13 +100,9 @@ class OnlineTrainer:
                 "from-zero replay")
         self.log = log
         self.lr = float(lr)
-        self.optimizer_name = optimizer
         self.batch_events = int(batch_events)
         self.num_negatives = int(num_negatives)
         self.seed = int(seed)
-        self.clip_norm = float(clip_norm)
-        self.tail_capacity = int(tail_capacity)
-        self.poll_interval = float(poll_interval)
         self.metrics = metrics
         self._lock = threading.Lock()
         self._consumed = int(start_offset)
@@ -118,8 +121,7 @@ class OnlineTrainer:
         self._causal = hasattr(model, "causal_factors")
         params = select_online_params(model)
         if self.lr > 0.0:
-            self._optimizer = make_optimizer(self.optimizer_name, params,
-                                             self.lr)
+            self._optimizer = make_optimizer(OPTIMIZER, params, self.lr)
         else:
             self._optimizer = None
 
@@ -150,7 +152,7 @@ class OnlineTrainer:
         with self._lock:
             return self._steps
 
-    def pump(self, max_batches: Optional[int] = None) -> int:
+    def pump(self) -> int:
         """Apply every complete pending micro-batch; return how many.
 
         Safe to call from tests/CLI while the background thread runs —
@@ -159,7 +161,7 @@ class OnlineTrainer:
         applies it, so no batch can be applied twice.
         """
         applied = 0
-        while max_batches is None or applied < max_batches:
+        while True:
             with self._lock:
                 info = self._pump_one_locked()
             if info is None:
@@ -204,7 +206,7 @@ class OnlineTrainer:
                 tail = deque(maxlen=self.max_history)
                 self._tails[record.user_id] = tail
                 self._seen.add(record.user_id)
-                if len(self._tails) > self.tail_capacity:
+                if len(self._tails) > TAIL_CAPACITY:
                     self._tails.popitem(last=False)
             self._tails.move_to_end(record.user_id)
             if not record.basket:
@@ -242,7 +244,7 @@ class OnlineTrainer:
         else:
             loss = self.model.training_loss(batch)
         loss.backward()
-        self._optimizer.clip_grad_norm(self.clip_norm)
+        self._optimizer.clip_grad_norm(CLIP_NORM)
         self._optimizer.step()
         self.model._after_step()
         self._steps += 1
@@ -260,7 +262,7 @@ class OnlineTrainer:
         thread.start()
 
     def _run(self) -> None:
-        while not self._stop.wait(self.poll_interval):
+        while not self._stop.wait(POLL_INTERVAL):
             self.pump()
         self.pump()  # final drain of complete batches
 

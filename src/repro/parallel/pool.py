@@ -69,9 +69,10 @@ def available_cpus() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def default_workers(cap: int = DEFAULT_WORKER_CAP) -> int:
-    """CPU-count-aware default worker count, capped at ``cap``."""
-    return max(1, min(int(cap), available_cpus()))
+def default_workers() -> int:
+    """CPU-count-aware default worker count, capped at
+    ``DEFAULT_WORKER_CAP``."""
+    return max(1, min(DEFAULT_WORKER_CAP, available_cpus()))
 
 
 def in_parallel_region() -> bool:

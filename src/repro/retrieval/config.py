@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 #: Retrieval modes the serving layer accepts (``--retrieval``).
 RETRIEVAL_MODES = ("exact", "ivf")
@@ -17,16 +16,13 @@ class RetrievalConfig:
     pre-retrieval serving path, bit-identical to offline evaluation) and
     only labels the response; ``ivf`` runs the two-tower IVF index to cut
     a ``shortlist`` of candidates and re-ranks them through the exact
-    head.  ``nprobe`` trades recall for latency; ``n_clusters=None``
-    defaults to ``round(sqrt(catalog))``.
+    head.  ``nprobe`` trades recall for latency.  The index has
+    ``round(sqrt(catalog))`` cells.
     """
 
     mode: str = "exact"
     shortlist: int = 500
     nprobe: int = 8
-    n_clusters: Optional[int] = None
-    kmeans_iters: int = 8
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in RETRIEVAL_MODES:
@@ -36,5 +32,3 @@ class RetrievalConfig:
             raise ValueError("shortlist must be a positive candidate count")
         if self.nprobe < 1:
             raise ValueError("nprobe must be >= 1")
-        if self.n_clusters is not None and self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1 when given")

@@ -11,9 +11,10 @@ assert bitwise.
 
 Determinism contract (asserted by ``tests/retrieval/test_determinism.py``):
 
-* k-means initialisation draws from ``SeedSequence(seed, spawn_key=(0,))``
-  and every other step is arithmetic on fixed-order arrays, so a build is
-  bit-identical across runs for a fixed seed;
+* k-means initialisation draws from
+  ``SeedSequence(KMEANS_SEED, spawn_key=(0,))`` and every other step is
+  arithmetic on fixed-order arrays, so a build is bit-identical across
+  runs;
 * the assignment step runs over fixed-size row chunks
   (:data:`ASSIGN_CHUNK`), so the chunk boundaries — and every matrix
   product — are the same on every build;
@@ -24,7 +25,7 @@ Determinism contract (asserted by ``tests/retrieval/test_determinism.py``):
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -34,6 +35,10 @@ from .towers import ItemTower, as_dense, dot_scores
 #: block.  Fixed, so the chunk boundaries — and therefore every matrix
 #: product — are identical from build to build.
 ASSIGN_CHUNK = 16_384
+
+#: Seed of the k-means initialisation and the cap on Lloyd iterations.
+KMEANS_SEED = 0
+KMEANS_ITERS = 8
 
 
 def top_ids_by_score(scores: np.ndarray, ids: np.ndarray,
@@ -87,26 +92,26 @@ def _assign_all(vectors: np.ndarray, centroids: np.ndarray
     return np.concatenate(assign_parts), np.concatenate(mindist_parts)
 
 
-def kmeans_fit(vectors: np.ndarray, n_clusters: int, seed: int = 0,
-               iters: int = 8) -> Tuple[np.ndarray, np.ndarray]:
+def kmeans_fit(vectors: np.ndarray, n_clusters: int
+               ) -> Tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm; returns ``(centroids, assignments)``.
 
     Initial centroids are ``n_clusters`` distinct rows drawn from
-    ``SeedSequence(seed, spawn_key=(0,))``.  Empty cells are re-seeded to
-    the point farthest from its centroid (ties -> lowest row index), so
-    degenerate towers (all-equal rows, zero vectors) terminate with every
-    cell owning at least one point whenever ``n_clusters <= n``.
+    ``SeedSequence(KMEANS_SEED, spawn_key=(0,))``.  Empty cells are
+    re-seeded to the point farthest from its centroid (ties -> lowest row
+    index), so degenerate towers (all-equal rows, zero vectors) terminate
+    with every cell owning at least one point whenever ``n_clusters <= n``.
     """
     n = vectors.shape[0]
     if n == 0:
         raise ValueError("cannot cluster an empty item tower")
     n_clusters = max(1, min(n_clusters, n))
-    rng = np.random.default_rng(np.random.SeedSequence(seed,
+    rng = np.random.default_rng(np.random.SeedSequence(KMEANS_SEED,
                                                        spawn_key=(0,)))
     picks = rng.choice(n, size=n_clusters, replace=False)
     centroids = vectors[picks].copy()
     assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(max(1, iters)):
+    for _ in range(max(1, KMEANS_ITERS)):
         new_assign, mindist = _assign_all(vectors, centroids)
         # Re-seed empty cells from the worst-served points so no cell
         # stays empty (deterministic: argmax breaks ties by lowest index).
@@ -139,13 +144,12 @@ class IVFIndex:
     """
 
     def __init__(self, centroids: np.ndarray, list_ids: List[np.ndarray],
-                 list_vectors: List[np.ndarray], list_bias: List[np.ndarray],
-                 seed: int = 0) -> None:
+                 list_vectors: List[np.ndarray],
+                 list_bias: List[np.ndarray]) -> None:
         self.centroids = centroids
         self.list_ids = list_ids
         self.list_vectors = list_vectors
         self.list_bias = list_bias
-        self.seed = seed
         self._cent_sq = (centroids * centroids).sum(axis=1)
         self._cluster_order = np.arange(centroids.shape[0])
         for array in (self.centroids, self._cent_sq, *list_ids,
@@ -153,14 +157,9 @@ class IVFIndex:
             array.setflags(write=False)
 
     @classmethod
-    def build(cls, tower: ItemTower, n_clusters: Optional[int] = None,
-              seed: int = 0, iters: int = 8) -> "IVFIndex":
+    def build(cls, tower: ItemTower, n_clusters: int) -> "IVFIndex":
         """Train the coarse quantizer and materialize the inverted lists."""
-        n = tower.size
-        if n_clusters is None:
-            n_clusters = max(1, int(round(np.sqrt(n))))
-        centroids, assign = kmeans_fit(tower.vectors, n_clusters, seed=seed,
-                                       iters=iters)
+        centroids, assign = kmeans_fit(tower.vectors, n_clusters)
         list_ids: List[np.ndarray] = []
         list_vectors: List[np.ndarray] = []
         list_bias: List[np.ndarray] = []
@@ -169,7 +168,7 @@ class IVFIndex:
             list_ids.append(tower.ids[members].copy())
             list_vectors.append(np.ascontiguousarray(tower.vectors[members]))
             list_bias.append(tower.bias[members].copy())
-        return cls(centroids, list_ids, list_vectors, list_bias, seed=seed)
+        return cls(centroids, list_ids, list_vectors, list_bias)
 
     @property
     def n_clusters(self) -> int:

@@ -59,6 +59,9 @@ ROUTES = {"/healthz": "GET", "/metrics": "GET", "/v1/recommend": "POST",
 #: Integer fields such as ``user_id`` get the same signed int64 bounds.
 MAX_ITEM_ID = int(np.iinfo(np.int64).max)
 
+#: Recommendations returned when a request does not ask for ``z``.
+DEFAULT_Z = 5
+
 
 class ServeError(Exception):
     """Client-visible failure with an HTTP status."""
@@ -119,24 +122,21 @@ def _parse_history(value: Any, num_items: Optional[int]
 class ServeApp:
     """Registry + sessions + batcher behind a route table."""
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None,
-                 session_capacity: int = 10_000,
+    def __init__(self, session_capacity: int = 10_000,
                  max_batch_size: int = 32, max_wait_ms: float = 2.0,
-                 default_z: int = 5,
                  retrieval: Optional[RetrievalConfig] = None,
-                 event_sink=None, quantize: str = "none") -> None:
+                 quantize: str = "none") -> None:
         #: Optional ``callable(user_id, basket)`` invoked after every
         #: accepted ``/v1/events`` request — the tee into the append-only
         #: event log that online training replays (see repro.online.log).
         #: Sink errors are counted, never surfaced to the client.
-        self.event_sink = event_sink
+        self.event_sink = None
         self.retrieval = retrieval
         self.registry = CheckpointRegistry(retrieval=retrieval,
                                            quantize=quantize)
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.sessions = SessionStore(capacity=session_capacity,
                                      metrics=self.metrics)
-        self.default_z = default_z
         self.batcher = MicroBatcher(self._score_many,
                                     max_batch_size=max_batch_size,
                                     max_wait_ms=max_wait_ms,
@@ -151,9 +151,8 @@ class ServeApp:
     def load_checkpoint(self, path) -> ServingArtifacts:
         return self.registry.load(path)
 
-    def install_model(self, model, path: Optional[str] = None
-                      ) -> ServingArtifacts:
-        return self.registry.install(model, path=path)
+    def install_model(self, model) -> ServingArtifacts:
+        return self.registry.install(model)
 
     def close(self) -> None:
         self.batcher.close()
@@ -214,7 +213,7 @@ class ServeApp:
     # -- endpoints ---------------------------------------------------------
     def _recommend(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         user_id = _require_int(payload, "user_id")
-        z = payload.get("z", self.default_z)
+        z = payload.get("z", DEFAULT_Z)
         if isinstance(z, bool) or not isinstance(z, int) or z < 1:
             raise ServeError(400, "field 'z' must be a positive integer")
         artifacts = self.registry.current()

@@ -15,13 +15,13 @@ lock comfortably outpaces the HTTP layer)."""
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 #: Ring-buffer size per histogram: large enough that p99 over a busy
 #: window is stable, small enough to stay cache-resident.
-DEFAULT_WINDOW = 4096
+HISTOGRAM_WINDOW = 4096
 
 Labels = Optional[Dict[str, str]]
 
@@ -40,9 +40,9 @@ class _Histogram:
 
     __slots__ = ("window", "samples", "count", "total")
 
-    def __init__(self, window: int = DEFAULT_WINDOW) -> None:
-        self.window = window
-        self.samples = np.zeros(window, dtype=np.float64)
+    def __init__(self) -> None:
+        self.window = HISTOGRAM_WINDOW
+        self.samples = np.zeros(self.window, dtype=np.float64)
         self.count = 0
         self.total = 0.0
 
@@ -64,9 +64,8 @@ class _Histogram:
 class MetricsRegistry:
     """Named counters + latency histograms with Prometheus text export."""
 
-    def __init__(self, window: int = DEFAULT_WINDOW) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._window = window
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, _Histogram] = {}
@@ -82,13 +81,11 @@ class MetricsRegistry:
             self._counter_names.setdefault(name)
             self._counters[key] = self._counters.get(key, 0.0) + by
 
-    def set_gauge(self, name: str, value: float,
-                  labels: Labels = None) -> None:
+    def set_gauge(self, name: str, value: float) -> None:
         """Last-write-wins gauge (drift scores, update lag, window sizes)."""
-        key = _series_key(name, labels)
         with self._lock:
             self._gauge_names.setdefault(name)
-            self._gauges[key] = float(value)
+            self._gauges[name] = float(value)
 
     def observe(self, name: str, value: float, labels: Labels = None) -> None:
         key = _series_key(name, labels)
@@ -96,7 +93,7 @@ class MetricsRegistry:
             self._histogram_names.setdefault(name)
             hist = self._histograms.get(key)
             if hist is None:
-                hist = self._histograms[key] = _Histogram(self._window)
+                hist = self._histograms[key] = _Histogram()
             hist.observe(float(value))
 
     # -- reads -----------------------------------------------------------
@@ -104,24 +101,24 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(_series_key(name, labels), 0.0)
 
-    def gauge_value(self, name: str, labels: Labels = None,
-                    default: float = 0.0) -> float:
+    def gauge_value(self, name: str) -> float:
         with self._lock:
-            return self._gauges.get(_series_key(name, labels), default)
+            return self._gauges.get(name, 0.0)
 
-    def percentile(self, name: str, q: float, labels: Labels = None) -> float:
+    def percentile(self, name: str, q: float) -> float:
+        """The ``q``-th percentile of the unlabelled series ``name``."""
         with self._lock:
-            hist = self._histograms.get(_series_key(name, labels))
+            hist = self._histograms.get(name)
             return float("nan") if hist is None else hist.percentile(q)
 
-    def percentiles(self, name: str, qs: Iterable[float] = (50, 95, 99),
-                    labels: Labels = None) -> Dict[str, float]:
+    def percentiles(self, name: str) -> Dict[str, float]:
         """``{"p50": ..., "p95": ..., "p99": ...}`` for one series."""
-        return {f"p{q:g}": self.percentile(name, q, labels) for q in qs}
+        return {f"p{q:g}": self.percentile(name, q) for q in (50, 95, 99)}
 
-    def observation_count(self, name: str, labels: Labels = None) -> int:
+    def observation_count(self, name: str) -> int:
+        """Observations of the unlabelled series ``name``."""
         with self._lock:
-            hist = self._histograms.get(_series_key(name, labels))
+            hist = self._histograms.get(name)
             return 0 if hist is None else hist.count
 
     # -- export ----------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import copy
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
 from typing import Any, Dict, Optional
 
@@ -71,8 +71,7 @@ def build_retrieval(artifacts: "ServingArtifacts",
     tower = build_item_tower(artifacts)
     if tower is None:
         return None
-    index = IVFIndex.build(tower, n_clusters=config.n_clusters,
-                           seed=config.seed, iters=config.kmeans_iters)
+    index = IVFIndex.build(tower, max(1, int(round(np.sqrt(tower.size)))))
     return RetrievalArtifact(config=config, tower=tower, index=index,
                              generation=artifacts.generation)
 
@@ -97,7 +96,6 @@ class ServingArtifacts:
     #: registry has a retrieval config in ``ivf`` mode; ``None`` otherwise
     #: (serving scores the full catalog exactly).
     retrieval: Optional[RetrievalArtifact] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def supports_explain(self) -> bool:
@@ -294,7 +292,7 @@ def quantize_artifacts(artifacts: ServingArtifacts,
             old.centroids, old.list_ids,
             [QuantizedTable.quantize(vectors, mode)
              for vectors in old.list_vectors],
-            old.list_bias, seed=old.seed)
+            old.list_bias)
         bundle.retrieval = dataclass_replace(retrieval, tower=tower,
                                              index=index)
     return bundle

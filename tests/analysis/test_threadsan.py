@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from repro.analysis import LockProxy, ThreadSanitizer, threadsan
+from repro.analysis import (LockProxy, ThreadSanitizer, concurrency,
+                            threadsan)
 
 from .inversion_fixture import InvertedPair
 
@@ -88,8 +89,9 @@ def test_consistent_order_is_clean():
 # ----------------------------------------------------------------------
 # long hold
 # ----------------------------------------------------------------------
-def test_long_hold_detected_with_acquisition_stack():
-    with threadsan(long_hold_ms=5.0) as san:
+def test_long_hold_detected_with_acquisition_stack(monkeypatch):
+    monkeypatch.setattr(concurrency, "LONG_HOLD_MS", 5.0)
+    with threadsan() as san:
         lock = san.wrap_lock(threading.Lock(), "slow_lock")
         with lock:
             time.sleep(0.03)
@@ -99,17 +101,19 @@ def test_long_hold_detected_with_acquisition_stack():
     assert "test_long_hold_detected" in findings[0].where
 
 
-def test_fast_hold_is_clean():
-    with threadsan(long_hold_ms=500.0) as san:
+def test_fast_hold_is_clean(monkeypatch):
+    monkeypatch.setattr(concurrency, "LONG_HOLD_MS", 500.0)
+    with threadsan() as san:
         lock = san.wrap_lock(threading.Lock(), "fast_lock")
         with lock:
             pass
         assert san.findings == []
 
 
-def test_condition_wait_does_not_count_as_holding():
+def test_condition_wait_does_not_count_as_holding(monkeypatch):
     """Condition.wait releases the lock; waiting must not be a long hold."""
-    with threadsan(long_hold_ms=20.0) as san:
+    monkeypatch.setattr(concurrency, "LONG_HOLD_MS", 20.0)
+    with threadsan() as san:
         cond = san.wrap_lock(threading.Condition(), "cond")
         with cond:
             cond.wait(timeout=0.08)   # 4x the threshold, but not *holding*

@@ -11,7 +11,7 @@ cycle found, so a different valid answer would change downstream numbers.
 import numpy as np
 import pytest
 
-from repro.causal import (is_dag, prune_to_dag, random_dag,
+from repro.causal import (binarize, is_dag, prune_to_dag, random_dag,
                           simulate_linear_sem, topological_order)
 from repro.causal import sem
 
@@ -70,15 +70,15 @@ def test_matches_networkx(kind):
         matrix = _random_graph(kind, seed)
         threshold = 0.0 if seed % 3 else 0.6
         expected_dag = nx.is_directed_acyclic_graph(_digraph(matrix, threshold))
-        assert is_dag(matrix, threshold) == expected_dag, seed
+        assert is_dag(binarize(matrix, threshold)) == expected_dag, seed
         if expected_dag:
-            order = topological_order(matrix, threshold)
+            order = topological_order(binarize(matrix, threshold))
             assert order == _nx_topological_order(matrix, threshold), seed
             assert all(type(node) is int for node in order)
         else:
             cyclic += 1
             with pytest.raises(ValueError, match="cycle"):
-                topological_order(matrix, threshold)
+                topological_order(binarize(matrix, threshold))
         np.testing.assert_array_equal(prune_to_dag(matrix),
                                       _nx_prune_to_dag(matrix), str(seed))
     assert 0 < cyclic < GRAPHS_PER_KIND

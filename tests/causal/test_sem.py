@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.causal import sem
 from repro.causal import (is_dag, random_dag, simulate_linear_sem,
                           standardize, weighted_dag)
 
@@ -31,21 +32,23 @@ class TestWeightedDag:
     def test_weights_in_range(self):
         rng = np.random.default_rng(2)
         adj = random_dag(6, 0.5, rng)
-        weights = weighted_dag(adj, rng, weight_range=(0.5, 2.0))
+        weights = weighted_dag(adj, rng)
         nonzero = np.abs(weights[adj == 1])
         assert (nonzero >= 0.5).all() and (nonzero <= 2.0).all()
         assert (weights[adj == 0] == 0).all()
 
-    def test_no_negative_option(self):
+    def test_no_negative_option(self, monkeypatch):
+        monkeypatch.setattr(sem, "ALLOW_NEGATIVE", False)
         rng = np.random.default_rng(3)
         adj = random_dag(6, 0.5, rng)
-        weights = weighted_dag(adj, rng, allow_negative=False)
+        weights = weighted_dag(adj, rng)
         assert (weights >= 0).all()
 
-    def test_invalid_range(self):
+    def test_invalid_range(self, monkeypatch):
+        monkeypatch.setattr(sem, "WEIGHT_RANGE", (0.0, 1.0))
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            weighted_dag(np.zeros((2, 2)), rng, weight_range=(0.0, 1.0))
+            weighted_dag(np.zeros((2, 2)), rng)
 
 
 class TestSimulateLinearSem:
@@ -59,7 +62,7 @@ class TestSimulateLinearSem:
         rng = np.random.default_rng(6)
         weights = np.zeros((2, 2))
         weights[0, 1] = 2.0
-        data = simulate_linear_sem(weights, 20_000, rng, noise_scale=1.0)
+        data = simulate_linear_sem(weights, 20_000, rng)
         assert data[:, 0].std() == pytest.approx(1.0, rel=0.05)
         # child = 2 * parent + noise -> std = sqrt(4 + 1)
         assert data[:, 1].std() == pytest.approx(np.sqrt(5.0), rel=0.05)
@@ -73,17 +76,19 @@ class TestSimulateLinearSem:
         assert corr > 0.7
 
     @pytest.mark.parametrize("noise", ["gaussian", "exponential", "gumbel"])
-    def test_noise_kinds(self, noise):
+    def test_noise_kinds(self, noise, monkeypatch):
+        monkeypatch.setattr(sem, "NOISE", noise)
         rng = np.random.default_rng(8)
         weights = np.zeros((3, 3))
         weights[0, 1] = 1.0
-        data = simulate_linear_sem(weights, 200, rng, noise=noise)
+        data = simulate_linear_sem(weights, 200, rng)
         assert np.isfinite(data).all()
 
-    def test_unknown_noise(self):
+    def test_unknown_noise(self, monkeypatch):
+        monkeypatch.setattr(sem, "NOISE", "cauchy")
         with pytest.raises(ValueError):
             simulate_linear_sem(np.zeros((2, 2)), 10,
-                                np.random.default_rng(0), noise="cauchy")
+                                np.random.default_rng(0))
 
     def test_standardize_centers(self):
         rng = np.random.default_rng(9)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.causal import h_value, is_dag
+from repro.causal import binarize, h_value, is_dag
 from repro.core import CauserConfig, ClusterCausalGraph, ablation_config
 
 
@@ -47,7 +47,7 @@ class TestClusterCausalGraph:
 
     def test_is_acyclic_on_dense_init(self, graph):
         # Dense positive init has cycles above a small threshold.
-        assert not is_dag(graph.numpy_matrix(), threshold=0.1)
+        assert not is_dag(binarize(graph.numpy_matrix(), 0.1))
 
 
 class TestCauserConfig:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Causer, CauserConfig, explanation_breakdown, make_explainer
+from repro.core import pretrain
 from repro.core.pretrain import (estimate_cluster_transitions,
                                  pretrain_cluster_graph, transition_lift)
 from repro.data import EvalSample, ExplanationSample, build_explanation_dataset
@@ -32,10 +33,11 @@ class TestTransitionEstimation:
         assert counts[0, 1] > counts[1, 0]
         assert counts[0, 1] > counts[0, 0]
 
-    def test_decay_weighting(self):
+    def test_decay_weighting(self, monkeypatch):
+        monkeypatch.setattr(pretrain, "DECAY", 0.5)
         sample = [EvalSample(user_id=0, history=((1,), (2,)), target=(3,))]
         counts = estimate_cluster_transitions(sample, np.array([0, 0, 1, 2]),
-                                              3, decay=0.5)
+                                              3)
         # item 2 (gap 1) weighted 1.0, item 1 (gap 2) weighted 0.5
         assert counts[1, 2] == pytest.approx(1.0)
         assert counts[0, 2] == pytest.approx(0.5)

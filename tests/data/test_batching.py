@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.data import batching
 from repro.data import (EvalSample, iterate_batches, pad_samples,
                         sample_negatives)
 
@@ -131,9 +132,10 @@ class TestIterateBatches:
         users = sorted(u for b in batches for u in b.users)
         assert users == list(range(10))
 
-    def test_no_shuffle_preserves_order(self):
+    def test_no_shuffle_preserves_order(self, monkeypatch):
+        monkeypatch.setattr(batching, "SHUFFLE", False)
         samples = [sample(i, [[1]], [2]) for i in range(5)]
-        batches = list(iterate_batches(samples, 2, shuffle=False))
+        batches = list(iterate_batches(samples, 2))
         assert batches[0].users.tolist() == [0, 1]
 
     def test_invalid_batch_size(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import stats as data_stats
 from repro.data import (DATASET_NAMES, PAPER_STATISTICS, compute_statistics,
                         dataset_config, gps_like_features, load_dataset,
                         sequence_length_histogram, text_like_features)
@@ -85,9 +86,9 @@ class TestStatistics:
         hist = sequence_length_histogram(tiny_dataset.corpus)
         assert sum(hist.values()) == tiny_dataset.corpus.num_users
 
-    def test_histogram_buckets_disjoint(self, tiny_dataset):
-        hist = sequence_length_histogram(tiny_dataset.corpus,
-                                         bins=(1, 3, 5, 10**9))
+    def test_histogram_buckets_disjoint(self, tiny_dataset, monkeypatch):
+        monkeypatch.setattr(data_stats, "LENGTH_BINS", (1, 3, 5, 10**9))
+        hist = sequence_length_histogram(tiny_dataset.corpus)
         assert sum(hist.values()) == tiny_dataset.corpus.num_users
         assert set(hist) == {"1-2", "3-4", "5+"}
 

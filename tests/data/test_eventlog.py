@@ -25,8 +25,7 @@ from repro.data import (BehaviorSimulator, EvalSample, SequenceCorpus,
                         SimulatorConfig, UserSequence, generate_eventlog,
                         iterate_batches, load_eventlog_dataset,
                         open_eventlog, pad_samples, training_prefixes)
-from repro.data.eventlog import (EVENTLOG_FORMAT, EVENTLOG_VERSION,
-                                 _check_users)
+from repro.data.eventlog import EVENTLOG_FORMAT, EVENTLOG_VERSION
 from repro.data.interactions import leave_one_out_split
 from repro.exp import ALL_MODEL_NAMES, quick_settings, run_model
 from repro.io import write_json_header
@@ -43,10 +42,15 @@ def log_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def memory_dataset():
-    # user_seeds=True draws every user from the same keyed streams the
-    # event-log generator uses — the in-memory twin of the shards.
-    return BehaviorSimulator(CONFIG).generate(user_seeds=True)
+def memory_dataset(reference_sequences):
+    # The in-memory twin of the shards: every user and the features drawn
+    # from the same keyed streams the event-log generator uses.
+    sim = BehaviorSimulator(CONFIG)
+    return SimpleNamespace(
+        corpus=SequenceCorpus(CONFIG.num_items, reference_sequences),
+        features=sim.generate_features(sim.feature_rng()),
+        cluster_of_item=sim.cluster_of_item,
+        cluster_graph=sim.cluster_graph)
 
 
 def _raw_user(user_id, baskets):
@@ -72,17 +76,6 @@ class TestWriterValidation:
             SequenceCorpus(10, [UserSequence(0, ((11,),))])
         with pytest.raises(ValueError, match=r"\[1, 10\]"):
             SequenceCorpus(10, [_raw_user(0, ((0,),))])
-
-    def test_ts_must_be_dense(self):
-        # Both stores derive ts from baskets, so hand the shared check
-        # columns no basket list can produce.
-        one = np.array([0], dtype=np.int64)
-        with pytest.raises(ValueError, match="start at basket index 0"):
-            _check_users(10, one, np.array([1]), np.array([1]),
-                         np.array([1]))
-        with pytest.raises(ValueError, match="dense basket indices"):
-            _check_users(10, one, np.array([1, 2]), np.array([0, 2]),
-                         np.array([2]))
 
     def test_refuses_to_overwrite(self, tmp_path):
         generate_eventlog(TINY, tmp_path / "log")

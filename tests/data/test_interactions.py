@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import interactions
 from repro.data import (EvalSample, SequenceCorpus, UserSequence,
                         leave_one_out_split, training_prefixes)
 
@@ -85,10 +86,11 @@ class TestLeaveOneOutSplit:
         assert not split.test
         assert list(split.train)[0].length == 2
 
-    def test_min_length_validation(self):
+    def test_min_length_validation(self, monkeypatch):
+        monkeypatch.setattr(interactions, "MIN_LENGTH", 2)
         corpus = SequenceCorpus(num_items=2)
         with pytest.raises(ValueError):
-            leave_one_out_split(corpus, min_length=2)
+            leave_one_out_split(corpus)
 
     def test_split_sizes(self, tiny_dataset):
         split = leave_one_out_split(tiny_dataset.corpus)

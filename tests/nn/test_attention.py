@@ -32,7 +32,7 @@ class TestBilinearAttention:
 
     def test_identity_init_recency_bias(self, rng):
         """With A≈I, a query equal to the last state favours similar states."""
-        att = BilinearAttention(4, rng, identity_init=True)
+        att = BilinearAttention(4, rng)
         base = rng.normal(size=4)
         states = np.stack([base + rng.normal(size=4) * 2, base]).reshape(1, 2, 4)
         weights = att(Tensor(states), Tensor(base.reshape(1, 4))).data

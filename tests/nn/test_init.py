@@ -17,10 +17,10 @@ class TestXavier:
         bound = np.sqrt(6.0 / 150)
         assert np.abs(w).max() <= bound
 
-    def test_gain_scales(self, rng):
+    def test_gain_scales(self, rng, monkeypatch):
         small = init.xavier_uniform((50, 50), np.random.default_rng(1))
-        large = init.xavier_uniform((50, 50), np.random.default_rng(1),
-                                    gain=2.0)
+        monkeypatch.setattr(init, "XAVIER_GAIN", 2.0)
+        large = init.xavier_uniform((50, 50), np.random.default_rng(1))
         np.testing.assert_allclose(large, 2.0 * small)
 
     def test_fans_1d(self, rng):
@@ -37,11 +37,6 @@ class TestSimpleInits:
         w = init.normal((500, 500), rng, std=0.02)
         assert w.std() == pytest.approx(0.02, rel=0.05)
         assert w.mean() == pytest.approx(0.0, abs=0.001)
-
-    def test_uniform_range(self, rng):
-        w = init.uniform((100, 100), rng, low=-0.1, high=0.3)
-        assert w.min() >= -0.1
-        assert w.max() <= 0.3
 
     def test_zeros(self):
         np.testing.assert_array_equal(init.zeros((3, 4)), np.zeros((3, 4)))
@@ -60,8 +55,9 @@ class TestOrthogonal:
         w = init.orthogonal((16, 48), rng)
         np.testing.assert_allclose(w @ w.T, np.eye(16), atol=1e-10)
 
-    def test_gain(self, rng):
-        w = init.orthogonal((8, 8), rng, gain=3.0)
+    def test_gain(self, rng, monkeypatch):
+        monkeypatch.setattr(init, "ORTHOGONAL_GAIN", 3.0)
+        w = init.orthogonal((8, 8), rng)
         np.testing.assert_allclose(w @ w.T, 9.0 * np.eye(8), atol=1e-9)
 
     def test_1d_rejected(self, rng):

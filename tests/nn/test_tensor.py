@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, concat, gradient_check, maximum, stack, where
+from repro.nn import Tensor, concat, gradient_check, maximum, where
 
 
 def make(shape, seed=0, requires_grad=True):
@@ -33,26 +33,19 @@ class TestBasics:
         with pytest.raises(RuntimeError):
             t.backward()
 
-    def test_backward_shape_mismatch(self):
-        t = make((2, 2))
-        out = t * 2
-        with pytest.raises(ValueError):
-            out.backward(np.ones(3))
-
     def test_repr_mentions_grad(self):
         assert "requires_grad" in repr(make((1,)))
         assert "requires_grad" not in repr(Tensor([1.0]))
 
     def test_pickle_round_trip_detaches(self):
-        """A pickled tensor keeps data, grad, flag and name, not its graph."""
+        """A pickled tensor keeps data, grad and flag, not its graph."""
         t = make((3, 2))
         out = (t * 2.0).sum()
         out.backward()
-        t.name = "table"
         back = pickle.loads(pickle.dumps(t))
         assert np.array_equal(back.data, t.data)
         assert np.array_equal(back.grad, t.grad)
-        assert back.requires_grad is True and back.name == "table"
+        assert back.requires_grad is True
         node = pickle.loads(pickle.dumps(t * 3.0))
         assert node._parents == () and node._backward is None
 
@@ -238,13 +231,6 @@ class TestCombinators:
         a, b = make((2, 3), 1), make((2, 2), 2)
         out = concat([a, b], axis=-1)
         assert out.shape == (2, 5)
-
-    def test_stack(self):
-        a, b = make((3,), 1), make((3,), 2)
-        out = stack([a, b], axis=0)
-        assert out.shape == (2, 3)
-        assert gradient_check(
-            lambda x, y: (stack([x, y], axis=1) ** 2).sum(), [a, b]) < 1e-6
 
     def test_where(self):
         a, b = make((4,), 1), make((4,), 2)

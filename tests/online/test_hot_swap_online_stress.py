@@ -20,7 +20,9 @@ the runtime thread sanitizer, the assertions are:
 import threading
 import time
 
-from repro.analysis import threadsan
+import repro.online.refresh as refresh_module
+import repro.online.trainer as trainer_module
+from repro.analysis import concurrency, threadsan
 from repro.online import EventLog, OnlineTrainer, RefreshController
 from repro.online.__main__ import fingerprint
 
@@ -32,17 +34,19 @@ REFRESHES = 3
 BATCH_EVENTS = 16
 
 
-def test_online_refresh_hot_swap_stress(online_causer, shadow_of, make_app):
+def test_online_refresh_hot_swap_stress(online_causer, shadow_of, make_app,
+                                        monkeypatch):
+    monkeypatch.setattr(refresh_module, "MIN_SAMPLES", 4)
+    monkeypatch.setattr(trainer_module, "POLL_INTERVAL", 0.005)
     app, client = make_app(online_causer, max_wait_ms=0.2)
     num_items = online_causer.num_items
     log = EventLog(None)
     app.event_sink = log.append
     trainer = OnlineTrainer(shadow_of(online_causer), log, lr=0.05,
-                            batch_events=BATCH_EVENTS, poll_interval=0.005,
+                            batch_events=BATCH_EVENTS,
                             metrics=app.metrics)
     refresh = RefreshController(trainer, log, app.install_model,
-                                window=512, refresh_epochs=1,
-                                min_samples=4, baseline=online_causer,
+                                window=512, baseline=online_causer,
                                 metrics=app.metrics)
     failures = []
     start = threading.Barrier(EVENT_THREADS + RECOMMEND_THREADS + 1)
@@ -98,7 +102,8 @@ def test_online_refresh_hot_swap_stress(online_causer, shadow_of, make_app):
         if landed < REFRESHES:
             failures.append(f"only {landed}/{REFRESHES} refreshes landed")
 
-    with threadsan(long_hold_ms=2000.0) as san:
+    monkeypatch.setattr(concurrency, "LONG_HOLD_MS", 2000.0)
+    with threadsan() as san:
         san.instrument_app(app)
         trainer.start()
         threads = ([threading.Thread(target=eventer, args=(i,), daemon=True)

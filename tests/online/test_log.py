@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.online import EventLog
+from repro.online import log as log_module
 
 from .conftest import fill_log
 
@@ -23,8 +24,9 @@ def test_append_read_window_roundtrip(tmp_path):
     log.close()
 
 
-def test_segments_rotate_at_fixed_boundaries(tmp_path):
-    log = EventLog(tmp_path / "log", segment_records=4)
+def test_segments_rotate_at_fixed_boundaries(tmp_path, monkeypatch):
+    monkeypatch.setattr(log_module, "SEGMENT_RECORDS", 4)
+    log = EventLog(tmp_path / "log")
     fill_log(log, 10)
     log.close()
     names = sorted(p.name for p in (tmp_path / "log").iterdir())
@@ -36,12 +38,13 @@ def test_segments_rotate_at_fixed_boundaries(tmp_path):
     assert first["o"] == 4
 
 
-def test_reopen_recovers_offset_and_appends_continue(tmp_path):
-    log = EventLog(tmp_path / "log", segment_records=4)
+def test_reopen_recovers_offset_and_appends_continue(tmp_path, monkeypatch):
+    monkeypatch.setattr(log_module, "SEGMENT_RECORDS", 4)
+    log = EventLog(tmp_path / "log")
     events = fill_log(log, 6)
     log.close()
 
-    reopened = EventLog(tmp_path / "log", segment_records=4)
+    reopened = EventLog(tmp_path / "log")
     assert reopened.next_offset == 6
     assert [(r.user_id, r.basket) for r in reopened.read(0, 6)] == events
     offset = reopened.append(99, (1, 2))
@@ -53,19 +56,20 @@ def test_reopen_recovers_offset_and_appends_continue(tmp_path):
     assert [json.loads(line)["o"] for line in lines] == [4, 5, 6]
 
 
-def test_torn_tail_is_cut_and_appends_continue(tmp_path):
-    log = EventLog(tmp_path / "log", segment_records=4)
+def test_torn_tail_is_cut_and_appends_continue(tmp_path, monkeypatch):
+    monkeypatch.setattr(log_module, "SEGMENT_RECORDS", 4)
+    log = EventLog(tmp_path / "log")
     events = fill_log(log, 5)
     log.close()
     # The writer died mid-append: the last segment ends in a partial line.
     with (tmp_path / "log" / "events-000000000004.jsonl").open("a") as tail:
         tail.write('{"o": 5, "u": 5, "b": [1')
 
-    reopened = EventLog(tmp_path / "log", segment_records=4)
+    reopened = EventLog(tmp_path / "log")
     assert reopened.next_offset == 5
     assert reopened.append(99, (1, 2)) == 5
     reopened.close()
-    again = EventLog(tmp_path / "log", segment_records=4)
+    again = EventLog(tmp_path / "log")
     assert [(r.user_id, r.basket) for r in again.read(0, 6)] == (
         events + [(99, (1, 2))])
     again.close()
@@ -73,8 +77,9 @@ def test_torn_tail_is_cut_and_appends_continue(tmp_path):
 
 @pytest.mark.parametrize("segment, line", [("events-000000000000.jsonl", 2),
                                            ("events-000000000004.jsonl", 1)])
-def test_corrupt_line_names_the_segment(tmp_path, segment, line):
-    log = EventLog(tmp_path / "log", segment_records=4)
+def test_corrupt_line_names_the_segment(tmp_path, segment, line, monkeypatch):
+    monkeypatch.setattr(log_module, "SEGMENT_RECORDS", 4)
+    log = EventLog(tmp_path / "log")
     fill_log(log, 6)
     log.close()
     path = tmp_path / "log" / segment
@@ -82,11 +87,13 @@ def test_corrupt_line_names_the_segment(tmp_path, segment, line):
     lines[line - 1] = '{"o": 1, "u"\n'
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match=rf"{segment}, line {line}"):
-        EventLog(tmp_path / "log", segment_records=4)
+        EventLog(tmp_path / "log")
 
 
-def test_old_ranges_fall_back_to_disk(tmp_path):
-    log = EventLog(tmp_path / "log", segment_records=4, mirror_capacity=3)
+def test_old_ranges_fall_back_to_disk(tmp_path, monkeypatch):
+    monkeypatch.setattr(log_module, "SEGMENT_RECORDS", 4)
+    monkeypatch.setattr(log_module, "MIRROR_CAPACITY", 3)
+    log = EventLog(tmp_path / "log")
     events = fill_log(log, 12)
     # Offsets 0..8 are long gone from the 3-record mirror.
     assert [(r.user_id, r.basket) for r in log.read(0, 12)] == events
@@ -94,8 +101,9 @@ def test_old_ranges_fall_back_to_disk(tmp_path):
     log.close()
 
 
-def test_memory_only_log_raises_on_evicted_range():
-    log = EventLog(None, mirror_capacity=4)
+def test_memory_only_log_raises_on_evicted_range(monkeypatch):
+    monkeypatch.setattr(log_module, "MIRROR_CAPACITY", 4)
+    log = EventLog(None)
     fill_log(log, 10)
     assert [r.offset for r in log.read(6, 10)] == [6, 7, 8, 9]
     with pytest.raises(ValueError, match="evicted"):

@@ -86,7 +86,7 @@ def test_serving_and_refresh_hold_no_square_causal_matrix(wide_causer):
             SIDE, wide_causer.config.num_clusters)
         assert square_arrays(served, "served") == []
         refresh = RefreshController(trainer, log, registry.install,
-                                    window=128, refresh_epochs=1,
+                                    window=128,
                                     baseline=served)
         del first  # let the swap below free generation 1
         before = live_bytes()

@@ -4,6 +4,8 @@ import copy
 
 import numpy as np
 
+import repro.online.log as log_module
+import repro.online.refresh as refresh_module
 from repro.core import Causer, CauserConfig
 from repro.data import SimulatorConfig, generate_dataset, leave_one_out_split
 from repro.eval.evaluator import evaluate_model
@@ -115,12 +117,15 @@ def test_online_lr_zero_serves_bit_identical_scores(online_causer,
     log.close()
 
 
-def test_online_adaptation_beats_frozen_on_drifted_stream(make_app):
+def test_online_adaptation_beats_frozen_on_drifted_stream(make_app,
+                                                          monkeypatch):
     """The headline acceptance criterion: after the event distribution
     drifts (a different causal DAG and popularity curve), pumping the
     stream through the online trainer and one warm refresh beats the
     frozen offline checkpoint on post-drift held-out HR@10 and NDCG@10.
     """
+    monkeypatch.setattr(refresh_module, "REFRESH_EPOCHS", 2)
+    monkeypatch.setattr(log_module, "MIRROR_CAPACITY", 4096)
     model_config = CauserConfig(embedding_dim=8, hidden_dim=8, num_epochs=2,
                                 batch_size=64, num_clusters=4, epsilon=0.2,
                                 eta=0.5, seed=0, max_history=8)
@@ -137,7 +142,7 @@ def test_online_adaptation_beats_frozen_on_drifted_stream(make_app):
     frozen.fit(split1.train)
 
     app, client = make_app(frozen)
-    log = EventLog(None, mirror_capacity=4096)
+    log = EventLog(None)
     app.event_sink = log.append
 
     # Replay the post-drift training interactions through /v1/events,
@@ -162,8 +167,8 @@ def test_online_adaptation_beats_frozen_on_drifted_stream(make_app):
     trainer.pump()
     published = []
     refresh = RefreshController(trainer, log, published.append,
-                                window=log.next_offset, refresh_epochs=2,
-                                baseline=frozen, probes=split2.test[:16],
+                                window=log.next_offset,
+                                baseline=frozen,
                                 metrics=app.metrics)
     assert refresh.refresh_once() is True
     adapted = published[-1]

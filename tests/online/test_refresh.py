@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.online.refresh as refresh_module
 from repro.online import (EventLog, EventRecord, OnlineTrainer,
                           RefreshController, build_refresh_samples,
                           edge_churn, score_divergence)
@@ -108,9 +109,8 @@ def test_refresh_publishes_adopts_and_reports(online_causer, shadow_of,
                             batch_events=16)
     trainer.pump()
     refresh = RefreshController(trainer, log, app.install_model,
-                                window=128, refresh_epochs=1,
+                                window=128,
                                 baseline=online_causer,
-                                probes=tiny_split.test[:8],
                                 metrics=metrics)
     shadow_before = trainer.model
     assert refresh.refresh_once() is True
@@ -131,7 +131,8 @@ def test_refresh_publishes_adopts_and_reports(online_causer, shadow_of,
 
 
 def test_refresh_skips_when_window_is_too_thin(online_causer, shadow_of,
-                                               make_app):
+                                               make_app, monkeypatch):
+    monkeypatch.setattr(refresh_module, "MIN_SAMPLES", 1)
     app, _client = make_app(online_causer)
     log = EventLog(None)
     # Distinct users, one event each: zero trainable prefix samples.
@@ -139,7 +140,7 @@ def test_refresh_skips_when_window_is_too_thin(online_causer, shadow_of,
         log.append(user, (1 + user % 5,))
     trainer = OnlineTrainer(shadow_of(online_causer), log, lr=0.05)
     refresh = RefreshController(trainer, log, app.install_model,
-                                window=20, min_samples=1,
+                                window=20,
                                 baseline=online_causer)
     assert refresh.refresh_once() is False
     assert app.registry.current().generation == 1  # nothing published
@@ -153,7 +154,7 @@ def test_refreshed_generations_are_monotone(online_causer, shadow_of,
     trainer = OnlineTrainer(shadow_of(online_causer), log, lr=0.05,
                             batch_events=16)
     refresh = RefreshController(trainer, log, app.install_model,
-                                window=256, refresh_epochs=1,
+                                window=256,
                                 baseline=online_causer)
     for round_id in range(3):
         fill_log(log, 64, seed=50 + round_id)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.online.log as log_module
 from repro.io import load_model, save_model
 from repro.online import EventLog, OnlineTrainer
 from repro.online.__main__ import fingerprint, main
@@ -12,12 +13,13 @@ from .conftest import fill_log
 
 
 @pytest.fixture
-def logged_run(tmp_path, online_causer):
+def logged_run(tmp_path, online_causer, monkeypatch):
     """A checkpoint plus a durable log written by a 'live' run."""
+    monkeypatch.setattr(log_module, "SEGMENT_RECORDS", 32)
     checkpoint = tmp_path / "model.npz"
     save_model(online_causer, checkpoint)
     log_dir = tmp_path / "events"
-    log = EventLog(log_dir, segment_records=32)
+    log = EventLog(log_dir)
     fill_log(log, 100)
     live = OnlineTrainer(load_model(checkpoint), log, lr=0.05,
                          batch_events=16, seed=0)

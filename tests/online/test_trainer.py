@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.online.trainer as trainer_module
 from repro.online import EventLog, OnlineTrainer
 from repro.online.__main__ import fingerprint
 from repro.serve.metrics import MetricsRegistry
@@ -73,9 +74,10 @@ def test_lr_zero_consumes_without_touching_parameters(online_causer,
 
 
 def test_tail_eviction_resyncs_instead_of_corrupting(online_causer,
-                                                     shadow_of):
+                                                     shadow_of, monkeypatch):
     """A user returning after their history tail was evicted starts a
     fresh session (counted), never a corrupt append."""
+    monkeypatch.setattr(trainer_module, "TAIL_CAPACITY", 1)
     metrics = MetricsRegistry()
     log = EventLog(None)
     # Two users in pairs of two events with a 1-tail LRU: each pair's
@@ -84,7 +86,7 @@ def test_tail_eviction_resyncs_instead_of_corrupting(online_causer,
     for k in range(16):
         log.append((k // 2) % 2, (1 + k % 5,))
     trainer = OnlineTrainer(shadow_of(online_causer), log, lr=0.05,
-                            batch_events=16, tail_capacity=1,
+                            batch_events=16,
                             metrics=metrics)
     assert trainer.pump() == 1
     assert metrics.counter_value("online_trainer_resyncs_total") == 6
@@ -117,10 +119,12 @@ def test_start_offset_must_align_with_batches(online_causer, shadow_of):
     log.close()
 
 
-def test_background_thread_drains_the_log(online_causer, shadow_of):
+def test_background_thread_drains_the_log(online_causer, shadow_of,
+                                          monkeypatch):
+    monkeypatch.setattr(trainer_module, "POLL_INTERVAL", 0.01)
     log = EventLog(None)
     trainer = OnlineTrainer(shadow_of(online_causer), log, lr=0.05,
-                            batch_events=16, poll_interval=0.01)
+                            batch_events=16)
     trainer.start()
     try:
         fill_log(log, 64)

@@ -13,6 +13,7 @@ import pytest
 from repro.data import load_dataset
 from repro.data.interactions import leave_one_out_split
 from repro.exp import BenchmarkSettings, grid_search_causer, run_models
+from repro.exp import runner
 from repro.exp.runner import build_model
 from repro.nn import Tensor
 from repro.parallel import WorkerError
@@ -36,16 +37,20 @@ def assert_runs_identical(runs_a, runs_b):
 
 
 class TestRunnerEquivalence:
-    def test_workers_1_vs_4_bit_identical(self, dataset, settings):
+    def test_workers_1_vs_4_bit_identical(self, dataset, settings,
+                                          monkeypatch):
         names = ("Pop", "BPR", "GRU4Rec")
-        serial = run_models(names, dataset, settings, workers=1)
-        fanned = run_models(names, dataset, settings, workers=4)
+        serial = run_models(names, dataset, settings)
+        monkeypatch.setattr(runner, "RUN_MODELS_WORKERS", 4)
+        fanned = run_models(names, dataset, settings)
         assert_runs_identical(serial, fanned)
 
-    def test_worker_crash_surfaces_traceback(self, dataset, settings):
+    def test_worker_crash_surfaces_traceback(self, dataset, settings,
+                                             monkeypatch):
+        monkeypatch.setattr(runner, "RUN_MODELS_WORKERS", 2)
         with pytest.raises(WorkerError,
                            match="model run #1 failed: .*unknown model name"):
-            run_models(("Pop", "no-such-model"), dataset, settings, workers=2)
+            run_models(("Pop", "no-such-model"), dataset, settings)
 
 
 class TestGridEquivalence:

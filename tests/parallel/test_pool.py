@@ -24,9 +24,10 @@ class TestWorkerResolution:
     def test_clamped_to_task_count(self):
         assert resolve_workers(8, 3) == 3
 
-    def test_default_workers_capped(self):
+    def test_default_workers_capped(self, monkeypatch):
         assert 1 <= default_workers() <= DEFAULT_WORKER_CAP
-        assert default_workers(cap=2) <= 2
+        monkeypatch.setattr(pool, "DEFAULT_WORKER_CAP", 2)
+        assert default_workers() <= 2
 
     def test_available_cpus_positive(self):
         assert available_cpus() >= 1

@@ -1,7 +1,7 @@
 """Index builds and searches must be bit-identical across runs.
 
 The contract: k-means draws its initial centroids from
-``SeedSequence(seed, spawn_key=(0,))``, the assignment step is
+``SeedSequence(KMEANS_SEED, spawn_key=(0,))``, the assignment step is
 arithmetic over fixed-size row chunks, and every ranking breaks ties by
 ascending item id — so rerunning cannot change a single bit.
 """
@@ -9,7 +9,7 @@ ascending item id — so rerunning cannot change a single bit.
 import numpy as np
 import pytest
 
-from repro.retrieval import ExactIndex, IVFIndex, ItemTower, kmeans_fit
+from repro.retrieval import ExactIndex, IVFIndex, ItemTower, index, kmeans_fit
 
 
 def make_tower(seed, n=400, d=6):
@@ -18,6 +18,12 @@ def make_tower(seed, n=400, d=6):
     vectors = centers[rng.integers(0, 10, size=n)] + rng.normal(size=(n, d))
     return ItemTower(vectors=vectors, bias=rng.normal(size=n) * 0.1,
                      ids=np.arange(1, n + 1, dtype=np.int64))
+
+
+def build_ivf(monkeypatch, tower, n_clusters, seed):
+    """An IVF index whose k-means starts from ``seed``."""
+    monkeypatch.setattr(index, "KMEANS_SEED", seed)
+    return IVFIndex.build(tower, n_clusters)
 
 
 def assert_indexes_identical(a, b):
@@ -32,24 +38,25 @@ def assert_indexes_identical(a, b):
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_rebuild_same_seed_is_bitwise_identical(seed):
+def test_rebuild_same_seed_is_bitwise_identical(seed, monkeypatch):
     tower = make_tower(seed)
-    first = IVFIndex.build(tower, n_clusters=12, seed=seed)
-    second = IVFIndex.build(tower, n_clusters=12, seed=seed)
+    first = build_ivf(monkeypatch, tower, 12, seed)
+    second = build_ivf(monkeypatch, tower, 12, seed)
     assert_indexes_identical(first, second)
 
 
-def test_kmeans_same_seed_same_centroids():
+def test_kmeans_same_seed_same_centroids(monkeypatch):
     tower = make_tower(5)
-    c1, a1 = kmeans_fit(tower.vectors, 8, seed=42)
-    c2, a2 = kmeans_fit(tower.vectors, 8, seed=42)
+    monkeypatch.setattr(index, "KMEANS_SEED", 42)
+    c1, a1 = kmeans_fit(tower.vectors, 8)
+    c2, a2 = kmeans_fit(tower.vectors, 8)
     assert np.array_equal(c1, c2)
     assert np.array_equal(a1, a2)
 
 
-def test_repeated_search_is_identical():
+def test_repeated_search_is_identical(monkeypatch):
     tower = make_tower(2)
-    ivf = IVFIndex.build(tower, n_clusters=9, seed=2)
+    ivf = build_ivf(monkeypatch, tower, 9, 2)
     exact = ExactIndex(tower)
     query = np.random.default_rng(4).normal(size=tower.dim)
     for index, kwargs in ((ivf, {"nprobe": 4}), (exact, {})):
@@ -63,7 +70,7 @@ def test_probe_order_tie_break_by_cell_id():
     n = 12
     tower = ItemTower(vectors=np.ones((n, 3)), bias=np.zeros(n),
                       ids=np.arange(1, n + 1, dtype=np.int64))
-    ivf = IVFIndex.build(tower, n_clusters=4, seed=0)
+    ivf = IVFIndex.build(tower, 4)
     probes = ivf.probe_order(np.ones(3), nprobe=4)
     assert probes.tolist() == sorted(probes.tolist())
 
@@ -78,5 +85,5 @@ def test_duplicate_ties_rank_by_ascending_id():
     tower = ItemTower(vectors=vectors, bias=np.zeros(20), ids=ids)
     exact = ExactIndex(tower)
     assert exact.search(base, 6).tolist() == [1, 2, 3, 4, 5, 6]
-    ivf = IVFIndex.build(tower, n_clusters=3, seed=0)
+    ivf = IVFIndex.build(tower, 3)
     assert ivf.search(base, 6, nprobe=3).tolist() == [1, 2, 3, 4, 5, 6]

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.retrieval import ExactIndex, IVFIndex, ItemTower, top_ids_by_score
+from repro.retrieval import index
 
 SEEDS = [0, 1, 2, 3, 4]
 #: The one score both indexes rank by (the inner product); it names the
@@ -42,12 +43,18 @@ def recall_at(shortlist_ids, exact_top_z):
     return len(exact & set(int(i) for i in shortlist_ids)) / len(exact)
 
 
+def build_ivf(monkeypatch, tower, n_clusters, seed):
+    """An IVF index whose k-means starts from ``seed``."""
+    monkeypatch.setattr(index, "KMEANS_SEED", seed)
+    return IVFIndex.build(tower, n_clusters)
+
+
 @pytest.mark.parametrize("scorer", SCORER_NAMES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_full_nprobe_is_brute_force(seed, scorer):
+def test_full_nprobe_is_brute_force(seed, scorer, monkeypatch):
     tower, rng = random_tower(seed)
     exact = ExactIndex(tower)
-    ivf = IVFIndex.build(tower, n_clusters=12, seed=seed)
+    ivf = build_ivf(monkeypatch, tower, 12, seed)
     for _ in range(5):
         query = rng.normal(size=tower.dim)
         want = exact.search(query, 25)
@@ -56,10 +63,10 @@ def test_full_nprobe_is_brute_force(seed, scorer):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_recall_monotone_in_nprobe(seed):
+def test_recall_monotone_in_nprobe(seed, monkeypatch):
     tower, rng = random_tower(seed)
     exact = ExactIndex(tower)
-    ivf = IVFIndex.build(tower, n_clusters=16, seed=seed)
+    ivf = build_ivf(monkeypatch, tower, 16, seed)
     for _ in range(3):
         query = rng.normal(size=tower.dim)
         top_z = exact.search(query, 10)
@@ -72,10 +79,10 @@ def test_recall_monotone_in_nprobe(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_recall_monotone_in_shortlist_size(seed):
+def test_recall_monotone_in_shortlist_size(seed, monkeypatch):
     tower, rng = random_tower(seed)
     exact = ExactIndex(tower)
-    ivf = IVFIndex.build(tower, n_clusters=16, seed=seed)
+    ivf = build_ivf(monkeypatch, tower, 16, seed)
     query = rng.normal(size=tower.dim)
     top_z = exact.search(query, 10)
     last = -1.0
@@ -86,10 +93,10 @@ def test_recall_monotone_in_shortlist_size(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_shortlists_are_nested_prefixes(seed):
+def test_shortlists_are_nested_prefixes(seed, monkeypatch):
     """search(k1) is literally the first k1 entries of search(k2), k1<k2."""
     tower, rng = random_tower(seed)
-    ivf = IVFIndex.build(tower, n_clusters=10, seed=seed)
+    ivf = build_ivf(monkeypatch, tower, 10, seed)
     query = rng.normal(size=tower.dim)
     big = ivf.search(query, 60, nprobe=3)
     for k in (1, 7, 30):
@@ -109,7 +116,7 @@ def test_degenerate_all_equal_rows(scorer):
     n = 40
     tower = ItemTower(vectors=np.ones((n, 4)), bias=np.zeros(n),
                       ids=np.arange(1, n + 1, dtype=np.int64))
-    ivf = IVFIndex.build(tower, n_clusters=6, seed=0)
+    ivf = IVFIndex.build(tower, 6)
     assert ivf.size == n
     got = ivf.search(np.ones(4), 15, nprobe=6)
     _assert_valid_ids(got, n)
@@ -118,12 +125,12 @@ def test_degenerate_all_equal_rows(scorer):
 
 
 @pytest.mark.parametrize("scorer", SCORER_NAMES)
-def test_degenerate_zero_vectors(scorer):
+def test_degenerate_zero_vectors(scorer, monkeypatch):
     n = 25
     tower = ItemTower(vectors=np.zeros((n, 6)), bias=np.zeros(n),
                       ids=np.arange(1, n + 1, dtype=np.int64))
     exact = ExactIndex(tower)
-    ivf = IVFIndex.build(tower, n_clusters=4, seed=1)
+    ivf = build_ivf(monkeypatch, tower, 4, 1)
     query = np.zeros(6)
     _assert_valid_ids(exact.search(query, 10), n)
     got = ivf.search(query, 10, nprobe=4)
@@ -131,23 +138,23 @@ def test_degenerate_zero_vectors(scorer):
     assert np.array_equal(got, exact.search(query, 10))
 
 
-def test_more_clusters_than_points_clamps():
+def test_more_clusters_than_points_clamps(monkeypatch):
     n = 5
     tower, rng = random_tower(9, n=n, d=3)
-    ivf = IVFIndex.build(tower, n_clusters=64, seed=2)
+    ivf = build_ivf(monkeypatch, tower, 64, 2)
     assert ivf.n_clusters == n
     got = ivf.search(rng.normal(size=3), 10, nprobe=64)
     _assert_valid_ids(got, n)
     assert got.size == n  # whole catalog fits in the shortlist
 
 
-def test_duplicate_vectors_rank_by_id():
+def test_duplicate_vectors_rank_by_id(monkeypatch):
     rng = np.random.default_rng(11)
     base = rng.normal(size=8)
     vectors = np.tile(base, (30, 1))
     tower = ItemTower(vectors=vectors, bias=np.zeros(30),
                       ids=np.arange(1, 31, dtype=np.int64))
-    ivf = IVFIndex.build(tower, n_clusters=5, seed=4)
+    ivf = build_ivf(monkeypatch, tower, 5, 4)
     got = ivf.search(base, 10, nprobe=5)
     assert np.array_equal(got, np.arange(1, 11))
 
@@ -160,10 +167,10 @@ def test_top_ids_by_score_tie_break():
         top_ids_by_score(scores, ids[:3], 2)
 
 
-def test_search_never_returns_padding_or_unknown_ids():
+def test_search_never_returns_padding_or_unknown_ids(monkeypatch):
     for seed in SEEDS:
         tower, rng = random_tower(seed, n=100)
-        ivf = IVFIndex.build(tower, n_clusters=9, seed=seed)
+        ivf = build_ivf(monkeypatch, tower, 9, seed)
         for nprobe in (1, 3, 9):
             got = ivf.search(rng.normal(size=tower.dim), 30, nprobe=nprobe)
             _assert_valid_ids(got, 100)

@@ -21,7 +21,7 @@ test polices correctness, not latency.
 
 import threading
 
-from repro.analysis import threadsan
+from repro.analysis import concurrency, threadsan
 
 EVENT_THREADS = 3
 EVENTS_PER_USER = 30
@@ -30,7 +30,8 @@ RECOMMENDS_PER_THREAD = 60
 SWAPS = 12
 
 
-def test_concurrent_hot_swap_stress(served_causer, served_gru4rec, make_app):
+def test_concurrent_hot_swap_stress(served_causer, served_gru4rec, make_app,
+                                    monkeypatch):
     app, client = make_app(served_causer, max_wait_ms=0.2)
     num_items = min(served_causer.num_items, served_gru4rec.num_items)
     failures = []
@@ -87,7 +88,8 @@ def test_concurrent_hot_swap_stress(served_causer, served_gru4rec, make_app):
             model = served_gru4rec if k % 2 else served_causer
             app.install_model(model)
 
-    with threadsan(long_hold_ms=2000.0) as san:
+    monkeypatch.setattr(concurrency, "LONG_HOLD_MS", 2000.0)
+    with threadsan() as san:
         san.instrument_app(app)
         threads = ([threading.Thread(target=eventer, args=(i,), daemon=True)
                     for i in range(EVENT_THREADS)]
@@ -111,7 +113,8 @@ def test_concurrent_hot_swap_stress(served_causer, served_gru4rec, make_app):
     assert body["status"] == "ok"
 
 
-def test_ivf_hot_swap_stress(served_causer, served_gru4rec, make_app):
+def test_ivf_hot_swap_stress(served_causer, served_gru4rec, make_app,
+                             monkeypatch):
     """Hot swaps rebuilding the IVF index mid-traffic under full threadsan.
 
     The swapper alternates model classes, so every install retrains the
@@ -124,8 +127,7 @@ def test_ivf_hot_swap_stress(served_causer, served_gru4rec, make_app):
     """
     from repro.retrieval import RetrievalConfig
 
-    config = RetrievalConfig(mode="ivf", shortlist=10, nprobe=2,
-                             n_clusters=4, seed=0)
+    config = RetrievalConfig(mode="ivf", shortlist=10, nprobe=2)
     app, client = make_app(served_causer, max_wait_ms=0.2, retrieval=config)
     num_items = min(served_causer.num_items, served_gru4rec.num_items)
     failures = []
@@ -180,7 +182,8 @@ def test_ivf_hot_swap_stress(served_causer, served_gru4rec, make_app):
                     f"{artifacts.generation}")
                 return
 
-    with threadsan(long_hold_ms=2000.0) as san:
+    monkeypatch.setattr(concurrency, "LONG_HOLD_MS", 2000.0)
+    with threadsan() as san:
         san.instrument_app(app)
         threads = ([threading.Thread(target=eventer, args=(i,), daemon=True)
                     for i in range(EVENT_THREADS)]
@@ -206,11 +209,12 @@ def test_ivf_hot_swap_stress(served_causer, served_gru4rec, make_app):
 
 def test_swap_during_traffic_preserves_per_user_history(served_causer,
                                                         served_lstm_causer,
-                                                        make_app):
+                                                        make_app, monkeypatch):
     """Events appended across a swap land in one coherent session whose
     state is rebuilt under the new generation (no torn adoption)."""
     app, client = make_app(served_causer, max_wait_ms=0.0)
-    with threadsan(long_hold_ms=2000.0) as san:
+    monkeypatch.setattr(concurrency, "LONG_HOLD_MS", 2000.0)
+    with threadsan() as san:
         san.instrument_app(app)
         for k in range(1, 5):
             status, body = client.post(

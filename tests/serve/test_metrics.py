@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from repro.serve import MetricsRegistry
+from repro.serve import metrics
 from repro.serve.metrics import _Histogram, _series_key
 
 
@@ -46,8 +47,9 @@ class TestHistograms:
         reg = MetricsRegistry()
         assert math.isnan(reg.percentile("latency", 50))
 
-    def test_ring_buffer_keeps_exact_count_and_sum(self):
-        hist = _Histogram(window=4)
+    def test_ring_buffer_keeps_exact_count_and_sum(self, monkeypatch):
+        monkeypatch.setattr(metrics, "HISTOGRAM_WINDOW", 4)
+        hist = _Histogram()
         for value in range(10):
             hist.observe(float(value))
         assert hist.count == 10

@@ -22,7 +22,7 @@ from repro.serve import (quantize_artifacts, score_view_candidates,
 from tests.serve.conftest import random_histories
 from tests.serve.test_equivalence import SERVABLE_NAMES, _feed
 
-IVF_CONFIG = dict(mode="ivf", shortlist=12, nprobe=2, n_clusters=4, seed=0)
+IVF_CONFIG = dict(mode="ivf", shortlist=12, nprobe=2)
 
 
 def _recommendations(client, histories, z=5):
@@ -89,7 +89,7 @@ class TestIVFServe:
         artifacts = app.registry.current()
         config = artifacts.retrieval.config
         cases = [(config.shortlist, config.nprobe)] + [
-            (size, config.n_clusters) for size in (
+            (size, artifacts.retrieval.index.n_clusters) for size in (
                 CANDIDATE_BLOCK - 1, CANDIDATE_BLOCK, CANDIDATE_BLOCK + 1)]
         for user in histories:
             view = app.sessions.view(user, artifacts)
@@ -138,14 +138,15 @@ def test_ivf_metrics_exported(served_causer, make_app):
 
 
 def test_healthz_reports_retrieval(served_causer, make_app):
-    _, client = make_app(served_causer,
-                         retrieval=RetrievalConfig(**IVF_CONFIG))
+    app, client = make_app(served_causer,
+                           retrieval=RetrievalConfig(**IVF_CONFIG))
     status, body = client.get("/healthz")
     assert status == 200
     described = body["checkpoint"]["retrieval"]
     assert described["mode"] == "ivf"
     assert described["shortlist"] == IVF_CONFIG["shortlist"]
-    assert described["n_clusters"] == IVF_CONFIG["n_clusters"]
+    catalog = app.registry.current().retrieval.tower.size
+    assert described["n_clusters"] == round(np.sqrt(catalog))
 
 
 def test_cli_accepts_retrieval_flags():
@@ -166,5 +167,3 @@ def test_retrieval_config_validation():
         RetrievalConfig(shortlist=0)
     with pytest.raises(ValueError):
         RetrievalConfig(nprobe=0)
-    with pytest.raises(ValueError):
-        RetrievalConfig(n_clusters=0)

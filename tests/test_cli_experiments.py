@@ -75,6 +75,9 @@ def test_refused_restriction_exits_2(name, flag, capsys, monkeypatch):
       "--grid-param", "epsilon=0.2"], ["data-backend", "model", "grid-param"]),
     (["train", "--cells", "lstm"], ["cells"]),
     (["grid", "--data-backend", "eventlog"], ["data-backend"]),
+    # Only the eventlog backend reads where the log lives and its workers.
+    (["train", "--quick", "--scale", "0.02", "--model", "BPR",
+      "--eventlog-dir", "DIR", "--workers", "3"], ["eventlog-dir", "workers"]),
     # Refused before serve's own --workers check, and before it binds.
     (["serve", "--quick", "--datasets", "baby", "--workers", "2"],
      ["quick", "datasets"]),

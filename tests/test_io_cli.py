@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core import Causer, CauserConfig
+from repro.exp import BenchmarkSettings, build_model
 from repro.io import load_model, registered_model_classes, save_model
 from repro.models import GRU4Rec, PopularityRecommender, TrainConfig, VTRNN
 
@@ -106,6 +107,39 @@ class TestCheckpointHeaders:
         path = self._tampered(trained_causer, tmp_path,
                               lambda h: h.pop("format_version"))
         with pytest.raises(ValueError, match="format_version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["SASRec", "MMSARec"])
+    def test_checkpoint_with_transformer_shape_loads(self, name, tiny_dataset,
+                                                     tiny_split, tmp_path):
+        """Checkpoints written while the transformer shape was a
+        constructor argument carry it as ``extra``; they still load."""
+        settings = BenchmarkSettings(embedding_dim=8, hidden_dim=8,
+                                     max_history=8, quick=True)
+        model = build_model(name, tiny_dataset, settings)
+        path = self._tampered(model, tmp_path, lambda h: h.update(
+            {"extra": {"num_blocks": 2, "num_heads": 1}}))
+        restored = load_model(path)
+        model.eval()
+        np.testing.assert_array_equal(
+            model.score_samples(tiny_split.test[:3]),
+            restored.score_samples(tiny_split.test[:3]))
+
+    @pytest.mark.parametrize("name,extra", [
+        ("SASRec", {"num_blocks": 3, "num_heads": 1}),
+        ("SASRec", {"num_blocks": 2}),
+        ("GRU4Rec", {"num_blocks": 2, "num_heads": 1}),
+    ])
+    def test_other_extra_is_refused(self, name, extra, tiny_dataset,
+                                    tmp_path):
+        settings = BenchmarkSettings(embedding_dim=8, hidden_dim=8,
+                                     max_history=8, quick=True)
+        model = build_model(name, tiny_dataset, settings)
+        path = self._tampered(model, tmp_path,
+                              lambda h: h.update({"extra": extra}))
+        with pytest.raises(ValueError, match="constructor arguments"):
+            load_model(path)
+        with pytest.raises(ValueError, match=str(path)):
             load_model(path)
 
     def test_registry_covers_every_class(self):

@@ -1,6 +1,6 @@
 """Reachability guard: no code in ``src/repro`` that only tests reach.
 
-Two levels are checked:
+Three levels are checked:
 
 * Every public (no leading underscore) top-level function or class in
   ``src/repro/**/*.py`` must be used by the program itself: some file in
@@ -10,6 +10,20 @@ Two levels are checked:
   the same way, or appear as a token of a string constant that is not a
   docstring (so ``"Class.method"`` trace sites and ``getattr`` names
   count).
+* Every defaulted parameter of every function and method in
+  ``src/repro``, and every field of the dataclasses in ``FIELDS``, must be
+  passed by keyword or position from some call in the program outside its
+  own definition.  Calls match by name: ``f(...)`` or ``obj.f(...)`` for
+  a function or method, the class (or a subclass that inherits its
+  ``__init__``), ``cls(...)`` inside it or ``super().__init__(...)`` in a
+  subclass for ``__init__``, and also ``dataclasses.replace`` naming a
+  field as a keyword.  A ``**mapping`` argument sets every parameter and
+  ``*args`` every positional one from its place on.  A top-level function the
+  program passes around as a value (a registry entry, a callback) counts
+  as called with everything, and dunder methods other than ``__init__``
+  are called by the language, not by name, so neither is checked.  A
+  value only tests set becomes a module constant that a test can
+  monkeypatch.
 
 Mentions inside import statements, inside ``__all__`` and inside the
 definition itself do not count, so re-exports and recursion cannot keep a
@@ -29,7 +43,8 @@ _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 #: Names only tests use, kept because they are references or seams, and
 #: callbacks the standard library calls by name.  Methods are written
-#: ``Class.method``.
+#: ``Class.method``, parameters ``function.param`` or
+#: ``Class.method.param``.
 KEEP = {
     "gradient_check": "finite-difference reference for autograd tests",
     "polynomial_h_value": "truncated-series reference for h(W) tests",
@@ -69,6 +84,16 @@ KEEP = {
                                          "assert observation counts through",
     "QuantizedTable.nbytes": "the quantization tests assert the int8 table "
                              "is smaller through it",
+    "LockProxy.wait_for.timeout": "keeps threading.Condition's signature, "
+                                  "so code run with proxied locks calls it "
+                                  "unchanged",
+    "LockProxy.notify.n": "keeps threading.Condition's signature, so code "
+                          "run with proxied locks calls it unchanged",
+    "polynomial_h_value.order": "series length of the h(W) reference; the "
+                                "convergence test raises it",
+    "MetricsRegistry.counter_value.labels": "read seam the metrics tests "
+                                            "assert labelled counters "
+                                            "through",
 }
 
 
@@ -172,6 +197,224 @@ def _unreached(trees, level):
     return unreached
 
 
+#: Dataclasses whose fields are settable values checked like parameters.
+FIELDS = ("RetrievalConfig", "ServingArtifacts")
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _defaulted(function) -> list:
+    """Names of the parameters of ``function`` that have a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    names = [arg.arg for arg in positional[len(positional)
+                                           - len(args.defaults):]]
+    names += [arg.arg for arg, default in zip(args.kwonlyargs,
+                                              args.kw_defaults)
+              if default is not None]
+    return names
+
+
+def _scoped(tree):
+    """``(node, enclosing scopes)`` for every node of ``tree``."""
+    stack = [(tree, ())]
+    while stack:
+        node, scopes = stack.pop()
+        yield node, scopes
+        inner = scopes + (node,) if isinstance(node, _SCOPES) else scopes
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _bases(cls) -> set:
+    return {base.id if isinstance(base, ast.Name) else base.attr
+            for base in cls.bases
+            if isinstance(base, (ast.Name, ast.Attribute))}
+
+
+def _locals(scope) -> set:
+    """Names a function binds itself (its own name included)."""
+    if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return set()
+    args = scope.args
+    found = {scope.name}
+    found.update(arg.arg for arg in args.posonlyargs + args.args
+                 + args.kwonlyargs)
+    found.update(node.id for node in ast.walk(scope)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Store))
+    return found
+
+
+def _set_by(call, positional, names) -> set:
+    """Which of ``names`` the arguments of ``call`` set."""
+    found = set()
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            return set(names)
+        found.add(keyword.arg)
+    for index, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            found.update(positional[index:])
+            break
+        if index < len(positional):
+            found.add(positional[index])
+    return found & set(names)
+
+
+class _Settables:
+    """Every settable value in ``src/repro`` and the calls that set it."""
+
+    def __init__(self, trees) -> None:
+        self.calls = []
+        self.passed = set()     # top-level functions used as values
+        self.classes = collections.defaultdict(list)
+        top_level = {node.name for path, tree in trees.items()
+                     if SOURCE in path.parents for node in tree.body
+                     if isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))}
+        for tree in trees.values():
+            # A function is passed as a value under the name its module
+            # imports or defines it by, not under a local that shares it.
+            bound = top_level & (
+                {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+                | {node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef)})
+            callees = set()
+            names = []
+            for node, scopes in _scoped(tree):
+                if isinstance(node, ast.Call):
+                    self.calls.append((node, scopes))
+                    callees.add(id(node.func))
+                elif isinstance(node, ast.ClassDef):
+                    self.classes[node.name].append(node)
+                elif isinstance(node, ast.Name) and node.id in bound:
+                    names.append((node, scopes))
+            for node, scopes in names:
+                if (isinstance(node.ctx, ast.Load)
+                        and id(node) not in callees
+                        and not any(node.id in _locals(scope)
+                                    for scope in scopes)):
+                    self.passed.add(node.id)
+
+    def constructors(self, name) -> set:
+        """``name`` and its subclasses that inherit its ``__init__``."""
+        found = {name}
+        grew = True
+        while grew:
+            grew = False
+            for other, nodes in self.classes.items():
+                if other not in found and any(
+                        _bases(cls) & found and not any(
+                            isinstance(node, ast.FunctionDef)
+                            and node.name == "__init__"
+                            for node in cls.body)
+                        for cls in nodes):
+                    found.add(other)
+                    grew = True
+        return found
+
+    def set_in_program(self, definition, owner, positional, names) -> set:
+        """Which of ``names`` some call outside ``definition`` sets.
+
+        ``definition`` is a function, or the class itself for fields;
+        ``owner`` is the class of a method or field, else ``None``.
+        """
+        constructs = owner is not None and (
+            definition is owner or definition.name == "__init__")
+        classes = self.constructors(owner.name) if constructs else set()
+        found = set()
+        for call, scopes in self.calls:
+            if definition in scopes:
+                continue
+            callee = _callee(call)
+            if not constructs:
+                matches = callee == definition.name
+            elif callee in classes or (callee == "cls" and owner in scopes):
+                matches = True
+            elif definition is owner:
+                # ``replace(obj, field=...)``; any dataclass may be the
+                # target of a ``**`` replace, so only named fields count.
+                if callee == "replace":
+                    found.update(keyword.arg for keyword in call.keywords
+                                 if keyword.arg in names)
+                continue
+            else:
+                classes_here = [scope for scope in scopes
+                                if isinstance(scope, ast.ClassDef)]
+                matches = (callee == "__init__"
+                           and isinstance(call.func.value, ast.Call)
+                           and _callee(call.func.value) == "super"
+                           and bool(classes_here)
+                           and bool(_bases(classes_here[-1]) & classes))
+            if matches:
+                found |= _set_by(call, positional, names)
+        return found
+
+
+def _parameters(tree):
+    """``(qualified name, definition, owner, positional, defaulted)``.
+
+    Methods are qualified ``Class.method``; ``owner`` is the class of a
+    method and ``None`` for a function.  Fields of the classes named in
+    ``FIELDS`` come with the class as both definition and owner.
+    """
+    owners = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            owners[child] = node
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name in FIELDS:
+            fields = [item.target.id for item in node.body
+                      if isinstance(item, ast.AnnAssign)]
+            yield node.name, node, node, fields, fields
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(node)
+        positional = [arg.arg for arg in node.args.posonlyargs
+                      + node.args.args]
+        if not isinstance(owner, ast.ClassDef):
+            yield node.name, node, None, positional, _defaulted(node)
+            continue
+        decorators = {getattr(d, "id", None) for d in node.decorator_list}
+        if "staticmethod" not in decorators:
+            positional = positional[1:]
+        yield (f"{owner.name}.{node.name}", node, owner, positional,
+               _defaulted(node))
+
+
+def _unset_parameters(trees):
+    """``(module path, name.param)`` for every value no program call sets."""
+    settables = _Settables(trees)
+    unset = []
+    for path, tree in trees.items():
+        if SOURCE not in path.parents:
+            continue
+        for qualified, definition, owner, positional, names in \
+                _parameters(tree):
+            name = getattr(definition, "name", "")
+            if not names or (name.startswith("__") and name.endswith("__")
+                             and name != "__init__"):
+                continue
+            if owner is None and name in settables.passed:
+                continue
+            found = settables.set_in_program(definition, owner,
+                                             positional, names)
+            unset.extend((str(path.relative_to(ROOT)), f"{qualified}.{param}")
+                         for param in names if param not in found)
+    return unset
+
+
 def _report(level):
     unreached = [f"{path}: {name}" for path, name in _unreached(_program(),
                                                                  level)
@@ -190,10 +433,24 @@ def test_every_method_is_reached():
     _report("method")
 
 
+def test_every_parameter_is_set():
+    unset = [f"{path}: {name}"
+             for path, name in _unset_parameters(_program())
+             if name not in KEEP]
+    assert not unset, (
+        "defaulted parameters and fields that no call in src/, examples/ "
+        "or benchmarks/ sets; make them constants or add them to KEEP "
+        "with a reason:\n  " + "\n  ".join(unset))
+
+
 def test_keep_entries_are_defined():
+    """Every KEEP entry names a definition or a defaulted parameter."""
     defined = set()
     for path in SOURCE.rglob("*.py"):
         tree = ast.parse(path.read_text())
         defined.update(definition.name for definition in _public_defs(tree))
         defined.update(qualified for qualified, _ in _methods(tree))
+        defined.update(f"{qualified}.{param}"
+                       for qualified, _, _, _, names in _parameters(tree)
+                       for param in names)
     assert not set(KEEP) - defined, "stale KEEP entries"
