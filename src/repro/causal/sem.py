@@ -10,11 +10,9 @@ import numpy as np
 
 from . import graph as graph_utils
 
-#: Edge-weight magnitude band and sign, and the SEM's exogenous noise
-#: (``"gaussian"``, ``"exponential"`` or ``"gumbel"``) and its scale.
+#: Edge-weight magnitude band, and the scale of the SEM's Gaussian
+#: exogenous noise.
 WEIGHT_RANGE = (0.5, 2.0)
-ALLOW_NEGATIVE = True
-NOISE = "gaussian"
 NOISE_SCALE = 1.0
 
 
@@ -34,15 +32,13 @@ def random_dag(num_nodes: int, edge_prob: float,
 
 def weighted_dag(adjacency: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
-    """Assign random edge weights, avoiding the unidentifiable near-zero band."""
+    """Assign random signed edge weights, avoiding the unidentifiable
+    near-zero band."""
     low, high = WEIGHT_RANGE
     if low <= 0 or high <= low:
         raise ValueError("WEIGHT_RANGE must satisfy 0 < low < high")
     magnitudes = rng.uniform(low, high, size=adjacency.shape)
-    if ALLOW_NEGATIVE:
-        signs = rng.choice([-1.0, 1.0], size=adjacency.shape)
-    else:
-        signs = np.ones(adjacency.shape)
+    signs = rng.choice([-1.0, 1.0], size=adjacency.shape)
     return adjacency * magnitudes * signs
 
 
@@ -60,15 +56,7 @@ def simulate_linear_sem(weights: np.ndarray, num_samples: int,
     for node in order:
         parent_idx = graph_utils.parents(weights, node)
         mean = samples[:, parent_idx] @ weights[parent_idx, node] if parent_idx else 0.0
-        if NOISE == "gaussian":
-            eps = rng.normal(0.0, NOISE_SCALE, size=num_samples)
-        elif NOISE == "exponential":
-            eps = rng.exponential(NOISE_SCALE, size=num_samples) - NOISE_SCALE
-        elif NOISE == "gumbel":
-            eps = rng.gumbel(0.0, NOISE_SCALE, size=num_samples)
-            eps -= eps.mean()
-        else:
-            raise ValueError(f"unknown noise kind: {NOISE!r}")
+        eps = rng.normal(0.0, NOISE_SCALE, size=num_samples)
         samples[:, node] = mean + eps
     return samples
 

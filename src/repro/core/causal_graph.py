@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..causal.dag_constraint import h_tensor, h_value
-from ..causal.graph import binarize, prune_to_dag
+from ..causal.graph import prune_to_dag
 from ..nn import Module, Parameter, Tensor
 
 #: ``W^c`` starts uniform in ``[INIT_LOW, INIT_HIGH)`` off the diagonal.
@@ -55,10 +55,6 @@ class ClusterCausalGraph(Module):
     # -- inspection -------------------------------------------------------
     def numpy_matrix(self) -> np.ndarray:
         return self.weights.data * self._off_diagonal
-
-    def thresholded(self, threshold: float) -> np.ndarray:
-        """Binary cluster graph at ``|W^c| > threshold``."""
-        return binarize(self.numpy_matrix(), threshold)
 
     def as_dag(self, threshold: float = 0.1) -> np.ndarray:
         """Thresholded graph with any residual cycles pruned away."""

@@ -26,9 +26,6 @@ import numpy as np
 
 from .interactions import EvalSample
 
-#: Whether :func:`iterate_batches` shuffles the samples each epoch.
-SHUFFLE = True
-
 
 def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
     """``[0, c0, c0+c1, ...]`` — offsets from segment lengths."""
@@ -63,10 +60,6 @@ class PaddedBatch:
     @property
     def batch_size(self) -> int:
         return self.items.shape[0]
-
-    @property
-    def max_time(self) -> int:
-        return self.items.shape[1]
 
     def flat_history_sets(self) -> List[set]:
         """Set of all items in each row's history (for sampling exclusions)."""
@@ -212,7 +205,7 @@ def sample_negatives(batch: PaddedBatch, num_items: int, num_negatives: int,
 def iterate_batches(samples: Sequence[EvalSample], batch_size: int,
                     rng: Optional[np.random.Generator] = None,
                     max_history: Optional[int] = None) -> Iterator[PaddedBatch]:
-    """Yield :class:`PaddedBatch` chunks, shuffled each epoch (``SHUFFLE``).
+    """Yield :class:`PaddedBatch` chunks, shuffled each epoch.
 
     ``samples`` is a :class:`~repro.data.eventlog.PrefixSampleView`, whose
     ``gather_batch`` assembles each batch from the corpus columns, or a
@@ -226,13 +219,12 @@ def iterate_batches(samples: Sequence[EvalSample], batch_size: int,
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
+    if rng is None:
+        raise ValueError(
+            "iterate_batches needs an explicit rng so epoch order is "
+            "reproducible; pass np.random.default_rng(seed)")
     order = np.arange(len(samples))
-    if SHUFFLE:
-        if rng is None:
-            raise ValueError(
-                "iterate_batches needs an explicit rng so epoch order is "
-                "reproducible; pass np.random.default_rng(seed)")
-        rng.shuffle(order)
+    rng.shuffle(order)
     for start in range(0, len(samples), batch_size):
         indices = order[start:start + batch_size]
         if isinstance(samples, list):

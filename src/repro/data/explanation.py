@@ -25,8 +25,6 @@ from .synthetic import SyntheticDataset
 
 #: Cause labels kept per sample (the paper's workers mark up to three).
 MAX_CAUSES = 3
-#: Keep only samples whose every step is a single item.
-SINGLETON_ONLY = True
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ def build_explanation_dataset(dataset: SyntheticDataset,
     for seq, causes in zip(dataset.corpus, dataset.cause_log):
         if seq.length < 3:
             continue
-        if SINGLETON_ONLY and any(len(b) != 1 for b in seq.baskets):
+        if any(len(b) != 1 for b in seq.baskets):
             continue
         target_step = seq.length - 1
         target_basket = seq.baskets[target_step]

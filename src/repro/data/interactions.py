@@ -48,10 +48,6 @@ class UserSequence:
     def length(self) -> int:
         return len(self.baskets)
 
-    @property
-    def num_interactions(self) -> int:
-        return sum(len(b) for b in self.baskets)
-
     def items(self) -> List[int]:
         """All items in order of appearance (flattened)."""
         return [item for basket in self.baskets for item in basket]
@@ -84,8 +80,6 @@ def leave_one_out_split(corpus: SequenceCorpus) -> Split:
     two held-out baskets hidden, and validation and test are lazy
     :class:`~repro.data.eventlog.EvalSampleView` sequences.
     """
-    if MIN_LENGTH < 3:
-        raise ValueError("MIN_LENGTH below 3 cannot support a two-way holdout")
     from .eventlog import EvalSampleView, SequenceCorpus
     lengths = corpus.lengths()
     train = SequenceCorpus.from_store(

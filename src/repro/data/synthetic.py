@@ -137,13 +137,6 @@ class SyntheticDataset:
     def num_items(self) -> int:
         return self.corpus.num_items
 
-    @property
-    def num_clusters(self) -> int:
-        if self.cluster_graph is None:
-            raise ValueError(f"{self.name}: no ground-truth cluster graph "
-                             f"stored with this dataset")
-        return int(self.cluster_graph.shape[0])
-
     def item_causal_matrix(self) -> np.ndarray:
         """Ground-truth item-level causal adjacency implied by eq. (9).
 

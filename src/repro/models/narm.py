@@ -9,8 +9,6 @@ representation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..data.batching import PaddedBatch
 from ..nn import AdditiveAttention, Linear, RecurrentLayer, Tensor, concat
 from .base import NeuralSequentialRecommender, TrainConfig
@@ -36,10 +34,3 @@ class NARM(NeuralSequentialRecommender):
         weights = self.attention(states, last, mask=batch.step_mask)
         local = (states * weights.reshape(weights.shape[0], -1, 1)).sum(axis=1)
         return self.compress(concat([last, local], axis=-1))
-
-    def attention_weights(self, batch: PaddedBatch) -> np.ndarray:
-        """Expose per-step attention for the explanation experiments."""
-        self.eval()
-        inputs = self.basket_input_embeddings(batch)
-        states, last = self.rnn(inputs, step_mask=batch.step_mask)
-        return self.attention(states, last, mask=batch.step_mask).data

@@ -6,10 +6,10 @@ recurrent cells, attention, optimizers and losses) so the reproduction is
 fully self-contained.
 """
 
-from .tensor import Tensor, concat, gradient_check, maximum, where
+from .tensor import Tensor, concat, gradient_check
 from .module import Embedding, LayerNorm, Linear, Module, Parameter, no_grad
 from .fused import (fused_bce_with_logits, fused_gru_sequence,
-                    fused_lstm_sequence, fused_lstm_step, fused_masked_softmax)
+                    fused_lstm_sequence, fused_masked_softmax)
 from .rnn import GRUCell, LSTMCell, RecurrentLayer
 from .attention import (AdditiveAttention, BilinearAttention,
                         MultiHeadSelfAttention, TransformerBlock)
@@ -19,10 +19,10 @@ from . import init
 from . import losses
 
 __all__ = [
-    "Tensor", "concat", "where", "maximum", "gradient_check",
+    "Tensor", "concat", "gradient_check",
     "Module", "Parameter", "Linear", "Embedding", "LayerNorm", "no_grad",
     "fused_bce_with_logits", "fused_gru_sequence", "fused_lstm_sequence",
-    "fused_lstm_step", "fused_masked_softmax",
+    "fused_masked_softmax",
     "GRUCell", "LSTMCell", "RecurrentLayer",
     "BilinearAttention", "AdditiveAttention", "MultiHeadSelfAttention",
     "TransformerBlock",

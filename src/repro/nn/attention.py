@@ -26,8 +26,8 @@ class BilinearAttention(Module):
     """Attention over timesteps scored by a bilinear form with a query vector.
 
     Given states ``H`` of shape ``(batch, time, dim)`` and a query ``q`` of
-    shape ``(batch, dim)``, produces weights
-    ``alpha_t = softmax_t(h_t^T A q)`` restricted to valid (unmasked) steps.
+    shape ``(batch, dim)``, :meth:`raw_scores` gives ``h_t^T A q``; callers
+    take ``alpha_t`` as its masked softmax over the valid (unmasked) steps.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator) -> None:
@@ -37,13 +37,6 @@ class BilinearAttention(Module):
         # attention starts recency-biased instead of uniform.
         self.proj = Parameter(np.eye(dim)
                               + init.xavier_uniform((dim, dim), rng) * 0.1)
-
-    def forward(self, states: Tensor, query: Tensor,
-                mask: Optional[np.ndarray] = None) -> Tensor:
-        scores = self.raw_scores(states, query)
-        if mask is None:
-            return F.softmax(scores, axis=-1)
-        return F.masked_softmax(scores, mask, axis=-1)
 
     def raw_scores(self, states: Tensor, query: Tensor) -> Tensor:
         """Unnormalized scores ``h_t^T A q``: shape ``(batch, time)``."""
@@ -65,12 +58,10 @@ class AdditiveAttention(Module):
         self.v = Parameter(init.xavier_uniform((dim,), rng))
 
     def forward(self, states: Tensor, query: Tensor,
-                mask: Optional[np.ndarray] = None) -> Tensor:
+                mask: np.ndarray) -> Tensor:
         batch = states.shape[0]
         mixed = self.w_state(states) + self.w_query(query).reshape(batch, 1, -1)
         scores = (mixed.sigmoid() * self.v).sum(axis=-1)
-        if mask is None:
-            return F.softmax(scores, axis=-1)
         return F.masked_softmax(scores, mask, axis=-1)
 
 

@@ -37,18 +37,6 @@ def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     return fused_masked_softmax(x, mask, axis=axis)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
 def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows of ``weight`` by an integer index array.
 

@@ -207,79 +207,6 @@ def fused_basket_effects(cause_rows: Tensor, effect_cols: Tensor,
     return Tensor._make(out_data, (cause_rows, effect_cols), backward)
 
 
-def fused_lstm_step(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor,
-                    w_hh: Tensor, bias: Tensor,
-                    keep: Optional[np.ndarray] = None
-                    ) -> Tuple[Tensor, Tensor]:
-    """One LSTM step producing ``(h', c')`` as two nodes over shared math.
-
-    The two outputs share the forward intermediates; each backward
-    accumulates its own contribution into the six parents, and because
-    gradients are additive the split is exact.  ``keep`` is an optional
-    constant ``(batch, 1)`` 0/1 array; where it is zero both states are
-    carried through unchanged (the layer's step-mask skip rule).
-    """
-    x_data, h_data, c_data = x.data, h.data, c.data
-    w_ih_data, w_hh_data = w_ih.data, w_hh.data
-    hidden = w_hh_data.shape[1]
-    h_new, c_new, i, f, g, o, tanh_c = lstm_cell(
-        x_data @ w_ih_data.T + bias.data, h_data, c_data, w_hh_data)
-    if keep is None:
-        h_out_data, c_out_data = h_new, c_new
-    else:
-        inv_keep = 1.0 - keep
-        h_out_data = h_new * keep + h_data * inv_keep
-        c_out_data = c_new * keep + c_data * inv_keep
-
-    parents = (x, h, c, w_ih, w_hh, bias)
-
-    def chain(dc_new: np.ndarray, do: Optional[np.ndarray],
-              dh_extra: Optional[np.ndarray],
-              dc_extra: Optional[np.ndarray]) -> None:
-        dgates = np.empty((dc_new.shape[0], 4 * hidden))
-        dgates[:, :hidden] = dc_new * g * i * (1.0 - i)
-        dgates[:, hidden:2 * hidden] = dc_new * c_data * f * (1.0 - f)
-        dgates[:, 2 * hidden:3 * hidden] = dc_new * i * (1.0 - g * g)
-        if do is None:
-            dgates[:, 3 * hidden:] = 0.0
-        else:
-            dgates[:, 3 * hidden:] = do * o * (1.0 - o)
-        if x.requires_grad:
-            x._accumulate(dgates @ w_ih_data, own=True)
-        if h.requires_grad:
-            dh = dgates @ w_hh_data
-            if dh_extra is not None:
-                dh += dh_extra
-            h._accumulate(dh, own=True)
-        if c.requires_grad:
-            dc = dc_new * f
-            if dc_extra is not None:
-                dc += dc_extra
-            c._accumulate(dc, own=True)
-        if w_ih.requires_grad:
-            w_ih._accumulate(dgates.T @ x_data, own=True)
-        if w_hh.requires_grad:
-            w_hh._accumulate(dgates.T @ h_data, own=True)
-        if bias.requires_grad:
-            bias._accumulate(dgates.sum(axis=0), own=True)
-
-    def backward_h(grad: np.ndarray) -> None:
-        g_h = grad if keep is None else grad * keep
-        do = g_h * tanh_c
-        dc_new = g_h * o * (1.0 - tanh_c * tanh_c)
-        dh_extra = None if keep is None else grad * (1.0 - keep)
-        chain(dc_new, do, dh_extra, None)
-
-    def backward_c(grad: np.ndarray) -> None:
-        g_c = grad if keep is None else grad * keep
-        dc_extra = None if keep is None else grad * (1.0 - keep)
-        chain(g_c, None, None, dc_extra)
-
-    h_out = Tensor._make(h_out_data, parents, backward_h)
-    c_out = Tensor._make(c_out_data, parents, backward_c)
-    return h_out, c_out
-
-
 def fused_masked_softmax(x: Tensor, mask: np.ndarray,
                          axis: int = -1) -> Tensor:
     """:func:`masked_softmax` as one node.

@@ -4,7 +4,7 @@ Every gradient is a dense ``ndarray`` shaped like its parameter, and every
 optimizer applies the textbook dense update to the whole parameter each
 step, as ``torch.optim`` does.
 
-Optimizer state (velocity, moments, accumulators) is keyed by the stable
+Optimizer state (moments, accumulators) is keyed by the stable
 parameter *index* in ``self.params`` — never ``id(param)``, which the
 allocator may reuse after garbage collection, silently aliasing state
 across parameters.  State arrays are updated in place; no per-step
@@ -19,8 +19,6 @@ import numpy as np
 
 from .module import Parameter
 
-#: SGD momentum (``0`` is plain SGD).
-SGD_MOMENTUM = 0.0
 #: Adam's moment decay rates and denominator guard.
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -62,29 +60,20 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
+    """Stochastic gradient descent with optional weight decay."""
 
     def __init__(self, params: Iterable[Parameter], lr: float = 0.01,
                  weight_decay: float = 0.0) -> None:
         super().__init__(params, lr)
         self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
-        for index, param in enumerate(self.params):
+        for param in self.params:
             grad = param.grad
             if grad is None:
                 continue
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
-            if SGD_MOMENTUM:
-                vel = self._velocity.get(index)
-                if vel is None:
-                    vel = np.zeros_like(param.data)
-                    self._velocity[index] = vel
-                vel *= SGD_MOMENTUM
-                vel += grad
-                grad = vel
             param.data -= self.lr * grad
 
 

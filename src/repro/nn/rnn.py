@@ -1,9 +1,10 @@
 """Recurrent cells and sequence layers (GRU and LSTM).
 
 The paper instantiates its sequential backbone ``g`` with either a GRU or an
-LSTM; the same cells also power the GRU4Rec/NARM/VTRNN baselines.  Cells
-operate on one timestep of a batch; the layer classes unroll a padded batch
-and return all hidden states so attention modules can consume them.
+LSTM; the same cells also power the GRU4Rec/NARM/VTRNN baselines.  The cells
+hold one step's parameters; :class:`RecurrentLayer` unrolls a padded batch
+through the fused sequence kernels and returns all hidden states so
+attention modules can consume them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import init
-from .fused import fused_gru_sequence, fused_lstm_sequence, fused_lstm_step
+from .fused import fused_gru_sequence, fused_lstm_sequence
 from .module import Module, Parameter
 from .tensor import Tensor
 
@@ -39,16 +40,6 @@ class GRUCell(Module):
         self.b_ih = Parameter(init.zeros((3 * hidden_size,)))
         self.b_hh = Parameter(init.zeros((3 * hidden_size,)))
 
-    def forward(self, x: Tensor, h: Tensor,
-                keep: Optional[np.ndarray] = None) -> Tensor:
-        """One step: a length-1 unroll; ``keep`` 0 rows freeze ``h``."""
-        batch = x.shape[0]
-        states = fused_gru_sequence(
-            x.reshape(batch, 1, self.input_size), h, self.w_ih, self.w_hh,
-            self.b_ih, self.b_hh,
-            step_mask=None if keep is None else keep > 0)
-        return states.reshape(batch, self.hidden_size)
-
     def initial_state(self, batch_size: int) -> Tensor:
         return Tensor(np.zeros((batch_size, self.hidden_size)))
 
@@ -67,12 +58,6 @@ class LSTMCell(Module):
         # Forget-gate bias of 1.0 helps early-training gradient flow.
         bias[hidden_size:2 * hidden_size] = 1.0
         self.bias = Parameter(bias)
-
-    def forward(self, x: Tensor, state: Tuple[Tensor, Tensor],
-                keep: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
-        h, c = state
-        return fused_lstm_step(x, h, c, self.w_ih, self.w_hh, self.bias,
-                               keep=keep)
 
     def initial_state(self, batch_size: int) -> Tuple[Tensor, Tensor]:
         zeros = np.zeros((batch_size, self.hidden_size))
@@ -105,13 +90,10 @@ class RecurrentLayer(Module):
         else:
             self.cell = LSTMCell(input_size, hidden_size, rng)
 
-    def forward(self, inputs: Tensor, step_mask: Optional[np.ndarray] = None,
+    def forward(self, inputs: Tensor, step_mask: np.ndarray,
                 initial_state: Optional[Tensor] = None) -> Tuple[Tensor, Tensor]:
         batch, time = inputs.shape[0], inputs.shape[1]
-        if step_mask is None:
-            step_mask = np.ones((batch, time), dtype=bool)
-        else:
-            step_mask = np.asarray(step_mask, dtype=bool)
+        step_mask = np.asarray(step_mask, dtype=bool)
 
         cell = self.cell
         if self.cell_type == "lstm":

@@ -178,10 +178,6 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def T(self) -> "Tensor":
         return self.transpose()
 
@@ -191,10 +187,6 @@ class Tensor:
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({np.array2string(self.data, precision=4)}{grad_flag})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied)."""
-        return self.data
 
     def item(self) -> float:
         return float(self.data)
@@ -372,21 +364,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other_t), backward)
 
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if isinstance(exponent, Tensor):
-            raise TypeError("tensor exponents are not supported; use exp/log composition")
-        out_data = self.data ** exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1),
-                                 own=True)
-
-        return Tensor._make(out_data, (self,), backward)
-
     # ------------------------------------------------------------------
     # Matrix operations
     # ------------------------------------------------------------------
@@ -482,25 +459,6 @@ class Tensor:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             count = int(np.prod([self.shape[a % self.ndim] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            if axis is None:
-                mask = (self.data == out_data)
-                share = grad / mask.sum()
-                self._accumulate(mask * share, own=True)
-            else:
-                expanded = out_data if keepdims else np.expand_dims(out_data, axis)
-                mask = (self.data == expanded)
-                g = grad if keepdims else np.expand_dims(grad, axis)
-                counts = mask.sum(axis=axis, keepdims=True)
-                self._accumulate(mask * g / counts, own=True)
-
-        return Tensor._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
@@ -598,29 +556,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                 tensor._accumulate(grad[tuple(slicer)])
 
     return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Differentiable selection; ``condition`` is a constant boolean mask."""
-    a_t = a if isinstance(a, Tensor) else Tensor(a)
-    b_t = b if isinstance(b, Tensor) else Tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    out_data = np.where(cond, a_t.data, b_t.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a_t.requires_grad:
-            a_t._accumulate(_unbroadcast(grad * cond, a_t.shape))
-        if b_t.requires_grad:
-            b_t._accumulate(_unbroadcast(grad * (~cond), b_t.shape))
-
-    return Tensor._make(out_data, (a_t, b_t), backward)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise maximum with subgradient split at ties."""
-    a_t = a if isinstance(a, Tensor) else Tensor(a)
-    b_t = b if isinstance(b, Tensor) else Tensor(b)
-    return where(a_t.data >= b_t.data, a_t, b_t)
 
 
 def gradient_check(func: Callable[..., Tensor],

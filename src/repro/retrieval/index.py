@@ -174,10 +174,6 @@ class IVFIndex:
     def n_clusters(self) -> int:
         return int(self.centroids.shape[0])
 
-    @property
-    def size(self) -> int:
-        return int(sum(ids.shape[0] for ids in self.list_ids))
-
     def probe_order(self, query: np.ndarray, nprobe: int) -> np.ndarray:
         """The ``nprobe`` nearest cells, nearest first (ties by cell id)."""
         d2 = self._cent_sq - 2.0 * (self.centroids @ query)

@@ -87,10 +87,6 @@ class QuantizedTable:
         return self.codes.shape
 
     @property
-    def ndim(self) -> int:
-        return self.codes.ndim
-
-    @property
     def nbytes(self) -> int:
         total = self.codes.nbytes
         if self.scale is not None:
@@ -182,10 +178,6 @@ class ItemTower:
     @property
     def size(self) -> int:
         return int(self.ids.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.vectors.shape[1])
 
 
 def build_item_tower(artifacts) -> Optional[ItemTower]:

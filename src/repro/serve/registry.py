@@ -345,8 +345,3 @@ class CheckpointRegistry:
     def current(self) -> Optional[ServingArtifacts]:
         with self._lock:
             return self._current
-
-    def clear(self) -> None:
-        """Drop the live bundle (serving degrades to the popularity path)."""
-        with self._lock:
-            self._current = None

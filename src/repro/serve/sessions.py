@@ -274,7 +274,3 @@ class SessionStore:
         for basket in history:
             session.append(basket, params)
         return session.view()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._sessions.clear()

@@ -38,7 +38,7 @@ class TestClusterCausalGraph:
         assert graph.l1().item() == pytest.approx(expected)
 
     def test_thresholded_binary(self, graph):
-        binary = graph.thresholded(0.5)
+        binary = binarize(graph.numpy_matrix(), 0.5)
         assert set(np.unique(binary)) <= {0, 1}
 
     def test_as_dag(self, graph):

@@ -239,8 +239,8 @@ class TestBackendEquivalence:
         for _, corpus in _stores(log_dir, memory_dataset):
             assert corpus.num_users == len(ref)
             assert corpus.num_items == CONFIG.num_items
-            assert corpus.num_interactions == sum(s.num_interactions
-                                                  for s in ref)
+            assert corpus.num_interactions == sum(len(b) for s in ref
+                                                  for b in s.baskets)
             assert corpus.average_sequence_length == float(
                 np.mean([s.length for s in ref]))
             assert np.array_equal(corpus.sequence_lengths(),
@@ -361,8 +361,9 @@ class TestModelsOnEventlog:
             (tmp_path / "bare" / sidecar).unlink()
         dataset = load_eventlog_dataset(tmp_path / "bare")
         assert dataset.features is None and dataset.cause_log == []
-        with pytest.raises(ValueError, match="bare: no ground-truth"):
-            dataset.num_clusters
+        assert dataset.name == "bare"
+        assert dataset.cluster_graph is None
+        assert dataset.cluster_of_item is None
 
 
 class TestDataCli:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data import average_causes_per_sample, build_explanation_dataset
-from repro.data import explanation
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +46,3 @@ class TestBuildExplanationDataset:
     def test_average_causes_empty(self):
         assert average_causes_per_sample([]) == 0.0
 
-    def test_allow_baskets_when_not_singleton_only(self, tiny_dataset,
-                                                   monkeypatch):
-        singleton = build_explanation_dataset(tiny_dataset, max_samples=500)
-        monkeypatch.setattr(explanation, "SINGLETON_ONLY", False)
-        everything = build_explanation_dataset(tiny_dataset, max_samples=500)
-        assert len(everything) >= len(singleton)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.data import interactions
 from repro.data import (EvalSample, SequenceCorpus, UserSequence,
                         leave_one_out_split, training_prefixes)
 
@@ -25,7 +24,7 @@ class TestUserSequence:
     def test_lengths(self):
         s = seq(0, [1], [2, 3], [4])
         assert s.length == 3
-        assert s.num_interactions == 4
+        assert sum(len(b) for b in s.baskets) == 4
         assert s.items() == [1, 2, 3, 4]
 
 
@@ -85,12 +84,6 @@ class TestLeaveOneOutSplit:
         split = leave_one_out_split(corpus)
         assert not split.test
         assert list(split.train)[0].length == 2
-
-    def test_min_length_validation(self, monkeypatch):
-        monkeypatch.setattr(interactions, "MIN_LENGTH", 2)
-        corpus = SequenceCorpus(num_items=2)
-        with pytest.raises(ValueError):
-            leave_one_out_split(corpus)
 
     def test_split_sizes(self, tiny_dataset):
         split = leave_one_out_split(tiny_dataset.corpus)

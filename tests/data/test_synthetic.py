@@ -64,7 +64,7 @@ class TestGeneration:
         assert tiny_dataset.cluster_of_item[0] == -1
         real = tiny_dataset.cluster_of_item[1:]
         assert real.min() >= 0
-        assert real.max() < tiny_dataset.num_clusters
+        assert real.max() < tiny_dataset.cluster_graph.shape[0]
 
 
 class TestCauseLog:
@@ -137,7 +137,7 @@ class TestAffinity:
 
     def test_preferred_effects_in_cluster(self, tiny_dataset):
         sim = BehaviorSimulator(tiny_dataset.config)
-        for cluster in range(tiny_dataset.num_clusters):
+        for cluster in range(tiny_dataset.cluster_graph.shape[0]):
             for trigger in (1, 7, 13):
                 for item in sim.preferred_effects(trigger, cluster):
                     assert sim.cluster_of_item[item] == cluster

@@ -1,12 +1,15 @@
 """Regenerate the golden-value fixtures under ``tests/golden/*.npz``.
 
-Run as::
+Run from the repository root as::
 
-    PYTHONPATH=src python tests/golden/generate_goldens.py
+    PYTHONPATH=src python -m tests.golden.generate_goldens
 
-The fixtures pin the *numerical behaviour* of the engine's hot ops —
-GRUCell, LSTMCell, BilinearAttention and the NOTEARS ``h(W)`` constraint —
-under fixed seeds: forward outputs plus input/parameter gradients.
+The fixtures pin the *numerical behaviour* of the engine's hot ops — one
+GRU step, one LSTM step, bilinear attention and the NOTEARS ``h(W)``
+constraint — under fixed seeds: forward outputs plus input/parameter
+gradients.  The GRU step is a length-1 ``fused_gru_sequence``, attention
+is ``raw_scores`` then ``masked_softmax``, and the LSTM step is the
+composite reference step of the test, which also yields the cell state.
 ``tests/nn/test_golden_equivalence.py`` asserts the live implementation
 reproduces them to 1e-10, so any optimization of these paths must stay
 numerically equivalent.
@@ -24,7 +27,10 @@ import numpy as np
 
 from repro.causal.dag_constraint import (h_value, h_value_and_grad, h_tensor,
                                          polynomial_h_value)
-from repro.nn import BilinearAttention, GRUCell, LSTMCell, Tensor
+from repro.nn import (BilinearAttention, GRUCell, LSTMCell, Tensor,
+                      fused_gru_sequence)
+from repro.nn import functional as F
+from tests.nn.test_golden_equivalence import lstm_reference_step
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -41,7 +47,8 @@ def golden_gru() -> None:
     h = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
     upstream = rng.normal(size=(4, 6))
 
-    out = cell(x, h)
+    out = fused_gru_sequence(x.reshape(4, 1, 5), h, cell.w_ih, cell.w_hh,
+                             cell.b_ih, cell.b_hh).reshape(4, 6)
     loss = (out * Tensor(upstream)).sum()
     loss.backward()
 
@@ -64,7 +71,8 @@ def golden_lstm() -> None:
     upstream_h = rng.normal(size=(4, 6))
     upstream_c = rng.normal(size=(4, 6))
 
-    h_next, c_next = cell(x, (h, c))
+    h_next, c_next = lstm_reference_step(x, h, c, cell.w_ih, cell.w_hh,
+                                         cell.bias)
     loss = ((h_next * Tensor(upstream_h)).sum()
             + (c_next * Tensor(upstream_c)).sum())
     loss.backward()
@@ -88,7 +96,7 @@ def golden_attention() -> None:
     mask[0, :] = True
     upstream = rng.normal(size=(3, 7))
 
-    out = att(states, query, mask=mask)
+    out = F.masked_softmax(att.raw_scores(states, query), mask)
     loss = (out * Tensor(upstream)).sum()
     loss.backward()
 

@@ -6,6 +6,7 @@ import pytest
 from repro.nn import (AdditiveAttention, BilinearAttention,
                       MultiHeadSelfAttention, Tensor, TransformerBlock,
                       gradient_check)
+from repro.nn import functional as F
 
 
 @pytest.fixture
@@ -13,12 +14,28 @@ def rng():
     return np.random.default_rng(5)
 
 
+def unmasked(states):
+    return np.ones(states.shape[:2], dtype=bool)
+
+
+def bilinear_weights(att, states, query, mask=None):
+    """Attention weights as Causer takes them: masked softmax of the
+    bilinear scores (every step valid when ``mask`` is omitted)."""
+    if mask is None:
+        mask = unmasked(states)
+    return F.masked_softmax(att.raw_scores(states, query), mask)
+
+
+def sum_sq(t):
+    return (t * t).sum()
+
+
 class TestBilinearAttention:
     def test_weights_sum_to_one(self, rng):
         att = BilinearAttention(4, rng)
         states = Tensor(rng.normal(size=(3, 6, 4)))
         query = Tensor(rng.normal(size=(3, 4)))
-        weights = att(states, query).data
+        weights = bilinear_weights(att, states, query).data
         np.testing.assert_allclose(weights.sum(axis=-1), np.ones(3), rtol=1e-6)
 
     def test_mask_respected(self, rng):
@@ -26,7 +43,7 @@ class TestBilinearAttention:
         states = Tensor(rng.normal(size=(2, 5, 4)))
         query = Tensor(rng.normal(size=(2, 4)))
         mask = np.array([[True, True, False, False, False]] * 2)
-        weights = att(states, query, mask=mask).data
+        weights = bilinear_weights(att, states, query, mask=mask).data
         assert (weights[:, 2:] == 0).all()
         np.testing.assert_allclose(weights.sum(axis=-1), np.ones(2), rtol=1e-6)
 
@@ -35,7 +52,8 @@ class TestBilinearAttention:
         att = BilinearAttention(4, rng)
         base = rng.normal(size=4)
         states = np.stack([base + rng.normal(size=4) * 2, base]).reshape(1, 2, 4)
-        weights = att(Tensor(states), Tensor(base.reshape(1, 4))).data
+        weights = bilinear_weights(att, Tensor(states),
+                                   Tensor(base.reshape(1, 4))).data
         assert weights[0, 1] > weights[0, 0]
 
     def test_raw_scores_shape(self, rng):
@@ -50,14 +68,14 @@ class TestAdditiveAttention:
         att = AdditiveAttention(4, rng)
         states = Tensor(rng.normal(size=(2, 5, 4)))
         query = Tensor(rng.normal(size=(2, 4)))
-        weights = att(states, query).data
+        weights = att(states, query, mask=unmasked(states)).data
         np.testing.assert_allclose(weights.sum(axis=-1), np.ones(2), rtol=1e-6)
 
     def test_gradient_flows(self, rng):
         att = AdditiveAttention(4, rng)
         states = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
         query = Tensor(rng.normal(size=(1, 4)))
-        att(states, query).sum().backward()
+        att(states, query, mask=unmasked(states)).sum().backward()
         assert states.grad is not None
 
 
@@ -126,7 +144,7 @@ class TestAttentionGradients:
         mask = np.array([[True, True, True, False]] * 2)
 
         def run(s, q):
-            return (att(s, q, mask=mask) ** 2).sum()
+            return sum_sq(bilinear_weights(att, s, q, mask=mask))
 
         assert gradient_check(run, [states, query]) < 1e-5
 
@@ -136,7 +154,7 @@ class TestAttentionGradients:
         query = Tensor(rng.normal(size=(2, 3)))
 
         def run(_proj):
-            return (att.raw_scores(states, query) ** 2).sum()
+            return sum_sq(att.raw_scores(states, query))
 
         assert gradient_check(run, [att.proj]) < 1e-5
 
@@ -148,7 +166,7 @@ class TestAttentionGradients:
                   att.w_query.bias, att.v]
 
         def run(*_params):
-            return (att(states, query) ** 2).sum()
+            return sum_sq(att(states, query, mask=unmasked(states)))
 
         assert gradient_check(run, params) < 1e-5
 
@@ -158,7 +176,7 @@ class TestAttentionGradients:
         pad = np.array([[True, True, False]])
 
         def run(a):
-            return (att(a, pad_mask=pad) ** 2).sum()
+            return sum_sq(att(a, pad_mask=pad))
 
         assert gradient_check(run, [x]) < 1e-5
 
@@ -169,7 +187,7 @@ class TestAttentionGradients:
                   att.w_o.weight]
 
         def run(*_params):
-            return (att(x) ** 2).sum()
+            return sum_sq(att(x))
 
         assert gradient_check(run, params) < 1e-4
 
@@ -178,6 +196,6 @@ class TestAttentionGradients:
         x = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
 
         def run(a):
-            return (block(a) ** 2).sum()
+            return sum_sq(block(a))
 
         assert gradient_check(run, [x]) < 1e-4

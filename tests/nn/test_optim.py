@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nn import Adagrad, Adam, Parameter, SGD, Tensor, make_optimizer
-from repro.nn import optim
 
 
 def quadratic_loss(param):
@@ -24,15 +23,13 @@ def run_steps(optimizer, param, steps=200):
 
 class TestConvergence:
     @pytest.mark.parametrize("factory", [
-        lambda p, momentum: SGD([p], lr=0.1),
-        lambda p, momentum: (momentum(0.9), SGD([p], lr=0.05))[1],
-        lambda p, momentum: Adam([p], lr=0.1),
-        lambda p, momentum: Adagrad([p], lr=0.8),
+        lambda p: SGD([p], lr=0.1),
+        lambda p: Adam([p], lr=0.1),
+        lambda p: Adagrad([p], lr=0.8),
     ])
-    def test_reaches_minimum(self, factory, monkeypatch):
+    def test_reaches_minimum(self, factory):
         param = Parameter(np.zeros(4))
-        optimizer = factory(param, lambda value: monkeypatch.setattr(
-            optim, "SGD_MOMENTUM", value))
+        optimizer = factory(param)
         final = run_steps(optimizer, param)
         np.testing.assert_allclose(final, np.full(4, 3.0), atol=0.05)
 
@@ -137,19 +134,16 @@ class TestClipAndState:
         assert np.array_equal(opt2._accum[0], np.ones((6, 2)))
 
     @pytest.mark.parametrize("factory,state_attr", [
-        (lambda p, momentum: (momentum(0.9), SGD([p], lr=0.05))[1],
-         "_velocity"),
-        (lambda p, momentum: Adam([p], lr=1e-2), "_m"),
-        (lambda p, momentum: Adam([p], lr=1e-2), "_v"),
-        (lambda p, momentum: Adagrad([p], lr=0.1), "_accum"),
+        (lambda p: Adam([p], lr=1e-2), "_m"),
+        (lambda p: Adam([p], lr=1e-2), "_v"),
+        (lambda p: Adagrad([p], lr=0.1), "_accum"),
     ])
-    def test_state_updated_in_place(self, factory, state_attr, monkeypatch):
+    def test_state_updated_in_place(self, factory, state_attr):
         """The fixed ``accum += g**2`` (vs legacy ``accum = accum + g**2``)
         must keep the same buffer across steps — no per-step reallocation
         of table-sized state."""
         param = Parameter(np.ones((50, 4)))
-        opt = factory(param, lambda value: monkeypatch.setattr(
-            optim, "SGD_MOMENTUM", value))
+        opt = factory(param)
         rng = np.random.default_rng(19)
         param.grad = rng.normal(size=(50, 4))
         opt.step()

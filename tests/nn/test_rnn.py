@@ -1,10 +1,14 @@
-"""Tests for GRU/LSTM cells and the masked recurrent layer."""
+"""Tests for GRU/LSTM cells and the masked recurrent layer.
+
+A single step is the length-1 unroll of the sequence kernels, the same
+kernels the layer runs over whole padded batches.
+"""
 
 import numpy as np
 import pytest
 
 from repro.nn import (GRUCell, LSTMCell, RecurrentLayer, Tensor,
-                      fused_lstm_step, gradient_check)
+                      fused_gru_sequence, fused_lstm_sequence, gradient_check)
 
 
 @pytest.fixture
@@ -12,32 +16,57 @@ def rng():
     return np.random.default_rng(3)
 
 
+def gru_step(cell, x, h, keep=None):
+    """One GRU step; rows whose ``keep`` is 0 freeze ``h``."""
+    batch = x.shape[0]
+    states = fused_gru_sequence(
+        x.reshape(batch, 1, cell.input_size), h, cell.w_ih, cell.w_hh,
+        cell.b_ih, cell.b_hh, step_mask=None if keep is None else keep > 0)
+    return states.reshape(batch, cell.hidden_size)
+
+
+def lstm_step(cell, x, h, c):
+    """One LSTM step's new hidden state."""
+    batch = x.shape[0]
+    states = fused_lstm_sequence(x.reshape(batch, 1, cell.input_size), h, c,
+                                 cell.w_ih, cell.w_hh, cell.bias)
+    return states.reshape(batch, cell.hidden_size)
+
+
+def unmasked(inputs):
+    return np.ones(inputs.shape[:2], dtype=bool)
+
+
 class TestCells:
     def test_gru_step_shape(self, rng):
         cell = GRUCell(4, 6, rng)
-        h = cell(Tensor(np.ones((2, 4))), cell.initial_state(2))
+        h = gru_step(cell, Tensor(np.ones((2, 4))), cell.initial_state(2))
         assert h.shape == (2, 6)
 
     def test_lstm_step_shape(self, rng):
-        cell = LSTMCell(4, 6, rng)
-        h, c = cell(Tensor(np.ones((2, 4))), cell.initial_state(2))
-        assert h.shape == (2, 6)
-        assert c.shape == (2, 6)
+        layer = RecurrentLayer("lstm", 4, 6, rng)
+        inputs = Tensor(np.ones((2, 1, 4)))
+        states, last = layer(inputs, step_mask=unmasked(inputs))
+        assert states.shape == (2, 1, 6)
+        assert last.shape == (2, 6)
 
     def test_gru_gradient(self, rng):
         cell = GRUCell(3, 4, rng)
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        err = gradient_check(
-            lambda a: (cell(a, cell.initial_state(2)) ** 2).sum(), [x])
-        assert err < 1e-5
+
+        def run(a):
+            h = gru_step(cell, a, cell.initial_state(2))
+            return (h * h).sum()
+
+        assert gradient_check(run, [x]) < 1e-5
 
     def test_lstm_gradient(self, rng):
         cell = LSTMCell(3, 4, rng)
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
 
         def run(a):
-            h, c = cell(a, cell.initial_state(2))
-            return (h * h).sum() + c.sum()
+            h = lstm_step(cell, a, *cell.initial_state(2))
+            return (h * h).sum()
 
         assert gradient_check(run, [x]) < 1e-5
 
@@ -47,10 +76,10 @@ class TestCells:
 
     def test_gru_state_bounded(self, rng):
         cell = GRUCell(3, 4, rng)
-        h = cell.initial_state(1)
-        for _ in range(100):
-            h = cell(Tensor(np.full((1, 3), 10.0)), h)
-        assert np.all(np.abs(h.data) <= 1.0 + 1e-9)
+        states = fused_gru_sequence(
+            Tensor(np.full((1, 100, 3), 10.0)), cell.initial_state(1),
+            cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
+        assert np.all(np.abs(states.data) <= 1.0 + 1e-9)
 
 
 class TestRecurrentLayer:
@@ -61,7 +90,8 @@ class TestRecurrentLayer:
     @pytest.mark.parametrize("cell_type", ["gru", "lstm"])
     def test_output_shapes(self, rng, cell_type):
         layer = RecurrentLayer(cell_type, 3, 5, rng)
-        states, last = layer(Tensor(rng.normal(size=(2, 7, 3))))
+        inputs = Tensor(rng.normal(size=(2, 7, 3)))
+        states, last = layer(inputs, step_mask=unmasked(inputs))
         assert states.shape == (2, 7, 5)
         assert last.shape == (2, 5)
 
@@ -82,15 +112,16 @@ class TestRecurrentLayer:
         padded = np.concatenate([seq, np.zeros((1, 2, 3))], axis=1)
         mask = np.array([[True] * 3 + [False] * 2])
         _, last_masked = layer(Tensor(padded), step_mask=mask)
-        _, last_short = layer(Tensor(seq))
+        _, last_short = layer(Tensor(seq), step_mask=unmasked(seq))
         np.testing.assert_allclose(last_masked.data, last_short.data)
 
     def test_initial_state_used(self, rng):
         layer = RecurrentLayer("gru", 3, 5, rng)
         inputs = Tensor(rng.normal(size=(2, 1, 3)))
         init = Tensor(rng.normal(size=(2, 5)))
-        _, with_init = layer(inputs, initial_state=init)
-        _, without = layer(inputs)
+        mask = unmasked(inputs)
+        _, with_init = layer(inputs, step_mask=mask, initial_state=init)
+        _, without = layer(inputs, step_mask=mask)
         assert not np.allclose(with_init.data, without.data)
 
     def test_gradient_through_time(self, rng):
@@ -98,7 +129,7 @@ class TestRecurrentLayer:
         x = Tensor(rng.normal(size=(1, 4, 2)), requires_grad=True)
 
         def run(a):
-            states, last = layer(a)
+            states, last = layer(a, step_mask=unmasked(a))
             return (states * states).sum() + last.sum()
 
         assert gradient_check(run, [x]) < 1e-5
@@ -114,7 +145,7 @@ class TestRecurrentLayer:
 class TestLSTMGradients:
     """Finite-difference checks for the LSTM paths the suite used to skip.
 
-    The cell's input gradient was already covered; these add the
+    The step's input gradient was already covered; these add the
     parameter-side gradients and the full time-unrolled RecurrentLayer,
     including the masked-step (state-freezing) and user-seeded
     initial-state paths Causer exercises.
@@ -126,8 +157,8 @@ class TestLSTMGradients:
         params = [cell.w_ih, cell.w_hh, cell.bias]
 
         def run(*_params):
-            h, c = cell(x, cell.initial_state(2))
-            return (h * h).sum() + (c * c).sum()
+            h = lstm_step(cell, x, *cell.initial_state(2))
+            return (h * h).sum()
 
         assert gradient_check(run, params) < 1e-5
 
@@ -136,7 +167,7 @@ class TestLSTMGradients:
         x = Tensor(rng.normal(size=(1, 4, 2)), requires_grad=True)
 
         def run(a):
-            states, last = layer(a)
+            states, last = layer(a, step_mask=unmasked(a))
             return (states * states).sum() + last.sum()
 
         assert gradient_check(run, [x]) < 1e-5
@@ -160,7 +191,8 @@ class TestLSTMGradients:
         init = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
 
         def run(h0):
-            states, last = layer(x, initial_state=h0)
+            states, last = layer(x, step_mask=unmasked(x),
+                                 initial_state=h0)
             return (states * states).sum() + last.sum()
 
         assert gradient_check(run, [init]) < 1e-5
@@ -181,16 +213,21 @@ class TestLSTMGradients:
 class TestFusedGRUGradients:
     """Finite-difference checks aimed at the fused GRU kernels.
 
-    The hand-derived backward of ``fused_gru_sequence`` (which also runs
-    ``GRUCell`` steps as length-1 unrolls) replaces a dozen autograd nodes; every input of the fused node gets its
-    own check so a wrong analytic term cannot hide behind the others.
+    The hand-derived backward of ``fused_gru_sequence`` replaces a dozen
+    autograd nodes; every input of the fused node gets its own check so a
+    wrong analytic term cannot hide behind the others.
     """
 
     def test_gru_cell_hidden_state_gradient(self, rng):
         cell = GRUCell(3, 4, rng)
         x = Tensor(rng.normal(size=(2, 3)))
         h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        assert gradient_check(lambda a: (cell(x, a) ** 2).sum(), [h]) < 1e-5
+
+        def run(a):
+            out = gru_step(cell, x, a)
+            return (out * out).sum()
+
+        assert gradient_check(run, [h]) < 1e-5
 
     def test_gru_cell_parameter_gradients(self, rng):
         cell = GRUCell(3, 4, rng)
@@ -199,7 +236,8 @@ class TestFusedGRUGradients:
         params = [cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh]
 
         def run(*_params):
-            return (cell(x, h) ** 2).sum()
+            out = gru_step(cell, x, h)
+            return (out * out).sum()
 
         assert gradient_check(run, params) < 1e-5
 
@@ -223,7 +261,8 @@ class TestFusedGRUGradients:
         init = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
 
         def run(h0):
-            states, last = layer(x, initial_state=h0)
+            states, last = layer(x, step_mask=unmasked(x),
+                                 initial_state=h0)
             return (states * states).sum() + last.sum()
 
         assert gradient_check(run, [init]) < 1e-5
@@ -232,7 +271,7 @@ class TestFusedGRUGradients:
 class TestFusedStepKeepRule:
     """Direct unit tests of the per-step ``keep`` skip rule.
 
-    Where ``keep`` is 0 the fused step must carry the previous state through
+    Where ``keep`` is 0 the step must carry the previous state through
     unchanged — value AND gradient — implementing the paper's rule that
     causally-filtered (all-zero) inputs leave the user state untouched.
     """
@@ -242,21 +281,10 @@ class TestFusedStepKeepRule:
         x = Tensor(rng.normal(size=(2, 3)))
         h = Tensor(rng.normal(size=(2, 4)))
         keep = np.array([[1.0], [0.0]])
-        out = cell(x, h, keep=keep)
-        active = cell(x, h)
+        out = gru_step(cell, x, h, keep=keep)
+        active = gru_step(cell, x, h)
         np.testing.assert_allclose(out.data[0], active.data[0])
         np.testing.assert_array_equal(out.data[1], h.data[1])
-
-    def test_lstm_step_keep_zero_passes_state_through(self, rng):
-        cell = LSTMCell(3, 4, rng)
-        x = Tensor(rng.normal(size=(2, 3)))
-        h = Tensor(rng.normal(size=(2, 4)))
-        c = Tensor(rng.normal(size=(2, 4)))
-        keep = np.array([[0.0], [1.0]])
-        h_out, c_out = fused_lstm_step(x, h, c, cell.w_ih, cell.w_hh,
-                                       cell.bias, keep=keep)
-        np.testing.assert_array_equal(h_out.data[0], h.data[0])
-        np.testing.assert_array_equal(c_out.data[0], c.data[0])
 
     def test_gru_step_keep_gradient_routes_to_previous_state(self, rng):
         cell = GRUCell(3, 4, rng)
@@ -265,29 +293,15 @@ class TestFusedStepKeepRule:
         h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
 
         def run(a, b):
-            out = cell(a, b, keep=keep)
+            out = gru_step(cell, a, b, keep=keep)
             return (out * out).sum()
 
         assert gradient_check(run, [x, h]) < 1e-5
         x.grad = None
         h.grad = None
         # A skipped row contributes no gradient to its input...
-        out = cell(x, h, keep=keep)
+        out = gru_step(cell, x, h, keep=keep)
         (out * out).sum().backward()
         np.testing.assert_array_equal(x.grad[1], np.zeros(3))
         # ...while its previous-state gradient is exactly the upstream grad.
         np.testing.assert_allclose(h.grad[1], 2.0 * h.data[1])
-
-    def test_lstm_step_keep_gradient(self, rng):
-        cell = LSTMCell(3, 4, rng)
-        keep = np.array([[0.0], [1.0]])
-        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        c = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-
-        def run(a, b, d):
-            h_out, c_out = fused_lstm_step(a, b, d, cell.w_ih, cell.w_hh,
-                                           cell.bias, keep=keep)
-            return (h_out * h_out).sum() + (c_out * c_out).sum()
-
-        assert gradient_check(run, [x, h, c]) < 1e-5

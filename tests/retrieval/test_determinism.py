@@ -58,7 +58,7 @@ def test_repeated_search_is_identical(monkeypatch):
     tower = make_tower(2)
     ivf = build_ivf(monkeypatch, tower, 9, 2)
     exact = ExactIndex(tower)
-    query = np.random.default_rng(4).normal(size=tower.dim)
+    query = np.random.default_rng(4).normal(size=tower.vectors.shape[1])
     for index, kwargs in ((ivf, {"nprobe": 4}), (exact, {})):
         first = index.search(query, 25, **kwargs)
         for _ in range(3):

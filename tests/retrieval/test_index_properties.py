@@ -56,7 +56,7 @@ def test_full_nprobe_is_brute_force(seed, scorer, monkeypatch):
     exact = ExactIndex(tower)
     ivf = build_ivf(monkeypatch, tower, 12, seed)
     for _ in range(5):
-        query = rng.normal(size=tower.dim)
+        query = rng.normal(size=tower.vectors.shape[1])
         want = exact.search(query, 25)
         got = ivf.search(query, 25, nprobe=ivf.n_clusters)
         assert np.array_equal(want, got)
@@ -68,7 +68,7 @@ def test_recall_monotone_in_nprobe(seed, monkeypatch):
     exact = ExactIndex(tower)
     ivf = build_ivf(monkeypatch, tower, 16, seed)
     for _ in range(3):
-        query = rng.normal(size=tower.dim)
+        query = rng.normal(size=tower.vectors.shape[1])
         top_z = exact.search(query, 10)
         last = -1.0
         for nprobe in range(1, ivf.n_clusters + 1):
@@ -83,7 +83,7 @@ def test_recall_monotone_in_shortlist_size(seed, monkeypatch):
     tower, rng = random_tower(seed)
     exact = ExactIndex(tower)
     ivf = build_ivf(monkeypatch, tower, 16, seed)
-    query = rng.normal(size=tower.dim)
+    query = rng.normal(size=tower.vectors.shape[1])
     top_z = exact.search(query, 10)
     last = -1.0
     for shortlist in (5, 10, 20, 40, 80, 160):
@@ -97,7 +97,7 @@ def test_shortlists_are_nested_prefixes(seed, monkeypatch):
     """search(k1) is literally the first k1 entries of search(k2), k1<k2."""
     tower, rng = random_tower(seed)
     ivf = build_ivf(monkeypatch, tower, 10, seed)
-    query = rng.normal(size=tower.dim)
+    query = rng.normal(size=tower.vectors.shape[1])
     big = ivf.search(query, 60, nprobe=3)
     for k in (1, 7, 30):
         assert np.array_equal(ivf.search(query, k, nprobe=3), big[:k])
@@ -117,7 +117,7 @@ def test_degenerate_all_equal_rows(scorer):
     tower = ItemTower(vectors=np.ones((n, 4)), bias=np.zeros(n),
                       ids=np.arange(1, n + 1, dtype=np.int64))
     ivf = IVFIndex.build(tower, 6)
-    assert ivf.size == n
+    assert sum(len(ids) for ids in ivf.list_ids) == n
     got = ivf.search(np.ones(4), 15, nprobe=6)
     _assert_valid_ids(got, n)
     # All scores tie -> canonical ascending-id order.
@@ -172,6 +172,6 @@ def test_search_never_returns_padding_or_unknown_ids(monkeypatch):
         tower, rng = random_tower(seed, n=100)
         ivf = build_ivf(monkeypatch, tower, 9, seed)
         for nprobe in (1, 3, 9):
-            got = ivf.search(rng.normal(size=tower.dim), 30, nprobe=nprobe)
+            got = ivf.search(rng.normal(size=tower.vectors.shape[1]), 30, nprobe=nprobe)
             _assert_valid_ids(got, 100)
             assert 0 not in got

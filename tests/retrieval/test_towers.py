@@ -77,7 +77,7 @@ def test_gru_tower_scores_match_full_head(gru_model, gru_artifacts):
     view = _served_view(gru_model, gru_artifacts)
     tower = build_item_tower(gru_artifacts)
     query = user_vector(gru_artifacts, view)
-    assert query is not None and query.shape == (tower.dim,)
+    assert query is not None and query.shape == (tower.vectors.shape[1],)
     via_tower = dot_scores(query, tower.vectors, tower.bias)
     full = np.asarray(score_views(gru_artifacts, [view]))[0]
     np.testing.assert_allclose(via_tower, full[1:], rtol=1e-12, atol=1e-12)
@@ -87,7 +87,7 @@ def test_causer_user_vector_shape(causer_model, causer_artifacts):
     view = _served_view(causer_model, causer_artifacts)
     tower = build_item_tower(causer_artifacts)
     query = user_vector(causer_artifacts, view)
-    assert query is not None and query.shape == (tower.dim,)
+    assert query is not None and query.shape == (tower.vectors.shape[1],)
 
 
 # The unquantized cases keep their ids from before the quantize axis.

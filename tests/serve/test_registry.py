@@ -85,8 +85,6 @@ class TestCheckpointRegistry:
         second = registry.install(served_gru4rec)
         assert second.generation == first.generation + 1
         assert registry.current() is second
-        registry.clear()
-        assert registry.current() is None
 
     def test_load_from_file(self, served_causer, tmp_path):
         path = tmp_path / "causer.npz"

@@ -158,8 +158,6 @@ class TestSessionStore:
         assert store.view(42) is None
         store.append_event(42, (1,), None)
         assert store.view(42) is not None
-        store.clear()
-        assert store.view(42) is None and 42 not in store
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

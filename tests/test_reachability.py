@@ -3,9 +3,16 @@
 Three levels are checked:
 
 * Every public (no leading underscore) top-level function or class in
-  ``src/repro/**/*.py`` must be used by the program itself: some file in
-  ``src/``, ``examples/`` or ``benchmarks/`` mentions it as an
-  ``ast.Name`` or as the attribute of an ``ast.Attribute``.
+  ``src/repro/**/*.py`` must be used by the program itself.  A class is
+  used where some file in ``src/``, ``examples/`` or ``benchmarks/``
+  mentions it as an ``ast.Name`` or as the attribute of an
+  ``ast.Attribute``.  A function is used only through a name bound to it,
+  so ``np.maximum`` or a local ``where`` cannot keep ``repro.nn``'s alive:
+  its own name inside its defining module, ``g`` after ``from <module or
+  a package re-exporting it> import f as g``, or ``alias.f`` where
+  ``alias`` is bound to such a module or package.  A function named by a
+  string that is a whole dotted name (a registry key, a ``getattr``
+  name), not a docstring, counts as used too.
 * Every non-dunder method of every class in ``src/repro`` must be used
   the same way, or appear as a token of a string constant that is not a
   docstring (so ``"Class.method"`` trace sites and ``getattr`` names
@@ -91,6 +98,9 @@ KEEP = {
                           "run with proxied locks calls it unchanged",
     "polynomial_h_value.order": "series length of the h(W) reference; the "
                                 "convergence test raises it",
+    "binarize.threshold": "cut-off the graph tests binarize weighted "
+                          "matrices at; the program keeps every nonzero "
+                          "weight",
     "MetricsRegistry.counter_value.labels": "read seam the metrics tests "
                                             "assert labelled counters "
                                             "through",
@@ -172,12 +182,175 @@ def _program():
             for path in sorted((ROOT / folder).rglob("*.py"))}
 
 
+def _module_name(path):
+    """Dotted module name of a file under ``src/``, else ``None``."""
+    if ROOT / "src" not in path.parents:
+        return None
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+class _Bindings:
+    """Which top-level functions of ``src/repro`` each name is bound to.
+
+    A function ``f`` of module ``M`` is bound to ``f`` inside ``M``, to
+    ``g`` wherever ``from M import f as g`` (or the same from a package
+    that re-exports ``f``) appears, and to ``<alias>.f`` wherever
+    ``alias`` is bound to ``M`` or such a package.
+    """
+
+    def __init__(self, trees) -> None:
+        self.trees = {_module_name(path): (path, tree)
+                      for path, tree in trees.items()
+                      if _module_name(path) is not None}
+        self._exports = {}
+
+    def _absolute(self, module, node) -> str:
+        """Absolute module an ``ImportFrom`` inside ``module`` names."""
+        if not node.level:
+            return node.module
+        path, _ = self.trees[module]
+        package = module.split(".")
+        if path.name != "__init__.py":
+            package = package[:-1]
+        package = package[:len(package) - node.level + 1]
+        return ".".join(package + ([node.module] if node.module else []))
+
+    def _target(self, module, name):
+        """What ``module.name`` is: ``("module", m)``, ``("func", m, f)``
+        or ``None``."""
+        if f"{module}.{name}" in self.trees:
+            return ("module", f"{module}.{name}")
+        return self.exports(module).get(name)
+
+    def exports(self, module) -> dict:
+        """Top-level functions and modules ``module`` defines or imports."""
+        if module in self._exports:
+            return self._exports[module]
+        self._exports[module] = found = {}
+        if module not in self.trees:
+            return found
+        _, tree = self.trees[module]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found[node.name] = ("func", module, node.name)
+            elif isinstance(node, ast.ImportFrom):
+                source = self._absolute(module, node)
+                for alias in node.names:
+                    target = self._target(source, alias.name)
+                    if target is not None:
+                        found[alias.asname or alias.name] = target
+        return found
+
+    def names(self, path, tree) -> dict:
+        """Local name → targets it is bound to anywhere in ``tree``."""
+        module = _module_name(path)
+        bound = collections.defaultdict(set)
+        if module is not None:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    bound[node.name].add(("func", module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = (self._absolute(module, node) if module is not None
+                          else node.module)
+                for alias in node.names:
+                    target = self._target(source, alias.name)
+                    if target is not None:
+                        bound[alias.asname or alias.name].add(target)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    full = alias.name if alias.asname else name
+                    bound[name].add(("module", full))
+        return bound
+
+    def resolve(self, node, bound) -> set:
+        """Targets a ``Name`` or dotted ``Attribute`` chain refers to."""
+        if isinstance(node, ast.Name):
+            return bound.get(node.id, set())
+        if isinstance(node, ast.Attribute):
+            found = set()
+            for target in self.resolve(node.value, bound):
+                if target[0] == "module":
+                    attr = self._target(target[1], node.attr)
+                    if attr is not None:
+                        found.add(attr)
+            return found
+        return set()
+
+
+def _bound_uses(trees) -> set:
+    """``(module, function)`` of every top-level function of ``src/``
+    that some name bound to it uses, outside its own definition."""
+    bindings = _Bindings(trees)
+    used = set()
+    local_names = {}
+    for path, tree in trees.items():
+        module = _module_name(path)
+        bound = bindings.names(path, tree)
+        stack = [(node, ()) for node in tree.body]
+        while stack:
+            node, scopes = stack.pop()
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+                continue
+            if isinstance(node, (ast.Name, ast.Attribute)) and not (
+                    isinstance(node, ast.Name) and any(
+                        node.id in local_names[id(scope)]
+                        for scope in scopes)):
+                for target in bindings.resolve(node, bound):
+                    if target[0] == "func" and not (
+                            target[1] == module and scopes
+                            and scopes[0].name == target[2]):
+                        used.add(target[1:])
+            inner = scopes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                local_names[id(node)] = _locals(node)
+                inner = scopes + (node,)
+            stack.extend((child, inner)
+                         for child in ast.iter_child_nodes(node))
+    return used
+
+
+_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
+
+
+def _string_tokens(trees) -> collections.Counter:
+    """Identifier tokens of the program's dotted-name strings.
+
+    Only a string that is a whole dotted name (``"f"``, ``"mod.f"``),
+    not a docstring and not in ``__all__``, names a function: prose such
+    as a help text saying "where" names nothing.
+    """
+    tokens = collections.Counter()
+    for tree in trees.values():
+        docstrings = _docstrings(tree)
+        exported = {id(node) for assign in ast.walk(tree)
+                    if isinstance(assign, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in assign.targets)
+                    for node in ast.walk(assign)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings | exported
+                    and _DOTTED.match(node.value)):
+                tokens.update(_TOKEN.findall(node.value))
+    return tokens
+
+
 def _unreached(trees, level):
     """``(module path, name)`` for every definition nothing else uses."""
     docstrings = {path: _docstrings(tree) if level == "method" else None
                   for path, tree in trees.items()}
     uses = {path: _Uses(tree, docstrings[path]).names
             for path, tree in trees.items()}
+    if level == "name":
+        bound_uses = _bound_uses(trees)
+        tokens = _string_tokens(trees)
     unreached = []
     for path, tree in trees.items():
         if SOURCE not in path.parents:
@@ -188,6 +361,12 @@ def _unreached(trees, level):
             definitions = [(node.name, node) for node in _public_defs(tree)]
         for qualified, definition in definitions:
             name = definition.name
+            if not isinstance(definition, ast.ClassDef) and level == "name":
+                if ((_module_name(path), name) in bound_uses
+                        or tokens[name]):
+                    continue
+                unreached.append((str(path.relative_to(ROOT)), qualified))
+                continue
             own = _Uses(definition, docstrings[path]).names
             if uses[path][name] > own[name] or any(
                     names[name] for other, names in uses.items()
