@@ -7,8 +7,8 @@ Subpackages
     From-scratch autograd/neural substrate (tensors, RNN cells, attention,
     optimizers) replacing the paper's PyTorch dependency.
 ``repro.causal``
-    NOTEARS causal discovery: acyclicity constraint, linear solver,
-    Markov-equivalence and structure metrics.
+    NOTEARS causal discovery: acyclicity constraint, random DAGs,
+    Markov-equivalence, structure metrics and cluster matching.
 ``repro.data``
     Sequential-interaction corpora, the causal behaviour simulator that
     substitutes for the paper's five public datasets, batching and the

@@ -10,8 +10,8 @@ trace of the matrix exponential exceeds ``m`` exactly when a directed cycle
 carries nonzero weight (paper §II-B).  The gradient has the closed form
 ``∇h(W) = exp(W ∘ W)^T ∘ 2W``.
 
-Both the numpy functions (for the standalone NOTEARS solver) and an autograd
-wrapper (for joint training inside Causer) are provided.  ``W ∘ W`` is
+The numpy functions read the constraint off a weight matrix, and an autograd
+wrapper puts it in Causer's training loss (Algorithm 1).  ``W ∘ W`` is
 elementwise non-negative, so its scaled Taylor series has no cancellation.
 """
 

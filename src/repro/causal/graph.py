@@ -4,7 +4,8 @@ A causal graph over ``m`` variables is represented by a weighted adjacency
 matrix ``W`` where ``W[i, j] != 0`` means *i causes j* (the paper's
 convention).  This module provides structure queries (acyclicity,
 topological order), binarization, and conversions used throughout
-:mod:`repro.causal` and :mod:`repro.core`.
+:mod:`repro.causal` and :mod:`repro.core`, and the random DAGs the
+behaviour simulator draws its ground-truth cluster graph from.
 """
 
 from __future__ import annotations
@@ -140,3 +141,17 @@ def prune_to_dag(matrix: np.ndarray) -> np.ndarray:
         weakest = min(cycle, key=lambda edge: abs(arr[edge]))
         arr[weakest] = 0.0
     return arr
+
+
+def random_dag(num_nodes: int, edge_prob: float,
+               rng: np.random.Generator) -> np.ndarray:
+    """Erdős–Rényi DAG: sample edges below a random permutation's diagonal.
+
+    Returns a 0/1 adjacency matrix guaranteed acyclic.
+    """
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
+    lower = np.tril(rng.random((num_nodes, num_nodes)) < edge_prob, k=-1)
+    perm = rng.permutation(num_nodes)
+    adjacency = lower[np.ix_(perm, perm)].astype(np.int64)
+    return adjacency.T  # orient edges from earlier to later in the order

@@ -2,17 +2,21 @@
 
 These quantify how close a learned graph is to the ground truth: structural
 Hamming distance, skeleton precision/recall/F1, v-structure agreement, and
-the paper's Markov-equivalence check (Definition 1).
+the paper's Markov-equivalence check (Definition 1).  A graph over learned
+clusters is first put in the true clusters' labels by
+:func:`match_clusters`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .graph import binarize, markov_equivalent, skeleton, v_structures
+from .graph import (binarize, markov_equivalent, skeleton,
+                    v_structures, validate_adjacency)
 
 
 @dataclass
@@ -95,3 +99,30 @@ def evaluate_structure(true_graph: np.ndarray,
         true_edges=int(binarize(true_graph).sum()),
         learned_edges=int(binarize(learned_graph).sum()),
     )
+
+
+def match_clusters(true_labels: np.ndarray, learned_labels: np.ndarray,
+                   learned_graph: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Relabel a graph over learned clusters onto the true clusters.
+
+    Items carry a true and a learned cluster label in ``[0, K)``, where
+    ``K`` is the size of ``learned_graph``.  Of all ``K!`` bijections, the
+    first that maps the most items' learned cluster onto their true one
+    renames the learned graph's nodes.  Returns the relabelled graph and
+    the worst purity: over the learned clusters holding any item, the
+    least share of a cluster's items whose true cluster is its match
+    (1.0 exactly when the clusterings agree up to naming).
+    """
+    graph = validate_adjacency(learned_graph)
+    k = graph.shape[0]
+    overlap = np.zeros((k, k), dtype=np.int64)
+    np.add.at(overlap, (learned_labels, true_labels), 1)
+    bijections = np.array(list(itertools.permutations(range(k))))
+    rows = np.arange(k)
+    mapping = bijections[np.argmax(overlap[rows, bijections].sum(axis=1))]
+    relabelled = np.zeros_like(graph)
+    relabelled[np.ix_(mapping, mapping)] = graph
+    sizes = overlap.sum(axis=1)
+    held = sizes > 0
+    purity = float((overlap[rows, mapping][held] / sizes[held]).min())
+    return relabelled, purity

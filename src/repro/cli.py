@@ -368,9 +368,11 @@ def _run_eval(args: argparse.Namespace, settings: "BenchmarkSettings") -> int:
     return 0
 
 
-def _build_online_stack(args: argparse.Namespace, publish, metrics):
+def _build_online_stack(args: argparse.Namespace, shadow, publish,
+                        metrics):
     """Assemble log → trainer → refresh for ``serve --online``.
 
+    ``shadow`` is the checkpoint's model, which the trainer trains.
     Returns ``(log, trainer, refresh, close)``: the log's ``append`` is
     the serving tee, the trainer runs on a daemon thread, and ``close``
     tears all three down in dependency order.  ``refresh`` is ``None``
@@ -380,7 +382,6 @@ def _build_online_stack(args: argparse.Namespace, publish, metrics):
     from .online import EventLog, OnlineTrainer, RefreshController
     from .online.trainer import OPTIMIZER
     log = EventLog(args.event_log)
-    shadow = load_model(args.checkpoint)
     trainer = OnlineTrainer(
         shadow, log, lr=args.online_lr,
         batch_events=args.online_batch_events, metrics=metrics)
@@ -419,6 +420,16 @@ def _run_serve(args: argparse.Namespace) -> int:
         print(f"--workers {args.workers}: serving runs in one process "
               f"(a threaded HTTP server); omit --workers for serve")
         return 2
+    shadow = None
+    if args.online:
+        from .io import load_model
+        from .models import NeuralSequentialRecommender
+        shadow = load_model(args.checkpoint)
+        if not isinstance(shadow, NeuralSequentialRecommender):
+            print(f"error: serve --online cannot train a "
+                  f"{type(shadow).__name__} checkpoint: online learning "
+                  f"needs a neural sequential model", file=sys.stderr)
+            return 2
     retrieval = None
     if args.retrieval is not None:
         from .retrieval import RetrievalConfig
@@ -430,13 +441,13 @@ def _run_serve(args: argparse.Namespace) -> int:
                    max_wait_ms=args.max_wait_ms,
                    retrieval=retrieval, quantize=args.quantize)
     if not args.thread_sanitizer:
-        return _serve_loop(args, app)
+        return _serve_loop(args, app, shadow)
     from .analysis import threadsan
     with threadsan() as san:
         san.instrument_app(app)
         print("thread sanitizer enabled: lock-order, long-hold, and "
               "torn-read findings are reported on shutdown")
-        code = _serve_loop(args, app)
+        code = _serve_loop(args, app, shadow)
         findings = san.findings
     if findings:
         print(san.render_report())
@@ -445,7 +456,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     return code
 
 
-def _serve_loop(args: argparse.Namespace, app) -> int:
+def _serve_loop(args: argparse.Namespace, app, shadow) -> int:
     from .serve import ServeServer
     if args.checkpoint:
         artifacts = app.load_checkpoint(args.checkpoint)
@@ -469,7 +480,7 @@ def _serve_loop(args: argparse.Namespace, app) -> int:
     online_close = None
     if args.online:
         log, _trainer, _refresh, online_close = _build_online_stack(
-            args, publish=app.install_model, metrics=app.metrics)
+            args, shadow, publish=app.install_model, metrics=app.metrics)
         app.event_sink = log.append
     server = ServeServer(app, host=args.host, port=args.port)
     host, port = server.address

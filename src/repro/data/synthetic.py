@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..causal.sem import random_dag
+from ..causal.graph import random_dag
 from .features import gps_like_features, text_like_features
 from .interactions import UserSequence
 

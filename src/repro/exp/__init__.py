@@ -17,7 +17,8 @@ from .experiments import (ABLATION_VARIANTS, EXPERIMENTS, DesignResult,
                           design_ablations, efficiency_study,
                           figure3_sequence_lengths, figure7_explanation,
                           figure8_case_studies, filtering_costs,
-                          identifiability_study, scalability_study,
+                          identifiability_study, recover_cluster_graph,
+                          scalability_study,
                           table2_statistics, table4_overall, table5_ablation)
 from .grid import GridSearchResult, grid_combinations, grid_search_causer
 from .runner import (ALL_MODEL_NAMES, BASELINE_NAMES, CAUSER_NAMES,
@@ -40,6 +41,7 @@ __all__ = [
     "FilteringResult", "filtering_costs",
     "DesignResult", "design_ablations",
     "IdentifiabilityResult", "identifiability_study",
+    "recover_cluster_graph",
     "ScalabilityResult", "scalability_study",
     "GridSearchResult", "grid_combinations", "grid_search_causer",
     "RunResult", "build_model", "run_model", "run_models",

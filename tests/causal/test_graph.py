@@ -1,11 +1,13 @@
-"""Tests for DAG utilities: structure queries, MEC, pruning."""
+"""Tests for DAG utilities: structure queries, MEC, pruning, random DAGs."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.causal import (binarize, is_dag, markov_equivalent, parents,
-                          prune_to_dag, skeleton, topological_order,
-                          v_structures, validate_adjacency)
+                          prune_to_dag, random_dag, skeleton,
+                          topological_order, v_structures,
+                          validate_adjacency)
 
 
 def chain(n=3):
@@ -129,3 +131,22 @@ class TestPruneToDag:
         pruned = prune_to_dag(m)
         assert is_dag(pruned)
         assert pruned[2, 0] == 0.0  # the weakest edge went
+
+
+class TestRandomDag:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 10),
+           p=st.floats(0.0, 1.0))
+    def test_always_acyclic(self, seed, n, p):
+        dag = random_dag(n, p, np.random.default_rng(seed))
+        assert is_dag(dag)
+
+    def test_edge_prob_extremes(self):
+        rng = np.random.default_rng(0)
+        assert random_dag(5, 0.0, rng).sum() == 0
+        full = random_dag(5, 1.0, rng)
+        assert full.sum() == 10  # complete DAG on 5 nodes
+
+    def test_invalid_edge_prob(self):
+        with pytest.raises(ValueError):
+            random_dag(4, 1.5, np.random.default_rng(0))

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.causal import (evaluate_structure, skeleton_scores,
-                          structural_hamming_distance, v_structure_scores)
+from repro.causal import (evaluate_structure, match_clusters, random_dag,
+                          skeleton_scores, structural_hamming_distance,
+                          v_structure_scores)
 
 
 def chain():
@@ -94,3 +95,26 @@ class TestEvaluateStructure:
         report = evaluate_structure(chain(), chain().T)
         assert report.markov_equivalent
         assert report.shd == 2  # two reversals
+
+
+class TestMatchClusters:
+    def test_permuted_truth_matches_back(self):
+        rng = np.random.default_rng(3)
+        truth = random_dag(5, 0.5, rng)
+        true_labels = rng.integers(0, 5, size=200)
+        true_labels[:5] = np.arange(5)  # every cluster holds an item
+        rename = rng.permutation(5)  # true cluster t is learned as rename[t]
+        learned = np.zeros((5, 5))
+        learned[np.ix_(rename, rename)] = truth
+        graph, purity = match_clusters(true_labels, rename[true_labels],
+                                       learned)
+        assert structural_hamming_distance(truth, graph) == 0
+        np.testing.assert_array_equal(graph, truth)
+        assert purity == 1.0
+
+    def test_merged_clusters_lower_purity(self):
+        true_labels = np.array([0, 0, 1, 1, 2, 2])
+        learned_labels = np.array([0, 0, 0, 0, 1, 1])  # 0 and 1 merged
+        _, purity = match_clusters(true_labels, learned_labels,
+                                   np.zeros((3, 3)))
+        assert purity == pytest.approx(0.5)

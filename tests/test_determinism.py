@@ -123,17 +123,3 @@ class TestEvaluatorDeterminism:
         repeat = evaluate_rankings(first, split.test[:4], z=5)
         assert result.per_user == repeat.per_user
 
-
-class TestSolverDeterminism:
-    def test_notears_deterministic(self):
-        from repro.causal import (notears_linear, random_dag,
-                                  simulate_linear_sem, standardize,
-                                  weighted_dag)
-        rng = np.random.default_rng(0)
-        truth = random_dag(5, 0.4, rng)
-        data = standardize(simulate_linear_sem(weighted_dag(truth, rng),
-                                               400, rng))
-        a = notears_linear(data, lambda1=0.05)
-        b = notears_linear(data, lambda1=0.05)
-        np.testing.assert_array_equal(a.adjacency, b.adjacency)
-        np.testing.assert_allclose(a.weights, b.weights)

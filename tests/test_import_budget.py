@@ -1,13 +1,14 @@
 """Import budget: each entrypoint loads only what it runs.
 
 Serving, Causer training (Algorithm 1 with its h(W) term), the online
-refresh and the SEM simulator need numpy alone.  scipy (the standalone
-NOTEARS optimizer, the paired t-test) and the experiment/analysis layers
-belong to the studies and the tooling; networkx is a test-only reference.
-Every check runs in a fresh interpreter, since the test process itself
-has long since imported everything.
+refresh and the behaviour simulator need numpy alone.  scipy (only the
+paired t-test) and the experiment/analysis layers belong to the studies
+and the tooling; networkx is a test-only reference.  Every runtime check
+runs in a fresh interpreter, since the test process itself has long since
+imported everything.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -102,13 +103,21 @@ def test_causer_training_is_numpy_only():
     assert _heavy(loaded) == set()
 
 
-def test_sem_simulation_is_numpy_only():
-    loaded = _loaded_after(
-        "import numpy as np\n"
-        "from repro.causal import random_dag, simulate_linear_sem\n"
-        "rng = np.random.default_rng(0)\n"
-        "simulate_linear_sem(random_dag(8, 0.4, rng), 20, rng)\n")
-    assert _heavy(loaded) == set()
+def test_only_the_t_test_imports_scipy():
+    """``eval/significance.py`` is the one module in ``src/repro`` that
+    imports scipy."""
+    importers = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.relative_to(SRC).as_posix())
+    assert importers == {"repro/eval/significance.py"}
 
 
 @pytest.mark.parametrize("name", ["analysis", "causal", "core", "data",

@@ -10,7 +10,8 @@ from repro.cli import build_parser, main
 from repro.core import Causer, CauserConfig
 from repro.exp import BenchmarkSettings, build_model
 from repro.io import load_model, registered_model_classes, save_model
-from repro.models import GRU4Rec, PopularityRecommender, TrainConfig, VTRNN
+from repro.models import (BPR, GRU4Rec, PopularityRecommender, TrainConfig,
+                          VTRNN)
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +248,29 @@ class TestTrainEvalServeCLI:
         """Serving runs in one process: ``--workers N > 1`` is refused."""
         assert main(["serve", "--workers", "2"]) == 2
         assert "serving runs in one process" in capsys.readouterr().out
+
+    def test_serve_online_refuses_a_model_it_cannot_train(
+            self, tiny_dataset, tmp_path, capsys, monkeypatch):
+        """``serve --online`` on a BPR checkpoint exits 2 naming the class,
+        before it builds the app (whose batcher is a thread) or binds."""
+        import threading
+
+        import repro.serve
+
+        def started(*args, **kwargs):
+            raise AssertionError("serving started")
+
+        path = tmp_path / "bpr.npz"
+        save_model(BPR(tiny_dataset.corpus.num_users, tiny_dataset.num_items,
+                       TrainConfig(embedding_dim=8, seed=0)), path)
+        monkeypatch.setattr(repro.serve, "ServeApp", started)
+        monkeypatch.setattr(repro.serve, "ServeServer", started)
+        threads = threading.active_count()
+        assert main(["serve", "--checkpoint", str(path), "--online",
+                     "--port", "0"]) == 2
+        assert threading.active_count() == threads
+        assert ("serve --online cannot train a BPR checkpoint"
+                in capsys.readouterr().err)
 
     def test_eval_requires_checkpoint(self):
         with pytest.raises(SystemExit, match="--load-model"):

@@ -56,6 +56,9 @@ KEEP = {
     "gradient_check": "finite-difference reference for autograd tests",
     "polynomial_h_value": "truncated-series reference for h(W) tests",
     "is_dag": "acyclicity check the tests of every DAG output assert with",
+    "topological_order": "exposes the Kahn order is_dag shares, which the "
+                         "networkx oracle test checks node for node",
+    "parents": "direct-cause query the graph tests check",
     "ExactIndex": "brute-force oracle the IVF recall tests compare against",
     "anomaly_mode_enabled": "lets tests see detect_anomaly() restore the mode",
     "lint_paths": "in-process gradlint entry point for analysis tests",
