@@ -342,6 +342,16 @@ def _run_train(args: argparse.Namespace, settings: "BenchmarkSettings") -> int:
     """Train one model, report held-out metrics, optionally checkpoint it."""
     from .eval import evaluate_model
     from .exp.runner import build_model
+    from .lineup import CLASSES, LINEUP, checkpoint_classes
+    if args.model not in LINEUP:
+        print(f"error: train --model {args.model!r} names no lineup entry; "
+              f"choose from {', '.join(LINEUP)}", file=sys.stderr)
+        return 2
+    if args.save_model and CLASSES[LINEUP[args.model][0]].config is None:
+        print(f"error: train --save-model: {args.model} has no checkpoint "
+              f"format; classes that have one: "
+              f"{', '.join(checkpoint_classes())}", file=sys.stderr)
+        return 2
     dataset, split = _dataset_and_split(args, settings)
     model = build_model(args.model, dataset, settings)
     model.fit(split.train)

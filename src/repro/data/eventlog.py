@@ -416,9 +416,6 @@ class SequenceCorpus:
         return counts
 
     # -- iteration (O(1) memory per user) -------------------------------
-    def __len__(self) -> int:
-        return self.num_users
-
     def __iter__(self) -> Iterator[UserSequence]:
         for gid, keep in enumerate(self.lengths().tolist()):
             uid, baskets = self.store.user_baskets(gid, keep)

@@ -2,12 +2,11 @@
 
 Per-table/figure reproduction functions (Table II/IV/V, Figures 3–8, the
 §III-C efficiency study, Theorem 1 and the design studies) and their
-registry :data:`EXPERIMENTS`, a model factory/runner, Table III grid search
-and ASCII table rendering.
+registry :data:`EXPERIMENTS`, the one fit-and-score task every fit runs
+through, Table III grid search and ASCII table rendering.
 """
 
-from .config import (CAUSER_TUNED, PAPER_TUNING_RANGES, BenchmarkSettings,
-                     quick_settings)
+from .config import CAUSER_TUNED, BenchmarkSettings, quick_settings
 from .experiments import (ABLATION_VARIANTS, EXPERIMENTS, DesignResult,
                           EfficiencyResult, Experiment,
                           FilteringResult, Figure3Result, Figure7Result,
@@ -21,14 +20,13 @@ from .experiments import (ABLATION_VARIANTS, EXPERIMENTS, DesignResult,
                           scalability_study,
                           table2_statistics, table4_overall, table5_ablation)
 from .grid import GridSearchResult, grid_combinations, grid_search_causer
-from .runner import (ALL_MODEL_NAMES, BASELINE_NAMES, CAUSER_NAMES,
-                     TABLE4_MODEL_NAMES, RunResult, build_model, run_model,
+from ..lineup import TABLE4_MODEL_NAMES
+from .runner import (FitSpec, RunResult, build_model, fit_and_score,
                      run_models)
 from .tables import render_metric_matrix, render_series, render_table
 
 __all__ = [
     "BenchmarkSettings", "quick_settings", "CAUSER_TUNED",
-    "PAPER_TUNING_RANGES",
     "Experiment", "EXPERIMENTS",
     "Table2Result", "table2_statistics",
     "Figure3Result", "figure3_sequence_lengths",
@@ -44,8 +42,7 @@ __all__ = [
     "recover_cluster_graph",
     "ScalabilityResult", "scalability_study",
     "GridSearchResult", "grid_combinations", "grid_search_causer",
-    "RunResult", "build_model", "run_model", "run_models",
-    "ALL_MODEL_NAMES", "BASELINE_NAMES", "CAUSER_NAMES",
-    "TABLE4_MODEL_NAMES",
+    "RunResult", "build_model", "run_models",
+    "FitSpec", "fit_and_score", "TABLE4_MODEL_NAMES",
     "render_table", "render_metric_matrix", "render_series",
 ]

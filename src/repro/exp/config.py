@@ -14,19 +14,6 @@ from typing import Dict, Optional
 from ..core.config import CauserConfig
 from ..models.base import TrainConfig
 
-#: Table III — the paper's tuning ranges, kept for reference and used by
-#: the grid-search helper.
-PAPER_TUNING_RANGES: Dict[str, list] = {
-    "batch_size": [32, 64, 128, 256, 512, 1024],
-    "learning_rate": [1e-1, 1e-2, 1e-3, 1e-4, 1e-5],
-    "embedding_dim": [32, 64, 128, 256],
-    "epsilon": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-    "eta": [1e-8, 1e-6, 1e-4, 1e-2, 1, 1e2, 1e4, 1e6, 1e8],
-    "num_clusters": [2, 3, 4, 5, 6, 7, 8, 9, 10, 20, 30, 40, 50,
-                     60, 70, 80, 90, 100],
-    "lambda_l1": [1e-8, 1e-6, 1e-4, 1e-2, 1, 1e2, 1e4, 1e6, 1e8],
-}
-
 #: Grid-search outcome per scaled profile: cluster count tracks each
 #: profile's diversity (homogeneous Baby → small K, diverse Epinions →
 #: large K, matching §V-C1), ε and the causal-update pace balance graph

@@ -18,18 +18,19 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..causal import evaluate_structure, h_value, match_clusters
-from ..core import Causer, ablation_config, format_case_study, make_explainer
+from ..core import ablation_config, format_case_study, make_explainer
 from ..core.config import CauserConfig
-from ..data import (DATASET_NAMES, build_explanation_dataset,
-                    compute_statistics, leave_one_out_split, load_dataset,
+from ..data import (DATASET_NAMES, PAPER_STATISTICS, BehaviorSimulator,
+                    build_explanation_dataset, compute_statistics,
+                    dataset_config, leave_one_out_split, load_dataset,
                     pad_samples, sequence_length_histogram)
 from ..data.interactions import Split
 from ..data.synthetic import SyntheticDataset
 from ..eval import (evaluate_explanations, evaluate_model, paired_t_test)
+from ..lineup import TABLE4_MODEL_NAMES
 from ..parallel import parallel_map
 from .config import BenchmarkSettings
-from .runner import (TABLE4_MODEL_NAMES, RunResult, _run_model_task,
-                     build_model)
+from .runner import FitSpec, RunResult, fit_and_score, lineup_fit
 from .tables import render_metric_matrix, render_series, render_table
 
 
@@ -41,19 +42,14 @@ def _load(name: str, settings: BenchmarkSettings
     return dataset, leave_one_out_split(dataset.corpus)
 
 
-def _fit_causer(dataset: SyntheticDataset, split: Split,
-                config: CauserConfig) -> Causer:
-    model = Causer(dataset.corpus.num_users, dataset.num_items,
-                   dataset.features, config)
-    model.fit(split.train)
-    return model
-
-
-def _causer_ndcg(dataset: SyntheticDataset, split: Split,
-                 config: CauserConfig, z: int) -> float:
-    """Test NDCG@z (%) of a Causer fitted under ``config``."""
-    model = _fit_causer(dataset, split, config)
-    return 100.0 * evaluate_model(model, split.test, z=z).mean("ndcg")
+def _causer(dataset: SyntheticDataset, split: Split, config: CauserConfig,
+            z: Optional[int] = None) -> RunResult:
+    """Causer under ``config``, fitted on the train split by the one fit
+    task and scored on the test split at top-``z`` when ``z`` is given;
+    unscored, the result carries the fitted model."""
+    samples = None if z is None else split.test
+    return fit_and_score(FitSpec("Causer", dataset, config, split.train,
+                                 samples, z))
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +171,9 @@ def table4_overall(settings: Optional[BenchmarkSettings] = None,
     ndcg: Dict[str, Dict[str, float]] = {m: {} for m in models}
     stars: Dict[str, Dict[str, str]] = {m: {} for m in models}
     loaded = [(name, *_load(name, settings)) for name in datasets]
-    cells = [(model, dataset, settings, split)
+    cells = [lineup_fit(model, dataset, split, settings)
              for _, dataset, split in loaded for model in models]
-    all_runs = parallel_map(_run_model_task, cells, workers=workers,
+    all_runs = parallel_map(fit_and_score, cells, workers=workers,
                             name="table cell")
     for block, (name, _, _) in enumerate(loaded):
         runs = all_runs[block * len(models):(block + 1) * len(models)]
@@ -232,11 +228,10 @@ def causer_parameter_sweep(parameter: str, values: Sequence,
         dataset, split = _load(dataset_name, settings)
         for cell in cells:
             series[f"{dataset_name}/{cell}"] = [
-                _causer_ndcg(dataset, split,
-                             settings.causer_config(dataset_name,
-                                                    cell_type=cell,
-                                                    **{parameter: value}),
-                             settings.z)
+                _causer(dataset, split,
+                        settings.causer_config(dataset_name, cell_type=cell,
+                                               **{parameter: value}),
+                        settings.z).ndcg
                 for value in values]
     return SweepResult(parameter=parameter, values=list(values), ndcg=series)
 
@@ -275,9 +270,9 @@ def table5_ablation(settings: Optional[BenchmarkSettings] = None,
             columns.append(column)
             base_config = settings.causer_config(dataset_name, cell_type=cell)
             for variant in ABLATION_VARIANTS:
-                ndcg[variant][column] = _causer_ndcg(
+                ndcg[variant][column] = _causer(
                     dataset, split, ablation_config(base_config, variant),
-                    settings.z)
+                    settings.z).ndcg
     return Table5Result(ndcg=ndcg, columns=columns)
 
 
@@ -319,9 +314,9 @@ def figure7_explanation(settings: Optional[BenchmarkSettings] = None,
     f1: Dict[str, float] = {}
     ndcg: Dict[str, float] = {}
     for cell in cells:
-        model = _fit_causer(dataset, split,
-                            settings.causer_config(dataset_name,
-                                                   cell_type=cell))
+        model = _causer(dataset, split,
+                        settings.causer_config(dataset_name,
+                                               cell_type=cell)).model
         for mode, label in (("full", f"Causer/{cell}"),
                             ("causal", f"Causer(-att)/{cell}"),
                             ("attention", f"Causer(-causal)/{cell}")):
@@ -352,8 +347,9 @@ def figure8_case_studies(settings: Optional[BenchmarkSettings] = None,
     settings = settings or BenchmarkSettings()
     dataset, split = _load(dataset_name, settings)
     samples = build_explanation_dataset(dataset, max_samples=200)
-    model = _fit_causer(dataset, split,
-                        settings.causer_config(dataset_name, cell_type="gru"))
+    model = _causer(dataset, split,
+                    settings.causer_config(dataset_name,
+                                           cell_type="gru")).model
     # Prefer cases with at least three history items (richer stories).
     ranked = sorted(samples, key=lambda s: -len(s.history_items))
     cases = [format_case_study(model, sample)
@@ -404,21 +400,17 @@ def efficiency_study(settings: Optional[BenchmarkSettings] = None,
     settings = settings or BenchmarkSettings()
     dataset, split = _load(dataset_name, settings)
 
-    def time_causer_training(update_every: int) -> float:
-        config = settings.causer_config(dataset_name,
-                                        update_every=update_every)
-        model = Causer(dataset.corpus.num_users, dataset.num_items,
-                       dataset.features, config)
-        start = time.perf_counter()
-        model.fit(split.train)
-        return time.perf_counter() - start
-
-    every_epoch = time_causer_training(1)
-    slow = time_causer_training(10)
-
-    causer = _fit_causer(dataset, split, settings.causer_config(dataset_name))
-    sasrec = build_model("SASRec", dataset, settings)
-    sasrec.fit(split.train)
+    every_epoch, slow = [
+        _causer(dataset, split,
+                settings.causer_config(dataset_name,
+                                       update_every=update_every)
+                ).fit_seconds
+        for update_every in (1, 10)]
+    causer = _causer(dataset, split,
+                     settings.causer_config(dataset_name)).model
+    sasrec = fit_and_score(FitSpec("SASRec", dataset,
+                                   settings.train_config(),
+                                   split.train)).model
     start = time.perf_counter()
     evaluate_model(causer, split.test, z=settings.z)
     causer_inference = time.perf_counter() - start
@@ -463,7 +455,7 @@ def filtering_costs(settings: Optional[BenchmarkSettings] = None,
     batch = pad_samples(samples, max_history=settings.max_history)
     candidates = np.tile(np.arange(1, dataset.num_items + 1),
                          (len(samples), 1))
-    model = _fit_causer(dataset, split, settings.causer_config(dataset_name))
+    model = _causer(dataset, split, settings.causer_config(dataset_name)).model
     seconds: Dict[str, float] = {}
     for mode in ("shared", "cluster", "strict"):
         model.config.filtering_mode = mode
@@ -500,10 +492,10 @@ def design_ablations(choices: Sequence[Tuple[str, Mapping[str, Any]]],
     """
     settings = settings or BenchmarkSettings()
     dataset, split = _load(dataset_name, settings)
-    rows = [(label, _causer_ndcg(dataset, split,
-                                 settings.causer_config(dataset_name,
-                                                        **overrides),
-                                 settings.z))
+    rows = [(label, _causer(dataset, split,
+                            settings.causer_config(dataset_name,
+                                                   **overrides),
+                            settings.z).ndcg)
             for label, overrides in choices]
     return DesignResult(dataset=dataset_name, rows=rows)
 
@@ -535,7 +527,7 @@ def recover_cluster_graph(dataset: SyntheticDataset, split: Split,
     """Fit Causer (Algorithm 1 plus eq. 10) and return the cluster graph
     eq. 9's gate serves, ``W^c > ε`` pruned to a DAG, relabelled onto the
     simulator's clusters, with the worst cluster purity of the matching."""
-    model = _fit_causer(dataset, split, config)
+    model = _causer(dataset, split, config).model
     return match_clusters(dataset.cluster_of_item[1:],
                           model.clusters.hard_assignments()[1:],
                           model.learned_cluster_graph(config.epsilon))
@@ -556,7 +548,13 @@ def identifiability_study(scale_factors: Sequence[float],
         sized = replace(settings, scale=settings.scale * factor)
         metrics, purities = [], []
         for seed in data_seeds:
-            dataset, split = _load("baby", replace(sized, data_seed=seed))
+            # round(users x scale) users: the profiles' 300-user floor
+            # would give two small sizes one corpus.
+            dataset = BehaviorSimulator(replace(
+                dataset_config("baby", scale=sized.scale, seed=seed),
+                num_users=round(PAPER_STATISTICS["baby"]["users"]
+                                * sized.scale)), name="baby").generate()
+            split = leave_one_out_split(dataset.corpus)
             graph, purity = recover_cluster_graph(dataset, split, config)
             metrics.append(evaluate_structure(dataset.cluster_graph, graph))
             purities.append(purity)

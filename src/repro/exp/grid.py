@@ -6,12 +6,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import Causer
 from ..data.interactions import leave_one_out_split
 from ..data.synthetic import SyntheticDataset
-from ..eval import evaluate_model
 from ..parallel import parallel_map
 from .config import BenchmarkSettings
+from .runner import FitSpec, fit_and_score
 
 
 @dataclass
@@ -46,19 +45,6 @@ def grid_combinations(parameter_grid: Dict[str, Sequence]) -> List[Dict]:
                                              for k in keys))]
 
 
-def _grid_combo_task(spec) -> Tuple[Dict, float]:
-    """Train and score one hyper-parameter combo; module-level so it
-    pickles by qualified name under every start method."""
-    (dataset, overrides, settings, train_corpus, eval_samples,
-     metric) = spec
-    config = settings.causer_config(dataset.name, **overrides)
-    model = Causer(dataset.corpus.num_users, dataset.num_items,
-                   dataset.features, config)
-    model.fit(train_corpus)
-    evaluation = evaluate_model(model, eval_samples, z=settings.z)
-    return overrides, 100.0 * evaluation.mean(metric)
-
-
 def grid_search_causer(dataset: SyntheticDataset,
                        parameter_grid: Dict[str, Sequence],
                        settings: Optional[BenchmarkSettings] = None,
@@ -77,10 +63,14 @@ def grid_search_causer(dataset: SyntheticDataset,
     """
     settings = settings or BenchmarkSettings()
     split = leave_one_out_split(dataset.corpus)
-    specs = [(dataset, overrides, settings, split.train, split.validation,
-              metric)
-             for overrides in grid_combinations(parameter_grid)]
+    combos = grid_combinations(parameter_grid)
+    specs = [FitSpec("Causer", dataset,
+                     settings.causer_config(dataset.name, **overrides),
+                     split.train, split.validation, settings.z)
+             for overrides in combos]
+    runs = parallel_map(fit_and_score, specs, workers=workers,
+                        name="grid combo")
     return GridSearchResult(
         parameter_grid=dict(parameter_grid),
-        scores=parallel_map(_grid_combo_task, specs, workers=workers,
-                            name="grid combo"))
+        scores=[(overrides, 100.0 * run.result.mean(metric))
+                for overrides, run in zip(combos, runs)])

@@ -1,75 +1,48 @@
-"""Model factory and single-run executor for the benchmark harness."""
+"""The lineup's model factory and the one fit-and-score task.
+
+Every fit of the harness (Table IV's cells, the grid's combos, every
+Causer the sweeps, ablations and studies train) is a :class:`FitSpec`
+run by :func:`fit_and_score`, serially or through
+:func:`repro.parallel.parallel_map`.
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
-from ..core import Causer
+from ..data import EvalSample, SequenceCorpus
 from ..data.interactions import Split, leave_one_out_split
 from ..data.synthetic import SyntheticDataset
 from ..eval import EvaluationResult, evaluate_model
-from ..models import (BPR, GRU4Rec, MMSARec, NARM, NCF,
-                      PopularityRecommender, SASRec, STAMP, VTRNN)
-from ..parallel import parallel_map
+from ..lineup import CLASSES, LINEUP, lineup_config
 from .config import BenchmarkSettings
 
-#: Baseline factories in lineup order, each called as
-#: ``factory(num_users, num_items, features, train_config)``.
-_BASELINES: Dict[str, Callable] = {
-    "Pop": lambda users, items, features, cfg: PopularityRecommender(items),
-    "BPR": lambda users, items, features, cfg: BPR(users, items, cfg),
-    "NCF": lambda users, items, features, cfg: NCF(users, items, cfg),
-    "GRU4Rec": lambda users, items, features, cfg: GRU4Rec(users, items, cfg),
-    "NARM": lambda users, items, features, cfg: NARM(users, items, cfg),
-    "STAMP": lambda users, items, features, cfg: STAMP(users, items, cfg),
-    "SASRec": lambda users, items, features, cfg: SASRec(users, items, cfg),
-    "VTRNN": lambda users, items, features, cfg: VTRNN(users, items, features,
-                                                       cfg),
-    "MMSARec": lambda users, items, features, cfg: MMSARec(users, items,
-                                                           features, cfg),
-}
-#: Table IV baselines plus Pop as a sanity floor.
-BASELINE_NAMES = tuple(_BASELINES)
-CAUSER_NAMES = ("Causer (LSTM)", "Causer (GRU)")
-ALL_MODEL_NAMES = BASELINE_NAMES + CAUSER_NAMES
-#: The subset the paper's Table IV reports (Pop is our extra).
-TABLE4_MODEL_NAMES = ("BPR", "NCF", "GRU4Rec", "STAMP", "SASRec", "NARM",
-                      "VTRNN", "MMSARec") + CAUSER_NAMES
 
-#: Processes :func:`run_models` fans its lineup over (``1`` is serial).
-RUN_MODELS_WORKERS = 1
+def _build(model: str, dataset: SyntheticDataset, config):
+    return CLASSES[model].build(dataset.corpus.num_users, dataset.num_items,
+                                dataset.features, config)
 
 
 def build_model(name: str, dataset: SyntheticDataset,
                 settings: BenchmarkSettings):
     """Instantiate a model by its Table IV name."""
-    if name in _BASELINES:
-        return _BASELINES[name](dataset.corpus.num_users, dataset.num_items,
-                                dataset.features, settings.train_config())
-    num_users = dataset.corpus.num_users
-    num_items = dataset.num_items
-    if name == "Causer (LSTM)":
-        return Causer(num_users, num_items, dataset.features,
-                      settings.causer_config(dataset.name, cell_type="lstm"))
-    if name == "Causer (GRU)":
-        return Causer(num_users, num_items, dataset.features,
-                      settings.causer_config(dataset.name, cell_type="gru"))
-    raise KeyError(f"unknown model name {name!r}; "
-                   f"choose from {ALL_MODEL_NAMES}")
+    return _build(LINEUP[name][0], dataset,
+                  lineup_config(name, dataset.name, settings))
 
 
 @dataclass
 class RunResult:
-    """One (model, dataset) training + evaluation outcome."""
+    """One fit's outcome: its evaluation when it was scored, else the
+    fitted model.  ``model_name`` is the model's lineup name."""
 
     model_name: str
     dataset_name: str
-    result: EvaluationResult
+    result: Optional[EvaluationResult]
     fit_seconds: float
-    eval_seconds: float
     final_loss: float
+    model: Any = None
 
     @property
     def f1(self) -> float:
@@ -80,42 +53,52 @@ class RunResult:
         return 100.0 * self.result.mean("ndcg")
 
 
-def run_model(name: str, dataset: SyntheticDataset,
-              settings: BenchmarkSettings,
-              split: Optional[Split] = None) -> RunResult:
-    """Train and evaluate one model on one dataset."""
-    if split is None:
-        split = leave_one_out_split(dataset.corpus)
-    model = build_model(name, dataset, settings)
+@dataclass(frozen=True)
+class FitSpec:
+    """One fit: class ``model`` of :data:`repro.lineup.CLASSES` built
+    under ``config`` for ``dataset``, fitted on ``train``, then scored on
+    ``samples`` at top-``z`` unless ``samples`` is ``None``."""
+
+    model: str
+    dataset: SyntheticDataset
+    config: Any
+    train: SequenceCorpus
+    samples: Optional[Sequence[EvalSample]] = None
+    z: Optional[int] = None
+
+
+def lineup_fit(name: str, dataset: SyntheticDataset, split: Split,
+               settings: BenchmarkSettings) -> FitSpec:
+    """Lineup entry ``name`` at the settings' config, fitted on the
+    train split and scored on the test split."""
+    return FitSpec(LINEUP[name][0], dataset,
+                   lineup_config(name, dataset.name, settings), split.train,
+                   split.test, settings.z)
+
+
+def fit_and_score(spec: FitSpec) -> RunResult:
+    """Build, fit and score one :class:`FitSpec`.
+
+    A scored fit returns its evaluation and drops the model, so a fan-out
+    ships no model back; an unscored one returns the fitted model.
+    Module-level so :func:`repro.parallel.parallel_map` pickles it by
+    qualified name under every start method.
+    """
+    model = _build(spec.model, spec.dataset, spec.config)
     start = time.perf_counter()
-    fit = model.fit(split.train)
+    fit = model.fit(spec.train)
     fit_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    result = evaluate_model(model, split.test, z=settings.z)
-    eval_seconds = time.perf_counter() - start
-    return RunResult(model_name=name, dataset_name=dataset.name,
-                     result=result, fit_seconds=fit_seconds,
-                     eval_seconds=eval_seconds,
-                     final_loss=fit.final_loss)
-
-
-def _run_model_task(spec: Tuple[str, SyntheticDataset, BenchmarkSettings,
-                                Split]) -> RunResult:
-    """One (model name, dataset, settings, split) cell; module-level so it
-    pickles by qualified name under every start method."""
-    name, dataset, settings, split = spec
-    return run_model(name, dataset, settings, split=split)
+    result = None
+    if spec.samples is not None:
+        result = evaluate_model(model, spec.samples, z=spec.z)
+    return RunResult(model.name, spec.dataset.name, result, fit_seconds,
+                     fit.final_loss, model if result is None else None)
 
 
 def run_models(names: Sequence[str], dataset: SyntheticDataset,
                settings: BenchmarkSettings) -> List[RunResult]:
-    """Run a list of models on the same dataset/split.
-
-    ``RUN_MODELS_WORKERS`` > 1 fans the lineup out one process per model
-    through :func:`repro.parallel.parallel_map`; results are identical
-    either way and always in name order.
-    """
+    """Run a list of models on the same dataset and split, in name
+    order."""
     split = leave_one_out_split(dataset.corpus)
-    return parallel_map(_run_model_task,
-                        [(name, dataset, settings, split) for name in names],
-                        workers=RUN_MODELS_WORKERS, name="model run")
+    return [fit_and_score(lineup_fit(name, dataset, split, settings))
+            for name in names]

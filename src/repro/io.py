@@ -9,9 +9,10 @@ Loading streams one parameter at a time and *adopts* each decompressed
 array (``load_state_dict(assign=True)``), so cold-start peak RSS is one
 model plus one parameter, not the historical ~2× artifact size.
 
-Every class in :mod:`repro.models` (and the Causer core) is registered
-here; the serving registry (:mod:`repro.serve.registry`) loads
-checkpoints through this module.
+Which classes have a checkpoint format, which item features they carry
+and which config their header loads are rows of
+:data:`repro.lineup.CLASSES`; the serving registry
+(:mod:`repro.serve.registry`) loads checkpoints through this module.
 """
 
 from __future__ import annotations
@@ -22,41 +23,17 @@ import os
 import pathlib
 import zipfile
 import zlib
-from typing import BinaryIO, Callable, Dict, Iterator, Mapping, Union
+from typing import BinaryIO, Callable, Dict, Iterator, Mapping, Tuple, Union
 
 import numpy as np
 
-from .core import Causer, CauserConfig
-from .models import (BPR, GRU4Rec, MMSARec, NARM, NCF, SASRec, STAMP,
-                     TrainConfig, VTRNN)
-from .models.sasrec import NUM_BLOCKS, NUM_HEADS
+from .lineup import CLASSES, ModelClass, checkpoint_classes
 
 PathLike = Union[str, pathlib.Path]
 
 #: Bumped whenever the archive layout changes incompatibly.  Version 1
 #: introduced the explicit header field; unversioned archives predate it.
 FORMAT_VERSION = 1
-
-_MODEL_CLASSES = {
-    "Causer": Causer,
-    "BPR": BPR,
-    "GRU4Rec": GRU4Rec,
-    "MMSARec": MMSARec,
-    "NARM": NARM,
-    "NCF": NCF,
-    "SASRec": SASRec,
-    "STAMP": STAMP,
-    "VTRNN": VTRNN,
-}
-_NEEDS_FEATURES = {"Causer", "VTRNN", "MMSARec"}
-
-#: The transformer shape older SASRec/MMSARec headers carry as "extra".
-_LEGACY_EXTRA = {"num_blocks": NUM_BLOCKS, "num_heads": NUM_HEADS}
-
-
-def registered_model_classes() -> Dict[str, type]:
-    """Copy of the class registry (name -> class)."""
-    return dict(_MODEL_CLASSES)
 
 
 def _write_atomic(path: PathLike, write: Callable[[BinaryIO], None]) -> None:
@@ -107,27 +84,19 @@ def _corrupt_archive(path: PathLike, exc: BaseException) -> ValueError:
                       f"{exc}")
 
 
-def _model_header(model) -> Dict[str, object]:
+def _model_header(model) -> Tuple[Dict[str, object], ModelClass]:
     class_name = type(model).__name__
-    if class_name not in _MODEL_CLASSES:
+    entry = CLASSES.get(class_name)
+    if entry is None or entry.config is None:
         raise TypeError(f"cannot serialize {class_name}; supported: "
-                        f"{sorted(_MODEL_CLASSES)}")
+                        f"{checkpoint_classes()}")
     return {
         "class": class_name,
         "format_version": FORMAT_VERSION,
         "num_users": model.num_users,
         "num_items": model.num_items,
         "config": dataclasses.asdict(model.config),
-    }
-
-
-def _model_features(model):
-    class_name = type(model).__name__
-    if class_name == "Causer":
-        return model.clusters.raw_features
-    if class_name in _NEEDS_FEATURES:
-        return model.item_features
-    return None
+    }, entry
 
 
 def save_model(model, path: PathLike) -> None:
@@ -139,8 +108,8 @@ def save_model(model, path: PathLike) -> None:
     ``os.replace``, so a crash mid-save leaves the previous checkpoint
     readable.
     """
-    header = _model_header(model)
-    features = _model_features(model)
+    header, entry = _model_header(model)
+    features = None if entry.features is None else entry.features(model)
     arrays = {f"param::{name}": values
               for name, values in model.state_dict().items()}
     if features is not None:
@@ -182,27 +151,19 @@ def _check_header(path: PathLike, header: Dict[str, object]):
             f"(this build reads version {FORMAT_VERSION}); re-save the "
             f"model with the current repro.io.save_model")
     class_name = header["class"]
-    if class_name not in _MODEL_CLASSES:
+    entry = CLASSES.get(class_name)
+    if entry is None or entry.config is None:
         raise ValueError(
             f"{path}: unknown model class {class_name!r} in archive "
-            f"header; registered classes: {sorted(_MODEL_CLASSES)}")
+            f"header; registered classes: {checkpoint_classes()}")
     extra = header.get("extra", {})
-    if extra and not (class_name in ("SASRec", "MMSARec")
-                      and extra == _LEGACY_EXTRA):
+    if extra and extra != entry.legacy_extra:
         raise ValueError(f"{path}: unsupported constructor arguments "
                          f"{extra!r} for {class_name} in archive header")
-    config_cls = CauserConfig if class_name == "Causer" else TrainConfig
-    config_fields = {f.name for f in dataclasses.fields(config_cls)}
-    config = config_cls(**{k: v for k, v in header["config"].items()
-                           if k in config_fields})
-    return _MODEL_CLASSES[class_name], class_name, config
-
-
-def _construct(cls, class_name: str, header, config, features):
-    if class_name in _NEEDS_FEATURES:
-        return cls(header["num_users"], header["num_items"], features,
-                   config)
-    return cls(header["num_users"], header["num_items"], config)
+    config_fields = {f.name for f in dataclasses.fields(entry.config)}
+    config = entry.config(**{k: v for k, v in header["config"].items()
+                             if k in config_fields})
+    return entry, config
 
 
 # ----------------------------------------------------------------------
@@ -277,10 +238,11 @@ def load_model(path: PathLike):
     try:
         with archive:
             header = _parse_header(path, bytes(archive["header"]))
-            cls, class_name, config = _check_header(path, header)
+            entry, config = _check_header(path, header)
             features = (archive["features"]
-                        if class_name in _NEEDS_FEATURES else None)
-            model = _construct(cls, class_name, header, config, features)
+                        if entry.features is not None else None)
+            model = entry.build(header["num_users"], header["num_items"],
+                                features, config)
             model.load_state_dict(_NpzState(archive), assign=True)
     except _CORRUPT_ARCHIVE as exc:
         raise _corrupt_archive(path, exc) from exc

@@ -19,7 +19,7 @@ class GRU4Rec(NeuralSequentialRecommender):
     name = "GRU4Rec"
 
     def __init__(self, num_users: int, num_items: int,
-                 config: TrainConfig = None) -> None:
+                 config: TrainConfig) -> None:
         super().__init__(num_users, num_items, config, name=self.name)
         cfg = self.config
         self.rnn = RecurrentLayer("gru", cfg.embedding_dim, cfg.hidden_dim,

@@ -20,7 +20,7 @@ class NARM(NeuralSequentialRecommender):
     name = "NARM"
 
     def __init__(self, num_users: int, num_items: int,
-                 config: TrainConfig = None) -> None:
+                 config: TrainConfig) -> None:
         super().__init__(num_users, num_items, config, name=self.name)
         cfg = self.config
         self.rnn = RecurrentLayer("gru", cfg.embedding_dim, cfg.hidden_dim,

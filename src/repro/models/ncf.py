@@ -23,9 +23,9 @@ class NCF(Recommender, Module):
     name = "NCF"
 
     def __init__(self, num_users: int, num_items: int,
-                 config: TrainConfig = None) -> None:
+                 config: TrainConfig) -> None:
         Module.__init__(self)
-        self.config = config or TrainConfig()
+        self.config = config
         self.num_users = num_users
         self.num_items = num_items
         self.rng = np.random.default_rng(self.config.seed)

@@ -24,7 +24,7 @@ class SASRec(NeuralSequentialRecommender):
     name = "SASRec"
 
     def __init__(self, num_users: int, num_items: int,
-                 config: TrainConfig = None) -> None:
+                 config: TrainConfig) -> None:
         super().__init__(num_users, num_items, config, name=self.name)
         cfg = self.config
         self.position_embedding = Embedding(cfg.max_history + 1,

@@ -23,7 +23,7 @@ class STAMP(NeuralSequentialRecommender):
     name = "STAMP"
 
     def __init__(self, num_users: int, num_items: int,
-                 config: TrainConfig = None) -> None:
+                 config: TrainConfig) -> None:
         super().__init__(num_users, num_items, config, name=self.name)
         cfg = self.config
         dim = cfg.embedding_dim

@@ -22,7 +22,7 @@ class VTRNN(NeuralSequentialRecommender):
     name = "VTRNN"
 
     def __init__(self, num_users: int, num_items: int,
-                 item_features: np.ndarray, config: TrainConfig = None) -> None:
+                 item_features: np.ndarray, config: TrainConfig) -> None:
         super().__init__(num_users, num_items, config, name=self.name)
         cfg = self.config
         features = np.asarray(item_features, dtype=np.float64)

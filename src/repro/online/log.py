@@ -185,9 +185,6 @@ class EventLog:
         with self._lock:
             return self._next_offset
 
-    def __len__(self) -> int:
-        return self.next_offset
-
     def read(self, start: int, stop: int) -> List[EventRecord]:
         """Records with ``start <= offset < stop``, in offset order.
 

@@ -459,18 +459,10 @@ class ServeServer:
         self.app = app
         self.httpd = ThreadingHTTPServer((host, port), _Handler)
         self.httpd.app = app  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
 
     @property
     def address(self) -> Tuple[str, int]:
         return self.httpd.server_address[0], self.httpd.server_address[1]
-
-    def start(self) -> "ServeServer":
-        """Serve on a background thread (tests / embedding)."""
-        self._thread = threading.Thread(target=self.httpd.serve_forever,
-                                        daemon=True, name="repro-serve-http")
-        self._thread.start()
-        return self
 
     def serve_forever(self) -> None:
         self.httpd.serve_forever()
@@ -478,6 +470,4 @@ class ServeServer:
     def shutdown(self) -> None:
         self.httpd.shutdown()
         self.httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
         self.app.close()

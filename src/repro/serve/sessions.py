@@ -185,10 +185,6 @@ class SessionStore:
         with self._lock:
             return len(self._sessions)
 
-    def __contains__(self, user_id: int) -> bool:
-        with self._lock:
-            return user_id in self._sessions
-
     def _sync(self, session: SessionState, artifacts) -> int:
         """Adopt a newly-swapped checkpoint: re-window + replay lazily.
 

@@ -27,8 +27,9 @@ from repro.data import (BehaviorSimulator, EvalSample, SequenceCorpus,
                         open_eventlog, pad_samples, training_prefixes)
 from repro.data.eventlog import EVENTLOG_FORMAT, EVENTLOG_VERSION
 from repro.data.interactions import leave_one_out_split
-from repro.exp import ALL_MODEL_NAMES, quick_settings, run_model
+from repro.exp import quick_settings, run_models
 from repro.io import write_json_header
+from repro.lineup import LINEUP
 
 CONFIG = SimulatorConfig(num_users=60, num_items=80, num_clusters=6, seed=11)
 TINY = SimulatorConfig(num_users=2, num_items=10, num_clusters=2, seed=3)
@@ -348,10 +349,10 @@ class TestPrefixSampleView:
 
 
 class TestModelsOnEventlog:
-    @pytest.mark.parametrize("name", ALL_MODEL_NAMES)
+    @pytest.mark.parametrize("name", LINEUP)
     def test_fits_and_evaluates(self, log_dir, name):
         dataset = load_eventlog_dataset(log_dir)
-        run = run_model(name, dataset, quick_settings())
+        (run,) = run_models((name,), dataset, quick_settings())
         assert np.isfinite(run.final_loss)
         assert 0.0 <= run.result.mean("ndcg") <= 1.0
 

@@ -64,8 +64,8 @@ class TestSequenceCorpus:
 
     def test_iteration(self):
         corpus = SequenceCorpus(num_items=2, sequences=[seq(0, [1])])
-        assert len(corpus) == 1
-        assert list(corpus)[0].user_id == 0
+        assert corpus.num_users == 1
+        assert [user.user_id for user in corpus] == [0]
 
 
 class TestLeaveOneOutSplit:

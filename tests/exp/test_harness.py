@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.exp import (ALL_MODEL_NAMES, CAUSER_TUNED, BenchmarkSettings,
-                       GridSearchResult, build_model, grid_search_causer,
-                       quick_settings, render_metric_matrix, render_series,
-                       render_table, run_model)
+from repro.exp import (CAUSER_TUNED, BenchmarkSettings, GridSearchResult,
+                       build_model, grid_search_causer, quick_settings,
+                       render_metric_matrix, render_series, render_table,
+                       run_models)
 from repro.data import load_dataset
+from repro.lineup import LINEUP
 
 
 class TestSettings:
@@ -72,7 +73,7 @@ class TestRunner:
     def test_run_model_end_to_end(self, name):
         settings = quick_settings()
         dataset = load_dataset("baby", scale=0.02, seed=1)
-        run = run_model(name, dataset, settings)
+        (run,) = run_models((name,), dataset, settings)
         assert run.model_name == name
         assert 0.0 <= run.f1 <= 100.0
         assert 0.0 <= run.ndcg <= 100.0
@@ -81,7 +82,7 @@ class TestRunner:
     def test_all_model_names_buildable(self):
         settings = quick_settings()
         dataset = load_dataset("baby", scale=0.02, seed=1)
-        for name in ALL_MODEL_NAMES:
+        for name in LINEUP:
             model = build_model(name, dataset, settings)
             assert model is not None
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eval import evaluate_model
-from repro.exp import BASELINE_NAMES
+from repro.lineup import LINEUP
 from repro.models import (BPR, GRU4Rec, MMSARec, NARM, NCF,
                           PopularityRecommender, SASRec, STAMP, TrainConfig,
                           VTRNN)
@@ -32,7 +32,7 @@ def build(name, dataset):
 
 
 #: The experiment runner's baseline lineup.
-ALL = list(BASELINE_NAMES)
+ALL = [name for name, (_, cell) in LINEUP.items() if cell is None]
 
 
 @pytest.fixture(scope="module")

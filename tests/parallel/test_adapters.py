@@ -1,4 +1,4 @@
-"""Serial/parallel equivalence for the wired fan-out sites.
+"""Serial/parallel equivalence for the fan-out sites (Table IV, the grid).
 
 Every assertion here is exact (``==`` on floats), not approximate: the
 adapters' contract is that worker count never changes a single bit of the
@@ -12,8 +12,7 @@ import pytest
 
 from repro.data import load_dataset
 from repro.data.interactions import leave_one_out_split
-from repro.exp import BenchmarkSettings, grid_search_causer, run_models
-from repro.exp import runner
+from repro.exp import BenchmarkSettings, grid_search_causer, table4_overall
 from repro.exp.runner import build_model
 from repro.nn import Tensor
 from repro.parallel import WorkerError
@@ -36,21 +35,22 @@ def assert_runs_identical(runs_a, runs_b):
         assert a.result.per_user == b.result.per_user  # exact, per metric
 
 
-class TestRunnerEquivalence:
-    def test_workers_1_vs_4_bit_identical(self, dataset, settings,
-                                          monkeypatch):
-        names = ("Pop", "BPR", "GRU4Rec")
-        serial = run_models(names, dataset, settings)
-        monkeypatch.setattr(runner, "RUN_MODELS_WORKERS", 4)
-        fanned = run_models(names, dataset, settings)
-        assert_runs_identical(serial, fanned)
+class TestTable4Equivalence:
+    def test_workers_1_vs_2_bit_identical(self, settings):
+        kwargs = dict(datasets=("baby",), models=("Pop", "BPR", "GRU4Rec"))
+        serial = table4_overall(settings, workers=1, **kwargs)
+        fanned = table4_overall(settings, workers=2, **kwargs)
+        assert_runs_identical(serial.runs, fanned.runs)
+        assert (serial.f1, serial.ndcg) == (fanned.f1, fanned.ndcg)
 
-    def test_worker_crash_surfaces_traceback(self, dataset, settings,
-                                             monkeypatch):
-        monkeypatch.setattr(runner, "RUN_MODELS_WORKERS", 2)
-        with pytest.raises(WorkerError,
-                           match="model run #1 failed: .*unknown model name"):
-            run_models(("Pop", "no-such-model"), dataset, settings)
+    def test_crashing_cell_names_itself(self):
+        """Pop ignores the training budget, BPR cannot be built with a
+        negative embedding size: cell #1 (BPR on baby) fails."""
+        broken = BenchmarkSettings(scale=0.02, quick=True, embedding_dim=-1)
+        with pytest.raises(WorkerError, match=r"table cell #1 failed: "
+                                              r"ValueError: .*negative"):
+            table4_overall(broken, datasets=("baby",),
+                           models=("Pop", "BPR"), workers=2)
 
 
 class TestGridEquivalence:

@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 
 from repro.data.interactions import EvalSample
-from repro.exp import ALL_MODEL_NAMES, BenchmarkSettings, build_model
+from repro.exp import BenchmarkSettings, build_model
 from repro.io import load_model, save_model
+from repro.lineup import CLASSES, LINEUP
 from repro.serve import SessionStore, build_artifacts, score_views
 from tests.serve.conftest import random_histories
 
 TRAINED_FIXTURES = ["served_causer", "served_lstm_causer", "served_gru4rec"]
 
 #: Every registered class except Pop (intentionally not serializable).
-SERVABLE_NAMES = [name for name in ALL_MODEL_NAMES if name != "Pop"]
+SERVABLE_NAMES = [name for name, (model, _) in LINEUP.items()
+                  if CLASSES[model].config is not None]
 
 
 def _feed(client, histories):

@@ -3,6 +3,7 @@
 import json
 import re
 import socket
+import threading
 import tracemalloc
 import urllib.request
 
@@ -230,10 +231,18 @@ class TestHotSwap:
         assert second["source"] == "model"
 
 
+def _serving(app):
+    """A server on an ephemeral port, run the way the CLI runs it
+    (``serve_forever``), here on a daemon thread."""
+    server = ServeServer(app, host="127.0.0.1", port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
 class TestRealHTTP:
     def test_end_to_end_over_sockets(self, served_causer, make_app):
         app, _ = make_app(served_causer)
-        server = ServeServer(app, host="127.0.0.1", port=0).start()
+        server = _serving(app)
         host, port = server.address
         base = f"http://{host}:{port}"
         try:
@@ -265,7 +274,7 @@ class TestRealHTTP:
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_malformed_content_length(self, make_app, length):
         app, _ = make_app()
-        server = ServeServer(app, host="127.0.0.1", port=0).start()
+        server = _serving(app)
         try:
             with socket.create_connection(server.address, timeout=5) as conn:
                 conn.sendall(f"POST /v1/events HTTP/1.1\r\n"

@@ -113,7 +113,8 @@ class TestSessionStore:
         store.append_event(2, (4,), art)
         store.append_event(1, (5,), art)   # touch 1 → 2 is now LRU
         store.append_event(3, (6,), art)   # evicts 2
-        assert 1 in store and 3 in store and 2 not in store
+        assert store.view(1) is not None and store.view(3) is not None
+        assert store.view(2) is None
         assert store.evictions == 1
 
     def test_degraded_mode_keeps_events_only(self):
@@ -151,7 +152,7 @@ class TestSessionStore:
         store = SessionStore()
         view = store.ephemeral_view(7, [(1,), (2,)], _artifacts(_params()))
         assert view.steps == 2
-        assert 7 not in store
+        assert store.view(7) is None
 
     def test_drop_and_missing(self):
         store = SessionStore()

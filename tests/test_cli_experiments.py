@@ -19,6 +19,8 @@ from repro.cli import main
 from repro.exp import EXPERIMENTS
 
 QUICK = {"datasets": ["baby"], "cells": ["gru"], "workers": ["3"]}
+#: Claims that must hold at the quick settings too, not only evaluate.
+HOLD_WHEN_QUICK = {"identifiability": ("data_sizes_grow",)}
 
 
 @pytest.mark.parametrize("command,needle", [
@@ -58,6 +60,8 @@ def test_experiment_runs_from_the_cli(name, capsys, monkeypatch):
     assert capsys.readouterr().out == result.render() + "\n"
     for claim in experiment.claims.values():
         assert claim(result) in (True, False)
+    for claim in HOLD_WHEN_QUICK.get(name, ()):
+        assert experiment.claims[claim](result), claim
 
 
 @pytest.mark.parametrize("name,flag", [

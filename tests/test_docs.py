@@ -9,10 +9,15 @@ are files a program writes at run time, not repo files.  Every back-ticked
 dotted name ``repro.<module>...`` whose second part is a module or package
 under ``src/repro`` must resolve by import plus ``getattr``; other
 ``repro.*`` strings (the ``repro.eventlog`` format tag) are not code.
+In every ```` ```python ```` fence, each call of a name imported from
+``repro`` must bind its arguments to that name's signature.
 """
 
+import ast
 import importlib
+import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -77,3 +82,39 @@ def test_module_names_resolve(doc):
              if name.split(".")[1] in _MODULES}
     broken = sorted(name for name in names if not _resolves(name))
     assert not broken, f"{doc.name} names missing code: {broken}"
+
+
+_PYTHON = re.compile(r"^([ \t]*)```python[^\n]*\n(.*?)^\1```", re.M | re.S)
+
+
+def _repro_calls(source: str):
+    """``(call, imported object)`` for each call of a name the snippet
+    imports from ``repro``."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name: (node.module, alias.name)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "repro"
+                for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in imported:
+            module, name = imported[node.func.id]
+            yield node, getattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda doc: doc.name)
+def test_snippet_calls_bind(doc):
+    """A documented call passes only arguments its target takes."""
+    broken = []
+    for _, fence in _PYTHON.findall(doc.read_text(encoding="utf-8")):
+        for call, target in _repro_calls(textwrap.dedent(fence)):
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            positional = [] if starred else [None] * len(call.args)
+            keywords = {k.arg: None for k in call.keywords if k.arg}
+            try:
+                inspect.signature(target).bind_partial(*positional,
+                                                       **keywords)
+            except TypeError as exc:
+                broken.append(f"{ast.unparse(call)}: {exc}")
+    assert not broken, f"{doc.name} shows calls that raise: {broken}"

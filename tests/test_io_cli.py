@@ -9,7 +9,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core import Causer, CauserConfig
 from repro.exp import BenchmarkSettings, build_model
-from repro.io import load_model, registered_model_classes, save_model
+from repro.io import load_model, save_model
+from repro.lineup import checkpoint_classes
 from repro.models import (BPR, GRU4Rec, PopularityRecommender, TrainConfig,
                           VTRNN)
 
@@ -144,7 +145,7 @@ class TestCheckpointHeaders:
             load_model(path)
 
     def test_registry_covers_every_class(self):
-        assert set(registered_model_classes()) == {
+        assert set(checkpoint_classes()) == {
             "Causer", "BPR", "GRU4Rec", "MMSARec", "NARM", "NCF", "SASRec",
             "STAMP", "VTRNN"}
 
@@ -271,6 +272,33 @@ class TestTrainEvalServeCLI:
         assert threading.active_count() == threads
         assert ("serve --online cannot train a BPR checkpoint"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--model", "Causer"],
+         "error: train --model 'Causer' names no lineup entry; choose from "
+         "Pop, BPR,"),
+        (["--model", "Pop", "--save-model", "pop.npz"],
+         "error: train --save-model: Pop has no checkpoint format; classes "
+         "that have one: BPR, Causer,"),
+    ])
+    def test_train_refuses_a_model_before_generating_data(
+            self, argv, message, capsys, monkeypatch, tmp_path):
+        """An unknown ``--model``, or ``--save-model`` for a class with no
+        checkpoint format, exits 2 with one line before any corpus is
+        simulated."""
+        import repro.data
+
+        def generated(*args, **kwargs):
+            raise AssertionError("corpus generated")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(repro.data, "load_dataset", generated)
+        assert main(["train", "--quick", "--scale", "0.02", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_eval_requires_checkpoint(self):
         with pytest.raises(SystemExit, match="--load-model"):

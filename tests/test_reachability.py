@@ -17,6 +17,12 @@ Three levels are checked:
   the same way, or appear as a token of a string constant that is not a
   docstring (so ``"Class.method"`` trace sites and ``getattr`` names
   count).
+* Every operator dunder (``__add__``, ``__contains__``, ``__getitem__``,
+  ``__len__``, ``__iter__``, ``__call__``, ...) must be applied by the
+  program to an operand that may hold its class: a name or attribute
+  some assignment binds to the class, an annotation names, ``self``, a
+  base class, or a typing protocol (``Sequence``, ``Mapping``, ...) whose
+  dunders the class has.
 * Every defaulted parameter of every function and method in
   ``src/repro``, and every field of the dataclasses in ``FIELDS``, must be
   passed by keyword or position from some call in the program outside its
@@ -63,7 +69,6 @@ KEEP = {
     "anomaly_mode_enabled": "lets tests see detect_anomaly() restore the mode",
     "lint_paths": "in-process gradlint entry point for analysis tests",
     "quick_settings": "smallest experiment settings for harness tests",
-    "registered_model_classes": "read-only registry view for round-trip tests",
     "InProcessClient": "socket-free client the serving tests drive",
     "_Handler.do_GET": "http.server calls it by name for each GET; the HTTP "
                        "tests drive it",
@@ -71,6 +76,10 @@ KEEP = {
                         "HTTP tests drive it",
     "_Handler.log_message": "http.server calls it per request; the override "
                             "keeps access logs off stderr",
+    "_Commands.__contains__": "argparse tests each subcommand against its "
+                              "choices with `in`",
+    "LockProxy.wrapped": "read seam the sanitizer tests check the proxied "
+                         "lock (its ownership, its restore) through",
     "PaddedBatch.flat_history_sets": "per-row history sets the batching "
                                      "and negative-sampling tests check "
                                      "against",
@@ -345,6 +354,248 @@ def _string_tokens(trees) -> collections.Counter:
     return tokens
 
 
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul",
+           ast.Div: "truediv", ast.FloorDiv: "floordiv", ast.Mod: "mod",
+           ast.Pow: "pow", ast.MatMult: "matmul", ast.BitAnd: "and",
+           ast.BitOr: "or", ast.BitXor: "xor", ast.LShift: "lshift",
+           ast.RShift: "rshift"}
+_UNARY = {ast.USub: "__neg__", ast.UAdd: "__pos__", ast.Invert: "__invert__"}
+_COMPARE = {ast.Lt: "__lt__", ast.LtE: "__le__", ast.Gt: "__gt__",
+            ast.GtE: "__ge__", ast.Eq: "__eq__", ast.NotEq: "__ne__"}
+_SUBSCRIPT = {ast.Load: "__getitem__", ast.Store: "__setitem__",
+              ast.Del: "__delitem__"}
+#: Builtins that iterate their arguments.
+_ITERATING = {"iter", "list", "tuple", "set", "frozenset", "sorted",
+              "enumerate", "zip", "sum", "min", "max", "dict", "any", "all"}
+#: Dunders the language calls when an operator or a builtin is applied
+#: to an instance; the method check matches them by operand type.
+OPERATOR_DUNDERS = ({f"__{p}{op}__" for op in _BINARY.values()
+                     for p in ("", "r", "i")}
+                    | set(_UNARY.values()) | set(_COMPARE.values())
+                    | set(_SUBSCRIPT.values())
+                    | {"__contains__", "__len__", "__iter__", "__call__"})
+#: Typing protocols, each with the dunders a class needs to be one: an
+#: operand annotated with a protocol may hold any class that has them.
+_PROTOCOLS = {
+    "Sized": {"__len__"}, "Iterable": {"__iter__"},
+    "Container": {"__contains__"}, "Callable": {"__call__"},
+    "Collection": {"__len__", "__iter__", "__contains__"},
+    "Sequence": {"__getitem__", "__len__"},
+    "Mapping": {"__getitem__", "__iter__", "__len__"},
+}
+#: Generic annotations whose last parameter is the element type.
+_CONTAINERS = {"List", "list", "Sequence", "Iterable", "Iterator", "Tuple",
+               "tuple", "Set", "set", "Dict", "dict", "Mapping",
+               "OrderedDict", "Deque", "deque"}
+
+
+def _operator_dunders(tree):
+    """``(qualified name, node, class)`` of every operator dunder."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name in OPERATOR_DUNDERS):
+                    yield f"{cls.name}.{node.name}", node, cls.name
+
+
+def _head(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+class _Types:
+    """Which program classes an expression may hold, guessed by name.
+
+    An identifier (a local, a parameter, an attribute) holds every class
+    some assignment binds it to anywhere — a constructor call, a call of
+    a function annotated to return the class, another typed expression —
+    and every class an annotation on it names.  ``self`` holds its class.
+    Subscripting a name annotated as a container gives its element type.
+    """
+
+    def __init__(self, trees) -> None:
+        self.bases = collections.defaultdict(set)
+        self.dunders = collections.defaultdict(set)
+        self.returns = collections.defaultdict(set)
+        self.ids = collections.defaultdict(set)
+        self.items = collections.defaultdict(set)
+        nodes = [(node, scopes) for tree in trees.values()
+                 for node, scopes in _scoped(tree)]
+        for node, scopes in nodes:
+            if isinstance(node, ast.ClassDef):
+                self.bases[node.name] |= {_head(b) for b in node.bases} - {None}
+                self.dunders[node.name] |= {
+                    item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef)}
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                key = node.name
+                if (scopes and isinstance(scopes[-1], ast.ClassDef)
+                        and node.name in OPERATOR_DUNDERS):
+                    key = (scopes[-1].name, node.name)
+                self.returns[key] |= self._annotation(node.returns)[0]
+                for arg in (node.args.posonlyargs + node.args.args
+                            + node.args.kwonlyargs):
+                    self._bind(arg.arg, *self._annotation(arg.annotation))
+            elif isinstance(node, ast.AnnAssign):
+                self._bind(_head(node.target),
+                           *self._annotation(node.annotation))
+        for _ in range(4):  # assignments chain; a few rounds settle them
+            for node, scopes in nodes:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                        node.value is not None:
+                    found = self.of(node.value, scopes)
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    for target in targets:
+                        self._bind(_head(target), found, set())
+
+    def _bind(self, name, types, items) -> None:
+        if name is not None:
+            self.ids[name] |= types
+            self.items[name] |= items
+
+    def _annotation(self, node):
+        """``(types, element types)`` an annotation names."""
+        if node is None:
+            return set(), set()
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                node = ast.parse(node.value, mode="eval").body
+            except SyntaxError:
+                return set(), set()
+        if isinstance(node, ast.BinOp):  # X | None
+            left, right = (self._annotation(side)
+                           for side in (node.left, node.right))
+            return left[0] | right[0], left[1] | right[1]
+        if not isinstance(node, ast.Subscript):
+            head = _head(node)
+            return ({head} if head else set()), set()
+        head = _head(node.value)
+        args = (node.slice.elts if isinstance(node.slice, ast.Tuple)
+                else [node.slice])
+        if head in ("Optional", "Union"):
+            found = [self._annotation(arg) for arg in args]
+            return (set().union(*(t for t, _ in found)),
+                    set().union(*(i for _, i in found)))
+        items = (self._annotation(args[-1])[0] if head in _CONTAINERS
+                 else set())
+        return {head} - {None}, items
+
+    def of(self, node, scopes) -> set:
+        """The classes expression ``node`` may hold."""
+        if isinstance(node, ast.Name):
+            if node.id == "self" and _owner(scopes) is not None:
+                return {_owner(scopes)}
+            return self.ids.get(node.id, set())
+        if isinstance(node, ast.Attribute):
+            return self.ids.get(node.attr, set())
+        if isinstance(node, ast.Call):
+            callee = _callee(node)
+            if callee == "cls" and _owner(scopes) is not None:
+                return {_owner(scopes)}
+            if callee in self.bases:
+                return {callee}
+            return self.returns.get(callee, set())
+        if isinstance(node, ast.Subscript):
+            found = set(self.items.get(_head(node.value), set()))
+            for held in self.of(node.value, scopes):
+                found |= self.returns.get((held, "__getitem__"), set())
+            return found
+        if isinstance(node, ast.BinOp):
+            return self.of(node.left, scopes) | self.of(node.right, scopes)
+        if isinstance(node, ast.UnaryOp):
+            return self.of(node.operand, scopes)
+        if isinstance(node, ast.IfExp):
+            return self.of(node.body, scopes) | self.of(node.orelse, scopes)
+        if isinstance(node, ast.BoolOp):
+            return set().union(*(self.of(value, scopes)
+                                 for value in node.values))
+        return set()
+
+    def ancestors(self, name) -> set:
+        found, todo = set(), [name]
+        while todo:
+            for base in self.bases.get(todo.pop(), ()):
+                if base not in found:
+                    found.add(base)
+                    todo.append(base)
+        return found
+
+    def may_hold(self, held, cls) -> bool:
+        """Whether an operand typed ``held`` may be an instance of
+        ``cls`` (or of a class ``cls``'s method serves)."""
+        lineage = self.ancestors(cls)
+        if held == cls or held in lineage or cls in self.ancestors(held):
+            return True
+        needs = _PROTOCOLS.get(held)
+        return needs is not None and needs <= set().union(
+            *(self.dunders.get(name, set()) for name in lineage | {cls}))
+
+
+def _owner(scopes):
+    """Name of the class of the innermost method in ``scopes``."""
+    for index in range(len(scopes) - 1, 0, -1):
+        if (isinstance(scopes[index], (ast.FunctionDef, ast.AsyncFunctionDef))
+                and isinstance(scopes[index - 1], ast.ClassDef)):
+            return scopes[index - 1].name
+    return None
+
+
+def _operator_uses(trees) -> set:
+    """``(class, dunder)`` for every operator the program applies to an
+    operand typed as that class."""
+    types = _Types(trees)
+    applied = []  # (operand, dunder, scopes)
+    for tree in trees.values():
+        for node, scopes in _scoped(tree):
+            if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+                name = _BINARY[type(node.op)]
+                applied += [(node.left, f"__{name}__", scopes),
+                            (node.right, f"__r{name}__", scopes)]
+            elif isinstance(node, ast.AugAssign) and type(node.op) in _BINARY:
+                name = _BINARY[type(node.op)]
+                applied += [(node.target, f"__i{name}__", scopes),
+                            (node.target, f"__{name}__", scopes)]
+            elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+                applied.append((node.operand, _UNARY[type(node.op)], scopes))
+            elif isinstance(node, ast.Compare):
+                operands = [node.left] + node.comparators
+                for index, op in enumerate(node.ops):
+                    if isinstance(op, (ast.In, ast.NotIn)):
+                        applied.append((operands[index + 1], "__contains__",
+                                        scopes))
+                    elif type(op) in _COMPARE:
+                        applied.append((operands[index], _COMPARE[type(op)],
+                                        scopes))
+            elif isinstance(node, ast.Subscript):
+                applied.append((node.value, _SUBSCRIPT[type(node.ctx)],
+                                scopes))
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                applied.append((node.iter, "__iter__", scopes))
+            elif isinstance(node, ast.Starred):
+                applied.append((node.value, "__iter__", scopes))
+            elif isinstance(node, ast.Call):
+                applied.append((node.func, "__call__", scopes))
+                callee = _callee(node)
+                if isinstance(node.func, ast.Name) and callee == "len":
+                    applied += [(arg, "__len__", scopes) for arg in node.args]
+                elif isinstance(node.func, ast.Name) and callee in _ITERATING:
+                    applied += [(arg, "__iter__", scopes)
+                                for arg in node.args]
+    used = set()
+    for tree in trees.values():
+        for _, definition, cls in _operator_dunders(tree):
+            used |= {(cls, dunder) for operand, dunder, scopes in applied
+                     if dunder == definition.name and any(
+                         types.may_hold(held, cls)
+                         for held in types.of(operand, scopes))}
+    return used
+
+
 def _unreached(trees, level):
     """``(module path, name)`` for every definition nothing else uses."""
     docstrings = {path: _docstrings(tree) if level == "method" else None
@@ -355,6 +606,7 @@ def _unreached(trees, level):
         bound_uses = _bound_uses(trees)
         tokens = _string_tokens(trees)
     unreached = []
+    operator_uses = None
     for path, tree in trees.items():
         if SOURCE not in path.parents:
             continue
@@ -376,6 +628,12 @@ def _unreached(trees, level):
                     if other != path):
                 continue
             unreached.append((str(path.relative_to(ROOT)), qualified))
+        if level == "method":
+            operator_uses = operator_uses or _operator_uses(trees)
+            unreached += [(str(path.relative_to(ROOT)), qualified)
+                          for qualified, definition, cls
+                          in _operator_dunders(tree)
+                          if (cls, definition.name) not in operator_uses]
     return unreached
 
 
@@ -632,6 +890,8 @@ def test_keep_entries_are_defined():
         tree = ast.parse(path.read_text())
         defined.update(definition.name for definition in _public_defs(tree))
         defined.update(qualified for qualified, _ in _methods(tree))
+        defined.update(qualified
+                       for qualified, _, _ in _operator_dunders(tree))
         defined.update(f"{qualified}.{param}"
                        for qualified, _, _, _, names in _parameters(tree)
                        for param in names)
