@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-SEVERITIES = ("error", "warning")
-
 #: JSON report schema identifier.  v2 added the per-finding ``family``
 #: field and the top-level per-family counts alongside the CL rule family.
 JSON_SCHEMA = "repro.analysis/v2"

@@ -26,6 +26,7 @@ results are bit-identical at any worker count.
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -388,17 +389,18 @@ def _build_online_stack(args: argparse.Namespace, shadow, publish,
     tears all three down in dependency order.  ``refresh`` is ``None``
     when ``--refresh-every 0``.
     """
-    from .io import load_model
     from .online import EventLog, OnlineTrainer, RefreshController
     from .online.trainer import OPTIMIZER
     log = EventLog(args.event_log)
+    # The drift probe's frozen baseline is the checkpoint as loaded: a copy
+    # of the shadow taken before the trainer exists, let alone steps it.
+    baseline = copy.deepcopy(shadow) if args.refresh_every > 0 else None
     trainer = OnlineTrainer(
         shadow, log, lr=args.online_lr,
         batch_events=args.online_batch_events, metrics=metrics)
     trainer.start()
     refresh = None
-    if args.refresh_every > 0:
-        baseline = load_model(args.checkpoint)
+    if baseline is not None:
         refresh = RefreshController(
             trainer, log, publish, window=args.window, baseline=baseline,
             interval=args.refresh_every, metrics=metrics)

@@ -8,8 +8,8 @@ every model so comparisons stay fair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from ..core.config import CauserConfig
 from ..models.base import TrainConfig

@@ -8,8 +8,9 @@ semantics mirror PyTorch where the two overlap:
 * a :class:`Tensor` wraps a ``numpy.ndarray`` and remembers the operations
   that produced it,
 * calling :meth:`Tensor.backward` walks the graph in reverse topological
-  order and accumulates gradients into every tensor with
-  ``requires_grad=True``,
+  order, accumulates gradients into every tensor with
+  ``requires_grad=True`` and releases the graph as it goes (single use,
+  like PyTorch's default ``retain_graph=False``),
 * broadcasting follows numpy rules; gradients are un-broadcast back to the
   operand shapes.
 
@@ -121,6 +122,21 @@ def _scatter_add(target: np.ndarray, index, grad: np.ndarray) -> None:
             target += summed.reshape(target.shape)
             return
     np.add.at(target, index, grad)
+
+
+def _released_backward(node: "Tensor") -> None:
+    """The ``_backward`` of a node whose backward already ran; raises.
+
+    ``Tensor.backward`` checks for it (passing the node, not a gradient) so
+    the error can name the op, as recorded by anomaly mode.
+    """
+    meta = getattr(node, "_op_meta", None)
+    op = f"op `{meta[0]}`" if meta else "a node"
+    raise RuntimeError(
+        f"backward() reached {op} whose backward already ran: a graph is "
+        "single-use and is released as backward() consumes it; recompute "
+        "the forward to backpropagate again"
+        + ("" if meta else " (detect_anomaly() names the op)"))
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -246,9 +262,16 @@ class Tensor:
             self.grad += grad
 
     def backward(self) -> None:
-        """Backpropagate from this tensor, seeding its gradient with ones."""
+        """Backpropagate from this tensor, seeding its gradient with ones.
+
+        Single use: each node's closure and parent links are released once
+        its backward has run, so backpropagating through a consumed node
+        again raises ``RuntimeError``.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
+        if self._backward is _released_backward:
+            _released_backward(self)
         seed = np.ones_like(self.data)
 
         # Iterative post-order topological sort.  The stack holds plain
@@ -283,17 +306,28 @@ class Tensor:
             observer.on_backward_start(self, topo)
         self._accumulate(seed)
         try:
-            for node in reversed(topo):
-                if node._backward is not None and node.grad is not None:
+            # Popping (reverse topological order) drops the walk's own
+            # reference to each node as it is consumed, so a node no caller
+            # holds dies right after its backward instead of at the end.
+            topo_pop = topo.pop
+            while topo:
+                node = topo_pop()
+                backward = node._backward
+                if backward is not None and node.grad is not None:
+                    if backward is _released_backward:
+                        _released_backward(node)
                     if observer is not None:
                         observer.on_node_backward(node)
-                    node._backward(node.grad)
-                    # All consumers of an interior node have already run
-                    # (reverse topological order), so its gradient buffer
-                    # is dead weight from here on — release it to keep the
-                    # peak allocation proportional to the live frontier,
-                    # not the whole graph.  Leaves (no `_backward`) and the
-                    # root keep their gradients for the caller.
+                    backward(node.grad)
+                    # Single use: dropping the closure and the parent links
+                    # frees the forward's saved arrays now, not when the
+                    # caller rebinds the root (a training loop's `loss`).
+                    node._backward = _released_backward
+                    node._parents = ()
+                    # All consumers of an interior node have already run,
+                    # so its gradient buffer is dead weight from here on.
+                    # Leaves (no `_backward`) and the root keep their
+                    # gradients for the caller.
                     if node is not self:
                         node.grad = None
         finally:

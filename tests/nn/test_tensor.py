@@ -1,11 +1,14 @@
 """Unit tests for the autograd engine: every op is gradient-checked."""
 
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.analysis import detect_anomaly
 from repro.nn import Tensor, concat, gradient_check
+from repro.nn.tensor import _released_backward
 
 
 def make(shape, seed=0, requires_grad=True):
@@ -251,3 +254,54 @@ class TestGraphMechanics:
             out = out * 1.01
         out.sum().backward()
         np.testing.assert_allclose(a.grad, np.full(2, 1.01 ** 50), rtol=1e-10)
+
+
+class TestSingleUseGraph:
+    """backward() consumes the graph: PyTorch's ``retain_graph=False``."""
+
+    def test_backward_releases_every_consumed_node(self):
+        a = make((3,))
+        hidden = (a * 2.0).exp()
+        out = hidden.sum()
+        out.backward()
+        for node in (hidden, out):
+            assert node._parents == ()
+            assert node._backward is _released_backward
+        assert a._backward is None and a._parents == ()
+        np.testing.assert_allclose(a.grad, 2.0 * hidden.data)
+        np.testing.assert_allclose(out.grad, 1.0)
+
+    def test_saved_forward_array_dies_during_backward(self):
+        """Only the closure holds ``saved``; the root outliving backward()
+        (a training loop's ``loss``) no longer keeps it alive."""
+        saved = np.arange(1.0, 5.0)
+        ref = weakref.ref(saved)
+        out = (make((4,)) * Tensor(saved)).sum()
+        del saved
+        assert ref() is not None
+        out.backward()
+        assert ref() is None
+
+    def test_second_backward_on_the_same_root_raises(self):
+        a = make((3,))
+        out = (a * 2.0).sum()
+        out.backward()
+        grad = a.grad.copy()
+        with pytest.raises(RuntimeError, match="already ran"):
+            out.backward()
+        np.testing.assert_array_equal(a.grad, grad)
+
+    def test_new_graph_through_a_consumed_node_raises(self):
+        a = make((3,))
+        hidden = a * 2.0
+        hidden.sum().backward()
+        with pytest.raises(RuntimeError, match="already ran"):
+            (hidden * 3.0).sum().backward()
+
+    def test_error_names_the_op_in_anomaly_mode(self):
+        a = make((3,))
+        with detect_anomaly():
+            hidden = a.exp()
+            hidden.sum().backward()
+            with pytest.raises(RuntimeError, match="op `exp`"):
+                (hidden * 3.0).sum().backward()

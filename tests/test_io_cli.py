@@ -273,6 +273,31 @@ class TestTrainEvalServeCLI:
         assert ("serve --online cannot train a BPR checkpoint"
                 in capsys.readouterr().err)
 
+    def test_serve_online_drift_baseline_is_a_private_checkpoint_copy(
+            self, trained_causer, tmp_path):
+        """The drift probe's frozen baseline equals the checkpoint as
+        loaded and shares no parameter buffer with the shadow the online
+        trainer steps."""
+        from repro.cli import _build_online_stack
+        path = tmp_path / "causer.npz"
+        save_model(trained_causer, path)
+        shadow = load_model(path)
+        args = build_parser().parse_args(
+            ["serve", "--checkpoint", str(path), "--online",
+             "--refresh-every", "60"])
+        _, _, refresh, close = _build_online_stack(
+            args, shadow, publish=lambda model: None, metrics=None)
+        close()
+        baseline, fresh = refresh.baseline, load_model(path)
+        fresh_params = dict(fresh.named_parameters())
+        shadow_params = dict(shadow.named_parameters())
+        for name, param in baseline.named_parameters():
+            np.testing.assert_array_equal(param.data, fresh_params[name].data)
+            assert not np.shares_memory(param.data,
+                                        shadow_params[name].data)
+        assert (baseline.rng.bit_generator.state
+                == fresh.rng.bit_generator.state)
+
     @pytest.mark.parametrize("argv,message", [
         (["--model", "Causer"],
          "error: train --model 'Causer' names no lineup entry; choose from "
