@@ -3,10 +3,13 @@
 Holds the learnable ``W^c ∈ R^{K×K}`` with a structurally-zero diagonal and
 exposes the NOTEARS acyclicity value ``h(W^c)`` and L1 penalty used in the
 augmented-Lagrangian objective (eq. 11).  Eq. 9's item-level expansion
-``W_ab = ā^T W^c b̄`` has the factors :meth:`repro.core.Causer.causal_factors`.
+``W_ab = ā^T W^c b̄`` has the factors :meth:`repro.core.Causer.causal_factors`;
+:func:`expanded_blocks` is the one place that multiplies them out.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -17,6 +20,22 @@ from ..nn import Module, Parameter, Tensor
 #: ``W^c`` starts uniform in ``[INIT_LOW, INIT_HIGH)`` off the diagonal.
 INIT_LOW = 0.3
 INIT_HIGH = 0.7
+
+#: Rows per block of :func:`expanded_blocks`: a block of ``W`` and its
+#: temporaries stay at ``EXPANSION_BLOCK_ROWS × (V+1)``.
+EXPANSION_BLOCK_ROWS = 256
+
+
+def expanded_blocks(rows: np.ndarray, cols: np.ndarray
+                    ) -> Iterator[np.ndarray]:
+    """Eq. 9's item matrix ``W = rows @ colsᵀ``, one row block at a time.
+
+    ``(rows, cols)`` are its rank-K factors (``Causer.causal_factors()``
+    returns ``(Ā Wᶜ, Ā)``).  Blocks of ``EXPANSION_BLOCK_ROWS`` rows are
+    yielded top to bottom, so no ``(V+1)²`` array is ever built.
+    """
+    for start in range(0, len(rows), EXPANSION_BLOCK_ROWS):
+        yield rows[start:start + EXPANSION_BLOCK_ROWS] @ cols.T
 
 
 class ClusterCausalGraph(Module):

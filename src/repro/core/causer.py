@@ -31,21 +31,31 @@ Three filtering modes are provided (DESIGN.md §5, ``CauserConfig.filtering_mode
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..data.batching import PaddedBatch, iterate_batches, pad_samples, sample_negatives
 from ..data.interactions import EvalSample
 from ..models.base import FitResult, NeuralSequentialRecommender
-from ..nn import BilinearAttention, Linear, RecurrentLayer, Tensor, losses, make_optimizer
+from ..nn import (BilinearAttention, Linear, RecurrentLayer, Tensor, concat,
+                  losses, make_optimizer)
 from ..nn import functional as F
-from ..nn.fused import (basket_effects, causal_head, fused_basket_effects,
+from ..nn.fused import (CANDIDATE_BLOCK, basket_effects, causal_head,
+                        fused_basket_effects, fused_basket_pool,
                         fused_causal_head)
-from .causal_graph import ClusterCausalGraph
+from .causal_graph import ClusterCausalGraph, expanded_blocks
 from .clustering import ItemClusterModule
 from .config import CauserConfig
 from .pretrain import pretrain_cluster_graph
+
+#: Catalog columns per block of full-catalog scoring: a multiple of
+#: ``CANDIDATE_BLOCK``, so every block starts on a BLAS block boundary.
+CATALOG_BLOCK = 16 * CANDIDATE_BLOCK
+
+#: Candidates of eq. 10's pieces: ``(B, C)`` item ids, or a slice of the
+#: catalog shared by every row.
+Columns = Union[np.ndarray, slice]
 
 
 class Causer(NeuralSequentialRecommender):
@@ -102,10 +112,8 @@ class Causer(NeuralSequentialRecommender):
 
     def _history_states(self, batch: PaddedBatch, item_embeddings: Tensor):
         """Run the backbone over basket-summed input embeddings."""
-        inputs_table = self._input_embeddings(item_embeddings)
-        gathered = inputs_table[batch.items]                 # (B, T, S, d)
-        mask = Tensor(batch.basket_mask[..., None])
-        inputs = (gathered * mask).sum(axis=2)
+        inputs = fused_basket_pool(self._input_embeddings(item_embeddings),
+                                   batch.items, batch.basket_mask)
         return self.rnn(inputs, step_mask=batch.step_mask,
                         initial_state=self._user_initial_state(batch))
 
@@ -126,13 +134,12 @@ class Causer(NeuralSequentialRecommender):
         return F.masked_softmax(scores, step_mask, axis=-1)
 
     def _effects(self, batch: PaddedBatch, cause_rows: Tensor,
-                 assignments: Tensor, candidates: Optional[np.ndarray],
+                 assignments: Tensor, candidates: Columns,
                  slot_mask: np.ndarray) -> Tensor:
         """Eq. 9's ``Ŵ_{v_t b}`` over ``slot_mask``, ``(B, T, C)``, from
-        ``cause_rows = Ā Wᶜ``; ``candidates=None`` is the full catalog."""
-        effect_cols = (assignments if candidates is None
-                       else assignments[candidates])
-        return fused_basket_effects(cause_rows, effect_cols,
+        ``cause_rows = Ā Wᶜ``; ``candidates`` is an index array or a
+        slice of the catalog."""
+        return fused_basket_effects(cause_rows, assignments[candidates],
                                     self.config.epsilon, batch.items,
                                     slot_mask).transpose(0, 2, 1)
 
@@ -149,16 +156,13 @@ class Causer(NeuralSequentialRecommender):
         return self._logits_shared(batch, candidates)
 
     def _head(self, weights: Tensor, states: Tensor,
-              candidates: Optional[np.ndarray]) -> Tensor:
+              candidates: Columns) -> Tensor:
         """Eq. 10's head (:func:`repro.nn.fused.causal_head`) on step
-        weights; ``candidates=None`` scores the full catalog."""
-        if candidates is None:
-            table, bias = self.output_embedding.weight, self.output_bias
-        else:
-            table = self.output_embedding(candidates)
-            bias = self.output_bias[candidates]
-        return fused_causal_head(weights, states, self.adapt.weight, table,
-                                 bias)
+        weights; ``candidates`` is an index array or a slice of the
+        catalog."""
+        return fused_causal_head(weights, states, self.adapt.weight,
+                                 self.output_embedding.weight[candidates],
+                                 self.output_bias[candidates])
 
     def _logits_shared(self, batch: PaddedBatch,
                        candidates: Optional[np.ndarray]) -> Tensor:
@@ -170,19 +174,33 @@ class Causer(NeuralSequentialRecommender):
         tells the scorer how strongly the candidate is causally supported by
         the history.  Candidates with no surviving cause anywhere receive a
         zero context (uniform prediction — the paper's Remark 2).
+
+        The full catalog (``candidates=None``) is scored in column blocks
+        of ``CATALOG_BLOCK``, so no ``(B, V+1, T·S)`` effect array exists;
+        the blocks are bitwise equal to scoring every column at once.
         """
         item_embeddings = self.clusters.encode()
         states, last = self._history_states(batch, item_embeddings)
         alpha = self._attention_weights(states, last, batch.step_mask)
         # (-causal) ablation: α alone (zero on padding) for every candidate.
         weights = alpha.reshape(*alpha.shape, 1)
+        slots = batch.basket_mask > 0
         if self.config.use_causal:
             assignments = self.clusters.assignments()
             cause_rows = assignments @ self.graph.matrix()
-            weights = self._effects(batch, cause_rows, assignments,
-                                    candidates,
-                                    batch.basket_mask > 0) * weights
-        return self._head(weights, states, candidates)
+
+        def score(columns: Columns) -> Tensor:
+            step_weights = weights
+            if self.config.use_causal:
+                step_weights = self._effects(batch, cause_rows, assignments,
+                                             columns, slots) * weights
+            return self._head(step_weights, states, columns)
+
+        if candidates is not None:
+            return score(candidates)
+        return concat([score(slice(start, start + CATALOG_BLOCK))
+                       for start in range(0, self.num_items + 1,
+                                          CATALOG_BLOCK)], axis=-1)
 
     def _logits_cluster_filtered(self, batch: PaddedBatch,
                                  candidates: Optional[np.ndarray]) -> Tensor:
@@ -204,6 +222,7 @@ class Causer(NeuralSequentialRecommender):
         # Hard cluster of each candidate: (B, C), or (1, V+1) for the catalog.
         hard = np.argmax(assignments.data, axis=-1)
         cand_clusters = hard[None, :] if candidates is None else hard[candidates]
+        columns = slice(None) if candidates is None else candidates
 
         contributions = []
         # One user-state lookup shared by every per-cluster RNN pass; its
@@ -222,11 +241,11 @@ class Causer(NeuralSequentialRecommender):
             scores_k = self._attention_scores(states_k, last_k)
 
             effects_k = self._effects(batch, cause_rows, assignments,
-                                      candidates, keep_k)       # (B, T, C)
+                                      columns, keep_k)          # (B, T, C)
             surviving = (effects_k.data > 0) & step_mask_k[:, :, None]
             alpha_k = F.masked_softmax(
                 scores_k.reshape(scores_k.shape[0], -1, 1), surviving, axis=1)
-            logits_k = self._head(effects_k * alpha_k, states_k, candidates)
+            logits_k = self._head(effects_k * alpha_k, states_k, columns)
 
             # Each candidate keeps the logits of its own cluster's pass.
             contributions.append(logits_k * Tensor(cand_clusters == k))
@@ -356,14 +375,17 @@ class Causer(NeuralSequentialRecommender):
         Soft assignments dilute eq. 9 (``ā^T W^c b̄ < max W^c``), and the
         dilution grows with K — so after seeding, ``W^c`` is rescaled such
         that the *item-level* peak sits at ~0.6, keeping the gate's
-        operating range consistent across cluster counts.
+        operating range consistent across cluster counts.  The peak is
+        taken over row blocks of eq. 9's expansion, never the whole
+        ``(V+1)²`` matrix.
         """
         cfg = self.config
         seed = pretrain_cluster_graph(samples,
                                       self.clusters.hard_assignments(),
                                       cfg.num_clusters)
         assignments = self.clusters.assignments().data
-        peak = (assignments @ seed @ assignments.T).max()
+        peak = max(block.max() for block in
+                   expanded_blocks(assignments @ seed, assignments))
         if peak > 1e-6:
             seed = seed * (0.6 / peak)
         # gradlint: disable-next=GL003 — pre-training seed write: no forward
@@ -446,6 +468,9 @@ class Causer(NeuralSequentialRecommender):
             if cfg.verbose:
                 print(f"[{self.name}] epoch {epoch + 1}/{epochs} "
                       f"loss={mean_loss:.4f} h={h_new:.2e} beta2={self.beta2:.2g}")
+        # The last step's gradients are dead weight in a fitted model
+        # (and in every deepcopy or pickle of it).
+        self.zero_grad()
         self.eval()
         return result
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..nn import Linear, Module, Parameter, Tensor
 from ..nn import functional as F
+from ..nn.fused import fused_perceptron
 
 
 class ItemClusterModule(Module):
@@ -107,12 +108,15 @@ class ItemClusterModule(Module):
     # ------------------------------------------------------------------
     def encode(self) -> Tensor:
         """All item embeddings ``v*``, shape ``(num_items + 1, d2)``."""
-        raw = Tensor(self.raw_features)
-        return self.encoder_out(self.encoder_in(raw).sigmoid())
+        return fused_perceptron(Tensor(self.raw_features),
+                                self.encoder_in.weight, self.encoder_in.bias,
+                                self.encoder_out.weight, self.encoder_out.bias)
 
     def decode(self, embeddings: Tensor) -> Tensor:
         """Reconstruct raw features from ``v*``."""
-        return self.decoder_out(self.decoder_in(embeddings).sigmoid())
+        return fused_perceptron(embeddings,
+                                self.decoder_in.weight, self.decoder_in.bias,
+                                self.decoder_out.weight, self.decoder_out.bias)
 
     def assignments(self) -> Tensor:
         """Soft cluster-assignment matrix ``v̄``: ``(num_items + 1, K)``.

@@ -26,6 +26,7 @@ from ..data import EvalSample, SequenceCorpus, training_prefixes
 from ..data.batching import (PaddedBatch, iterate_batches, pad_samples,
                              sample_negatives)
 from ..nn import Embedding, Module, Parameter, Tensor, losses, make_optimizer
+from ..nn.fused import fused_basket_pool
 
 
 @dataclass
@@ -136,9 +137,8 @@ class NeuralSequentialRecommender(Recommender, Module):
         Realises the paper's "multiply the multi-hot vector with a parameter
         matrix" treatment of interaction sets.
         """
-        gathered = self.item_embedding(batch.items)          # (B, T, S, d)
-        mask = Tensor(batch.basket_mask[..., None])
-        return (gathered * mask).sum(axis=2)
+        return fused_basket_pool(self.item_embedding.weight, batch.items,
+                                 batch.basket_mask)
 
     def candidate_scores(self, representation: Tensor,
                          candidates: np.ndarray) -> Tensor:
@@ -196,6 +196,9 @@ class NeuralSequentialRecommender(Recommender, Module):
             if cfg.verbose:
                 print(f"[{self.name}] epoch {epoch + 1}/{cfg.num_epochs} "
                       f"loss={mean_loss:.4f}")
+        # The last step's gradients are dead weight in a fitted model
+        # (and in every deepcopy or pickle of it).
+        self.zero_grad()
         self.eval()
         return result
 

@@ -84,6 +84,7 @@ class NCF(Recommender, Module):
                 total += loss.item()
                 count += 1
             result.epoch_losses.append(total / max(count, 1))
+        self.zero_grad()
         return result
 
     def score_samples(self, samples: Sequence[EvalSample]) -> np.ndarray:

@@ -19,7 +19,9 @@ the composite implementation it replaces (same associativity, same
 The exceptions are eq. 9's effects and eq. 10's head, which reassociate
 into factorized order and match their composite forms to 1e-12.  Backwards
 are analytic and agree with the composite gradients up to floating-point
-rounding.
+rounding, except those of the cluster perceptron (eqs. 6 and 8) and the
+basket pooling, which replay the composite chain's numpy ops and are
+bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -205,6 +207,59 @@ def fused_basket_effects(cause_rows: Tensor, effect_cols: Tensor,
             cause_rows._accumulate(full, own=True)
 
     return Tensor._make(out_data, (cause_rows, effect_cols), backward)
+
+
+def fused_perceptron(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                     b2: Tensor) -> Tensor:
+    """The two-layer perceptron ``σ(x W1ᵀ + b1) W2ᵀ + b2`` as one node.
+
+    The item-cluster encoder (eq. 6) and decoder (eq. 8).  The node saves
+    only the hidden ``σ`` (the composite ``F.linear`` → ``Tensor.sigmoid``
+    → ``F.linear`` chain also kept both matmul outputs and the
+    pre-activation alive), and its backward replays that chain's numpy
+    ops in the same order, so forward and gradients are bitwise equal.
+    """
+    hidden = _stable_sigmoid(x.data @ w1.data.T + b1.data)
+    out_data = hidden @ w2.data.T + b2.data
+
+    def backward(grad: np.ndarray) -> None:
+        if b2.requires_grad:
+            db2 = _unbroadcast(grad, b2.shape)
+            b2._accumulate(db2, own=db2 is not grad)
+        if w2.requires_grad:
+            w2._accumulate((hidden.T @ grad).T.copy(), own=True)
+        dpre = grad @ w2.data * hidden * (1.0 - hidden)
+        if b1.requires_grad:
+            b1._accumulate(_unbroadcast(dpre, b1.shape), own=True)
+        if w1.requires_grad:
+            w1._accumulate(_unbroadcast((x.data.T @ dpre).T.copy(),
+                                        w1.shape), own=True)
+        if x.requires_grad:
+            x._accumulate(_unbroadcast(dpre @ w1.data, x.shape), own=True)
+
+    return Tensor._make(out_data, (x, w1, b1, w2, b2), backward)
+
+
+def fused_basket_pool(table: Tensor, items: np.ndarray,
+                      mask: np.ndarray) -> Tensor:
+    """Basket pooling ``Σ_s mask · table[items]``: ``(…, T, d)`` from
+    ``(…, T, S)`` item ids and slot weights, as one node.
+
+    The ``(…, T, S, d)`` gather and its masked product live only inside
+    the forward; the node saves ``items`` and ``mask``.  Its backward
+    replays the composite getitem → mul → sum chain's numpy ops, so
+    forward and gradient are bitwise equal to it.
+    """
+    weights = np.asarray(mask, dtype=np.float64)[..., None]
+    out_data = (table.data[items] * weights).sum(axis=-2)
+
+    def backward(grad: np.ndarray) -> None:
+        if table.requires_grad:
+            full = np.zeros(table.shape)
+            _scatter_add(full, items, grad[..., None, :] * weights)
+            table._accumulate(full, own=True)
+
+    return Tensor._make(out_data, (table,), backward)
 
 
 def fused_masked_softmax(x: Tensor, mask: np.ndarray,

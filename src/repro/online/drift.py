@@ -27,15 +27,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..core.causal_graph import expanded_blocks
 from ..data.interactions import EvalSample
 from ..models.base import rank_top_z
 
 __all__ = ["edge_churn", "score_divergence", "DriftReport"]
 
-
-# Rows per edge_churn block: each block of W and its boolean/sign
-# temporaries stay at 256×(V+1); no (V+1)² array is ever built.
-_CHURN_BLOCK_ROWS = 256
 
 #: A causal matrix as its eq.-9 factors ``(rows, cols)``: ``W = rows @ colsᵀ``
 #: (``Causer.causal_factors()`` returns ``(Ā Wᶜ, Ā)``).
@@ -51,8 +48,9 @@ def edge_churn(previous: Factors, current: Factors,
     Returns counts of ``added``, ``dropped``, and ``flipped`` (present on
     both sides with opposite sign) edges; ``kept`` counts
     surviving same-sign edges for rate computations.  Each side is built
-    one fixed row block at a time (``rows[block] @ colsᵀ``); the integer
-    totals do not depend on the blocking.
+    one row block at a time by
+    :func:`~repro.core.causal_graph.expanded_blocks`; the integer totals
+    do not depend on the blocking.
     """
     (prev_rows, prev_cols), (cur_rows, cur_cols) = previous, current
     before_shape = (len(prev_rows), len(prev_cols))
@@ -61,10 +59,8 @@ def edge_churn(previous: Factors, current: Factors,
         raise ValueError(f"causal matrices disagree on shape: "
                          f"{before_shape} vs {after_shape}")
     counts = {"added": 0, "dropped": 0, "flipped": 0, "kept": 0}
-    for start in range(0, len(prev_rows), _CHURN_BLOCK_ROWS):
-        block = slice(start, start + _CHURN_BLOCK_ROWS)
-        prev = prev_rows[block] @ prev_cols.T
-        cur = cur_rows[block] @ cur_cols.T
+    for prev, cur in zip(expanded_blocks(prev_rows, prev_cols),
+                         expanded_blocks(cur_rows, cur_cols)):
         before = np.abs(prev) > epsilon
         after = np.abs(cur) > epsilon
         both = before & after

@@ -1,6 +1,6 @@
 """Reachability guard: no code in ``src/repro`` that only tests reach.
 
-Three levels are checked:
+Five rules are checked:
 
 * Every public (no leading underscore) top-level function or class in
   ``src/repro/**/*.py`` must be used by the program itself.  A class is
@@ -17,6 +17,11 @@ Three levels are checked:
   the same way, or appear as a token of a string constant that is not a
   docstring (so ``"Class.method"`` trace sites and ``getattr`` names
   count).
+* Every upper-case module-level constant (``NAME = ...`` or
+  ``NAME: T = ...``, private ones included) in ``src/repro`` must be read
+  by the program: its name appears as an ``ast.Name`` or as the attribute
+  of an ``ast.Attribute`` outside its own assignment, in its module or in
+  any other file of ``src/``, ``examples/`` or ``benchmarks/``.
 * Every operator dunder (``__add__``, ``__contains__``, ``__getitem__``,
   ``__len__``, ``__iter__``, ``__call__``, ...) must be applied by the
   program to an operand that may hold its class: a name or attribute
@@ -174,6 +179,23 @@ def _public_defs(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
             and not node.name.startswith("_")]
+
+
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*\Z")
+
+
+def _constants(tree):
+    """``(name, node)`` of every upper-case module-level assignment."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and _CONSTANT.match(target.id):
+                yield target.id, node
 
 
 def _methods(tree):
@@ -612,10 +634,12 @@ def _unreached(trees, level):
             continue
         if level == "method":
             definitions = list(_methods(tree))
+        elif level == "constant":
+            definitions = list(_constants(tree))
         else:
             definitions = [(node.name, node) for node in _public_defs(tree)]
         for qualified, definition in definitions:
-            name = definition.name
+            name = qualified.rsplit(".", 1)[-1]
             if not isinstance(definition, ast.ClassDef) and level == "name":
                 if ((_module_name(path), name) in bound_uses
                         or tokens[name]):
@@ -873,6 +897,10 @@ def test_every_method_is_reached():
     _report("method")
 
 
+def test_every_constant_is_read():
+    _report("constant")
+
+
 def test_every_parameter_is_set():
     unset = [f"{path}: {name}"
              for path, name in _unset_parameters(_program())
@@ -889,6 +917,7 @@ def test_keep_entries_are_defined():
     for path in SOURCE.rglob("*.py"):
         tree = ast.parse(path.read_text())
         defined.update(definition.name for definition in _public_defs(tree))
+        defined.update(name for name, _ in _constants(tree))
         defined.update(qualified for qualified, _ in _methods(tree))
         defined.update(qualified
                        for qualified, _, _ in _operator_dunders(tree))
